@@ -86,17 +86,30 @@ def _parse_grid(spec: str):
     raise ValidationError(f"unknown grid kind {kind!r}; use cuboid:, frustum:, or @file")
 
 
+def _field(doc, key: str, where: str):
+    """``doc[key]``, or a validation error naming the missing field."""
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{where} must be a JSON object")
+    if key not in doc:
+        raise ValidationError(f"{where} must give {key!r}")
+    return doc[key]
+
+
 def _parse_relay(doc: dict):
-    kind = doc.get("kind")
+    kind = _field(doc, "kind", "relay")
     if kind == "uniform":
+        nx, ny, dx, dy, x0, y0 = (_field(doc, k, "uniform relay")
+                                  for k in ("nx", "ny", "dx", "dy", "x0", "y0"))
         return UniformRelay(UniformGrid2D(
-            int(doc["nx"]), int(doc["ny"]), float(doc["dx"]), float(doc["dy"]),
-            float(doc["x0"]), float(doc["y0"]), float(doc.get("z", 0.0))))
+            int(nx), int(ny), float(dx), float(dy), float(x0), float(y0),
+            float(doc.get("z", 0.0))))
     if kind == "points_planar":
         return NonUniformPlanarRelay(
-            PointList(np.asarray(doc["points"], dtype=float)), float(doc["z"]))
+            PointList(np.asarray(_field(doc, "points", "relay"), dtype=float)),
+            float(_field(doc, "z", "points_planar relay")))
     if kind == "points_3d":
-        return NonPlanarRelay(PointList(np.asarray(doc["points"], dtype=float)))
+        return NonPlanarRelay(PointList(np.asarray(_field(doc, "points", "relay"),
+                                                   dtype=float)))
     raise ValidationError(
         "relay kind must be 'uniform', 'points_planar', or 'points_3d'")
 
@@ -104,22 +117,25 @@ def _parse_relay(doc: dict):
 def _parse_scene(path: str):
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
+    if not isinstance(doc, dict):
+        raise ValidationError("scene file must be a JSON object")
     delta_t = doc.get("delta_t", doc.get("Δt"))
     if delta_t is None:
         raise ValidationError("scene file must give the bin width 'delta_t'")
-    n_bins = int(doc["n_bins"])
-    relay = _parse_relay(doc["relay"])
+    n_bins = int(_field(doc, "n_bins", "scene file"))
+    relay = _parse_relay(_field(doc, "relay", "scene file"))
     confocal = bool(doc.get("confocal", False))
     illuminations = None
     if not confocal:
         if "illuminations" not in doc:
             raise ValidationError("non-confocal scene needs 'illuminations'")
         illuminations = PointList(np.asarray(doc["illuminations"], dtype=float))
-    scatterers = tuple(
-        sim.Scatterer(tuple(float(v) for v in s.get("pos", s.get("position"))),
-                      float(s.get("albedo", 1.0)))
-        for s in doc["scatterers"])
-    scene = sim.Scene(scatterers, ambient=float(doc.get("ambient", 0.0)))
+    scatterers = []
+    for s in _field(doc, "scatterers", "scene file"):
+        pos = _field(s, "pos" if "pos" in s else "position", "scatterer")
+        scatterers.append(sim.Scatterer(tuple(float(v) for v in pos),
+                                        float(s.get("albedo", 1.0))))
+    scene = sim.Scene(tuple(scatterers), ambient=float(doc.get("ambient", 0.0)))
     return dict(scene=scene, relay=relay, illuminations=illuminations,
                 delta_t=float(delta_t), n_bins=n_bins, t0=float(doc.get("t0", 0.0)),
                 confocal=confocal, falloff=bool(doc.get("falloff", True)))

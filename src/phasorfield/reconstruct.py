@@ -111,11 +111,12 @@ def _pad_size(lag_max: float, nu_max: float, n_min: int) -> int:
 
 
 def _pad_embed(u: np.ndarray, py: int, px: int) -> np.ndarray:
-    ny, nx = u.shape
-    out = np.zeros((py, px), dtype=np.complex128)
+    """Embed the last two axes of ``u`` centred in a ``[..., py, px]`` zero array."""
+    ny, nx = u.shape[-2:]
+    out = np.zeros(u.shape[:-2] + (py, px), dtype=np.complex128)
     oy = py // 2 - ny // 2
     ox = px // 2 - nx // 2
-    out[oy:oy + ny, ox:ox + nx] = u
+    out[..., oy:oy + ny, ox:ox + nx] = u
     return out
 
 
@@ -125,9 +126,10 @@ def _center_rows(p: int, n: int) -> slice:
     return slice(start, start + n)
 
 
-def _kernel_2d(khat: float, lag_x: np.ndarray, lag_y: np.ndarray, dz: float) -> np.ndarray:
+def _kernel_2d(khat, lag_x: np.ndarray, lag_y: np.ndarray, dz: float) -> np.ndarray:
+    """Kernel on the lag lattice; a vector ``khat`` gives a ``[n, py, px]`` stack."""
     r = np.sqrt(lag_x[None, :] ** 2 + lag_y[:, None] ** 2 + dz * dz)
-    return np.exp(PROPAGATION_SIGN * 1j * khat * r) / r
+    return np.exp(PROPAGATION_SIGN * 1j * np.asarray(khat)[..., None, None] * r) / r
 
 
 def _illum_mask(khat: float, xs: np.ndarray, ys: np.ndarray, z: float,
@@ -137,11 +139,12 @@ def _illum_mask(khat: float, xs: np.ndarray, ys: np.ndarray, z: float,
     return np.exp(PROPAGATION_SIGN * 1j * khat * r)
 
 
-def _illum_phase_points(khat: float, pts_xy: np.ndarray, z: float,
+def _illum_phase_points(khats: np.ndarray, pts_xy: np.ndarray, z: float,
                         source: np.ndarray) -> np.ndarray:
+    """Illumination phase at explicit voxels, ``[n_freq, n_voxels]``."""
     r = np.sqrt((pts_xy[:, 0] - source[0]) ** 2 + (pts_xy[:, 1] - source[1]) ** 2
                 + (z - source[2]) ** 2)
-    return np.exp(PROPAGATION_SIGN * 1j * khat * r)
+    return np.exp(PROPAGATION_SIGN * 1j * khats[:, None] * r)
 
 
 def _run(slices: FrequencySlices, grid: VoxelGrid,
@@ -338,9 +341,10 @@ def nursd1(slices: FrequencySlices, grid: CuboidGrid, eps: float = 1e-6,
     """Propagation from scattered planar detections onto a cuboid lattice.
 
     The relay samples are moved onto the output lattice's frequency grid by
-    one type-1 NUFFT per (frequency, illumination); each depth plane is then
-    an ordinary kernel convolution.  Detections lying exactly on lattice
-    nodes are handled exactly, so a gridded relay reproduces :func:`rsd`.
+    one type-1 NUFFT per illumination, batched over frequencies; each depth
+    plane is then an ordinary kernel convolution.  Detections lying exactly
+    on lattice nodes are handled exactly, so a gridded relay reproduces
+    :func:`rsd`.
     """
     _require(isinstance(grid, CuboidGrid), "nursd1 reconstructs onto a cuboid grid")
     relay = _planar_relay(slices)
@@ -366,15 +370,15 @@ def nursd1(slices: FrequencySlices, grid: CuboidGrid, eps: float = 1e-6,
     ill = illumination_coordinates(relay, slices.illuminations)
     xs = vg.x0 + vg.dx * np.arange(vg.nx)
     ys = vg.y0 + vg.dy * np.arange(vg.ny)
-    coeff = slices.coefficients
     freqs = slices.frequencies
+    uhats = [nufft1(torus, c, (py, px), eps) for c in slices.coefficients]
 
     def freq_volume(fi: int) -> np.ndarray:
         khat = freqs[fi] / SPEED_OF_LIGHT
         ghats = [cfft_2d(_kernel_2d(khat, lag_x, lag_y, z - relay.z)) for z in zs]
         vol = np.zeros((zs.size, vg.ny, vg.nx), dtype=np.complex128)
         for p in range(ill.shape[0]):
-            uhat = nufft1(torus, coeff[p, :, fi], (py, px), eps)
+            uhat = uhats[p][fi]
             for k in range(zs.size):
                 plane = cifft_2d(uhat * ghats[k])[rows, cols]
                 if include_illumination:
@@ -410,6 +414,43 @@ def _explicit_plane_geometry(grid: ExplicitVoxels, cx: float, cy: float,
     return geo
 
 
+def _read_explicit(slices: FrequencySlices, grid: ExplicitVoxels, geo,
+                   uhats: list[np.ndarray], lag_x: np.ndarray, lag_y: np.ndarray,
+                   z_relay: float, eps: float, times: np.ndarray | None,
+                   include_illumination: bool) -> ReconstructionVolume:
+    """Read propagated lattice spectra at explicit voxels and reduce them.
+
+    ``uhats[p]`` holds illumination ``p``'s relay spectrum on the padded
+    ``[py, px]`` lattice for every frequency.  Each plane stacks its kernel
+    spectra over frequencies once, and one batched type-2 NUFFT per
+    illumination reads the products at the plane's voxels.  The terms are
+    then summed in ascending frequency, then illumination, order.  No
+    per-frequency work is left for worker threads, so callers ignore
+    ``threads``.
+    """
+    n_freq, py, px = uhats[0].shape
+    khats = slices.frequencies / SPEED_OF_LIGHT
+    ill = illumination_coordinates(slices.relay, slices.illuminations)
+    scale = 1.0 / (px * py)
+    terms = np.empty((len(uhats), n_freq, grid.count), dtype=np.complex128)
+    for start, count, nu_x, nu_y, pts, z in geo:
+        torus = np.column_stack([2.0 * np.pi * nu_x / px, 2.0 * np.pi * nu_y / py])
+        ghat = cfft_2d(_kernel_2d(khats, lag_x, lag_y, z - z_relay))
+        for p, uhat in enumerate(uhats):
+            vals = nufft2(uhat * ghat, torus, eps, batch=True) * scale
+            if include_illumination:
+                vals = vals * _illum_phase_points(khats, pts, z, ill[p])
+            terms[p, :, start:start + count] = vals
+
+    def freq_volume(fi: int) -> np.ndarray:
+        vol = np.zeros(grid.count, dtype=np.complex128)
+        for term in terms[:, fi]:
+            vol += term
+        return vol
+
+    return _reduce(slices, grid, map(freq_volume, range(n_freq)), times)
+
+
 def nursd2(slices: FrequencySlices, grid: ExplicitVoxels, eps: float = 1e-6,
            times: np.ndarray | None = None, threads: int = 1,
            include_illumination: bool = True) -> ReconstructionVolume:
@@ -435,28 +476,10 @@ def nursd2(slices: FrequencySlices, grid: ExplicitVoxels, eps: float = 1e-6,
     py = _pad_size(ly, max(abs(all_nu_y).max(), g.ny // 2), g.ny)
     lag_x = (np.arange(px) - px // 2) * g.dx
     lag_y = (np.arange(py) - py // 2) * g.dy
-    toruses = [np.column_stack([2.0 * np.pi * nu_x / px, 2.0 * np.pi * nu_y / py])
-               for (_, _, nu_x, nu_y, _, _) in geo]
-    ill = illumination_coordinates(relay, slices.illuminations)
-    coeff = slices.coefficients
-    freqs = slices.frequencies
-    scale = 1.0 / (px * py)
-
-    def freq_volume(fi: int) -> np.ndarray:
-        khat = freqs[fi] / SPEED_OF_LIGHT
-        ghats = [cfft_2d(_kernel_2d(khat, lag_x, lag_y, z - g.z))
-                 for (*_, z) in geo]
-        vol = np.zeros(grid.count, dtype=np.complex128)
-        for p in range(ill.shape[0]):
-            uhat = cfft_2d(_pad_embed(coeff[p, :, fi].reshape(g.ny, g.nx), py, px))
-            for k, (start, count, _, _, pts, z) in enumerate(geo):
-                vals = nufft2(uhat * ghats[k], toruses[k], eps) * scale
-                if include_illumination:
-                    vals = vals * _illum_phase_points(khat, pts, z, ill[p])
-                vol[start:start + count] += vals
-        return vol
-
-    return _run(slices, grid, freq_volume, times, threads)
+    uhats = [cfft_2d(_pad_embed(c.T.reshape(-1, g.ny, g.nx), py, px))
+             for c in slices.coefficients]
+    return _read_explicit(slices, grid, geo, uhats, lag_x, lag_y, g.z, eps, times,
+                          include_illumination)
 
 
 # ---------------------------------------------------------------------------
@@ -499,30 +522,11 @@ def nursd3(slices: FrequencySlices, grid: ExplicitVoxels, eps: float = 1e-6,
     px = _pad_size(lx, max(abs(all_nu_x).max(), abs(nu_rx).max()), 1)
     py = _pad_size(ly, max(abs(all_nu_y).max(), abs(nu_ry).max()), 1)
     torus_rel = np.column_stack([2.0 * np.pi * nu_rx / px, 2.0 * np.pi * nu_ry / py])
-    torus_tgt = [np.column_stack([2.0 * np.pi * nu_x / px, 2.0 * np.pi * nu_y / py])
-                 for (_, _, nu_x, nu_y, _, _) in geo]
     lag_x = (np.arange(px) - px // 2) * pitch
     lag_y = (np.arange(py) - py // 2) * pitch
-    ill = illumination_coordinates(relay, slices.illuminations)
-    coeff = slices.coefficients
-    freqs = slices.frequencies
-    scale = 1.0 / (px * py)
-
-    def freq_volume(fi: int) -> np.ndarray:
-        khat = freqs[fi] / SPEED_OF_LIGHT
-        ghats = [cfft_2d(_kernel_2d(khat, lag_x, lag_y, z - relay.z))
-                 for (*_, z) in geo]
-        vol = np.zeros(grid.count, dtype=np.complex128)
-        for p in range(ill.shape[0]):
-            uhat = nufft1(torus_rel, coeff[p, :, fi], (py, px), eps)
-            for k, (start, count, _, _, pts, z) in enumerate(geo):
-                vals = nufft2(uhat * ghats[k], torus_tgt[k], eps) * scale
-                if include_illumination:
-                    vals = vals * _illum_phase_points(khat, pts, z, ill[p])
-                vol[start:start + count] += vals
-        return vol
-
-    return _run(slices, grid, freq_volume, times, threads)
+    uhats = [nufft1(torus_rel, c, (py, px), eps) for c in slices.coefficients]
+    return _read_explicit(slices, grid, geo, uhats, lag_x, lag_y, relay.z, eps, times,
+                          include_illumination)
 
 
 # ---------------------------------------------------------------------------
@@ -561,29 +565,10 @@ def srsd_nursd2(slices: FrequencySlices, grid: ExplicitVoxels, alpha: float,
     py = _pad_size(ly, max(abs(all_nu_y).max(), g.ny // 2), g.ny)
     lag_x = (np.arange(px) - px // 2) * (g.dx / alpha)
     lag_y = (np.arange(py) - py // 2) * (g.dy / beta)
-    toruses = [np.column_stack([2.0 * np.pi * nu_x / px, 2.0 * np.pi * nu_y / py])
-               for (_, _, nu_x, nu_y, _, _) in geo]
-    ill = illumination_coordinates(relay, slices.illuminations)
-    coeff = slices.coefficients
-    freqs = slices.frequencies
-    scale = 1.0 / (px * py)
-
-    def freq_volume(fi: int) -> np.ndarray:
-        khat = freqs[fi] / SPEED_OF_LIGHT
-        ghats = [cfft_2d(_kernel_2d(khat, lag_x, lag_y, z - g.z))
-                 for (*_, z) in geo]
-        vol = np.zeros(grid.count, dtype=np.complex128)
-        for p in range(ill.shape[0]):
-            uhat = sfft_2d_centered(
-                _pad_embed(coeff[p, :, fi].reshape(g.ny, g.nx), py, px), alpha, beta)
-            for k, (start, count, _, _, pts, z) in enumerate(geo):
-                vals = nufft2(uhat * ghats[k], toruses[k], eps) * scale
-                if include_illumination:
-                    vals = vals * _illum_phase_points(khat, pts, z, ill[p])
-                vol[start:start + count] += vals
-        return vol
-
-    return _run(slices, grid, freq_volume, times, threads)
+    uhats = [sfft_2d_centered(_pad_embed(c.T.reshape(-1, g.ny, g.nx), py, px), alpha, beta)
+             for c in slices.coefficients]
+    return _read_explicit(slices, grid, geo, uhats, lag_x, lag_y, g.z, eps, times,
+                          include_illumination)
 
 
 # ---------------------------------------------------------------------------
@@ -697,8 +682,8 @@ def rsd3d(slices: FrequencySlices, grid: CuboidGrid, scatter: str = "trilinear",
         wts = (wz[:, :, None, None] * wy[:, None, :, None]
                * wx[:, None, None, :]).reshape(-1, 8)
     for name, idx, bound in (("x", ix, px), ("y", iy, py), ("z", iz, pz)):
-        assert idx.min() >= 0 and idx.max() < bound, \
-            f"relay scatter indices escaped the {name} lattice"
+        if idx.min() < 0 or idx.max() >= bound:
+            raise RuntimeError(f"relay scatter indices escaped the {name} lattice")
     ill = illumination_coordinates(relay, slices.illuminations)
     coeff = slices.coefficients
     freqs = slices.frequencies
@@ -747,16 +732,15 @@ def nursd3d(slices: FrequencySlices, grid: CuboidGrid, eps: float = 1e-6,
                              2.0 * np.pi * nu_ry / py,
                              2.0 * np.pi * nu_rz / pz])
     ill = illumination_coordinates(relay, slices.illuminations)
-    coeff = slices.coefficients
     freqs = slices.frequencies
+    uhats = [nufft1(torus, c, (pz, py, px), eps) for c in slices.coefficients]
 
     def freq_volume(fi: int) -> np.ndarray:
         khat = freqs[fi] / SPEED_OF_LIGHT
         g3 = cfft_n(_kernel_3d(khat, px, py, pz, vg.dx, vg.dy, dz3), axes=(-3, -2, -1))
         vol = np.zeros(grid.count, dtype=np.complex128)
         for p in range(ill.shape[0]):
-            uhat3 = nufft1(torus, coeff[p, :, fi], (pz, py, px), eps)
-            wave = cifft_n(uhat3 * g3, axes=(-3, -2, -1))
+            wave = cifft_n(uhats[p][fi] * g3, axes=(-3, -2, -1))
             uhat_plane = cfft_2d(wave[slab_index])
             vol += _stage2_volume(uhat_plane, khat, vg, z0, px, py, ill[p],
                                   include_illumination).ravel()

@@ -32,28 +32,37 @@ Non-uniform FFT
 points, exponent ``+1j``) use Gaussian gridding on a 2x-oversampled fine
 grid.  The deconvolution divides by the exact discrete window transform
 (the DFT of the truncated spread stencil), so points lying exactly on fine
-grid nodes are reproduced to roundoff; ``nufft2`` is the exact structural
-adjoint of ``nufft1`` (same stencils, same deconvolution), so the inner
-product identity ``<nufft1(c), V> = <c, nufft2(V)>`` holds to machine
-precision.
+grid nodes are reproduced to roundoff.
+
+Each call builds the spread stencils of its points once, as a sparse
+operator ``S`` (CSR, ``(2w+1)^k`` taps per row over the ``k <= 2`` lateral
+axes): type-1 spreading is ``S^T v`` and type-2 interpolation is ``S f``.
+A 3-D transform keeps the depth axis out of ``S`` as a dense per-point
+factor, so no row ever holds ``(2w+1)^3`` taps.  ``nufft2`` uses the same
+stencils and deconvolution as ``nufft1`` and is its exact structural
+adjoint, so ``<nufft1(c), V> = <c, nufft2(V)>`` holds to machine precision.
+
+Both transforms take a batch of vectors that share one point set
+(``[L, B]`` values for ``nufft1``, ``batch=True`` with ``[B, *modes]``
+coefficients for ``nufft2``) and reuse one operator for every column.
+Batch columns go through the fine grid in chunks whose buffers stay within
+``_FINE_CHUNK_BYTES``, so memory does not grow with ``B``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
+from scipy import fft as sp_fft
 from scipy.fft import next_fast_len
+from scipy.sparse import csr_array
 
 from .core import ValidationError, _require
 
 __all__ = [
-    "dft_2d",
-    "idft_2d",
-    "fft_2d",
-    "ifft_2d",
     "cfft_2d",
     "cifft_2d",
     "cfft_n",
@@ -72,36 +81,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Plain and centered FFTs
 # ---------------------------------------------------------------------------
-
-
-def dft_2d(u: np.ndarray) -> np.ndarray:
-    """Quadratic-cost 2D DFT by explicit matrices (reference implementation)."""
-    u = np.asarray(u, dtype=np.complex128)
-    _require(u.ndim == 2, "dft_2d takes a 2D array")
-    ny, nx = u.shape
-    my = np.exp(-2j * np.pi * np.outer(np.arange(ny), np.arange(ny)) / ny)
-    mx = np.exp(-2j * np.pi * np.outer(np.arange(nx), np.arange(nx)) / nx)
-    return my @ u @ mx.T
-
-
-def idft_2d(u: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`dft_2d` (scaled by 1/(ny*nx))."""
-    u = np.asarray(u, dtype=np.complex128)
-    _require(u.ndim == 2, "idft_2d takes a 2D array")
-    ny, nx = u.shape
-    my = np.exp(2j * np.pi * np.outer(np.arange(ny), np.arange(ny)) / ny)
-    mx = np.exp(2j * np.pi * np.outer(np.arange(nx), np.arange(nx)) / nx)
-    return (my @ u @ mx.T) / (ny * nx)
-
-
-def fft_2d(u: np.ndarray) -> np.ndarray:
-    """Forward 2D FFT over the last two axes (unnormalized)."""
-    return np.fft.fft2(u)
-
-
-def ifft_2d(u: np.ndarray) -> np.ndarray:
-    """Inverse 2D FFT over the last two axes (1/N normalized)."""
-    return np.fft.ifft2(u)
 
 
 def cfft_n(u: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
@@ -168,16 +147,17 @@ class SfftPlan:
         return conv[..., : self.m] * self.chirp
 
 
-_SFFT_PLANS: dict[tuple[int, float, int], SfftPlan] = {}
+# Plan caches are bounded LRUs keyed by (length, scale, offset) and by
+# (modes, eps).  A capture needs at most one sFFT plan per axis and frustum
+# plane and a few NUFFT plans, so both capacities hold a capture's working
+# set many times over while a long sweep of scales cannot grow them.
+_SFFT_CACHE_SIZE = 256
+_NUFFT_CACHE_SIZE = 32
 
 
+@lru_cache(maxsize=_SFFT_CACHE_SIZE)
 def _sfft_plan(m: int, alpha: float, offset: int) -> SfftPlan:
-    key = (int(m), float(alpha), int(offset))
-    plan = _SFFT_PLANS.get(key)
-    if plan is None:
-        plan = SfftPlan.build(m, alpha, offset)
-        _SFFT_PLANS[key] = plan
-    return plan
+    return SfftPlan.build(m, alpha, offset)
 
 
 def sfft_1d(u: np.ndarray, alpha: float, offset: int = 0, axis: int = -1) -> np.ndarray:
@@ -189,7 +169,7 @@ def sfft_1d(u: np.ndarray, alpha: float, offset: int = 0, axis: int = -1) -> np.
     """
     u = np.asarray(u, dtype=np.complex128)
     moved = np.moveaxis(u, axis, -1)
-    plan = _sfft_plan(moved.shape[-1], alpha, offset)
+    plan = _sfft_plan(int(moved.shape[-1]), float(alpha), int(offset))
     return np.moveaxis(plan.apply(moved), -1, axis)
 
 
@@ -267,7 +247,8 @@ class NufftPlan:
             ker = np.full(m, 1.0)
             for j in range(1, w + 1):
                 ker += 2.0 * math.exp(-(j * h) ** 2 / (4.0 * tau)) * np.cos(k * j * h)
-            assert (ker > 0).all(), "window transform must stay positive"
+            if not (ker > 0).all():
+                raise RuntimeError("window transform must stay positive")
             ker.setflags(write=False)
             mrs.append(mr)
             taus.append(tau)
@@ -303,16 +284,9 @@ class NufftPlan:
         return idx_list, win_list
 
 
-_NUFFT_PLANS: dict[tuple[tuple[int, ...], float], NufftPlan] = {}
-
-
+@lru_cache(maxsize=_NUFFT_CACHE_SIZE)
 def _nufft_plan(modes: tuple[int, ...], eps: float) -> NufftPlan:
-    key = (tuple(int(m) for m in modes), float(eps))
-    plan = _NUFFT_PLANS.get(key)
-    if plan is None:
-        plan = NufftPlan.build(key[0], key[1])
-        _NUFFT_PLANS[key] = plan
-    return plan
+    return NufftPlan.build(modes, eps)
 
 
 def _check_points(pts: np.ndarray, d: int) -> np.ndarray:
@@ -333,6 +307,86 @@ def _outer(arrs: list[np.ndarray]) -> np.ndarray:
     return reduce(np.multiply.outer, arrs)
 
 
+# Batch columns are spread into, and read from, fine grids in chunks whose
+# grids together stay within this many bytes.
+_FINE_CHUNK_BYTES = 1 << 20
+
+
+class _Spread:
+    """Gaussian spread stencils of one point set, built once per call.
+
+    ``matrix`` is the CSR spread operator ``S`` of shape ``[L, mry*mrx]``
+    (``[L, mr]`` in 1-D) with ``(2w+1)^k`` taps per row, ``k`` the number of
+    lateral axes, so type-1 spreading is ``S^T v`` and type-2 interpolation
+    ``S f``.  In 3-D the depth axis never enters ``S``: its stencil is the
+    dense ``[L, mrz]`` matrix ``Wz`` (periodic wrap included), transformed
+    once here to the centered depth modes and deconvolved, so ``depth`` is
+    ``[L, mz]`` and a batch column needs only lateral FFTs.  Type-2 uses the
+    conjugate depth factor, which keeps it the exact adjoint of type-1.
+    """
+
+    def __init__(self, plan: NufftPlan, pts: np.ndarray):
+        idx, win = plan.windows(pts)
+        n = pts.shape[0]
+        slots = plan.mode_slots()
+        self.depth = None
+        if len(idx) == 3:
+            wz = np.zeros((n, plan.mrs[0]))
+            np.put_along_axis(wz, idx[0], win[0], axis=1)
+            self.depth = np.fft.fft(wz, axis=1)[:, slots[0]] / plan.kers[0]
+            idx, win = idx[1:], win[1:]
+        k = len(idx)
+        self.mrs = plan.mrs[-k:]
+        self.modes = plan.modes[-k:]
+        self.slots = slots[-k:]
+        self.ker = _outer(list(plan.kers[-k:]))
+        cols, wts = idx[0], win[0]
+        for i, w, mr in zip(idx[1:], win[1:], self.mrs[1:]):
+            cols = (cols[:, :, None] * mr + i[:, None, :]).reshape(n, -1)
+            wts = (wts[:, :, None] * w[:, None, :]).reshape(n, -1)
+        taps = cols.shape[1]
+        index = np.int32 if n * taps <= np.iinfo(np.int32).max else np.int64
+        self.matrix = csr_array(
+            (wts.ravel(), cols.ravel().astype(index),
+             np.arange(0, n * taps + 1, taps, dtype=index)),
+            shape=(n, math.prod(self.mrs)))
+        n_depth = 1 if self.depth is None else self.depth.shape[1]
+        self.chunk = max(1, _FINE_CHUNK_BYTES // (16 * math.prod(self.mrs) * n_depth))
+
+    def type1(self, vals: np.ndarray) -> np.ndarray:
+        """``[L, c]`` values to ``[c, *modes]`` deconvolved modes."""
+        n, c = vals.shape
+        if self.depth is not None:
+            vals = vals[:, :, None] * self.depth[:, None, :]
+        # S is real: applied to the float64 view of complex columns it acts
+        # on real and imaginary parts at once, with no complex copy of S.
+        flat = np.ascontiguousarray(vals).reshape(n, -1).view(np.float64)
+        fine = np.ascontiguousarray(self.matrix.T @ flat).view(np.complex128)
+        fine = fine.reshape(self.mrs + (-1,))
+        for ax, sl in enumerate(self.slots):
+            fine = np.take(sp_fft.fft(fine, axis=ax, overwrite_x=True), sl, axis=ax)
+        fine = fine.reshape(self.modes + (-1,)) / self.ker[..., None]
+        if self.depth is None:
+            return np.moveaxis(fine, -1, 0)
+        return fine.reshape(self.modes + (c, -1)).transpose(2, 3, 0, 1)
+
+    def type2(self, coeff: np.ndarray) -> np.ndarray:
+        """``[c, *modes]`` coefficients to ``[c, L]`` point values."""
+        c = coeff.shape[0]
+        fine = coeff / self.ker
+        fine = np.moveaxis(fine, 0, -1) if self.depth is None else fine.transpose(2, 3, 0, 1)
+        fine = fine.reshape(self.modes + (-1,))
+        for ax, (sl, mr) in enumerate(zip(self.slots, self.mrs)):
+            arr = np.zeros(fine.shape[:ax] + (mr,) + fine.shape[ax + 1:], dtype=np.complex128)
+            arr[(slice(None),) * ax + (sl,)] = fine
+            fine = sp_fft.ifft(arr, axis=ax, norm="forward", overwrite_x=True)
+        flat = np.ascontiguousarray(fine).reshape(self.matrix.shape[1], -1).view(np.float64)
+        out = np.ascontiguousarray(self.matrix @ flat).view(np.complex128)
+        if self.depth is None:
+            return out.T
+        return np.einsum("lck,lk->cl", out.reshape(out.shape[0], c, -1), self.depth.conj())
+
+
 def nufft1(points: np.ndarray, values: np.ndarray, modes: tuple[int, ...],
            eps: float) -> np.ndarray:
     """Non-uniform points to uniform modes, exponent ``-1j``.
@@ -340,42 +394,43 @@ def nufft1(points: np.ndarray, values: np.ndarray, modes: tuple[int, ...],
     ``U[k] = sum_l values[l] * exp(-1j * (kx*x_l + ky*y_l + kz*z_l))`` for
     centered integer modes ``k``; output shape is ``modes`` in array-shape
     order (x is the last axis), and relative error is bounded by ``eps``.
-    Point coordinates must lie on the torus ``[-pi, pi)``.
+    Point coordinates must lie on the torus ``[-pi, pi)``.  ``values`` of
+    shape ``[L, B]`` is a batch of ``B`` vectors sharing the points; the
+    output is then ``[B, *modes]``, one mode array per column.
     """
     modes = tuple(int(m) for m in modes)
-    plan = _nufft_plan(modes, eps)
+    plan = _nufft_plan(modes, float(eps))
     pts = _check_points(points, len(modes))
     vals = np.asarray(values, dtype=np.complex128)
-    _require(vals.shape == (pts.shape[0],), "values must be [L] matching the points")
+    _require(vals.ndim in (1, 2) and vals.shape[0] == pts.shape[0],
+             "values must be [L] or [L, B] matching the points")
     _require(bool(np.isfinite(vals).all()), "values must be finite")
-    idx, win = plan.windows(pts)
-    fine = np.zeros(plan.mrs, dtype=np.complex128)
-    for l in range(pts.shape[0]):
-        block = vals[l] * _outer([w[l] for w in win])
-        fine[np.ix_(*[i[l] for i in idx])] += block
-    spectrum = np.fft.fftn(fine)
-    gathered = spectrum[np.ix_(*plan.mode_slots())]
-    return gathered / _outer(list(plan.kers))
+    spread = _Spread(plan, pts)
+    batch = vals.reshape(pts.shape[0], -1)
+    out = np.empty((batch.shape[1],) + modes, dtype=np.complex128)
+    for lo in range(0, batch.shape[1], spread.chunk):
+        out[lo:lo + spread.chunk] = spread.type1(batch[:, lo:lo + spread.chunk])
+    return out if vals.ndim == 2 else out[0]
 
 
-def nufft2(coefficients: np.ndarray, points: np.ndarray, eps: float) -> np.ndarray:
+def nufft2(coefficients: np.ndarray, points: np.ndarray, eps: float, *,
+           batch: bool = False) -> np.ndarray:
     """Uniform modes to non-uniform points, exponent ``+1j``.
 
     ``out[l] = sum_k coefficients[k] * exp(+1j * (kx*x_l + ky*y_l + kz*z_l))``
     over centered integer modes ``k``; exact structural adjoint of
-    :func:`nufft1` built from the same stencils and deconvolution.
+    :func:`nufft1` built from the same stencils and deconvolution.  With
+    ``batch=True`` the leading axis of ``coefficients`` indexes ``B`` mode
+    arrays read at the same points, and the output is ``[B, L]``.
     """
     coeff = np.asarray(coefficients, dtype=np.complex128)
-    _require(1 <= coeff.ndim <= 3, "mode array must be 1D, 2D, or 3D")
-    _require(bool(np.isfinite(coeff).all()), "coefficients must be finite")
-    plan = _nufft_plan(coeff.shape, eps)
-    pts = _check_points(points, coeff.ndim)
-    arr = np.zeros(plan.mrs, dtype=np.complex128)
-    arr[np.ix_(*plan.mode_slots())] = coeff / _outer(list(plan.kers))
-    fine = np.fft.ifftn(arr) * float(np.prod(plan.mrs))
-    idx, win = plan.windows(pts)
-    out = np.empty(pts.shape[0], dtype=np.complex128)
-    for l in range(pts.shape[0]):
-        block = fine[np.ix_(*[i[l] for i in idx])]
-        out[l] = np.sum(block * _outer([w[l] for w in win]))
-    return out
+    stack = coeff if batch else coeff[None]
+    _require(2 <= stack.ndim <= 4, "mode array must be 1D, 2D, or 3D")
+    _require(bool(np.isfinite(stack).all()), "coefficients must be finite")
+    plan = _nufft_plan(tuple(int(m) for m in stack.shape[1:]), float(eps))
+    pts = _check_points(points, stack.ndim - 1)
+    spread = _Spread(plan, pts)
+    out = np.empty((stack.shape[0], pts.shape[0]), dtype=np.complex128)
+    for lo in range(0, stack.shape[0], spread.chunk):
+        out[lo:lo + spread.chunk] = spread.type2(stack[lo:lo + spread.chunk])
+    return out if batch else out[0]

@@ -1,6 +1,8 @@
 """End-to-end command-line behavior, exit codes, and output determinism."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -102,6 +104,74 @@ class TestSimulate:
         scene.write_text(json.dumps(doc))
         assert main(["simulate", str(scene), "-o", str(tmp_path / "x.nls1")]) == 2
         assert "delta_t" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("key", ["n_bins", "relay", "scatterers"])
+    def test_missing_scene_field_is_usage_error(self, tmp_path, capsys, key):
+        doc = _scene_doc()
+        del doc[key]
+        scene = tmp_path / "bad.json"
+        scene.write_text(json.dumps(doc))
+        assert main(["simulate", str(scene), "-o", str(tmp_path / "x.nls1")]) == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("relay, key", [
+        ({"kind": "points_planar", "z": 0.0}, "points"),
+        ({"kind": "points_planar", "points": [[0.0, 0.0]]}, "z"),
+        ({"kind": "uniform", "nx": 4, "ny": 4, "dx": 0.02, "dy": 0.02, "x0": 0.0}, "y0"),
+        ({"nx": 4}, "kind"),
+    ])
+    def test_missing_relay_field_is_usage_error(self, tmp_path, capsys, relay, key):
+        scene = tmp_path / "bad.json"
+        scene.write_text(json.dumps(_scene_doc(relay=relay)))
+        assert main(["simulate", str(scene), "-o", str(tmp_path / "x.nls1")]) == 2
+        assert repr(key) in capsys.readouterr().err
+
+    def test_scatterer_without_position_is_usage_error(self, tmp_path, capsys):
+        scene = tmp_path / "bad.json"
+        scene.write_text(json.dumps(_scene_doc(scatterers=[{"albedo": 1.0}])))
+        assert main(["simulate", str(scene), "-o", str(tmp_path / "x.nls1")]) == 2
+        assert "position" in capsys.readouterr().err
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# One relay of every kind the README documents, with its illuminations.
+README_RELAYS = {
+    "uniform": ({"kind": "uniform", "nx": 4, "ny": 4, "dx": 0.02, "dy": 0.02,
+                "x0": -0.03, "y0": -0.03, "z": 0.0}, [[0.0, 0.0]]),
+    "points_planar": ({"kind": "points_planar", "z": 0.0,
+                       "points": [[0.0, 0.0], [0.02, -0.01], [-0.03, 0.02]]}, [[0.0, 0.0]]),
+    "points_3d": ({"kind": "points_3d",
+                   "points": [[0.0, 0.0, 0.0], [0.02, -0.01, 0.01], [-0.03, 0.02, 0.02]]},
+                  [[0.0, 0.0, 0.0]]),
+}
+
+
+def _readme_scene_section() -> str:
+    text = README.read_text(encoding="utf-8")
+    return text[text.index("### Scene JSON"):text.index("### Grid specifications")]
+
+
+class TestReadmeScene:
+    def test_example_scene_simulates(self, tmp_path):
+        section = _readme_scene_section()
+        example = section[section.index("```json") + len("```json"):]
+        example = example[:example.index("```")]
+        scene = tmp_path / "readme.json"
+        scene.write_text(example)
+        assert main(["simulate", str(scene), "-o", str(tmp_path / "readme.nls1")]) == 0
+
+    def test_documented_relay_kinds_simulate(self, tmp_path):
+        section = _readme_scene_section()
+        paragraph = section[section.index("Relay kinds:"):]
+        kinds = re.findall(r"`(\w+)` \(", paragraph)
+        assert sorted(kinds) == sorted(README_RELAYS)
+        for kind in kinds:
+            scene = tmp_path / f"{kind}.json"
+            relay, illuminations = README_RELAYS[kind]
+            scene.write_text(json.dumps(_scene_doc(relay=relay, illuminations=illuminations)))
+            assert main(["simulate", str(scene), "-o", str(tmp_path / f"{kind}.nls1")]) == 0
 
 
 class TestReconstruct:

@@ -1,9 +1,11 @@
 """Centered FFTs, the scaled FFT, and both gridding NUFFT types."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
 
-from phasorfield import ValidationError, oracle
+from phasorfield import ValidationError, oracle, spectral
 from phasorfield.spectral import (
     cfft_2d,
     cfft_n,
@@ -220,3 +222,136 @@ class TestNufft:
             nufft1(np.zeros((3, 1)), np.ones(4, complex), (8,), 1e-6)
         with pytest.raises(ValidationError):
             nufft2(np.ones((8, 8), complex), np.zeros((3, 1)), 1e-6)
+
+
+def _loop_nufft1(pts, vals, modes, eps):
+    """Per-point gridding loops: the reference for the sparse spread operator."""
+    plan = spectral._nufft_plan(modes, eps)
+    idx, win = plan.windows(pts)
+    fine = np.zeros(plan.mrs, dtype=complex)
+    for l in range(pts.shape[0]):
+        fine[np.ix_(*[i[l] for i in idx])] += vals[l] * reduce(np.multiply.outer,
+                                                               [w[l] for w in win])
+    gathered = np.fft.fftn(fine)[np.ix_(*plan.mode_slots())]
+    return gathered / reduce(np.multiply.outer, plan.kers)
+
+
+def _loop_nufft2(coeff, pts, eps):
+    plan = spectral._nufft_plan(coeff.shape, eps)
+    arr = np.zeros(plan.mrs, dtype=complex)
+    arr[np.ix_(*plan.mode_slots())] = coeff / reduce(np.multiply.outer, plan.kers)
+    fine = np.fft.ifftn(arr) * float(np.prod(plan.mrs))
+    idx, win = plan.windows(pts)
+    return np.array([np.sum(fine[np.ix_(*[i[l] for i in idx])]
+                            * reduce(np.multiply.outer, [w[l] for w in win]))
+                     for l in range(pts.shape[0])])
+
+
+class TestBatchedNufft:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_matches_per_point_gridding_loop(self, rng, dim):
+        modes = MODES_BY_DIM[dim]
+        pts = _random_points(rng, 40, dim)
+        vals = _complex(rng, (40,))
+        coeff = _complex(rng, modes)
+        loop1 = _loop_nufft1(pts, vals, modes, 1e-8)
+        assert rel_linf(nufft1(pts, vals, modes, 1e-8), loop1) < 1e-13
+        assert rel_linf(nufft2(coeff, pts, 1e-8), _loop_nufft2(coeff, pts, 1e-8)) < 1e-13
+
+    @pytest.fixture
+    def small_chunks(self, monkeypatch):
+        # Fine grids of a few columns per chunk, so batches span several chunks.
+        monkeypatch.setattr(spectral, "_FINE_CHUNK_BYTES", 3 * 16 * 24 * 24)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_type1_batch_equals_columns(self, rng, small_chunks, dim):
+        modes = MODES_BY_DIM[dim]
+        pts = _random_points(rng, 40, dim)
+        vals = _complex(rng, (40, 7))
+        batched = nufft1(pts, vals, modes, 1e-8)
+        assert batched.shape == (7,) + modes
+        for b in range(7):
+            assert rel_linf(batched[b], nufft1(pts, vals[:, b], modes, 1e-8)) < 1e-13
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_type2_batch_equals_columns(self, rng, small_chunks, dim):
+        modes = MODES_BY_DIM[dim]
+        pts = _random_points(rng, 40, dim)
+        coeff = _complex(rng, (7,) + modes)
+        batched = nufft2(coeff, pts, 1e-8, batch=True)
+        assert batched.shape == (7, 40)
+        for b in range(7):
+            assert rel_linf(batched[b], nufft2(coeff[b], pts, 1e-8)) < 1e-13
+
+    def test_3d_batch_matches_direct_sum_across_depth_wrap(self, rng):
+        modes = (7, 6, 5)
+        pts = _random_points(rng, 30, 3)
+        pts[:10, 2] = rng.uniform(-0.05, 0.05, 10)
+        pts[10:20, 2] = np.pi - rng.uniform(0.0, 0.05, 10)
+        # Depth stencils of the first ten points run past the end of the
+        # fine depth axis and wrap to its start.
+        z_idx = spectral._nufft_plan(modes, 1e-10).windows(pts)[0][0]
+        assert (np.diff(z_idx[:10], axis=1) != 1).any(axis=1).all()
+        vals = _complex(rng, (30, 4))
+        coeff = _complex(rng, (4,) + modes)
+        fast1 = nufft1(pts, vals, modes, 1e-10)
+        fast2 = nufft2(coeff, pts, 1e-10, batch=True)
+        for b in range(4):
+            assert rel_linf(fast1[b], oracle.nudft1(pts, vals[:, b], modes)) < 1e-10
+            assert rel_linf(fast2[b], oracle.nudft2(coeff[b], pts)) < 1e-10
+
+    @pytest.mark.parametrize("modes", [(9, 7), (5, 6, 4)])
+    def test_batched_adjointness(self, rng, small_chunks, modes):
+        pts = _random_points(rng, 31, len(modes))
+        vals = _complex(rng, (31, 5))
+        coeff = _complex(rng, (5,) + modes)
+        lhs = np.vdot(nufft1(pts, vals, modes, 1e-12), coeff)
+        rhs = np.vdot(vals.T, nufft2(coeff, pts, 1e-12, batch=True))
+        assert abs(lhs - rhs) / abs(lhs) < 1e-12
+
+    @pytest.mark.parametrize("modes", [(16,), (12, 10), (6, 5, 4)])
+    def test_spread_operator_structure(self, rng, modes):
+        # CSR over the lateral axes only: a 3-D operator keeps depth as a
+        # dense factor instead of (2w+1)^3 taps per row.
+        plan = spectral._nufft_plan(modes, 1e-6)
+        spread = spectral._Spread(plan, _random_points(rng, 13, len(modes)))
+        lateral = min(len(modes), 2)
+        s = spread.matrix
+        assert s.format == "csr" and s.indices.dtype == np.int32
+        assert s.shape == (13, int(np.prod(plan.mrs[-lateral:])))
+        assert (np.diff(s.indptr) == (2 * plan.w + 1) ** lateral).all()
+        if len(modes) == 3:
+            assert spread.depth.shape == (13, modes[0])
+        else:
+            assert spread.depth is None
+
+    def test_rejects_batch_shape_mismatches(self):
+        pts = np.zeros((3, 1))
+        with pytest.raises(ValidationError):
+            nufft1(pts, np.ones((4, 2), complex), (8,), 1e-6)
+        with pytest.raises(ValidationError):
+            nufft1(pts, np.ones((3, 2, 2), complex), (8,), 1e-6)
+        with pytest.raises(ValidationError):
+            nufft2(np.ones(8, complex), pts, 1e-6, batch=True)
+        with pytest.raises(ValidationError):
+            nufft2(np.ones((2, 8, 8), complex), pts, 1e-6, batch=True)
+
+
+class TestPlanCaches:
+    def test_sfft_plans_stay_within_bound(self, rng):
+        u = _complex(rng, (8,))
+        for alpha in np.linspace(0.1, 0.9, 2 * spectral._SFFT_CACHE_SIZE):
+            sfft_1d(u, float(alpha))
+        assert spectral._sfft_plan.cache_info().currsize <= spectral._SFFT_CACHE_SIZE
+        hits = spectral._sfft_plan.cache_info().hits
+        sfft_1d(u, 0.9)
+        assert spectral._sfft_plan.cache_info().hits == hits + 1
+
+    def test_nufft_plans_stay_within_bound(self, rng):
+        pts = _random_points(rng, 4, 1)
+        for eps in np.geomspace(1e-12, 1e-2, 2 * spectral._NUFFT_CACHE_SIZE):
+            nufft1(pts, np.ones(4, complex), (8,), float(eps))
+        assert spectral._nufft_plan.cache_info().currsize <= spectral._NUFFT_CACHE_SIZE
+        hits = spectral._nufft_plan.cache_info().hits
+        nufft2(np.ones(8, complex), pts, 1e-2)
+        assert spectral._nufft_plan.cache_info().hits == hits + 1
