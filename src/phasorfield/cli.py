@@ -34,6 +34,7 @@ from .core import (
     UniformRelay,
     ValidationError,
     VoxelPlane,
+    _ForeignKindError,
     read_dataset,
     read_volume,
     write_dataset,
@@ -62,9 +63,13 @@ def _parse_grid(spec: str):
     if spec.startswith("@"):
         with open(spec[1:], "r", encoding="utf-8") as f:
             doc = json.load(f)
-        planes = [VoxelPlane(float(p["z"]), PointList(np.asarray(p["points"], dtype=float)))
-                  for p in doc["planes"]]
-        return ExplicitVoxels(tuple(planes))
+        planes = _field(doc, "planes", "planes file")
+        if not isinstance(planes, list):
+            raise ValidationError("planes file must give 'planes' as a list")
+        return ExplicitVoxels(tuple(
+            VoxelPlane(float(_field(p, "z", "voxel plane")),
+                       PointList(np.asarray(_field(p, "points", "voxel plane"), dtype=float)))
+            for p in planes))
     kind, _, rest = spec.partition(":")
     fields = [s for s in rest.split(",") if s != ""]
     if kind == "cuboid":
@@ -89,7 +94,7 @@ def _parse_grid(spec: str):
 def _field(doc, key: str, where: str):
     """``doc[key]``, or a validation error naming the missing field."""
     if not isinstance(doc, dict):
-        raise ValidationError(f"{where} must be a JSON object")
+        raise ValidationError(f"{where} must be a JSON object giving {key!r}")
     if key not in doc:
         raise ValidationError(f"{where} must give {key!r}")
     return doc[key]
@@ -209,7 +214,7 @@ def _cmd_metrics(args) -> int:
 def _cmd_info(args) -> int:
     try:
         m = read_dataset(args.path)
-    except ContainerFormatError:
+    except _ForeignKindError:
         v = read_volume(args.path)
         kind = v.grid.kind
         print(f"volume: {v.n_frames} frame(s) x {v.grid.count} voxels on a "

@@ -59,6 +59,10 @@ class NonFiniteDataError(ContainerFormatError):
     """File payload contains NaN or infinite values."""
 
 
+class _ForeignKindError(ContainerFormatError):
+    """The kind tag belongs to the other container type (or to neither)."""
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     """Return a C-contiguous read-only copy of ``a``."""
     out = np.ascontiguousarray(a).copy()
@@ -620,6 +624,13 @@ class _Reader:
         raw = self.take(dt.itemsize * count)
         return np.frombuffer(raw, dtype=dt).astype(dt.base.type)
 
+    def end(self) -> None:
+        """Fail unless the whole input has been consumed."""
+        if self.off != len(self.data):
+            raise ContainerFormatError(
+                f"{len(self.data) - self.off} unexpected byte(s) follow the payload "
+                f"at byte {self.off}")
+
 
 def _pack_points(pts: np.ndarray) -> bytes:
     return np.ascontiguousarray(pts, dtype="<f8").tobytes()
@@ -656,7 +667,7 @@ def _relay_from_reader(r: _Reader) -> RelaySampling:
         (count,) = r.unpack("I")
         pts = r.array("f8", count * 3).reshape(count, 3)
         return NonPlanarRelay(PointList(pts))
-    raise ContainerFormatError(f"unknown relay kind tag {kind} (is this a volume file?)")
+    raise _ForeignKindError(f"unknown relay kind tag {kind} (is this a volume file?)")
 
 
 def _relay_to_json(relay: RelaySampling) -> dict:
@@ -718,13 +729,12 @@ def read_dataset(path: str) -> TransientMeasurement:
     n_illum, n_detect, n_bins = r.unpack("III")
     delta_t, t0 = r.unpack("dd")
     relay = _relay_from_reader(r)
-    if relay.kind not in _RELAY_KINDS:
-        raise ContainerFormatError("not a transient dataset")
     dim, n_ill_pts = r.unpack("BI")
     if dim not in (2, 3):
         raise ContainerFormatError(f"illumination dimensionality {dim} invalid")
     ill = r.array("f8", n_ill_pts * dim).reshape(n_ill_pts, dim)
     hist = r.array("f4", n_illum * n_detect * n_bins).reshape(n_illum, n_detect, n_bins)
+    r.end()
     if not np.isfinite(hist).all():
         raise NonFiniteDataError("histogram payload contains non-finite values")
     return TransientMeasurement(relay, PointList(ill), hist.astype(np.float64),
@@ -816,13 +826,14 @@ def read_volume(path: str) -> ReconstructionVolume:
     r.unpack("dd")
     (kind,) = r.unpack("B")
     if kind not in _VOLUME_KINDS.values():
-        raise ContainerFormatError(
+        raise _ForeignKindError(
             f"kind tag {kind} is not a volume grid (is this a transient dataset?)")
     grid = _grid_from_reader(r, kind)
     if grid.count != n_voxels:
         raise ContainerFormatError("declared voxel count does not match grid geometry")
     times = r.array("f8", n_frames)
     field = r.array("c8", n_frames * n_voxels).reshape(n_frames, n_voxels)
+    r.end()
     if not np.isfinite(field).all():
         raise NonFiniteDataError("volume payload contains non-finite values")
     if n_frames == 1:

@@ -5,9 +5,17 @@ frequency and each illumination point, the relay wavefront is propagated to
 the requested voxels through the free-space kernel
 ``exp(s*1j*(w/c)*r)/r`` (``s = PROPAGATION_SIGN``), multiplied by the
 illumination phase ``exp(s*1j*(w/c)*|x_p - x_v|)``, and summed over
-illuminations and frequencies in ascending order.  They differ only in which
-sampling patterns they accept and which fast transform carries the
-propagation:
+illuminations and frequencies in ascending order.  Each algorithm builds the
+same propagation from three parts and differs only in the samplers:
+
+* an **encoder** gives each illumination's relay spectrum on a padded
+  ``[py, px]`` lattice: embedding and FFT, scaled FFT, type-1 NUFFT, or a
+  3D convolution read out on a virtual plane;
+* the **output planes** give each depth's kernel spectrum, which multiplies
+  the encoded spectrum, and the voxel positions for the illumination phase;
+* a **decoder** reads each product at the voxels: an inverse FFT and a
+  lattice slice in the per-frequency loop of :func:`_read_lattice`, or a
+  batched type-2 NUFFT at explicit voxels in :func:`_read_explicit`.
 
 ========  ===========================  ==========================  =========================
 name      relay sampling               voxels                      transforms
@@ -34,7 +42,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -83,8 +91,20 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Shared machinery
+# Shared machinery: lattice geometry, kernels, the two decoders
 # ---------------------------------------------------------------------------
+
+
+_RELAY_NEEDS = {
+    UniformRelay: "this algorithm needs detections on a uniform relay grid",
+    NonUniformPlanarRelay: "this algorithm needs scattered detections on a single plane",
+    NonPlanarRelay: "this algorithm needs detections scattered in 3D",
+}
+
+
+def _relay(slices: FrequencySlices, kind: type):
+    _require(isinstance(slices.relay, kind), _RELAY_NEEDS[kind])
+    return slices.relay
 
 
 def _close(a: float, b: float) -> bool:
@@ -99,15 +119,24 @@ def _integer_offset(value: float, pitch: float, what: str) -> int:
     return int(qi)
 
 
-def _pad_size(lag_max: float, nu_max: float, n_min: int) -> int:
+def _check_depths(zs: np.ndarray, z_relay: float) -> None:
+    _require(bool((np.asarray(zs) > z_relay).all()),
+             "every voxel plane must lie strictly beyond the relay plane")
+
+
+def _pad_size(src: np.ndarray, dst: np.ndarray, n_min: int) -> int:
     """Padded axis length whose centered index set holds every needed lag.
 
-    ``lag_max`` bounds the |output - input| index lags, ``nu_max`` the
-    absolute centered indices themselves (they must map inside the torus),
-    and ``n_min`` is the smallest length that fits the embedded input.
+    ``src`` are the (possibly fractional) centered indices of the input
+    samples along the axis and ``dst`` those of the output samples; every
+    lag ``dst - src`` and every index itself (they must map inside the
+    torus) lands in ``[-P//2, P - P//2)``.  ``n_min`` is the length of the
+    embedded input, whose centered indices reach ``n_min // 2``; the result
+    always exceeds it.
     """
-    need = 2 * math.ceil(max(lag_max, nu_max)) + 2
-    return next_fast_len(max(n_min, need + 8))
+    reach = max(dst.max() - src.min(), src.max() - dst.min(),
+                np.abs(src).max(), np.abs(dst).max(), n_min // 2)
+    return next_fast_len(2 * math.ceil(reach) + 10)
 
 
 def _pad_embed(u: np.ndarray, py: int, px: int) -> np.ndarray:
@@ -132,35 +161,54 @@ def _kernel_2d(khat, lag_x: np.ndarray, lag_y: np.ndarray, dz: float) -> np.ndar
     return np.exp(PROPAGATION_SIGN * 1j * np.asarray(khat)[..., None, None] * r) / r
 
 
-def _illum_mask(khat: float, xs: np.ndarray, ys: np.ndarray, z: float,
-                source: np.ndarray) -> np.ndarray:
-    r = np.sqrt((xs[None, :] - source[0]) ** 2 + (ys[:, None] - source[1]) ** 2
-                + (z - source[2]) ** 2)
+def _illum_phase(khat, x: np.ndarray, y: np.ndarray, z: float,
+                 source: np.ndarray) -> np.ndarray:
+    """Illumination phase at voxels ``(x, y, z)``; ``x`` and ``y`` broadcast."""
+    r = np.sqrt((x - source[0]) ** 2 + (y - source[1]) ** 2 + (z - source[2]) ** 2)
     return np.exp(PROPAGATION_SIGN * 1j * khat * r)
 
 
-def _illum_phase_points(khats: np.ndarray, pts_xy: np.ndarray, z: float,
-                        source: np.ndarray) -> np.ndarray:
-    """Illumination phase at explicit voxels, ``[n_freq, n_voxels]``."""
-    r = np.sqrt((pts_xy[:, 0] - source[0]) ** 2 + (pts_xy[:, 1] - source[1]) ** 2
-                + (z - source[2]) ** 2)
-    return np.exp(PROPAGATION_SIGN * 1j * khats[:, None] * r)
+class _Plane(NamedTuple):
+    """One output depth plane of a propagation.
 
-
-def _run(slices: FrequencySlices, grid: VoxelGrid,
-         freq_volume: Callable[[int], np.ndarray],
-         times: np.ndarray | None, threads: int) -> ReconstructionVolume:
-    """Evaluate per-frequency volumes and reduce them in ascending order.
-
-    The reduction is always sequential in the calling thread, so the result
-    is independent of ``threads``; workers only compute the per-frequency
-    terms.
+    The kernel spans ``dz`` from the source plane, sampled at ``lag_x`` and
+    ``lag_y`` on the padded lattice; ``x`` and ``y`` broadcast to the
+    plane's voxel positions at depth ``z``.  ``scale`` is the per-plane
+    ``(alpha, beta)`` of a scaled transform applied to the encoded relay,
+    and ``torus`` the NUFFT coordinates of explicit voxels.
     """
-    nf = slices.n_freq
-    if threads and int(threads) > 1:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            return _reduce(slices, grid, pool.map(freq_volume, range(nf)), times)
-    return _reduce(slices, grid, map(freq_volume, range(nf)), times)
+
+    z: float
+    dz: float
+    lag_x: np.ndarray
+    lag_y: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    scale: tuple[float, float] | None = None
+    torus: np.ndarray | None = None
+
+
+def _lattice_planes(vg, px: int, py: int, dx: float, dy: float,
+                    z_src: float) -> list[_Plane]:
+    """The planes of a cuboid read from a ``[py, px]`` lattice of pitch ``(dx, dy)``."""
+    lag_x = (np.arange(px) - px // 2) * dx
+    lag_y = (np.arange(py) - py // 2) * dy
+    xs = vg.x0 + vg.dx * np.arange(vg.nx)
+    ys = vg.y0 + vg.dy * np.arange(vg.ny)
+    return [_Plane(float(z), float(z) - z_src, lag_x, lag_y, xs[None, :], ys[:, None])
+            for z in vg.z_coords()]
+
+
+def _scattered_lattice(vg, rel: np.ndarray):
+    """``(nu_x, nu_y, px, py)``: relay points' fractional indices about a
+    cuboid's centre node, and the padded size of the cuboid's lattice."""
+    cx = vg.x0 + (vg.nx // 2) * vg.dx
+    cy = vg.y0 + (vg.ny // 2) * vg.dy
+    nu_x = (rel[:, 0] - cx) / vg.dx
+    nu_y = (rel[:, 1] - cy) / vg.dy
+    px = _pad_size(nu_x, np.arange(vg.nx) - vg.nx // 2, vg.nx)
+    py = _pad_size(nu_y, np.arange(vg.ny) - vg.ny // 2, vg.ny)
+    return nu_x, nu_y, px, py
 
 
 def _reduce(slices: FrequencySlices, grid: VoxelGrid, results: Iterable[np.ndarray],
@@ -180,243 +228,66 @@ def _reduce(slices: FrequencySlices, grid: VoxelGrid, results: Iterable[np.ndarr
     return ReconstructionVolume(grid, frames, t)
 
 
-def _uniform_relay(slices: FrequencySlices) -> UniformRelay:
-    _require(isinstance(slices.relay, UniformRelay),
-             "this algorithm needs detections on a uniform relay grid")
-    return slices.relay
+def _read_lattice(slices: FrequencySlices, grid: VoxelGrid,
+                  encode: Callable[[int], Iterable[np.ndarray]], planes: list[_Plane],
+                  rows: slice, cols: slice, times: np.ndarray | None, threads: int,
+                  include_illumination: bool) -> ReconstructionVolume:
+    """Propagate encoded lattice spectra plane by plane and reduce them.
 
-
-def _planar_relay(slices: FrequencySlices) -> NonUniformPlanarRelay:
-    _require(isinstance(slices.relay, NonUniformPlanarRelay),
-             "this algorithm needs scattered detections on a single plane")
-    return slices.relay
-
-
-def _nonplanar_relay(slices: FrequencySlices) -> NonPlanarRelay:
-    _require(isinstance(slices.relay, NonPlanarRelay),
-             "this algorithm needs detections scattered in 3D")
-    return slices.relay
-
-
-def _check_depths(zs: np.ndarray, z_relay: float) -> None:
-    _require(bool((np.asarray(zs) > z_relay).all()),
-             "every voxel plane must lie strictly beyond the relay plane")
-
-
-# ---------------------------------------------------------------------------
-# rsd: uniform relay -> cuboid on the same lattice pitch
-# ---------------------------------------------------------------------------
-
-
-def rsd(slices: FrequencySlices, grid: CuboidGrid, padding: str = "exact",
-        times: np.ndarray | None = None, threads: int = 1,
-        include_illumination: bool = True) -> ReconstructionVolume:
-    """Plane-to-plane propagation onto a cuboid sharing the relay pitch.
-
-    ``padding="exact"`` sizes the convolution so no lag wraps; ``"none"``
-    keeps the bare relay-sized circular convolution (aliased away from the
-    center) and then requires the output lattice to coincide with the relay
-    lattice.
+    ``encode(fi)`` yields each illumination's ``[py, px]`` relay spectrum at
+    frequency ``fi`` (or the embedded relay, for planes with a ``scale``).
+    Every plane multiplies it by the plane's kernel spectrum, transforms back
+    and keeps the ``[rows, cols]`` window.  The reduction is always
+    sequential in the calling thread, so the result is independent of
+    ``threads``; workers only compute the per-frequency terms.
     """
-    _require(isinstance(grid, CuboidGrid), "rsd reconstructs onto a cuboid grid")
-    _require(padding in ("exact", "none"), "padding must be 'exact' or 'none'")
-    relay = _uniform_relay(slices)
-    g = relay.grid
-    vg = grid.grid
-    _require(_close(vg.dx, g.dx) and _close(vg.dy, g.dy),
-             "output lateral pitch must equal the relay pitch")
-    cx, cy = g.center()
-    nu0x = _integer_offset(vg.x0 - cx, g.dx, "output grid x origin offset")
-    nu0y = _integer_offset(vg.y0 - cy, g.dy, "output grid y origin offset")
-    nux = nu0x + np.arange(vg.nx)
-    nuy = nu0y + np.arange(vg.ny)
-    zs = vg.z_coords()
-    _check_depths(zs, g.z)
-    jx_lo, jx_hi = -(g.nx // 2), g.nx - g.nx // 2 - 1
-    jy_lo, jy_hi = -(g.ny // 2), g.ny - g.ny // 2 - 1
-    if padding == "none":
-        _require(vg.nx == g.nx and vg.ny == g.ny
-                 and nu0x == jx_lo and nu0y == jy_lo,
-                 "padding='none' requires the output lattice to coincide with "
-                 "the relay lattice")
-        px, py = g.nx, g.ny
-    else:
-        lx = max(abs(int(nux.min()) - jx_hi), abs(int(nux.max()) - jx_lo))
-        ly = max(abs(int(nuy.min()) - jy_hi), abs(int(nuy.max()) - jy_lo))
-        px = _pad_size(lx, max(abs(int(nux.min())), abs(int(nux.max())), g.nx // 2), g.nx)
-        py = _pad_size(ly, max(abs(int(nuy.min())), abs(int(nuy.max())), g.ny // 2), g.ny)
-    lag_x = (np.arange(px) - px // 2) * g.dx
-    lag_y = (np.arange(py) - py // 2) * g.dy
-    ill = illumination_coordinates(relay, slices.illuminations)
-    xs = vg.x0 + vg.dx * np.arange(vg.nx)
-    ys = vg.y0 + vg.dy * np.arange(vg.ny)
-    coeff = slices.coefficients
-    freqs = slices.frequencies
-    row_ix = np.ix_(py // 2 + nuy, px // 2 + nux)
+    ill = illumination_coordinates(slices.relay, slices.illuminations)
+    shape = (len(planes), rows.stop - rows.start, cols.stop - cols.start)
 
     def freq_volume(fi: int) -> np.ndarray:
-        khat = freqs[fi] / SPEED_OF_LIGHT
-        ghats = [cfft_2d(_kernel_2d(khat, lag_x, lag_y, z - g.z)) for z in zs]
-        vol = np.zeros((zs.size, vg.ny, vg.nx), dtype=np.complex128)
-        for p in range(ill.shape[0]):
-            u = coeff[p, :, fi].reshape(g.ny, g.nx)
-            uhat = cfft_2d(_pad_embed(u, py, px))
-            for k in range(zs.size):
-                plane = cifft_2d(uhat * ghats[k])[row_ix]
-                if include_illumination:
-                    plane = plane * _illum_mask(khat, xs, ys, float(zs[k]), ill[p])
-                vol[k] += plane
-        return vol.ravel()
-
-    return _run(slices, grid, freq_volume, times, threads)
-
-
-# ---------------------------------------------------------------------------
-# srsd: uniform relay -> depth-scaled frustum
-# ---------------------------------------------------------------------------
-
-
-def srsd(slices: FrequencySlices, grid: FrustumGrid,
-         times: np.ndarray | None = None, threads: int = 1,
-         include_illumination: bool = True) -> ReconstructionVolume:
-    """Scaled propagation onto a frustum whose planes widen with depth.
-
-    Plane ``k`` applies the scaled transform with factors ``(alpha_k,
-    beta_k)`` against a kernel sampled at the widened pitch
-    ``(dx/alpha_k, dy/beta_k)``; the output plane keeps the relay counts but
-    covers the widened extent.  With all factors equal to 1 this reduces
-    exactly to :func:`rsd` on the relay lattice.
-    """
-    _require(isinstance(grid, FrustumGrid), "srsd reconstructs onto a frustum grid")
-    relay = _uniform_relay(slices)
-    g = relay.grid
-    b = grid.base
-    _require(b.nx == g.nx and b.ny == g.ny
-             and _close(b.dx, g.dx) and _close(b.dy, g.dy)
-             and _close(b.x0, g.x0) and _close(b.y0, g.y0),
-             "the frustum base must coincide with the relay lattice")
-    _check_depths(grid.zs, g.z)
-    px = next_fast_len(2 * g.nx)
-    py = next_fast_len(2 * g.ny)
-    rows = _center_rows(py, g.ny)
-    cols = _center_rows(px, g.nx)
-    ill = illumination_coordinates(relay, slices.illuminations)
-    coeff = slices.coefficients
-    freqs = slices.frequencies
-    plane_geo = []
-    for k in range(grid.n_planes):
-        al = float(grid.alphas[k])
-        be = float(grid.betas[k])
-        lag_x = (np.arange(px) - px // 2) * (g.dx / al)
-        lag_y = (np.arange(py) - py // 2) * (g.dy / be)
-        xs, ys = grid.plane_xy(k)
-        plane_geo.append((al, be, lag_x, lag_y, xs, ys, float(grid.zs[k])))
-
-    def freq_volume(fi: int) -> np.ndarray:
-        khat = freqs[fi] / SPEED_OF_LIGHT
-        ghats = [cfft_2d(_kernel_2d(khat, lag_x, lag_y, z - g.z))
-                 for (_, _, lag_x, lag_y, _, _, z) in plane_geo]
-        vol = np.zeros((grid.n_planes, g.ny, g.nx), dtype=np.complex128)
-        for p in range(ill.shape[0]):
-            u_pad = _pad_embed(coeff[p, :, fi].reshape(g.ny, g.nx), py, px)
-            for k, (al, be, _, _, xs, ys, z) in enumerate(plane_geo):
-                uhat = sfft_2d_centered(u_pad, al, be)
+        khat = slices.frequencies[fi] / SPEED_OF_LIGHT
+        ghats = [cfft_2d(_kernel_2d(khat, pl.lag_x, pl.lag_y, pl.dz)) for pl in planes]
+        vol = np.zeros(shape, dtype=np.complex128)
+        for p, u in enumerate(encode(fi)):
+            for k, pl in enumerate(planes):
+                uhat = u if pl.scale is None else sfft_2d_centered(u, *pl.scale)
                 plane = cifft_2d(uhat * ghats[k])[rows, cols]
                 if include_illumination:
-                    plane = plane * _illum_mask(khat, xs, ys, z, ill[p])
+                    plane = plane * _illum_phase(khat, pl.x, pl.y, pl.z, ill[p])
                 vol[k] += plane
         return vol.ravel()
 
-    return _run(slices, grid, freq_volume, times, threads)
+    if threads and int(threads) > 1:
+        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
+            return _reduce(slices, grid, pool.map(freq_volume, range(slices.n_freq)), times)
+    return _reduce(slices, grid, map(freq_volume, range(slices.n_freq)), times)
 
 
-# ---------------------------------------------------------------------------
-# nursd1: scattered planar relay -> cuboid
-# ---------------------------------------------------------------------------
+def _explicit_planes(grid: ExplicitVoxels, z_src: float, center, pitch, src,
+                     n_min, scale=(1.0, 1.0)):
+    """``(px, py, planes)`` for explicit voxels read from a centered lattice.
 
-
-def nursd1(slices: FrequencySlices, grid: CuboidGrid, eps: float = 1e-6,
-           times: np.ndarray | None = None, threads: int = 1,
-           include_illumination: bool = True) -> ReconstructionVolume:
-    """Propagation from scattered planar detections onto a cuboid lattice.
-
-    The relay samples are moved onto the output lattice's frequency grid by
-    one type-1 NUFFT per illumination, batched over frequencies; each depth
-    plane is then an ordinary kernel convolution.  Detections lying exactly
-    on lattice nodes are handled exactly, so a gridded relay reproduces
-    :func:`rsd`.
+    A voxel at ``x`` sits at the scaled fractional index ``alpha*(x - cx)/dx``
+    (likewise in y); ``src`` holds the input's x and y indices on the same
+    scaled axes and ``n_min`` its embedded lengths, which size the padding.
     """
-    _require(isinstance(grid, CuboidGrid), "nursd1 reconstructs onto a cuboid grid")
-    relay = _planar_relay(slices)
-    vg = grid.grid
-    zs = vg.z_coords()
-    _check_depths(zs, relay.z)
-    cx = vg.x0 + (vg.nx // 2) * vg.dx
-    cy = vg.y0 + (vg.ny // 2) * vg.dy
-    rel = np.asarray(relay.points.points)
-    nu_rx = (rel[:, 0] - cx) / vg.dx
-    nu_ry = (rel[:, 1] - cy) / vg.dy
-    out_lo_x, out_hi_x = -(vg.nx // 2), vg.nx - vg.nx // 2 - 1
-    out_lo_y, out_hi_y = -(vg.ny // 2), vg.ny - vg.ny // 2 - 1
-    lx = max(out_hi_x - nu_rx.min(), nu_rx.max() - out_lo_x)
-    ly = max(out_hi_y - nu_ry.min(), nu_ry.max() - out_lo_y)
-    px = _pad_size(lx, max(abs(nu_rx).max(), vg.nx // 2), vg.nx)
-    py = _pad_size(ly, max(abs(nu_ry).max(), vg.ny // 2), vg.ny)
-    torus = np.column_stack([2.0 * np.pi * nu_rx / px, 2.0 * np.pi * nu_ry / py])
-    rows = _center_rows(py, vg.ny)
-    cols = _center_rows(px, vg.nx)
-    lag_x = (np.arange(px) - px // 2) * vg.dx
-    lag_y = (np.arange(py) - py // 2) * vg.dy
-    ill = illumination_coordinates(relay, slices.illuminations)
-    xs = vg.x0 + vg.dx * np.arange(vg.nx)
-    ys = vg.y0 + vg.dy * np.arange(vg.ny)
-    freqs = slices.frequencies
-    uhats = [nufft1(torus, c, (py, px), eps) for c in slices.coefficients]
-
-    def freq_volume(fi: int) -> np.ndarray:
-        khat = freqs[fi] / SPEED_OF_LIGHT
-        ghats = [cfft_2d(_kernel_2d(khat, lag_x, lag_y, z - relay.z)) for z in zs]
-        vol = np.zeros((zs.size, vg.ny, vg.nx), dtype=np.complex128)
-        for p in range(ill.shape[0]):
-            uhat = uhats[p][fi]
-            for k in range(zs.size):
-                plane = cifft_2d(uhat * ghats[k])[rows, cols]
-                if include_illumination:
-                    plane = plane * _illum_mask(khat, xs, ys, float(zs[k]), ill[p])
-                vol[k] += plane
-        return vol.ravel()
-
-    return _run(slices, grid, freq_volume, times, threads)
+    _check_depths(np.asarray([float(plane.z) for plane in grid.planes]), z_src)
+    (cx, cy), (dx, dy), (al, be) = center, pitch, scale
+    pts = [np.asarray(plane.points.points) for plane in grid.planes]
+    nu_x = [al * (q[:, 0] - cx) / dx for q in pts]
+    nu_y = [be * (q[:, 1] - cy) / dy for q in pts]
+    px = _pad_size(src[0], np.concatenate(nu_x), n_min[0])
+    py = _pad_size(src[1], np.concatenate(nu_y), n_min[1])
+    lag_x = (np.arange(px) - px // 2) * (dx / al)
+    lag_y = (np.arange(py) - py // 2) * (dy / be)
+    return px, py, [
+        _Plane(float(v.z), float(v.z) - z_src, lag_x, lag_y, q[:, 0], q[:, 1],
+               torus=np.column_stack([2.0 * np.pi * ux / px, 2.0 * np.pi * uy / py]))
+        for v, q, ux, uy in zip(grid.planes, pts, nu_x, nu_y)]
 
 
-# ---------------------------------------------------------------------------
-# nursd2: uniform relay -> explicit voxel list
-# ---------------------------------------------------------------------------
-
-
-def _explicit_plane_geometry(grid: ExplicitVoxels, cx: float, cy: float,
-                             dx: float, dy: float, scale_x: float = 1.0,
-                             scale_y: float = 1.0):
-    """Per-plane fractional lattice indices of explicit voxels.
-
-    Returns a list of ``(start, count, nu_x, nu_y, pts_xy, z)`` with ``start``
-    the offset of the plane's voxels in the flat output vector; ``nu`` are
-    the (optionally scaled) centered lattice indices of the voxel positions.
-    """
-    geo = []
-    start = 0
-    for plane in grid.planes:
-        pts = np.asarray(plane.points.points)
-        nu_x = scale_x * (pts[:, 0] - cx) / dx
-        nu_y = scale_y * (pts[:, 1] - cy) / dy
-        geo.append((start, pts.shape[0], nu_x, nu_y, pts, float(plane.z)))
-        start += pts.shape[0]
-    return geo
-
-
-def _read_explicit(slices: FrequencySlices, grid: ExplicitVoxels, geo,
-                   uhats: list[np.ndarray], lag_x: np.ndarray, lag_y: np.ndarray,
-                   z_relay: float, eps: float, times: np.ndarray | None,
+def _read_explicit(slices: FrequencySlices, grid: ExplicitVoxels, planes: list[_Plane],
+                   uhats: list[np.ndarray], eps: float, times: np.ndarray | None,
                    include_illumination: bool) -> ReconstructionVolume:
     """Read propagated lattice spectra at explicit voxels and reduce them.
 
@@ -433,14 +304,16 @@ def _read_explicit(slices: FrequencySlices, grid: ExplicitVoxels, geo,
     ill = illumination_coordinates(slices.relay, slices.illuminations)
     scale = 1.0 / (px * py)
     terms = np.empty((len(uhats), n_freq, grid.count), dtype=np.complex128)
-    for start, count, nu_x, nu_y, pts, z in geo:
-        torus = np.column_stack([2.0 * np.pi * nu_x / px, 2.0 * np.pi * nu_y / py])
-        ghat = cfft_2d(_kernel_2d(khats, lag_x, lag_y, z - z_relay))
+    start = 0
+    for pl in planes:
+        stop = start + pl.x.size
+        ghat = cfft_2d(_kernel_2d(khats, pl.lag_x, pl.lag_y, pl.dz))
         for p, uhat in enumerate(uhats):
-            vals = nufft2(uhat * ghat, torus, eps, batch=True) * scale
+            vals = nufft2(uhat * ghat, pl.torus, eps, batch=True) * scale
             if include_illumination:
-                vals = vals * _illum_phase_points(khats, pts, z, ill[p])
-            terms[p, :, start:start + count] = vals
+                vals = vals * _illum_phase(khats[:, None], pl.x, pl.y, pl.z, ill[p])
+            terms[p, :, start:stop] = vals
+        start = stop
 
     def freq_volume(fi: int) -> np.ndarray:
         vol = np.zeros(grid.count, dtype=np.complex128)
@@ -449,6 +322,136 @@ def _read_explicit(slices: FrequencySlices, grid: ExplicitVoxels, geo,
         return vol
 
     return _reduce(slices, grid, map(freq_volume, range(n_freq)), times)
+
+
+# ---------------------------------------------------------------------------
+# Lattice readout: rsd, srsd and nursd1
+# ---------------------------------------------------------------------------
+
+
+def rsd(slices: FrequencySlices, grid: CuboidGrid, padding: str = "exact",
+        times: np.ndarray | None = None, threads: int = 1,
+        include_illumination: bool = True) -> ReconstructionVolume:
+    """Plane-to-plane propagation onto a cuboid sharing the relay pitch.
+
+    ``padding="exact"`` sizes the convolution so no lag wraps; ``"none"``
+    keeps the bare relay-sized circular convolution (aliased away from the
+    center) and then requires the output lattice to coincide with the relay
+    lattice.
+    """
+    _require(isinstance(grid, CuboidGrid), "rsd reconstructs onto a cuboid grid")
+    _require(padding in ("exact", "none"), "padding must be 'exact' or 'none'")
+    g = _relay(slices, UniformRelay).grid
+    vg = grid.grid
+    _require(_close(vg.dx, g.dx) and _close(vg.dy, g.dy),
+             "output lateral pitch must equal the relay pitch")
+    cx, cy = g.center()
+    nu0x = _integer_offset(vg.x0 - cx, g.dx, "output grid x origin offset")
+    nu0y = _integer_offset(vg.y0 - cy, g.dy, "output grid y origin offset")
+    _check_depths(vg.z_coords(), g.z)
+    jx = np.arange(g.nx) - g.nx // 2
+    jy = np.arange(g.ny) - g.ny // 2
+    if padding == "none":
+        _require(vg.nx == g.nx and vg.ny == g.ny
+                 and nu0x == jx[0] and nu0y == jy[0],
+                 "padding='none' requires the output lattice to coincide with "
+                 "the relay lattice")
+        px, py = g.nx, g.ny
+    else:
+        px = _pad_size(jx, nu0x + np.arange(vg.nx), g.nx)
+        py = _pad_size(jy, nu0y + np.arange(vg.ny), g.ny)
+
+    def encode(fi: int):
+        return (cfft_2d(_pad_embed(c[:, fi].reshape(g.ny, g.nx), py, px))
+                for c in slices.coefficients)
+
+    rows = slice(py // 2 + nu0y, py // 2 + nu0y + vg.ny)
+    cols = slice(px // 2 + nu0x, px // 2 + nu0x + vg.nx)
+    return _read_lattice(slices, grid, encode, _lattice_planes(vg, px, py, g.dx, g.dy, g.z),
+                         rows, cols, times, threads, include_illumination)
+
+
+def srsd(slices: FrequencySlices, grid: FrustumGrid,
+         times: np.ndarray | None = None, threads: int = 1,
+         include_illumination: bool = True) -> ReconstructionVolume:
+    """Scaled propagation onto a frustum whose planes widen with depth.
+
+    Plane ``k`` applies the scaled transform with factors ``(alpha_k,
+    beta_k)`` against a kernel sampled at the widened pitch
+    ``(dx/alpha_k, dy/beta_k)``; the output plane keeps the relay counts but
+    covers the widened extent.  With all factors equal to 1 this reduces
+    exactly to :func:`rsd` on the relay lattice.
+    """
+    _require(isinstance(grid, FrustumGrid), "srsd reconstructs onto a frustum grid")
+    g = _relay(slices, UniformRelay).grid
+    b = grid.base
+    _require(b.nx == g.nx and b.ny == g.ny
+             and _close(b.dx, g.dx) and _close(b.dy, g.dy)
+             and _close(b.x0, g.x0) and _close(b.y0, g.y0),
+             "the frustum base must coincide with the relay lattice")
+    _check_depths(grid.zs, g.z)
+    px = next_fast_len(2 * g.nx)
+    py = next_fast_len(2 * g.ny)
+    planes = []
+    for k in range(grid.n_planes):
+        al = float(grid.alphas[k])
+        be = float(grid.betas[k])
+        xs, ys = grid.plane_xy(k)
+        z = float(grid.zs[k])
+        planes.append(_Plane(z, z - g.z, (np.arange(px) - px // 2) * (g.dx / al),
+                             (np.arange(py) - py // 2) * (g.dy / be),
+                             xs[None, :], ys[:, None], scale=(al, be)))
+
+    def encode(fi: int):
+        return (_pad_embed(c[:, fi].reshape(g.ny, g.nx), py, px) for c in slices.coefficients)
+
+    return _read_lattice(slices, grid, encode, planes, _center_rows(py, g.ny),
+                         _center_rows(px, g.nx), times, threads, include_illumination)
+
+
+def nursd1(slices: FrequencySlices, grid: CuboidGrid, eps: float = 1e-6,
+           times: np.ndarray | None = None, threads: int = 1,
+           include_illumination: bool = True) -> ReconstructionVolume:
+    """Propagation from scattered planar detections onto a cuboid lattice.
+
+    The relay samples are moved onto the output lattice's frequency grid by
+    one type-1 NUFFT per illumination, batched over frequencies; each depth
+    plane is then an ordinary kernel convolution.  Detections lying exactly
+    on lattice nodes are handled exactly, so a gridded relay reproduces
+    :func:`rsd`.
+    """
+    _require(isinstance(grid, CuboidGrid), "nursd1 reconstructs onto a cuboid grid")
+    relay = _relay(slices, NonUniformPlanarRelay)
+    vg = grid.grid
+    _check_depths(vg.z_coords(), relay.z)
+    nu_x, nu_y, px, py = _scattered_lattice(vg, np.asarray(relay.points.points))
+    torus = np.column_stack([2.0 * np.pi * nu_x / px, 2.0 * np.pi * nu_y / py])
+    uhats = [nufft1(torus, c, (py, px), eps) for c in slices.coefficients]
+    return _read_lattice(slices, grid, lambda fi: (uhat[fi] for uhat in uhats),
+                         _lattice_planes(vg, px, py, vg.dx, vg.dy, relay.z),
+                         _center_rows(py, vg.ny), _center_rows(px, vg.nx),
+                         times, threads, include_illumination)
+
+
+# ---------------------------------------------------------------------------
+# Explicit voxels: nursd2, nursd3 and srsd-nursd2
+# ---------------------------------------------------------------------------
+
+
+def _uniform_to_explicit(slices: FrequencySlices, grid: ExplicitVoxels,
+                         scale: tuple[float, float] | None, eps: float,
+                         times: np.ndarray | None,
+                         include_illumination: bool) -> ReconstructionVolume:
+    """Uniform relay read at explicit voxels; ``scale`` selects the scaled FFT."""
+    g = _relay(slices, UniformRelay).grid
+    al, be = scale or (1.0, 1.0)
+    jx = np.array([-(g.nx // 2), g.nx - g.nx // 2 - 1])
+    jy = np.array([-(g.ny // 2), g.ny - g.ny // 2 - 1])
+    px, py, planes = _explicit_planes(grid, g.z, g.center(), (g.dx, g.dy),
+                                      (al * jx, be * jy), (g.nx, g.ny), (al, be))
+    embedded = (_pad_embed(c.T.reshape(-1, g.ny, g.nx), py, px) for c in slices.coefficients)
+    uhats = [cfft_2d(u) if scale is None else sfft_2d_centered(u, al, be) for u in embedded]
+    return _read_explicit(slices, grid, planes, uhats, eps, times, include_illumination)
 
 
 def nursd2(slices: FrequencySlices, grid: ExplicitVoxels, eps: float = 1e-6,
@@ -461,30 +464,7 @@ def nursd2(slices: FrequencySlices, grid: ExplicitVoxels, eps: float = 1e-6,
     Voxels on lattice nodes reproduce the :func:`rsd` values exactly.
     """
     _require(isinstance(grid, ExplicitVoxels), "nursd2 reconstructs onto explicit voxels")
-    relay = _uniform_relay(slices)
-    g = relay.grid
-    cx, cy = g.center()
-    geo = _explicit_plane_geometry(grid, cx, cy, g.dx, g.dy)
-    _check_depths(np.asarray([z for *_, z in geo]), g.z)
-    jx_lo, jx_hi = -(g.nx // 2), g.nx - g.nx // 2 - 1
-    jy_lo, jy_hi = -(g.ny // 2), g.ny - g.ny // 2 - 1
-    all_nu_x = np.concatenate([t[2] for t in geo])
-    all_nu_y = np.concatenate([t[3] for t in geo])
-    lx = max(all_nu_x.max() - jx_lo, jx_hi - all_nu_x.min())
-    ly = max(all_nu_y.max() - jy_lo, jy_hi - all_nu_y.min())
-    px = _pad_size(lx, max(abs(all_nu_x).max(), g.nx // 2), g.nx)
-    py = _pad_size(ly, max(abs(all_nu_y).max(), g.ny // 2), g.ny)
-    lag_x = (np.arange(px) - px // 2) * g.dx
-    lag_y = (np.arange(py) - py // 2) * g.dy
-    uhats = [cfft_2d(_pad_embed(c.T.reshape(-1, g.ny, g.nx), py, px))
-             for c in slices.coefficients]
-    return _read_explicit(slices, grid, geo, uhats, lag_x, lag_y, g.z, eps, times,
-                          include_illumination)
-
-
-# ---------------------------------------------------------------------------
-# nursd3: scattered planar relay -> explicit voxel list
-# ---------------------------------------------------------------------------
+    return _uniform_to_explicit(slices, grid, None, eps, times, include_illumination)
 
 
 def nursd3(slices: FrequencySlices, grid: ExplicitVoxels, eps: float = 1e-6,
@@ -500,7 +480,7 @@ def nursd3(slices: FrequencySlices, grid: ExplicitVoxels, eps: float = 1e-6,
     kernel spectrum, and a type-2 NUFFT reads the result at the voxels.
     """
     _require(isinstance(grid, ExplicitVoxels), "nursd3 reconstructs onto explicit voxels")
-    relay = _planar_relay(slices)
+    relay = _relay(slices, NonUniformPlanarRelay)
     pitch = (float(lattice_pitch) if lattice_pitch is not None
              else slices.shortest_wavelength / 2.0)
     _require(pitch > 0, "lattice pitch must be > 0")
@@ -511,27 +491,13 @@ def nursd3(slices: FrequencySlices, grid: ExplicitVoxels, eps: float = 1e-6,
     center = (lo + hi) / 2.0
     anchor = rel[0] + np.round((center - rel[0]) / pitch) * pitch
     cx, cy = float(anchor[0]), float(anchor[1])
-    nu_rx = (rel[:, 0] - cx) / pitch
-    nu_ry = (rel[:, 1] - cy) / pitch
-    geo = _explicit_plane_geometry(grid, cx, cy, pitch, pitch)
-    _check_depths(np.asarray([z for *_, z in geo]), relay.z)
-    all_nu_x = np.concatenate([t[2] for t in geo])
-    all_nu_y = np.concatenate([t[3] for t in geo])
-    lx = max(all_nu_x.max() - nu_rx.min(), nu_rx.max() - all_nu_x.min())
-    ly = max(all_nu_y.max() - nu_ry.min(), nu_ry.max() - all_nu_y.min())
-    px = _pad_size(lx, max(abs(all_nu_x).max(), abs(nu_rx).max()), 1)
-    py = _pad_size(ly, max(abs(all_nu_y).max(), abs(nu_ry).max()), 1)
-    torus_rel = np.column_stack([2.0 * np.pi * nu_rx / px, 2.0 * np.pi * nu_ry / py])
-    lag_x = (np.arange(px) - px // 2) * pitch
-    lag_y = (np.arange(py) - py // 2) * pitch
-    uhats = [nufft1(torus_rel, c, (py, px), eps) for c in slices.coefficients]
-    return _read_explicit(slices, grid, geo, uhats, lag_x, lag_y, relay.z, eps, times,
-                          include_illumination)
-
-
-# ---------------------------------------------------------------------------
-# srsd-nursd2: uniform relay -> explicit voxels through one scaled transform
-# ---------------------------------------------------------------------------
+    nu_x = (rel[:, 0] - cx) / pitch
+    nu_y = (rel[:, 1] - cy) / pitch
+    px, py, planes = _explicit_planes(grid, relay.z, (cx, cy), (pitch, pitch),
+                                      (nu_x, nu_y), (1, 1))
+    torus = np.column_stack([2.0 * np.pi * nu_x / px, 2.0 * np.pi * nu_y / py])
+    uhats = [nufft1(torus, c, (py, px), eps) for c in slices.coefficients]
+    return _read_explicit(slices, grid, planes, uhats, eps, times, include_illumination)
 
 
 def srsd_nursd2(slices: FrequencySlices, grid: ExplicitVoxels, alpha: float,
@@ -550,60 +516,13 @@ def srsd_nursd2(slices: FrequencySlices, grid: ExplicitVoxels, alpha: float,
     if beta is None:
         beta = alpha
     _require(0 < alpha <= 1 and 0 < beta <= 1, "scale factors must lie in (0, 1]")
-    relay = _uniform_relay(slices)
-    g = relay.grid
-    cx, cy = g.center()
-    geo = _explicit_plane_geometry(grid, cx, cy, g.dx, g.dy, alpha, beta)
-    _check_depths(np.asarray([z for *_, z in geo]), g.z)
-    jx_lo, jx_hi = -(g.nx // 2), g.nx - g.nx // 2 - 1
-    jy_lo, jy_hi = -(g.ny // 2), g.ny - g.ny // 2 - 1
-    all_nu_x = np.concatenate([t[2] for t in geo])
-    all_nu_y = np.concatenate([t[3] for t in geo])
-    lx = max(all_nu_x.max() - alpha * jx_lo, alpha * jx_hi - all_nu_x.min())
-    ly = max(all_nu_y.max() - beta * jy_lo, beta * jy_hi - all_nu_y.min())
-    px = _pad_size(lx, max(abs(all_nu_x).max(), g.nx // 2), g.nx)
-    py = _pad_size(ly, max(abs(all_nu_y).max(), g.ny // 2), g.ny)
-    lag_x = (np.arange(px) - px // 2) * (g.dx / alpha)
-    lag_y = (np.arange(py) - py // 2) * (g.dy / beta)
-    uhats = [sfft_2d_centered(_pad_embed(c.T.reshape(-1, g.ny, g.nx), py, px), alpha, beta)
-             for c in slices.coefficients]
-    return _read_explicit(slices, grid, geo, uhats, lag_x, lag_y, g.z, eps, times,
-                          include_illumination)
+    return _uniform_to_explicit(slices, grid, (alpha, beta), eps, times,
+                                include_illumination)
 
 
 # ---------------------------------------------------------------------------
 # 3D relay surfaces
 # ---------------------------------------------------------------------------
-
-
-def _lattice_3d(slices: FrequencySlices, grid: CuboidGrid, z_pitch: float | None):
-    """Shared virtual-lattice geometry for the non-planar relay algorithms."""
-    relay = _nonplanar_relay(slices)
-    vg = grid.grid
-    rel = relay.coordinates()
-    dz3 = float(z_pitch) if z_pitch else slices.shortest_wavelength / 2.0
-    _require(dz3 > 0, "depth lattice pitch must be > 0")
-    z_min = float(rel[:, 2].min())
-    z_ext = float(rel[:, 2].max()) - z_min
-    nz3 = max(1, math.ceil(z_ext / dz3) + 1)
-    pz = next_fast_len(2 * nz3 + 2)
-    z0 = z_min + nz3 * dz3
-    zs = vg.z_coords()
-    _require(bool((zs > z0).all()),
-             "every voxel plane must lie beyond the relay surface's far face "
-             f"(z > {z0:.6g})")
-    cx = vg.x0 + (vg.nx // 2) * vg.dx
-    cy = vg.y0 + (vg.ny // 2) * vg.dy
-    nu_rx = (rel[:, 0] - cx) / vg.dx
-    nu_ry = (rel[:, 1] - cy) / vg.dy
-    out_lo_x, out_hi_x = -(vg.nx // 2), vg.nx - vg.nx // 2 - 1
-    out_lo_y, out_hi_y = -(vg.ny // 2), vg.ny - vg.ny // 2 - 1
-    lx = max(out_hi_x - nu_rx.min(), nu_rx.max() - out_lo_x)
-    ly = max(out_hi_y - nu_ry.min(), nu_ry.max() - out_lo_y)
-    px = _pad_size(lx, max(abs(nu_rx).max(), vg.nx // 2), vg.nx)
-    py = _pad_size(ly, max(abs(nu_ry).max(), vg.ny // 2), vg.ny)
-    slab_index = pz // 2 + (nz3 - nz3 // 2)
-    return relay, rel, dz3, z_min, nz3, pz, z0, nu_rx, nu_ry, px, py, slab_index
 
 
 def _kernel_3d(khat: float, px: int, py: int, pz: int, dx: float, dy: float,
@@ -623,25 +542,44 @@ def _kernel_3d(khat: float, px: int, py: int, pz: int, dx: float, dy: float,
     return kern
 
 
-def _stage2_volume(uhat_plane: np.ndarray, khat: float, vg, z0: float,
-                   px: int, py: int, ill_p: np.ndarray,
-                   include_illumination: bool) -> np.ndarray:
-    """Propagate the virtual-plane spectrum to every output plane."""
-    zs = vg.z_coords()
-    lag_x = (np.arange(px) - px // 2) * vg.dx
-    lag_y = (np.arange(py) - py // 2) * vg.dy
-    rows = _center_rows(py, vg.ny)
-    cols = _center_rows(px, vg.nx)
-    xs = vg.x0 + vg.dx * np.arange(vg.nx)
-    ys = vg.y0 + vg.dy * np.arange(vg.ny)
-    vol = np.zeros((zs.size, vg.ny, vg.nx), dtype=np.complex128)
-    for k, z in enumerate(zs):
-        ghat = cfft_2d(_kernel_2d(khat, lag_x, lag_y, float(z) - z0))
-        plane = cifft_2d(uhat_plane * ghat)[rows, cols]
-        if include_illumination:
-            plane = plane * _illum_mask(khat, xs, ys, float(z), ill_p)
-        vol[k] = plane
-    return vol
+def _from_surface(slices: FrequencySlices, grid: CuboidGrid, z_pitch: float | None,
+                  lattice_spectrum: Callable, times: np.ndarray | None, threads: int,
+                  include_illumination: bool) -> ReconstructionVolume:
+    """Two-stage propagation from a 3D relay surface through a virtual lattice.
+
+    The relay points sit at centered lateral indices ``nu_x``, ``nu_y`` of
+    the output lattice and at depths from ``z_min`` on ``nz3`` steps of
+    ``dz3``; ``lattice_spectrum(rel, nu_x, nu_y, z_min, dz3, nz3, shape)``
+    returns ``spectrum(p, fi)``, their 3D spectrum on the padded
+    ``shape = (pz, py, px)`` lattice.  Stage 1 multiplies it by the 3D
+    kernel spectrum and keeps the virtual plane just beyond the surface as
+    the encoded relay; stage 2 propagates that plane onto the cuboid
+    through :func:`_read_lattice`.
+    """
+    rel = _relay(slices, NonPlanarRelay).coordinates()
+    vg = grid.grid
+    dz3 = float(z_pitch) if z_pitch else slices.shortest_wavelength / 2.0
+    _require(dz3 > 0, "depth lattice pitch must be > 0")
+    z_min = float(rel[:, 2].min())
+    nz3 = max(1, math.ceil((float(rel[:, 2].max()) - z_min) / dz3) + 1)
+    pz = next_fast_len(2 * nz3 + 2)
+    z0 = z_min + nz3 * dz3
+    _require(bool((vg.z_coords() > z0).all()),
+             f"every voxel plane must lie beyond the relay surface's far face (z > {z0:.6g})")
+    nu_x, nu_y, px, py = _scattered_lattice(vg, rel)
+    spectrum = lattice_spectrum(rel, nu_x, nu_y, z_min, dz3, nz3, (pz, py, px))
+    slab = pz // 2 + (nz3 - nz3 // 2)
+
+    def encode(fi: int):
+        khat = slices.frequencies[fi] / SPEED_OF_LIGHT
+        g3 = cfft_n(_kernel_3d(khat, px, py, pz, vg.dx, vg.dy, dz3), axes=(-3, -2, -1))
+        for p in range(slices.n_illum):
+            wave = cifft_n(spectrum(p, fi) * g3, axes=(-3, -2, -1))
+            yield cfft_2d(wave[slab])
+
+    return _read_lattice(slices, grid, encode, _lattice_planes(vg, px, py, vg.dx, vg.dy, z0),
+                         _center_rows(py, vg.ny), _center_rows(px, vg.nx),
+                         times, threads, include_illumination)
 
 
 def rsd3d(slices: FrequencySlices, grid: CuboidGrid, scatter: str = "trilinear",
@@ -657,51 +595,41 @@ def rsd3d(slices: FrequencySlices, grid: CuboidGrid, scatter: str = "trilinear",
     """
     _require(isinstance(grid, CuboidGrid), "rsd3d reconstructs onto a cuboid grid")
     _require(scatter in ("nearest", "trilinear"), "scatter must be 'nearest' or 'trilinear'")
-    (relay, rel, dz3, z_min, nz3, pz, z0, nu_rx, nu_ry, px, py,
-     slab_index) = _lattice_3d(slices, grid, z_pitch)
-    vg = grid.grid
-    fx = nu_rx + px // 2
-    fy = nu_ry + py // 2
-    fz = (rel[:, 2] - z_min) / dz3 + (pz // 2 - nz3 // 2)
-    if scatter == "nearest":
-        ix = np.round(fx).astype(np.int64)[:, None]
-        iy = np.round(fy).astype(np.int64)[:, None]
-        iz = np.round(fz).astype(np.int64)[:, None]
-        wts = np.ones((rel.shape[0], 1))
-    else:
-        def corners(f):
-            lo = np.floor(f).astype(np.int64)
-            frac = f - lo
-            return np.stack([lo, lo + 1], axis=1), np.stack([1.0 - frac, frac], axis=1)
-        gx, wx = corners(fx)
-        gy, wy = corners(fy)
-        gz, wz = corners(fz)
-        ix = np.repeat(gx[:, None, None, :], 2, 1).repeat(2, 2).reshape(-1, 8)
-        iy = np.repeat(gy[:, None, :, None], 2, 1).repeat(2, 3).reshape(-1, 8)
-        iz = np.repeat(gz[:, :, None, None], 2, 2).repeat(2, 3).reshape(-1, 8)
-        wts = (wz[:, :, None, None] * wy[:, None, :, None]
-               * wx[:, None, None, :]).reshape(-1, 8)
-    for name, idx, bound in (("x", ix, px), ("y", iy, py), ("z", iz, pz)):
-        if idx.min() < 0 or idx.max() >= bound:
-            raise RuntimeError(f"relay scatter indices escaped the {name} lattice")
-    ill = illumination_coordinates(relay, slices.illuminations)
-    coeff = slices.coefficients
-    freqs = slices.frequencies
 
-    def freq_volume(fi: int) -> np.ndarray:
-        khat = freqs[fi] / SPEED_OF_LIGHT
-        g3 = cfft_n(_kernel_3d(khat, px, py, pz, vg.dx, vg.dy, dz3), axes=(-3, -2, -1))
-        vol = np.zeros(grid.count, dtype=np.complex128)
-        for p in range(ill.shape[0]):
-            fine = np.zeros((pz, py, px), dtype=np.complex128)
-            np.add.at(fine, (iz, iy, ix), coeff[p, :, fi][:, None] * wts)
-            wave = cifft_n(cfft_n(fine, axes=(-3, -2, -1)) * g3, axes=(-3, -2, -1))
-            uhat_plane = cfft_2d(wave[slab_index])
-            vol += _stage2_volume(uhat_plane, khat, vg, z0, px, py, ill[p],
-                                  include_illumination).ravel()
-        return vol
+    def gridded(rel, nu_x, nu_y, z_min, dz3, nz3, shape):
+        pz, py, px = shape
+        fx = nu_x + px // 2
+        fy = nu_y + py // 2
+        fz = (rel[:, 2] - z_min) / dz3 + (pz // 2 - nz3 // 2)
+        if scatter == "nearest":
+            ix = np.round(fx).astype(np.int64)[:, None]
+            iy = np.round(fy).astype(np.int64)[:, None]
+            iz = np.round(fz).astype(np.int64)[:, None]
+            wts = np.ones((rel.shape[0], 1))
+        else:
+            def corners(f):
+                lo = np.floor(f).astype(np.int64)
+                frac = f - lo
+                return np.stack([lo, lo + 1], axis=1), np.stack([1.0 - frac, frac], axis=1)
+            gx, wx = corners(fx)
+            gy, wy = corners(fy)
+            gz, wz = corners(fz)
+            ix = np.repeat(gx[:, None, None, :], 2, 1).repeat(2, 2).reshape(-1, 8)
+            iy = np.repeat(gy[:, None, :, None], 2, 1).repeat(2, 3).reshape(-1, 8)
+            iz = np.repeat(gz[:, :, None, None], 2, 2).repeat(2, 3).reshape(-1, 8)
+            wts = (wz[:, :, None, None] * wy[:, None, :, None]
+                   * wx[:, None, None, :]).reshape(-1, 8)
+        for name, idx, bound in (("x", ix, px), ("y", iy, py), ("z", iz, pz)):
+            if idx.min() < 0 or idx.max() >= bound:
+                raise RuntimeError(f"relay scatter indices escaped the {name} lattice")
 
-    return _run(slices, grid, freq_volume, times, threads)
+        def spectrum(p: int, fi: int) -> np.ndarray:
+            fine = np.zeros(shape, dtype=np.complex128)
+            np.add.at(fine, (iz, iy, ix), slices.coefficients[p, :, fi][:, None] * wts)
+            return cfft_n(fine, axes=(-3, -2, -1))
+        return spectrum
+
+    return _from_surface(slices, grid, z_pitch, gridded, times, threads, include_illumination)
 
 
 def nursd3d(slices: FrequencySlices, grid: CuboidGrid, eps: float = 1e-6,
@@ -715,38 +643,26 @@ def nursd3d(slices: FrequencySlices, grid: CuboidGrid, eps: float = 1e-6,
     plane is handed to :func:`nursd1`, which the flat geometry makes exact.
     """
     _require(isinstance(grid, CuboidGrid), "nursd3d reconstructs onto a cuboid grid")
-    relay = _nonplanar_relay(slices)
-    rel = relay.coordinates()
+    relay = _relay(slices, NonPlanarRelay)
     if relay.z_extent == 0.0:
+        rel = relay.coordinates()
         flat = NonUniformPlanarRelay(PointList(rel[:, :2]), z=float(rel[0, 2]))
         flat_slices = FrequencySlices(slices.frequencies, slices.coefficients,
                                       flat, slices.illuminations)
         return nursd1(flat_slices, grid, eps=eps, times=times, threads=threads,
                       include_illumination=include_illumination)
-    (relay, rel, dz3, z_min, nz3, pz, z0, nu_rx, nu_ry, px, py,
-     slab_index) = _lattice_3d(slices, grid, z_pitch)
-    vg = grid.grid
-    c_z = z_min + (nz3 // 2) * dz3
-    nu_rz = (rel[:, 2] - c_z) / dz3
-    torus = np.column_stack([2.0 * np.pi * nu_rx / px,
-                             2.0 * np.pi * nu_ry / py,
-                             2.0 * np.pi * nu_rz / pz])
-    ill = illumination_coordinates(relay, slices.illuminations)
-    freqs = slices.frequencies
-    uhats = [nufft1(torus, c, (pz, py, px), eps) for c in slices.coefficients]
 
-    def freq_volume(fi: int) -> np.ndarray:
-        khat = freqs[fi] / SPEED_OF_LIGHT
-        g3 = cfft_n(_kernel_3d(khat, px, py, pz, vg.dx, vg.dy, dz3), axes=(-3, -2, -1))
-        vol = np.zeros(grid.count, dtype=np.complex128)
-        for p in range(ill.shape[0]):
-            wave = cifft_n(uhats[p][fi] * g3, axes=(-3, -2, -1))
-            uhat_plane = cfft_2d(wave[slab_index])
-            vol += _stage2_volume(uhat_plane, khat, vg, z0, px, py, ill[p],
-                                  include_illumination).ravel()
-        return vol
+    def transformed(rel, nu_x, nu_y, z_min, dz3, nz3, shape):
+        pz, py, px = shape
+        nu_z = (rel[:, 2] - (z_min + (nz3 // 2) * dz3)) / dz3
+        torus = np.column_stack([2.0 * np.pi * nu_x / px,
+                                 2.0 * np.pi * nu_y / py,
+                                 2.0 * np.pi * nu_z / pz])
+        uhats = [nufft1(torus, c, shape, eps) for c in slices.coefficients]
+        return lambda p, fi: uhats[p][fi]
 
-    return _run(slices, grid, freq_volume, times, threads)
+    return _from_surface(slices, grid, z_pitch, transformed, times, threads,
+                         include_illumination)
 
 
 # ---------------------------------------------------------------------------

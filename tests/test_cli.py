@@ -173,6 +173,19 @@ class TestReadmeScene:
             scene.write_text(json.dumps(_scene_doc(relay=relay, illuminations=illuminations)))
             assert main(["simulate", str(scene), "-o", str(tmp_path / f"{kind}.nls1")]) == 0
 
+    def test_documented_planes_file_parses(self, pipeline, tmp_path):
+        text = README.read_text(encoding="utf-8")
+        section = text[text.index("### Grid specifications"):text.index("## Algorithms")]
+        example = re.search(r"`(\{\"planes\".*?)`", section, re.DOTALL).group(1)
+        planes = tmp_path / "planes.json"
+        planes.write_text(example)
+        out = tmp_path / "readme.vol"
+        assert main(["reconstruct", str(pipeline["dataset"]), "-o", str(out),
+                     "--algo", "nursd2", "--lambda-c", "0.04",
+                     "--grid", "@" + str(planes)]) == 0
+        voxels = sum(len(plane["points"]) for plane in json.loads(example)["planes"])
+        assert read_volume(str(out)).grid.count == voxels
+
 
 class TestReconstruct:
     def test_pipeline_with_projection(self, pipeline, capsys):
@@ -259,6 +272,43 @@ class TestReconstruct:
                      "-o", str(tmp_path / "x.vol"), "--algo", "rsd",
                      "--lambda-c", "0.04", "--grid", CUBOID])
         assert code == 3
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("doc, named", [
+        ({"voxels": []}, "'planes'"),
+        ([{"z": 1.0, "points": [[0.0, 0.0]]}], "'planes'"),
+        ({"planes": {"z": 1.0}}, "'planes' as a list"),
+        ({"planes": [{"points": [[0.0, 0.0]]}]}, "'z'"),
+        ({"planes": [{"z": 1.0}]}, "'points'"),
+    ])
+    def test_malformed_planes_file_is_usage_error(self, pipeline, tmp_path, capsys,
+                                                  doc, named):
+        planes = tmp_path / "planes.json"
+        planes.write_text(json.dumps(doc))
+        code = main(["reconstruct", str(pipeline["dataset"]),
+                     "-o", str(tmp_path / "x.vol"), "--algo", "nursd2",
+                     "--lambda-c", "0.04", "--grid", "@" + str(planes)])
+        assert code == 2
+        assert named in capsys.readouterr().err
+
+    def test_dataset_with_trailing_bytes_is_io_error(self, pipeline, tmp_path, capsys):
+        padded = tmp_path / "padded.nls1"
+        padded.write_bytes(pipeline["dataset"].read_bytes() + b"\0" * 7)
+        assert main(["info", str(padded)]) == 3
+        assert "7 unexpected byte(s)" in capsys.readouterr().err
+        code = main(["reconstruct", str(padded), "-o", str(tmp_path / "x.vol"),
+                     "--algo", "rsd", "--lambda-c", "0.04", "--grid", CUBOID])
+        assert code == 3
+
+    def test_volume_with_trailing_bytes_is_io_error(self, pipeline, tmp_path, capsys):
+        vol = tmp_path / "v.vol"
+        assert main(["reconstruct", str(pipeline["dataset"]), "-o", str(vol),
+                     "--algo", "rsd", "--lambda-c", "0.04", "--grid", CUBOID]) == 0
+        vol.write_bytes(vol.read_bytes() + b"x")
+        capsys.readouterr()
+        assert main(["info", str(vol)]) == 3
+        assert "1 unexpected byte(s)" in capsys.readouterr().err
 
 
 class TestInfoAndMetrics:

@@ -4,6 +4,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from phasorfield import (
     ContainerFormatError,
@@ -411,6 +414,132 @@ class TestVolumeContainer:
         write_dataset(m, path)
         with pytest.raises(ContainerFormatError):
             read_volume(path)
+
+
+# Geometry is stored as float64 and payloads as float32, so payload values
+# are drawn as float32 to make the round trip exact.
+_COORD = st.floats(-10.0, 10.0)
+_PITCH = st.floats(0.001, 1.0)
+_COUNT = st.integers(1, 3)
+
+
+def _points(dim: int):
+    return _COUNT.flatmap(lambda n: hnp.arrays(np.float64, (n, dim), elements=_COORD))
+
+
+_RELAYS = st.one_of(
+    st.builds(lambda nx, ny, dx, dy, x0, y0, z: UniformRelay(UniformGrid2D(nx, ny, dx, dy,
+                                                                           x0, y0, z)),
+              _COUNT, _COUNT, _PITCH, _PITCH, _COORD, _COORD, _COORD),
+    st.builds(lambda pts, z: NonUniformPlanarRelay(PointList(pts), z), _points(2), _COORD),
+    st.builds(lambda pts: NonPlanarRelay(PointList(pts)), _points(3)),
+)
+
+
+@st.composite
+def _measurements(draw):
+    relay = draw(_RELAYS)
+    ill = PointList(draw(_points(draw(st.sampled_from([2, 3])))))
+    hist = draw(hnp.arrays(np.float64, (ill.count, relay.count, draw(_COUNT)),
+                           elements=st.floats(0.0, 1e6, width=32)))
+    return TransientMeasurement(relay, ill, hist, delta_t=draw(st.floats(1e-13, 1e-9)),
+                                t0=draw(st.floats(-1e-8, 1e-8)))
+
+
+@st.composite
+def _volumes(draw):
+    kind = draw(st.sampled_from(["cuboid", "frustum", "explicit"]))
+    if kind == "cuboid":
+        grid = CuboidGrid(UniformGrid3D(draw(_COUNT), draw(_COUNT), draw(_COUNT),
+                                        draw(_PITCH), draw(_PITCH), draw(_PITCH),
+                                        draw(_COORD), draw(_COORD), draw(_COORD)))
+    elif kind == "frustum":
+        base = UniformGrid2D(draw(_COUNT), draw(_COUNT), draw(_PITCH), draw(_PITCH),
+                             draw(_COORD), draw(_COORD), draw(_COORD))
+        steps = draw(hnp.arrays(np.float64, draw(_COUNT), elements=_PITCH))
+        grid = FrustumGrid.linear(base, base.z + np.cumsum(steps),
+                                  draw(st.floats(0.1, 1.0)), draw(st.floats(0.1, 1.0)))
+    else:
+        grid = ExplicitVoxels(tuple(VoxelPlane(draw(_COORD), PointList(draw(_points(2))))
+                                    for _ in range(draw(_COUNT))))
+    n_frames = draw(st.sampled_from([None, 2, 3]))
+    shape = (grid.count,) if n_frames is None else (n_frames, grid.count)
+    part = hnp.arrays(np.float64, shape, elements=st.floats(-1e6, 1e6, width=32))
+    field = draw(part) + 1j * draw(part)
+    times = None if n_frames is None else np.sort(
+        draw(hnp.arrays(np.float64, n_frames, elements=st.floats(-1e-8, 1e-8))))
+    return ReconstructionVolume(grid, field, times)
+
+
+@pytest.fixture(scope="module")
+def blob_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("blobs")
+
+
+def _container_bytes(writer, obj, directory) -> bytes:
+    path = directory / "written"
+    writer(obj, str(path))
+    return path.read_bytes()
+
+
+def _read_bytes(reader, data: bytes, directory):
+    path = directory / "candidate"
+    path.write_bytes(data)
+    return reader(str(path))
+
+
+class TestContainerProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(m=_measurements())
+    def test_dataset_roundtrip_is_identity(self, blob_dir, m):
+        back = _read_bytes(read_dataset, _container_bytes(write_dataset, m, blob_dir),
+                           blob_dir)
+        assert back.relay.kind == m.relay.kind
+        assert np.array_equal(back.relay.coordinates(), m.relay.coordinates())
+        assert np.array_equal(back.illuminations.points, m.illuminations.points)
+        assert np.array_equal(back.histograms, m.histograms)
+        assert back.delta_t == m.delta_t and back.t0 == m.t0
+
+    @settings(max_examples=40, deadline=None)
+    @given(v=_volumes())
+    def test_volume_roundtrip_is_identity(self, blob_dir, v):
+        back = _read_bytes(read_volume, _container_bytes(write_volume, v, blob_dir),
+                           blob_dir)
+        assert back.grid.kind == v.grid.kind
+        assert np.array_equal(back.grid.coordinates(), v.grid.coordinates())
+        assert np.array_equal(back.field, v.field)
+        assert (back.times is None if v.times is None
+                else np.array_equal(back.times, v.times))
+
+    @settings(max_examples=10, deadline=None)
+    @given(m=_measurements())
+    def test_every_strict_dataset_prefix_is_truncated(self, blob_dir, m):
+        raw = _container_bytes(write_dataset, m, blob_dir)
+        for n in range(len(raw)):
+            with pytest.raises(TruncatedPayloadError):
+                _read_bytes(read_dataset, raw[:n], blob_dir)
+
+    @settings(max_examples=10, deadline=None)
+    @given(v=_volumes())
+    def test_every_strict_volume_prefix_is_truncated(self, blob_dir, v):
+        raw = _container_bytes(write_volume, v, blob_dir)
+        for n in range(len(raw)):
+            with pytest.raises(TruncatedPayloadError):
+                _read_bytes(read_volume, raw[:n], blob_dir)
+
+    @settings(max_examples=30, deadline=None)
+    @given(m=_measurements(), suffix=st.binary(min_size=1, max_size=16))
+    def test_any_dataset_suffix_is_rejected(self, blob_dir, m, suffix):
+        raw = _container_bytes(write_dataset, m, blob_dir)
+        with pytest.raises(ContainerFormatError, match="follow the payload"):
+            _read_bytes(read_dataset, raw + suffix, blob_dir)
+
+    @settings(max_examples=30, deadline=None)
+    @given(v=_volumes(), suffix=st.binary(min_size=1, max_size=16))
+    def test_any_volume_suffix_is_rejected(self, blob_dir, v, suffix):
+        raw = _container_bytes(write_volume, v, blob_dir)
+        with pytest.raises(ContainerFormatError, match="follow the payload"):
+            _read_bytes(read_volume, raw + suffix, blob_dir)
 
 
 class TestPgm:

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from phasorfield import (
     CuboidGrid,
@@ -17,6 +20,7 @@ from phasorfield import (
 )
 from phasorfield.core import SPEED_OF_LIGHT, UniformGrid3D
 from phasorfield.metrics import ncc
+from phasorfield.reconstruct import _pad_size
 from phasorfield.reconstruct import (
     ALGORITHM_NAMES,
     light_transport_video,
@@ -377,7 +381,39 @@ class TestMisc:
         assert img.shape == (3, 4)
         assert np.array_equal(img, np.abs(vol.as_array3d()).max(axis=0))
 
-    def test_nufft_paths_are_thread_stable(self, chain, chain_grid):
-        a = nursd1(chain["planar"], chain_grid, eps=EPS, threads=1)
-        b = nursd1(chain["planar"], chain_grid, eps=EPS, threads=3)
+    @pytest.mark.parametrize("algo", ["nursd1", "srsd", "rsd3d", "nursd3d"])
+    def test_nufft_paths_are_thread_stable(self, chain, chain_grid, rippled, algo):
+        frustum = FrustumGrid.linear(centered_grid2d(8, 0.02), [0.86, 0.94], alpha0=0.8)
+        run = {
+            "nursd1": lambda t: nursd1(chain["planar"], chain_grid, eps=EPS, threads=t),
+            "srsd": lambda t: srsd(chain["uniform"], frustum, times=np.array([0.0, 1e-9]),
+                                   threads=t),
+            "rsd3d": lambda t: rsd3d(rippled, chain_grid, threads=t),
+            "nursd3d": lambda t: nursd3d(rippled, chain_grid, eps=EPS, threads=t),
+        }[algo]
+        a = run(1)
+        b = run(3)
         assert np.array_equal(a.field, b.field)
+
+
+@pytest.fixture(scope="module")
+def rippled(chain):
+    """Two illuminations on a relay that is not flat: a 0-2 cm ripple."""
+    xy = chain["relay"].coordinates()[:, :2]
+    relay = NonPlanarRelay(PointList(np.column_stack([xy, 0.01 * (np.arange(len(xy)) % 3)])))
+    ill = PointList(np.array([[0.0, 0.0, 0.0], [0.05, -0.03, 0.01]]))
+    return two_scatterer_slices(relay=relay, illuminations=ill)
+
+
+_INDICES = hnp.arrays(np.float64, st.integers(1, 12), elements=st.floats(-300.0, 300.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(src=_INDICES, dst=_INDICES, n_min=st.integers(1, 256))
+def test_pad_size_holds_every_lag_and_index(src, dst, n_min):
+    p = _pad_size(src, dst, n_min)
+    assert p >= n_min
+    lags = (dst[:, None] - src[None, :]).ravel()
+    embedded = np.arange(n_min) - n_min // 2
+    for v in (lags, -lags, src, -src, dst, -dst, embedded):
+        assert v.min() >= -(p // 2) and v.max() < p - p // 2
