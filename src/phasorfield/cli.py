@@ -67,8 +67,9 @@ def _parse_grid(spec: str):
         if not isinstance(planes, list):
             raise ValidationError("planes file must give 'planes' as a list")
         return ExplicitVoxels(tuple(
-            VoxelPlane(float(_field(p, "z", "voxel plane")),
-                       PointList(np.asarray(_field(p, "points", "voxel plane"), dtype=float)))
+            VoxelPlane(_number(_field(p, "z", "voxel plane"), "voxel plane 'z'"),
+                       PointList(_points(_field(p, "points", "voxel plane"),
+                                         "voxel plane 'points'")))
             for p in planes))
     kind, _, rest = spec.partition(":")
     fields = [s for s in rest.split(",") if s != ""]
@@ -100,21 +101,43 @@ def _field(doc, key: str, where: str):
     return doc[key]
 
 
+def _number(value, name: str, kind: type = float):
+    """A JSON number converted by ``kind``, or a validation error naming the field.
+
+    null, true/false, strings, lists and objects are refused, and so is a
+    fractional value where ``kind`` is ``int``.
+    """
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or (kind is int and isinstance(value, float) and not value.is_integer())):
+        noun = "an integer" if kind is int else "a number"
+        raise ValidationError(f"{name} must be {noun}, not {json.dumps(value)}")
+    return kind(value)
+
+
+def _points(value, name: str) -> np.ndarray:
+    """A JSON list of coordinate lists whose coordinates are JSON numbers."""
+    if not isinstance(value, list) or not all(isinstance(p, list) for p in value):
+        raise ValidationError(f"{name} must be a list of coordinate lists")
+    for c in (c for p in value for c in p if type(c) not in (int, float)):
+        _number(c, name)  # raises: only exact ints and floats are numbers
+    return np.array(value, dtype=float)
+
+
 def _parse_relay(doc: dict):
     kind = _field(doc, "kind", "relay")
     if kind == "uniform":
-        nx, ny, dx, dy, x0, y0 = (_field(doc, k, "uniform relay")
-                                  for k in ("nx", "ny", "dx", "dy", "x0", "y0"))
-        return UniformRelay(UniformGrid2D(
-            int(nx), int(ny), float(dx), float(dy), float(x0), float(y0),
-            float(doc.get("z", 0.0))))
+        kinds = {"nx": int, "ny": int, "dx": float, "dy": float, "x0": float, "y0": float}
+        nx, ny, dx, dy, x0, y0 = (_number(_field(doc, k, "uniform relay"), f"relay {k!r}", t)
+                                  for k, t in kinds.items())
+        return UniformRelay(UniformGrid2D(nx, ny, dx, dy, x0, y0,
+                                          _number(doc.get("z", 0.0), "relay 'z'")))
     if kind == "points_planar":
         return NonUniformPlanarRelay(
-            PointList(np.asarray(_field(doc, "points", "relay"), dtype=float)),
-            float(_field(doc, "z", "points_planar relay")))
+            PointList(_points(_field(doc, "points", "relay"), "relay 'points'")),
+            _number(_field(doc, "z", "points_planar relay"), "relay 'z'"))
     if kind == "points_3d":
-        return NonPlanarRelay(PointList(np.asarray(_field(doc, "points", "relay"),
-                                                   dtype=float)))
+        return NonPlanarRelay(PointList(_points(_field(doc, "points", "relay"),
+                                                "relay 'points'")))
     raise ValidationError(
         "relay kind must be 'uniform', 'points_planar', or 'points_3d'")
 
@@ -127,22 +150,30 @@ def _parse_scene(path: str):
     delta_t = doc.get("delta_t", doc.get("Δt"))
     if delta_t is None:
         raise ValidationError("scene file must give the bin width 'delta_t'")
-    n_bins = int(_field(doc, "n_bins", "scene file"))
+    n_bins = _number(_field(doc, "n_bins", "scene file"), "'n_bins'", int)
     relay = _parse_relay(_field(doc, "relay", "scene file"))
     confocal = bool(doc.get("confocal", False))
     illuminations = None
     if not confocal:
         if "illuminations" not in doc:
             raise ValidationError("non-confocal scene needs 'illuminations'")
-        illuminations = PointList(np.asarray(doc["illuminations"], dtype=float))
+        illuminations = PointList(_points(doc["illuminations"], "'illuminations'"))
     scatterers = []
-    for s in _field(doc, "scatterers", "scene file"):
-        pos = _field(s, "pos" if "pos" in s else "position", "scatterer")
-        scatterers.append(sim.Scatterer(tuple(float(v) for v in pos),
-                                        float(s.get("albedo", 1.0))))
-    scene = sim.Scene(tuple(scatterers), ambient=float(doc.get("ambient", 0.0)))
+    listed = _field(doc, "scatterers", "scene file")
+    if not isinstance(listed, list):
+        raise ValidationError("scene file must give 'scatterers' as a list")
+    for s in listed:
+        pos = _field(s, "pos" if isinstance(s, dict) and "pos" in s else "position",
+                     "scatterer")
+        if not isinstance(pos, list):
+            raise ValidationError("scatterer position must be a list of numbers")
+        scatterers.append(sim.Scatterer(tuple(_number(v, "scatterer position") for v in pos),
+                                        _number(s.get("albedo", 1.0), "scatterer 'albedo'")))
+    scene = sim.Scene(tuple(scatterers),
+                      ambient=_number(doc.get("ambient", 0.0), "'ambient'"))
     return dict(scene=scene, relay=relay, illuminations=illuminations,
-                delta_t=float(delta_t), n_bins=n_bins, t0=float(doc.get("t0", 0.0)),
+                delta_t=_number(delta_t, "'delta_t'"), n_bins=n_bins,
+                t0=_number(doc.get("t0", 0.0), "'t0'"),
                 confocal=confocal, falloff=bool(doc.get("falloff", True)))
 
 

@@ -795,13 +795,15 @@ def write_volume(v: ReconstructionVolume, path: str) -> None:
 
     Same magic/version as the dataset container with voxel-grid kind tags in
     place of relay kinds; payload is interleaved complex float32 per frame.
+    The header word after the voxel count is 1 for a time-resolved volume
+    (even of one frame) and 0 for a static one.
     """
     times = v.times if v.times is not None else np.zeros(1)
     field = v.field if v.times is not None else v.field[None, :]
     parts = [
         _MAGIC,
         struct.pack("<I", _VERSION),
-        struct.pack("<III", v.n_frames, v.grid.count, 0),
+        struct.pack("<III", v.n_frames, v.grid.count, int(v.times is not None)),
         struct.pack("<dd", 0.0, 0.0),
         struct.pack("<B", _VOLUME_KINDS[v.grid.kind]),
         _grid_to_bytes(v.grid),
@@ -813,7 +815,11 @@ def write_volume(v: ReconstructionVolume, path: str) -> None:
 
 
 def read_volume(path: str) -> ReconstructionVolume:
-    """Read a reconstruction volume written by :func:`write_volume`."""
+    """Read a reconstruction volume written by :func:`write_volume`.
+
+    Earlier writers left the time-axis word 0 for every volume, so a volume
+    with word 0 is static if it holds one frame and time-resolved otherwise.
+    """
     with open(path, "rb") as f:
         r = _Reader(f.read())
     magic = r.take(4)
@@ -822,12 +828,14 @@ def read_volume(path: str) -> ReconstructionVolume:
     (version,) = r.unpack("I")
     if version != _VERSION:
         raise UnsupportedVersionError(f"container version {version} is not supported")
-    n_frames, n_voxels, _reserved = r.unpack("III")
+    n_frames, n_voxels, timed = r.unpack("III")
     r.unpack("dd")
     (kind,) = r.unpack("B")
     if kind not in _VOLUME_KINDS.values():
         raise _ForeignKindError(
             f"kind tag {kind} is not a volume grid (is this a transient dataset?)")
+    if timed not in (0, 1):
+        raise ContainerFormatError(f"time-axis word {timed} must be 0 or 1")
     grid = _grid_from_reader(r, kind)
     if grid.count != n_voxels:
         raise ContainerFormatError("declared voxel count does not match grid geometry")
@@ -836,7 +844,7 @@ def read_volume(path: str) -> ReconstructionVolume:
     r.end()
     if not np.isfinite(field).all():
         raise NonFiniteDataError("volume payload contains non-finite values")
-    if n_frames == 1:
+    if not timed and n_frames == 1:
         return ReconstructionVolume(grid, field[0].astype(np.complex128))
     return ReconstructionVolume(grid, field.astype(np.complex128), times)
 

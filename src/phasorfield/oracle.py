@@ -115,32 +115,3 @@ def backproject(slices: FrequencySlices, voxels: np.ndarray) -> np.ndarray:
                 terms[f, p] = np.exp(1j * khat[f] * r_ill[p]) * inner
         out[v] = np.sum(terms.ravel())
     return out
-
-
-def _backproject_alt(slices: FrequencySlices, voxels: np.ndarray) -> np.ndarray:
-    """Same sum as :func:`backproject` filled illumination-major.
-
-    Walks the (frequency, illumination) table in transposed order and places
-    each factor on the other side of the product; used by the test suite to
-    confirm the fill order cannot change the result.
-    """
-    voxels = np.asarray(voxels, dtype=np.float64)
-    _require(voxels.ndim == 2 and voxels.shape[1] == 3, "voxels must be [V, 3]")
-    det = slices.relay.coordinates()
-    ill = illumination_coordinates(slices.relay, slices.illuminations)
-    coeff = slices.coefficients
-    khat = PROPAGATION_SIGN * slices.frequencies / SPEED_OF_LIGHT
-    nf = slices.n_freq
-    npt = ill.shape[0]
-    out = np.empty(voxels.shape[0], dtype=np.complex128)
-    for v in range(voxels.shape[0]):
-        r_det = _distances(det, voxels[v])
-        r_ill = _distances(ill, voxels[v])
-        terms = np.empty((nf, npt), dtype=np.complex128)
-        for p in range(npt):
-            for f in range(nf):
-                det_phase = np.exp(1j * khat[f] * r_det)
-                inner = np.sum(coeff[p, :, f] * det_phase)
-                terms[f, p] = inner * np.exp(1j * khat[f] * r_ill[p])
-        out[v] = np.sum(terms.ravel())
-    return out

@@ -9,13 +9,16 @@ illuminations and frequencies in ascending order.  Each algorithm builds the
 same propagation from three parts and differs only in the samplers:
 
 * an **encoder** gives each illumination's relay spectrum on a padded
-  ``[py, px]`` lattice: embedding and FFT, scaled FFT, type-1 NUFFT, or a
-  3D convolution read out on a virtual plane;
+  ``[py, px]`` lattice for every frequency, ``[F, py, px]``: embedding and
+  FFT, scaled FFT, type-1 NUFFT, or a 3D convolution read out on a virtual
+  plane;
 * the **output planes** give each depth's kernel spectrum, which multiplies
   the encoded spectrum, and the voxel positions for the illumination phase;
-* a **decoder** reads each product at the voxels: an inverse FFT and a
-  lattice slice in the per-frequency loop of :func:`_read_lattice`, or a
-  batched type-2 NUFFT at explicit voxels in :func:`_read_explicit`.
+* a **decoder** ``read(plane, spectrum)`` reads each product at the plane's
+  voxels: an inverse FFT and a lattice slice, or a batched type-2 NUFFT.
+
+:func:`_propagate` joins them for every algorithm; each of ``threads``
+workers takes one contiguous block of frequencies through it.
 
 ========  ===========================  ==========================  =========================
 name      relay sampling               voxels                      transforms
@@ -34,7 +37,8 @@ All lattice work uses the centered-index convention of :mod:`.spectral`;
 padded sizes are chosen so that every lag actually used lies inside the
 centered index set, making the circular convolutions exact linear ones.
 Accumulation order (frequencies ascending, illuminations ascending) is fixed
-and identical for the static and time-resolved paths, so results are
+and identical for the static and time-resolved paths, and a frequency's
+arithmetic does not depend on the block it falls in, so results are
 bit-reproducible across runs and across ``threads`` settings.
 """
 
@@ -91,7 +95,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Shared machinery: lattice geometry, kernels, the two decoders
+# Shared machinery: lattice geometry, kernels, the propagation loop
 # ---------------------------------------------------------------------------
 
 
@@ -139,20 +143,14 @@ def _pad_size(src: np.ndarray, dst: np.ndarray, n_min: int) -> int:
     return next_fast_len(2 * math.ceil(reach) + 10)
 
 
-def _pad_embed(u: np.ndarray, py: int, px: int) -> np.ndarray:
-    """Embed the last two axes of ``u`` centred in a ``[..., py, px]`` zero array."""
-    ny, nx = u.shape[-2:]
-    out = np.zeros(u.shape[:-2] + (py, px), dtype=np.complex128)
-    oy = py // 2 - ny // 2
-    ox = px // 2 - nx // 2
-    out[..., oy:oy + ny, ox:ox + nx] = u
+def _embed_relay(slices: FrequencySlices, g, py: int, px: int) -> np.ndarray:
+    """Each illumination's uniform relay centred in a ``[F, py, px]`` zero array."""
+    coeff = np.swapaxes(slices.coefficients, 1, 2)
+    out = np.zeros(coeff.shape[:2] + (py, px), dtype=np.complex128)
+    oy = py // 2 - g.ny // 2
+    ox = px // 2 - g.nx // 2
+    out[..., oy:oy + g.ny, ox:ox + g.nx] = coeff.reshape(coeff.shape[:2] + (g.ny, g.nx))
     return out
-
-
-def _center_rows(p: int, n: int) -> slice:
-    """Slice of the padded axis holding centered output indices m - n//2."""
-    start = p // 2 - n // 2
-    return slice(start, start + n)
 
 
 def _kernel_2d(khat, lag_x: np.ndarray, lag_y: np.ndarray, dz: float) -> np.ndarray:
@@ -172,10 +170,11 @@ class _Plane(NamedTuple):
     """One output depth plane of a propagation.
 
     The kernel spans ``dz`` from the source plane, sampled at ``lag_x`` and
-    ``lag_y`` on the padded lattice; ``x`` and ``y`` broadcast to the
-    plane's voxel positions at depth ``z``.  ``scale`` is the per-plane
-    ``(alpha, beta)`` of a scaled transform applied to the encoded relay,
-    and ``torus`` the NUFFT coordinates of explicit voxels.
+    ``lag_y`` on the padded lattice; ``x`` and ``y`` are the plane's voxel
+    positions at depth ``z``, flattened in grid order (x fastest).
+    ``scale`` is the per-plane ``(alpha, beta)`` of a scaled transform
+    applied to the encoded relay, and ``torus`` the NUFFT coordinates of
+    explicit voxels.
     """
 
     z: float
@@ -193,10 +192,23 @@ def _lattice_planes(vg, px: int, py: int, dx: float, dy: float,
     """The planes of a cuboid read from a ``[py, px]`` lattice of pitch ``(dx, dy)``."""
     lag_x = (np.arange(px) - px // 2) * dx
     lag_y = (np.arange(py) - py // 2) * dy
-    xs = vg.x0 + vg.dx * np.arange(vg.nx)
-    ys = vg.y0 + vg.dy * np.arange(vg.ny)
-    return [_Plane(float(z), float(z) - z_src, lag_x, lag_y, xs[None, :], ys[:, None])
-            for z in vg.z_coords()]
+    x, y = (a.ravel() for a in np.meshgrid(vg.x0 + vg.dx * np.arange(vg.nx),
+                                           vg.y0 + vg.dy * np.arange(vg.ny)))
+    return [_Plane(float(z), float(z) - z_src, lag_x, lag_y, x, y) for z in vg.z_coords()]
+
+
+def _read_window(py: int, px: int, ny: int, nx: int, origin=None) -> Callable:
+    """Lattice decoder: inverse FFT, then the ``[ny, nx]`` window from ``origin``."""
+    oy, ox = origin or (-(ny // 2), -(nx // 2))
+    rows = slice(py // 2 + oy, py // 2 + oy + ny)
+    cols = slice(px // 2 + ox, px // 2 + ox + nx)
+    return lambda pl, spec: cifft_2d(spec)[:, rows, cols].reshape(len(spec), -1)
+
+
+def _read_points(eps: float, px: int, py: int) -> Callable:
+    """Decoder of explicit planes: a batched type-2 NUFFT at the voxels."""
+    scale = 1.0 / (px * py)
+    return lambda pl, spec: nufft2(spec, pl.torus, eps, batch=True) * scale
 
 
 def _scattered_lattice(vg, rel: np.ndarray):
@@ -228,39 +240,49 @@ def _reduce(slices: FrequencySlices, grid: VoxelGrid, results: Iterable[np.ndarr
     return ReconstructionVolume(grid, frames, t)
 
 
-def _read_lattice(slices: FrequencySlices, grid: VoxelGrid,
-                  encode: Callable[[int], Iterable[np.ndarray]], planes: list[_Plane],
-                  rows: slice, cols: slice, times: np.ndarray | None, threads: int,
-                  include_illumination: bool) -> ReconstructionVolume:
-    """Propagate encoded lattice spectra plane by plane and reduce them.
+def _propagate(slices: FrequencySlices, grid: VoxelGrid, uhats, planes: list[_Plane],
+               read: Callable, times: np.ndarray | None, threads: int,
+               include_illumination: bool) -> ReconstructionVolume:
+    """Propagate encoded relay spectra plane by plane and reduce them.
 
-    ``encode(fi)`` yields each illumination's ``[py, px]`` relay spectrum at
-    frequency ``fi`` (or the embedded relay, for planes with a ``scale``).
-    Every plane multiplies it by the plane's kernel spectrum, transforms back
-    and keeps the ``[rows, cols]`` window.  The reduction is always
-    sequential in the calling thread, so the result is independent of
-    ``threads``; workers only compute the per-frequency terms.
+    ``uhats[p]`` is illumination ``p``'s ``[F, py, px]`` relay spectrum (the
+    embedded relay, for planes with a ``scale``); every plane multiplies it
+    by its kernel spectra and ``read(plane, spectrum)`` gives ``[F, n]``
+    values at its voxels.  Each of ``threads`` workers takes one contiguous
+    block of frequencies through every plane and illumination into its own
+    rows of the terms, which the calling thread then reduces.
     """
+    _require(int(threads) >= 1, "threads must be >= 1")
+    n_freq = slices.n_freq
+    khats = slices.frequencies / SPEED_OF_LIGHT
     ill = illumination_coordinates(slices.relay, slices.illuminations)
-    shape = (len(planes), rows.stop - rows.start, cols.stop - cols.start)
+    ends = np.cumsum([pl.x.size for pl in planes])
+    terms = np.zeros((n_freq, grid.count), dtype=np.complex128)
 
-    def freq_volume(fi: int) -> np.ndarray:
-        khat = slices.frequencies[fi] / SPEED_OF_LIGHT
-        ghats = [cfft_2d(_kernel_2d(khat, pl.lag_x, pl.lag_y, pl.dz)) for pl in planes]
-        vol = np.zeros(shape, dtype=np.complex128)
-        for p, u in enumerate(encode(fi)):
-            for k, pl in enumerate(planes):
-                uhat = u if pl.scale is None else sfft_2d_centered(u, *pl.scale)
-                plane = cifft_2d(uhat * ghats[k])[rows, cols]
+    def run(block: slice) -> None:
+        kh = khats[block]
+        for pl, stop in zip(planes, ends):
+            ghat = cfft_2d(_kernel_2d(kh, pl.lag_x, pl.lag_y, pl.dz))
+            for p, uhat in enumerate(uhats):
+                u = uhat[block]
+                if pl.scale is not None:
+                    u = sfft_2d_centered(u, *pl.scale)
+                vals = read(pl, u * ghat)
                 if include_illumination:
-                    plane = plane * _illum_phase(khat, pl.x, pl.y, pl.z, ill[p])
-                vol[k] += plane
-        return vol.ravel()
+                    # In place: NumPy's SIMD complex product is not bitwise
+                    # commutative, and `vals * tmp` may reuse `tmp` as `tmp * vals`.
+                    vals *= _illum_phase(kh[:, None], pl.x, pl.y, pl.z, ill[p])
+                terms[block, stop - pl.x.size:stop] += vals
 
-    if threads and int(threads) > 1:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            return _reduce(slices, grid, pool.map(freq_volume, range(slices.n_freq)), times)
-    return _reduce(slices, grid, map(freq_volume, range(slices.n_freq)), times)
+    workers = min(int(threads), n_freq)
+    blocks = [slice(b[0], b[-1] + 1) for b in np.array_split(np.arange(n_freq), workers)]
+    if workers == 1:
+        # In this thread: a worker's own malloc arena would keep its temporaries.
+        run(blocks[0])
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(run, blocks))
+    return _reduce(slices, grid, terms, times)
 
 
 def _explicit_planes(grid: ExplicitVoxels, z_src: float, center, pitch, src,
@@ -284,44 +306,6 @@ def _explicit_planes(grid: ExplicitVoxels, z_src: float, center, pitch, src,
         _Plane(float(v.z), float(v.z) - z_src, lag_x, lag_y, q[:, 0], q[:, 1],
                torus=np.column_stack([2.0 * np.pi * ux / px, 2.0 * np.pi * uy / py]))
         for v, q, ux, uy in zip(grid.planes, pts, nu_x, nu_y)]
-
-
-def _read_explicit(slices: FrequencySlices, grid: ExplicitVoxels, planes: list[_Plane],
-                   uhats: list[np.ndarray], eps: float, times: np.ndarray | None,
-                   include_illumination: bool) -> ReconstructionVolume:
-    """Read propagated lattice spectra at explicit voxels and reduce them.
-
-    ``uhats[p]`` holds illumination ``p``'s relay spectrum on the padded
-    ``[py, px]`` lattice for every frequency.  Each plane stacks its kernel
-    spectra over frequencies once, and one batched type-2 NUFFT per
-    illumination reads the products at the plane's voxels.  The terms are
-    then summed in ascending frequency, then illumination, order.  No
-    per-frequency work is left for worker threads, so callers ignore
-    ``threads``.
-    """
-    n_freq, py, px = uhats[0].shape
-    khats = slices.frequencies / SPEED_OF_LIGHT
-    ill = illumination_coordinates(slices.relay, slices.illuminations)
-    scale = 1.0 / (px * py)
-    terms = np.empty((len(uhats), n_freq, grid.count), dtype=np.complex128)
-    start = 0
-    for pl in planes:
-        stop = start + pl.x.size
-        ghat = cfft_2d(_kernel_2d(khats, pl.lag_x, pl.lag_y, pl.dz))
-        for p, uhat in enumerate(uhats):
-            vals = nufft2(uhat * ghat, pl.torus, eps, batch=True) * scale
-            if include_illumination:
-                vals = vals * _illum_phase(khats[:, None], pl.x, pl.y, pl.z, ill[p])
-            terms[p, :, start:stop] = vals
-        start = stop
-
-    def freq_volume(fi: int) -> np.ndarray:
-        vol = np.zeros(grid.count, dtype=np.complex128)
-        for term in terms[:, fi]:
-            vol += term
-        return vol
-
-    return _reduce(slices, grid, map(freq_volume, range(n_freq)), times)
 
 
 # ---------------------------------------------------------------------------
@@ -361,14 +345,10 @@ def rsd(slices: FrequencySlices, grid: CuboidGrid, padding: str = "exact",
         px = _pad_size(jx, nu0x + np.arange(vg.nx), g.nx)
         py = _pad_size(jy, nu0y + np.arange(vg.ny), g.ny)
 
-    def encode(fi: int):
-        return (cfft_2d(_pad_embed(c[:, fi].reshape(g.ny, g.nx), py, px))
-                for c in slices.coefficients)
-
-    rows = slice(py // 2 + nu0y, py // 2 + nu0y + vg.ny)
-    cols = slice(px // 2 + nu0x, px // 2 + nu0x + vg.nx)
-    return _read_lattice(slices, grid, encode, _lattice_planes(vg, px, py, g.dx, g.dy, g.z),
-                         rows, cols, times, threads, include_illumination)
+    uhats = [cfft_2d(u) for u in _embed_relay(slices, g, py, px)]
+    return _propagate(slices, grid, uhats, _lattice_planes(vg, px, py, g.dx, g.dy, g.z),
+                      _read_window(py, px, vg.ny, vg.nx, (nu0y, nu0x)),
+                      times, threads, include_illumination)
 
 
 def srsd(slices: FrequencySlices, grid: FrustumGrid,
@@ -392,21 +372,13 @@ def srsd(slices: FrequencySlices, grid: FrustumGrid,
     _check_depths(grid.zs, g.z)
     px = next_fast_len(2 * g.nx)
     py = next_fast_len(2 * g.ny)
-    planes = []
-    for k in range(grid.n_planes):
-        al = float(grid.alphas[k])
-        be = float(grid.betas[k])
-        xs, ys = grid.plane_xy(k)
-        z = float(grid.zs[k])
-        planes.append(_Plane(z, z - g.z, (np.arange(px) - px // 2) * (g.dx / al),
-                             (np.arange(py) - py // 2) * (g.dy / be),
-                             xs[None, :], ys[:, None], scale=(al, be)))
-
-    def encode(fi: int):
-        return (_pad_embed(c[:, fi].reshape(g.ny, g.nx), py, px) for c in slices.coefficients)
-
-    return _read_lattice(slices, grid, encode, planes, _center_rows(py, g.ny),
-                         _center_rows(px, g.nx), times, threads, include_illumination)
+    planes = [_Plane(float(z), float(z) - g.z, (np.arange(px) - px // 2) * (g.dx / al),
+                     (np.arange(py) - py // 2) * (g.dy / be),
+                     *(a.ravel() for a in np.meshgrid(*grid.plane_xy(k))),
+                     scale=(float(al), float(be)))
+              for k, (z, al, be) in enumerate(zip(grid.zs, grid.alphas, grid.betas))]
+    return _propagate(slices, grid, _embed_relay(slices, g, py, px), planes,
+                      _read_window(py, px, g.ny, g.nx), times, threads, include_illumination)
 
 
 def nursd1(slices: FrequencySlices, grid: CuboidGrid, eps: float = 1e-6,
@@ -427,10 +399,9 @@ def nursd1(slices: FrequencySlices, grid: CuboidGrid, eps: float = 1e-6,
     nu_x, nu_y, px, py = _scattered_lattice(vg, np.asarray(relay.points.points))
     torus = np.column_stack([2.0 * np.pi * nu_x / px, 2.0 * np.pi * nu_y / py])
     uhats = [nufft1(torus, c, (py, px), eps) for c in slices.coefficients]
-    return _read_lattice(slices, grid, lambda fi: (uhat[fi] for uhat in uhats),
-                         _lattice_planes(vg, px, py, vg.dx, vg.dy, relay.z),
-                         _center_rows(py, vg.ny), _center_rows(px, vg.nx),
-                         times, threads, include_illumination)
+    planes = _lattice_planes(vg, px, py, vg.dx, vg.dy, relay.z)
+    return _propagate(slices, grid, uhats, planes, _read_window(py, px, vg.ny, vg.nx),
+                      times, threads, include_illumination)
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +411,7 @@ def nursd1(slices: FrequencySlices, grid: CuboidGrid, eps: float = 1e-6,
 
 def _uniform_to_explicit(slices: FrequencySlices, grid: ExplicitVoxels,
                          scale: tuple[float, float] | None, eps: float,
-                         times: np.ndarray | None,
+                         times: np.ndarray | None, threads: int,
                          include_illumination: bool) -> ReconstructionVolume:
     """Uniform relay read at explicit voxels; ``scale`` selects the scaled FFT."""
     g = _relay(slices, UniformRelay).grid
@@ -449,9 +420,10 @@ def _uniform_to_explicit(slices: FrequencySlices, grid: ExplicitVoxels,
     jy = np.array([-(g.ny // 2), g.ny - g.ny // 2 - 1])
     px, py, planes = _explicit_planes(grid, g.z, g.center(), (g.dx, g.dy),
                                       (al * jx, be * jy), (g.nx, g.ny), (al, be))
-    embedded = (_pad_embed(c.T.reshape(-1, g.ny, g.nx), py, px) for c in slices.coefficients)
-    uhats = [cfft_2d(u) if scale is None else sfft_2d_centered(u, al, be) for u in embedded]
-    return _read_explicit(slices, grid, planes, uhats, eps, times, include_illumination)
+    uhats = [cfft_2d(u) if scale is None else sfft_2d_centered(u, al, be)
+             for u in _embed_relay(slices, g, py, px)]
+    return _propagate(slices, grid, uhats, planes, _read_points(eps, px, py), times, threads,
+                      include_illumination)
 
 
 def nursd2(slices: FrequencySlices, grid: ExplicitVoxels, eps: float = 1e-6,
@@ -464,7 +436,7 @@ def nursd2(slices: FrequencySlices, grid: ExplicitVoxels, eps: float = 1e-6,
     Voxels on lattice nodes reproduce the :func:`rsd` values exactly.
     """
     _require(isinstance(grid, ExplicitVoxels), "nursd2 reconstructs onto explicit voxels")
-    return _uniform_to_explicit(slices, grid, None, eps, times, include_illumination)
+    return _uniform_to_explicit(slices, grid, None, eps, times, threads, include_illumination)
 
 
 def nursd3(slices: FrequencySlices, grid: ExplicitVoxels, eps: float = 1e-6,
@@ -485,10 +457,8 @@ def nursd3(slices: FrequencySlices, grid: ExplicitVoxels, eps: float = 1e-6,
              else slices.shortest_wavelength / 2.0)
     _require(pitch > 0, "lattice pitch must be > 0")
     rel = np.asarray(relay.points.points)
-    tgt = np.vstack([np.asarray(p.points.points) for p in grid.planes])
-    lo = np.minimum(rel.min(axis=0), tgt.min(axis=0))
-    hi = np.maximum(rel.max(axis=0), tgt.max(axis=0))
-    center = (lo + hi) / 2.0
+    both = np.vstack([rel] + [np.asarray(p.points.points) for p in grid.planes])
+    center = (both.min(axis=0) + both.max(axis=0)) / 2.0
     anchor = rel[0] + np.round((center - rel[0]) / pitch) * pitch
     cx, cy = float(anchor[0]), float(anchor[1])
     nu_x = (rel[:, 0] - cx) / pitch
@@ -497,7 +467,8 @@ def nursd3(slices: FrequencySlices, grid: ExplicitVoxels, eps: float = 1e-6,
                                       (nu_x, nu_y), (1, 1))
     torus = np.column_stack([2.0 * np.pi * nu_x / px, 2.0 * np.pi * nu_y / py])
     uhats = [nufft1(torus, c, (py, px), eps) for c in slices.coefficients]
-    return _read_explicit(slices, grid, planes, uhats, eps, times, include_illumination)
+    return _propagate(slices, grid, uhats, planes, _read_points(eps, px, py), times, threads,
+                      include_illumination)
 
 
 def srsd_nursd2(slices: FrequencySlices, grid: ExplicitVoxels, alpha: float,
@@ -516,7 +487,7 @@ def srsd_nursd2(slices: FrequencySlices, grid: ExplicitVoxels, alpha: float,
     if beta is None:
         beta = alpha
     _require(0 < alpha <= 1 and 0 < beta <= 1, "scale factors must lie in (0, 1]")
-    return _uniform_to_explicit(slices, grid, (alpha, beta), eps, times,
+    return _uniform_to_explicit(slices, grid, (alpha, beta), eps, times, threads,
                                 include_illumination)
 
 
@@ -554,7 +525,7 @@ def _from_surface(slices: FrequencySlices, grid: CuboidGrid, z_pitch: float | No
     ``shape = (pz, py, px)`` lattice.  Stage 1 multiplies it by the 3D
     kernel spectrum and keeps the virtual plane just beyond the surface as
     the encoded relay; stage 2 propagates that plane onto the cuboid
-    through :func:`_read_lattice`.
+    through :func:`_propagate`.
     """
     rel = _relay(slices, NonPlanarRelay).coordinates()
     vg = grid.grid
@@ -569,17 +540,16 @@ def _from_surface(slices: FrequencySlices, grid: CuboidGrid, z_pitch: float | No
     nu_x, nu_y, px, py = _scattered_lattice(vg, rel)
     spectrum = lattice_spectrum(rel, nu_x, nu_y, z_min, dz3, nz3, (pz, py, px))
     slab = pz // 2 + (nz3 - nz3 // 2)
-
-    def encode(fi: int):
+    uhats = np.empty((slices.n_illum, slices.n_freq, py, px), dtype=np.complex128)
+    for fi in range(slices.n_freq):
         khat = slices.frequencies[fi] / SPEED_OF_LIGHT
         g3 = cfft_n(_kernel_3d(khat, px, py, pz, vg.dx, vg.dy, dz3), axes=(-3, -2, -1))
         for p in range(slices.n_illum):
             wave = cifft_n(spectrum(p, fi) * g3, axes=(-3, -2, -1))
-            yield cfft_2d(wave[slab])
-
-    return _read_lattice(slices, grid, encode, _lattice_planes(vg, px, py, vg.dx, vg.dy, z0),
-                         _center_rows(py, vg.ny), _center_rows(px, vg.nx),
-                         times, threads, include_illumination)
+            uhats[p, fi] = cfft_2d(wave[slab])
+    planes = _lattice_planes(vg, px, py, vg.dx, vg.dy, z0)
+    return _propagate(slices, grid, uhats, planes, _read_window(py, px, vg.ny, vg.nx),
+                      times, threads, include_illumination)
 
 
 def rsd3d(slices: FrequencySlices, grid: CuboidGrid, scatter: str = "trilinear",
@@ -686,8 +656,7 @@ def reconstruct(slices: FrequencySlices, grid: VoxelGrid, algorithm: str, *,
     them, except ``alpha`` which ``srsd-nursd2`` requires.
     """
     name = algorithm.replace("_", "-").lower()
-    common = dict(times=times, threads=threads,
-                  include_illumination=include_illumination)
+    common = dict(times=times, threads=threads, include_illumination=include_illumination)
     if name == "rsd":
         return rsd(slices, grid, padding=padding, **common)
     if name == "srsd":

@@ -140,11 +140,14 @@ class SfftPlan:
         """Transform the last axis of ``u`` (length must equal ``m``)."""
         u = np.asarray(u, dtype=np.complex128)
         _require(u.shape[-1] == self.m, "last axis length must match the plan")
-        a = u * self.chirp
+        # One padded buffer carries the whole convolution in place (the
+        # ``out=`` of ``np.fft`` needs NumPy 2.0).
         buf = np.zeros(u.shape[:-1] + (self.pad,), dtype=np.complex128)
-        buf[..., : self.m] = a
-        conv = np.fft.ifft(np.fft.fft(buf, axis=-1) * self.kernel_fft, axis=-1)
-        return conv[..., : self.m] * self.chirp
+        np.multiply(u, self.chirp, out=buf[..., : self.m])
+        np.fft.fft(buf, axis=-1, out=buf)
+        buf *= self.kernel_fft
+        np.fft.ifft(buf, axis=-1, out=buf)
+        return buf[..., : self.m] * self.chirp
 
 
 # Plan caches are bounded LRUs keyed by (length, scale, offset) and by

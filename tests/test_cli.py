@@ -247,6 +247,18 @@ class TestReconstruct:
         txt = capsys.readouterr().out
         assert "3 frame(s)" in txt and "frame times: 0 .. 2e-09 s" in txt
 
+    def test_one_frame_video_keeps_its_time(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "v1.vol"
+        code = main(["reconstruct", str(pipeline["dataset"]), "-o", str(out),
+                     "--algo", "rsd", "--lambda-c", "0.04", "--grid", CUBOID,
+                     "--video", "1e-9:2e-9:1"])
+        assert code == 0
+        vol = read_volume(str(out))
+        assert vol.n_frames == 1 and np.array_equal(vol.times, [1e-9])
+        capsys.readouterr()
+        assert main(["info", str(out)]) == 0
+        assert "frame times: 1e-09 .. 1e-09 s" in capsys.readouterr().out
+
     def test_bad_video_spec_is_usage_error(self, pipeline, tmp_path, capsys):
         code = main(["reconstruct", str(pipeline["dataset"]),
                      "-o", str(tmp_path / "x.vol"), "--algo", "rsd",
@@ -291,6 +303,77 @@ class TestMalformedInputs:
                      "--lambda-c", "0.04", "--grid", "@" + str(planes)])
         assert code == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("z", [None, [1.0], "1.0", True])
+    def test_non_numeric_plane_depth_is_usage_error(self, pipeline, tmp_path, capsys, z):
+        planes = tmp_path / "planes.json"
+        planes.write_text(json.dumps({"planes": [{"z": z, "points": [[0.0, 0.0]]}]}))
+        code = main(["reconstruct", str(pipeline["dataset"]),
+                     "-o", str(tmp_path / "x.vol"), "--algo", "nursd2",
+                     "--lambda-c", "0.04", "--grid", "@" + str(planes)])
+        assert code == 2
+        assert "voxel plane 'z' must be a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("points", [[[0.0, None]], [[0.0, "0.1"]], [[0.0, {}]],
+                                        [0.0, 0.0], None])
+    def test_non_numeric_plane_points_are_usage_error(self, pipeline, tmp_path, capsys,
+                                                      points):
+        planes = tmp_path / "planes.json"
+        planes.write_text(json.dumps({"planes": [{"z": 1.0, "points": points}]}))
+        code = main(["reconstruct", str(pipeline["dataset"]),
+                     "-o", str(tmp_path / "x.vol"), "--algo", "nursd2",
+                     "--lambda-c", "0.04", "--grid", "@" + str(planes)])
+        assert code == 2
+        assert "voxel plane 'points'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda d: d.update(n_bins="1024"), "'n_bins' must be an integer"),
+        (lambda d: d.update(n_bins=1024.5), "'n_bins' must be an integer"),
+        (lambda d: d.update(delta_t=[16e-12]), "'delta_t' must be a number"),
+        (lambda d: d.update(ambient=None), "'ambient' must be a number"),
+        (lambda d: d.update(t0="0"), "'t0' must be a number"),
+        (lambda d: d["relay"].update(dx=None), "relay 'dx' must be a number"),
+        (lambda d: d["relay"].update(nx=[8]), "relay 'nx' must be an integer"),
+        (lambda d: d["relay"].update(z="0"), "relay 'z' must be a number"),
+        (lambda d: d.update(illuminations=[[0.0, None]]), "'illuminations'"),
+        (lambda d: d.update(scatterers=[{"pos": [0.0, "0", 0.9]}]), "scatterer position"),
+        (lambda d: d.update(scatterers=[{"pos": None}]), "scatterer position"),
+        (lambda d: d.update(scatterers=[{"pos": [0.0, 0.0, 0.9], "albedo": None}]),
+         "scatterer 'albedo' must be a number"),
+        (lambda d: d.update(scatterers=[5]), "scatterer must be a JSON object"),
+        (lambda d: d.update(scatterers=5), "'scatterers' as a list"),
+        (lambda d: d.update(relay={"kind": "points_planar", "z": None,
+                                   "points": [[0.0, 0.0]]}), "relay 'z' must be a number"),
+        (lambda d: d.update(relay={"kind": "points_3d", "points": [[0.0, 0.0, False]]}),
+         "relay 'points' must be a number"),
+    ])
+    def test_non_numeric_scene_number_is_usage_error(self, tmp_path, capsys, edit, named):
+        doc = _scene_doc()
+        edit(doc)
+        scene = tmp_path / "bad.json"
+        scene.write_text(json.dumps(doc))
+        assert main(["simulate", str(scene), "-o", str(tmp_path / "x.nls1")]) == 2
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_is_usage_error(self, pipeline, tmp_path, capsys, threads):
+        code = main(["reconstruct", str(pipeline["dataset"]),
+                     "-o", str(tmp_path / "x.vol"), "--algo", "rsd",
+                     "--lambda-c", "0.04", "--grid", CUBOID, "--threads", threads])
+        assert code == 2
+        assert "threads must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "x.vol").exists()
+
+    def test_volume_with_unknown_time_word_is_io_error(self, pipeline, tmp_path, capsys):
+        vol = tmp_path / "v.vol"
+        assert main(["reconstruct", str(pipeline["dataset"]), "-o", str(vol),
+                     "--algo", "rsd", "--lambda-c", "0.04", "--grid", CUBOID]) == 0
+        raw = bytearray(vol.read_bytes())
+        raw[16:20] = (2).to_bytes(4, "little")
+        vol.write_bytes(bytes(raw))
+        capsys.readouterr()
+        assert main(["info", str(vol)]) == 3
+        assert "time-axis word 2" in capsys.readouterr().err
 
     def test_dataset_with_trailing_bytes_is_io_error(self, pipeline, tmp_path, capsys):
         padded = tmp_path / "padded.nls1"

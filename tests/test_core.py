@@ -415,6 +415,49 @@ class TestVolumeContainer:
         with pytest.raises(ContainerFormatError):
             read_volume(path)
 
+    # The time-axis word is the third uint32 after magic and version.
+    _TIME_WORD = slice(16, 20)
+
+    def _written(self, tmp_path, times):
+        g = UniformGrid3D(2, 1, 1, 0.1, 0.1, 0.1, 0.0, 0.0, 1.0)
+        field = np.ones(2, complex) if times is None else np.ones((len(times), 2), complex)
+        path = tmp_path / "v.vol"
+        write_volume(ReconstructionVolume(CuboidGrid(g), field, times), str(path))
+        return path
+
+    def test_one_frame_video_keeps_its_time(self, tmp_path):
+        path = self._written(tmp_path, np.array([3e-9]))
+        assert path.read_bytes()[self._TIME_WORD] == (1).to_bytes(4, "little")
+        back = read_volume(str(path))
+        assert back.n_frames == 1 and np.array_equal(back.times, [3e-9])
+        assert back.field.shape == (1, 2)
+
+    def test_static_volume_writes_time_word_zero(self, tmp_path):
+        path = self._written(tmp_path, None)
+        assert path.read_bytes()[self._TIME_WORD] == bytes(4)
+        assert read_volume(str(path)).times is None
+
+    def test_time_word_zero_keeps_frame_count_rule(self, tmp_path):
+        one = self._written(tmp_path, np.array([3e-9]))
+        raw = bytearray(one.read_bytes())
+        raw[self._TIME_WORD] = bytes(4)
+        one.write_bytes(bytes(raw))
+        assert read_volume(str(one)).times is None
+        two = self._written(tmp_path, np.array([1e-9, 2e-9]))
+        raw = bytearray(two.read_bytes())
+        raw[self._TIME_WORD] = bytes(4)
+        two.write_bytes(bytes(raw))
+        assert np.array_equal(read_volume(str(two)).times, [1e-9, 2e-9])
+
+    @pytest.mark.parametrize("word", [2, 7, 2**32 - 1])
+    def test_other_time_words_are_rejected(self, tmp_path, word):
+        path = self._written(tmp_path, np.array([3e-9]))
+        raw = bytearray(path.read_bytes())
+        raw[self._TIME_WORD] = word.to_bytes(4, "little")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ContainerFormatError, match="time-axis word"):
+            read_volume(str(path))
+
 
 # Geometry is stored as float64 and payloads as float32, so payload values
 # are drawn as float32 to make the round trip exact.
@@ -462,7 +505,7 @@ def _volumes(draw):
     else:
         grid = ExplicitVoxels(tuple(VoxelPlane(draw(_COORD), PointList(draw(_points(2))))
                                     for _ in range(draw(_COUNT))))
-    n_frames = draw(st.sampled_from([None, 2, 3]))
+    n_frames = draw(st.sampled_from([None, 1, 2, 3]))
     shape = (grid.count,) if n_frames is None else (n_frames, grid.count)
     part = hnp.arrays(np.float64, shape, elements=st.floats(-1e6, 1e6, width=32))
     field = draw(part) + 1j * draw(part)

@@ -4,14 +4,37 @@ import numpy as np
 import pytest
 
 from phasorfield import FrequencySlices, PointList, ValidationError, oracle
-from phasorfield.core import PROPAGATION_SIGN, SPEED_OF_LIGHT, UniformGrid2D, UniformRelay
-from phasorfield.oracle import _backproject_alt
+from phasorfield.core import (PROPAGATION_SIGN, SPEED_OF_LIGHT, UniformGrid2D, UniformRelay,
+                              illumination_coordinates)
 
 from helpers import centered_relay, rel_linf
 
 
 def _complex(rng, shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def _backproject_alt(slices: FrequencySlices, voxels: np.ndarray) -> np.ndarray:
+    """The sum of :func:`oracle.backproject` filled illumination-major.
+
+    Walks the (frequency, illumination) table in transposed order and places
+    each factor on the other side of the product.
+    """
+    det = slices.relay.coordinates()
+    ill = illumination_coordinates(slices.relay, slices.illuminations)
+    khat = PROPAGATION_SIGN * slices.frequencies / SPEED_OF_LIGHT
+    out = np.empty(len(voxels), dtype=np.complex128)
+    for v, x in enumerate(voxels):
+        r_det = oracle._distances(det, x)
+        r_ill = oracle._distances(ill, x)
+        terms = np.empty((slices.n_freq, len(ill)), dtype=np.complex128)
+        for p in range(len(ill)):
+            for f in range(slices.n_freq):
+                det_phase = np.exp(1j * khat[f] * r_det)
+                inner = np.sum(slices.coefficients[p, :, f] * det_phase)
+                terms[f, p] = inner * np.exp(1j * khat[f] * r_ill[p])
+        out[v] = np.sum(terms.ravel())
+    return out
 
 
 class TestScaledDft:

@@ -1,5 +1,7 @@
 """Fast volumetric propagators against literal sums and each other."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 from phasorfield import (
     CuboidGrid,
     ExplicitVoxels,
+    FrequencySlices,
     FrustumGrid,
     NonPlanarRelay,
     NonUniformPlanarRelay,
@@ -381,19 +384,40 @@ class TestMisc:
         assert img.shape == (3, 4)
         assert np.array_equal(img, np.abs(vol.as_array3d()).max(axis=0))
 
-    @pytest.mark.parametrize("algo", ["nursd1", "srsd", "rsd3d", "nursd3d"])
+    @pytest.mark.parametrize("algo", ["nursd1", "srsd", "rsd3d", "nursd3d", "rsd", "nursd2",
+                                      "nursd3", "srsd-nursd2"])
     def test_nufft_paths_are_thread_stable(self, chain, chain_grid, rippled, algo):
         frustum = FrustumGrid.linear(centered_grid2d(8, 0.02), [0.86, 0.94], alpha0=0.8)
+        rng = np.random.default_rng(3)
+        voxels = ExplicitVoxels(tuple(
+            VoxelPlane(z, PointList(rng.uniform(-0.08, 0.08, (9, 2)))) for z in (0.86, 0.94)))
         run = {
             "nursd1": lambda t: nursd1(chain["planar"], chain_grid, eps=EPS, threads=t),
             "srsd": lambda t: srsd(chain["uniform"], frustum, times=np.array([0.0, 1e-9]),
                                    threads=t),
             "rsd3d": lambda t: rsd3d(rippled, chain_grid, threads=t),
             "nursd3d": lambda t: nursd3d(rippled, chain_grid, eps=EPS, threads=t),
+            "rsd": lambda t: rsd(chain["uniform"], chain_grid, threads=t),
+            "nursd2": lambda t: nursd2(chain["uniform"], voxels, eps=EPS, threads=t),
+            "nursd3": lambda t: nursd3(chain["planar"], voxels, eps=EPS,
+                                       times=np.array([0.0, 1e-9]), threads=t),
+            "srsd-nursd2": lambda t: srsd_nursd2(chain["uniform"], voxels, alpha=0.8,
+                                                 eps=EPS, threads=t),
         }[algo]
         a = run(1)
-        b = run(3)
+        # More workers than cores, switching as often as the interpreter allows.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            b = run(3)
+        finally:
+            sys.setswitchinterval(interval)
         assert np.array_equal(a.field, b.field)
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_threads_below_one_are_rejected(self, chain, chain_grid, threads):
+        with pytest.raises(ValidationError, match="threads"):
+            reconstruct(chain["uniform"], chain_grid, "rsd", threads=threads)
 
 
 @pytest.fixture(scope="module")
@@ -417,3 +441,26 @@ def test_pad_size_holds_every_lag_and_index(src, dst, n_min):
     embedded = np.arange(n_min) - n_min // 2
     for v in (lags, -lags, src, -src, dst, -dst, embedded):
         assert v.min() >= -(p // 2) and v.max() < p - p // 2
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_nursd1_on_drawn_lattice_nodes_equals_rsd(chain, data):
+    """nursd1 on any subset of relay lattice nodes equals rsd on that lattice
+    with the other nodes silent, onto any cuboid aligned with it."""
+    planar = chain["planar"]
+    nodes = data.draw(st.lists(st.integers(0, 63), min_size=1, max_size=64, unique=True))
+    silent = np.ones(64, bool)
+    silent[nodes] = False
+    coeff = planar.coefficients.copy()
+    coeff[:, silent] = 0.0
+    uniform = FrequencySlices(planar.frequencies, coeff, chain["relay"], planar.illuminations)
+    xy = planar.relay.points.points[nodes]
+    drawn = FrequencySlices(planar.frequencies, planar.coefficients[:, nodes],
+                            NonUniformPlanarRelay(PointList(xy), z=0.0), planar.illuminations)
+    nx, ny = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
+    ox, oy = data.draw(st.integers(0, 8 - nx)), data.draw(st.integers(0, 8 - ny))
+    grid = CuboidGrid(UniformGrid3D(nx, ny, 2, 0.02, 0.02, 0.08,
+                                    -0.07 + 0.02 * ox, -0.07 + 0.02 * oy, 0.86))
+    expected = rsd(uniform, grid).field
+    assert rel_linf(nursd1(drawn, grid, eps=EPS).field, expected) < CHAIN_TOL
