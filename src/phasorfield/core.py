@@ -836,6 +836,8 @@ def read_volume(path: str) -> ReconstructionVolume:
             f"kind tag {kind} is not a volume grid (is this a transient dataset?)")
     if timed not in (0, 1):
         raise ContainerFormatError(f"time-axis word {timed} must be 0 or 1")
+    if n_frames == 0:
+        raise ContainerFormatError("volume declares 0 frames")
     grid = _grid_from_reader(r, kind)
     if grid.count != n_voxels:
         raise ContainerFormatError("declared voxel count does not match grid geometry")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.signal import correlate2d
 
 from .core import ValidationError, _require
 
@@ -64,6 +63,10 @@ def align_by_correlation(a: np.ndarray, b: np.ndarray) -> tuple[int, int]:
     b0 = b - b.mean()
     if not a0.any() or not b0.any():
         return (0, 0)
+    # Imported here: scipy.signal alone roughly doubles the package's import
+    # time and resident memory, and nothing else needs it.
+    from scipy.signal import correlate2d
+
     corr = correlate2d(b0, a0, mode="full")
     h, w = a.shape
     c_max = corr.max()

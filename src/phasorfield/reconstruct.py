@@ -15,7 +15,8 @@ same propagation from three parts and differs only in the samplers:
 * the **output planes** give each depth's kernel spectrum, which multiplies
   the encoded spectrum, and the voxel positions for the illumination phase;
 * a **decoder** ``read(plane, spectrum)`` reads each product at the plane's
-  voxels: an inverse FFT and a lattice slice, or a batched type-2 NUFFT.
+  voxels: an inverse FFT computed on the voxels' lattice window only, or a
+  batched type-2 NUFFT.
 
 :func:`_propagate` joins them for every algorithm; each of ``threads``
 workers takes one contiguous block of frequencies through it.
@@ -154,9 +155,20 @@ def _embed_relay(slices: FrequencySlices, g, py: int, px: int) -> np.ndarray:
 
 
 def _kernel_2d(khat, lag_x: np.ndarray, lag_y: np.ndarray, dz: float) -> np.ndarray:
-    """Kernel on the lag lattice; a vector ``khat`` gives a ``[n, py, px]`` stack."""
-    r = np.sqrt(lag_x[None, :] ** 2 + lag_y[:, None] ** 2 + dz * dz)
-    return np.exp(PROPAGATION_SIGN * 1j * np.asarray(khat)[..., None, None] * r) / r
+    """Kernel on the lag lattice; a vector ``khat`` gives a ``[n, py, px]`` stack.
+
+    The lags are ``(arange(P) - P//2) * pitch`` and ``r`` is even in them, so
+    the kernel is evaluated on one quadrant, the lag magnitudes ``0..P//2`` of
+    each axis, and mirrored out (an even ``P``'s unmatched ``-P/2`` lag has
+    magnitude ``P//2`` too).  The quadrant takes the lags at and below the
+    centre, and ``(-j)*pitch`` is exactly ``-(j*pitch)``, so every value is
+    bitwise the one the full lattice gives.
+    """
+    cx, cy = lag_x.size // 2, lag_y.size // 2
+    r = np.sqrt(lag_x[cx::-1][None, :] ** 2 + lag_y[cy::-1][:, None] ** 2 + dz * dz)
+    quadrant = np.exp(PROPAGATION_SIGN * 1j * np.asarray(khat)[..., None, None] * r) / r
+    return (quadrant.take(np.abs(np.arange(lag_y.size) - cy), axis=-2)
+            .take(np.abs(np.arange(lag_x.size) - cx), axis=-1))
 
 
 def _illum_phase(khat, x: np.ndarray, y: np.ndarray, z: float,
@@ -197,12 +209,12 @@ def _lattice_planes(vg, px: int, py: int, dx: float, dy: float,
     return [_Plane(float(z), float(z) - z_src, lag_x, lag_y, x, y) for z in vg.z_coords()]
 
 
-def _read_window(py: int, px: int, ny: int, nx: int, origin=None) -> Callable:
-    """Lattice decoder: inverse FFT, then the ``[ny, nx]`` window from ``origin``."""
+def _read_window(ny: int, nx: int, origin=None) -> Callable:
+    """Lattice decoder: the inverse FFT on the ``[ny, nx]`` window of centered
+    indices from ``origin`` only."""
     oy, ox = origin or (-(ny // 2), -(nx // 2))
-    rows = slice(py // 2 + oy, py // 2 + oy + ny)
-    cols = slice(px // 2 + ox, px // 2 + ox + nx)
-    return lambda pl, spec: cifft_2d(spec)[:, rows, cols].reshape(len(spec), -1)
+    rows, cols = np.arange(oy, oy + ny), np.arange(ox, ox + nx)
+    return lambda pl, spec: cifft_2d(spec, rows, cols).reshape(len(spec), -1)
 
 
 def _read_points(eps: float, px: int, py: int) -> Callable:
@@ -347,7 +359,7 @@ def rsd(slices: FrequencySlices, grid: CuboidGrid, padding: str = "exact",
 
     uhats = [cfft_2d(u) for u in _embed_relay(slices, g, py, px)]
     return _propagate(slices, grid, uhats, _lattice_planes(vg, px, py, g.dx, g.dy, g.z),
-                      _read_window(py, px, vg.ny, vg.nx, (nu0y, nu0x)),
+                      _read_window(vg.ny, vg.nx, (nu0y, nu0x)),
                       times, threads, include_illumination)
 
 
@@ -378,7 +390,7 @@ def srsd(slices: FrequencySlices, grid: FrustumGrid,
                      scale=(float(al), float(be)))
               for k, (z, al, be) in enumerate(zip(grid.zs, grid.alphas, grid.betas))]
     return _propagate(slices, grid, _embed_relay(slices, g, py, px), planes,
-                      _read_window(py, px, g.ny, g.nx), times, threads, include_illumination)
+                      _read_window(g.ny, g.nx), times, threads, include_illumination)
 
 
 def nursd1(slices: FrequencySlices, grid: CuboidGrid, eps: float = 1e-6,
@@ -400,7 +412,7 @@ def nursd1(slices: FrequencySlices, grid: CuboidGrid, eps: float = 1e-6,
     torus = np.column_stack([2.0 * np.pi * nu_x / px, 2.0 * np.pi * nu_y / py])
     uhats = [nufft1(torus, c, (py, px), eps) for c in slices.coefficients]
     planes = _lattice_planes(vg, px, py, vg.dx, vg.dy, relay.z)
-    return _propagate(slices, grid, uhats, planes, _read_window(py, px, vg.ny, vg.nx),
+    return _propagate(slices, grid, uhats, planes, _read_window(vg.ny, vg.nx),
                       times, threads, include_illumination)
 
 
@@ -548,7 +560,7 @@ def _from_surface(slices: FrequencySlices, grid: CuboidGrid, z_pitch: float | No
             wave = cifft_n(spectrum(p, fi) * g3, axes=(-3, -2, -1))
             uhats[p, fi] = cfft_2d(wave[slab])
     planes = _lattice_planes(vg, px, py, vg.dx, vg.dy, z0)
-    return _propagate(slices, grid, uhats, planes, _read_window(py, px, vg.ny, vg.nx),
+    return _propagate(slices, grid, uhats, planes, _read_window(vg.ny, vg.nx),
                       times, threads, include_illumination)
 
 

@@ -17,6 +17,12 @@ already lies in ``I_P`` the wrap is inactive and the product computes an
 exact linear convolution, which is how all propagation convolutions in this
 package are arranged.
 
+A propagation keeps only the output window that holds its voxels, so
+``cifft_2d`` takes that window (centered row and column indices) and prunes
+the inverse: the transforms along x run for every row, those along y only
+for the window's columns.  The kept values are bitwise those of the full
+inverse.
+
 Scaled FFT
 ----------
 ``sfft_1d`` evaluates ``U[k] = sum_n u[n] * exp(-2j*pi/M * alpha *
@@ -98,9 +104,26 @@ def cfft_2d(u: np.ndarray) -> np.ndarray:
     return cfft_n(u, axes=(-2, -1))
 
 
-def cifft_2d(u: np.ndarray) -> np.ndarray:
-    """Centered-index inverse DFT over the last two axes."""
-    return cifft_n(u, axes=(-2, -1))
+def cifft_2d(u: np.ndarray, rows=None, cols=None) -> np.ndarray:
+    """Centered-index inverse DFT over the last two axes, optionally windowed.
+
+    ``rows`` and ``cols`` are the centered output indices to keep along y and
+    x (taken mod the axis length; ``None`` keeps the whole axis).  A windowed
+    call inverts along x in place, keeps the window's columns, inverts along
+    y over those columns only and keeps the window's rows: the same 1-D
+    transforms as the full inverse, so every kept value is bitwise equal to
+    the full one, and it computes in complex128.
+    """
+    if rows is None and cols is None:
+        return cifft_n(u, axes=(-2, -1))
+    py, px = u.shape[-2:]
+    rows = np.arange(-(py // 2), py - py // 2) if rows is None else np.asarray(rows)
+    cols = np.arange(-(px // 2), px - px // 2) if cols is None else np.asarray(cols)
+    a = np.fft.ifftshift(np.asarray(u, dtype=np.complex128), axes=(-2, -1))
+    np.fft.ifft(a, axis=-1, out=a)
+    a = a.take(cols % px, axis=-1)
+    np.fft.ifft(a, axis=-2, out=a)
+    return a.take(rows % py, axis=-2)
 
 
 # ---------------------------------------------------------------------------

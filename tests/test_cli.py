@@ -375,6 +375,18 @@ class TestMalformedInputs:
         assert main(["info", str(vol)]) == 3
         assert "time-axis word 2" in capsys.readouterr().err
 
+    def test_volume_with_zero_frames_is_io_error(self, pipeline, tmp_path, capsys):
+        vol = tmp_path / "v.vol"
+        assert main(["reconstruct", str(pipeline["dataset"]), "-o", str(vol), "--algo", "rsd",
+                     "--lambda-c", "0.04", "--grid", CUBOID, "--video", "0:1e-9:1"]) == 0
+        n_voxels = int.from_bytes(vol.read_bytes()[12:16], "little")
+        raw = bytearray(vol.read_bytes()[:-8 * (1 + n_voxels)])
+        raw[8:12] = bytes(4)
+        vol.write_bytes(bytes(raw))
+        capsys.readouterr()
+        assert main(["info", str(vol)]) == 3
+        assert "volume declares 0 frames" in capsys.readouterr().err
+
     def test_dataset_with_trailing_bytes_is_io_error(self, pipeline, tmp_path, capsys):
         padded = tmp_path / "padded.nls1"
         padded.write_bytes(pipeline["dataset"].read_bytes() + b"\0" * 7)

@@ -449,6 +449,17 @@ class TestVolumeContainer:
         two.write_bytes(bytes(raw))
         assert np.array_equal(read_volume(str(two)).times, [1e-9, 2e-9])
 
+    def test_zero_frames_are_rejected(self, tmp_path):
+        # A one-frame video of 2 voxels, cut to 0 frames: the frame count
+        # word (after magic and version) is 0 and the 8-byte time and the
+        # two 8-byte voxel values are gone.
+        path = self._written(tmp_path, np.array([3e-9]))
+        raw = bytearray(path.read_bytes()[:-24])
+        raw[8:12] = bytes(4)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ContainerFormatError, match="0 frames"):
+            read_volume(str(path))
+
     @pytest.mark.parametrize("word", [2, 7, 2**32 - 1])
     def test_other_time_words_are_rejected(self, tmp_path, word):
         path = self._written(tmp_path, np.array([3e-9]))

@@ -1,8 +1,14 @@
 """SSIM, correlation alignment, and magnitude correlation."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import phasorfield
 from phasorfield import ValidationError
 from phasorfield.metrics import align_by_correlation, apply_shift, ncc, ssim
 
@@ -118,3 +124,14 @@ class TestNcc:
     def test_rejects_size_mismatch(self):
         with pytest.raises(ValidationError):
             ncc(np.ones(10), np.ones(9))
+
+
+@pytest.mark.parametrize("module", ["phasorfield", "phasorfield.cli"])
+def test_import_leaves_scipy_signal_out(module):
+    # scipy.signal alone roughly doubles the import time and resident memory
+    # of the package; only align_by_correlation needs it.
+    code = f"import sys, {module}; print('scipy.signal' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(phasorfield.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "False"

@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -21,9 +21,9 @@ from phasorfield import (
     ValidationError,
     VoxelPlane,
 )
-from phasorfield.core import SPEED_OF_LIGHT, UniformGrid3D
+from phasorfield.core import PROPAGATION_SIGN, SPEED_OF_LIGHT, UniformGrid3D
 from phasorfield.metrics import ncc
-from phasorfield.reconstruct import _pad_size
+from phasorfield.reconstruct import _kernel_2d, _pad_size
 from phasorfield.reconstruct import (
     ALGORITHM_NAMES,
     light_transport_video,
@@ -441,6 +441,26 @@ def test_pad_size_holds_every_lag_and_index(src, dst, n_min):
     embedded = np.arange(n_min) - n_min // 2
     for v in (lags, -lags, src, -src, dst, -dst, embedded):
         assert v.min() >= -(p // 2) and v.max() < p - p // 2
+
+
+_KHAT = st.floats(1.0, 400.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(px=st.integers(1, 120), py=st.integers(1, 120), dx=st.floats(1e-3, 0.1),
+       dy=st.floats(1e-3, 0.1), dz=st.floats(1e-3, 3.0),
+       khat=st.one_of(_KHAT, hnp.arrays(np.float64, st.integers(1, 4), elements=_KHAT)))
+@example(px=1, py=1, dx=0.02, dy=0.02, dz=0.9, khat=100.0)
+@example(px=2, py=1, dx=0.02, dy=0.03, dz=0.9, khat=np.array([50.0, 120.0]))
+@example(px=2, py=2, dx=0.013, dy=0.02, dz=0.5, khat=80.0)
+@example(px=105, py=108, dx=0.02, dy=0.02, dz=0.8, khat=np.array([60.0, 90.0, 130.0]))
+def test_mirrored_kernel_equals_full_lattice_formula(px, py, dx, dy, dz, khat):
+    lag_x = (np.arange(px) - px // 2) * dx
+    lag_y = (np.arange(py) - py // 2) * dy
+    r = np.sqrt(lag_x[None, :] ** 2 + lag_y[:, None] ** 2 + dz * dz)
+    direct = np.exp(PROPAGATION_SIGN * 1j * np.asarray(khat)[..., None, None] * r) / r
+    out = _kernel_2d(khat, lag_x, lag_y, dz)
+    assert out.shape == direct.shape and out.tobytes() == direct.tobytes()
 
 
 @settings(max_examples=25, deadline=None)

@@ -4,6 +4,8 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phasorfield import ValidationError, oracle, spectral
 from phasorfield.spectral import (
@@ -69,6 +71,43 @@ class TestCenteredFfts:
             for k in range(n)
         ])
         assert rel_linf(fast, direct) < 1e-12
+
+
+def _window(data, p):
+    """``None`` or a run of centered indices of a length-``p`` axis."""
+    if data.draw(st.booleans()):
+        return None
+    lo = data.draw(st.integers(-(p // 2), p - p // 2 - 1))
+    return np.arange(lo, data.draw(st.integers(lo + 1, p - p // 2)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_windowed_inverse_is_a_bitwise_slice_of_the_full_one(data):
+    batch = data.draw(st.lists(st.integers(1, 3), max_size=2))
+    py, px = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 40))
+    u = _complex(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))),
+                 (*batch, py, px))
+    rows, cols = _window(data, py), _window(data, px)
+    full = cifft_2d(u)
+    if rows is not None:
+        full = full[..., rows + py // 2, :]
+    if cols is not None:
+        full = full[..., cols + px // 2]
+    out = cifft_2d(u, rows, cols)
+    assert out.shape == full.shape and out.tobytes() == full.tobytes()
+
+
+@pytest.mark.parametrize("p", [1, 2, 7, 8])
+def test_windowed_inverse_at_the_edges_of_the_index_set(rng, p):
+    u = _complex(rng, (2, p, p + 3))
+    full = cifft_2d(u)
+    first, last = np.array([-(p // 2)]), np.array([p - p // 2 - 1])
+    for rows, cols in [(first, None), (last, None), (None, np.array([-((p + 3) // 2)])),
+                       (None, np.array([p + 3 - (p + 3) // 2 - 1])), (first, last)]:
+        want = full if rows is None else full[..., rows + p // 2, :]
+        want = want if cols is None else want[..., cols + (p + 3) // 2]
+        assert cifft_2d(u, rows, cols).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
