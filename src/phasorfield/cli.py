@@ -215,8 +215,7 @@ def _cmd_reconstruct(args) -> int:
     volume = reconstruct(
         slices, grid, args.algo, eps=args.eps, padding=args.padding,
         alpha=args.alpha, beta=args.beta, lattice_pitch=args.lattice_pitch,
-        z_pitch=args.z_pitch, scatter=args.scatter, times=times,
-        threads=args.threads)
+        scatter=args.scatter, times=times, threads=args.threads)
     elapsed = time.perf_counter() - started
     write_volume(volume, args.output)
     if args.pgm:
@@ -313,17 +312,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", required=True,
                    help="cuboid:..., frustum:..., or @planes.json")
     p.add_argument("--eps", type=float, default=1e-6,
-                   help="accuracy target of the non-uniform transforms")
+                   help="accuracy target of the NUFFTs and of the 3-D paths' depth nodes")
     p.add_argument("--alpha", type=float, default=None,
                    help="scale factor (srsd-nursd2)")
     p.add_argument("--beta", type=float, default=None,
                    help="y scale factor (srsd-nursd2; defaults to alpha)")
     p.add_argument("--lattice-pitch", type=float, default=None,
                    help="virtual lattice pitch (nursd3)")
-    p.add_argument("--z-pitch", type=float, default=None,
-                   help="depth lattice pitch (rsd3d/nursd3d)")
-    p.add_argument("--scatter", choices=["nearest", "trilinear"],
-                   default="trilinear", help="gridding mode (rsd3d)")
+    p.add_argument("--scatter", choices=["nearest", "trilinear"], default="trilinear",
+                   help="lateral gridding of rsd3d: nearest node, or bilinear for 'trilinear'")
     p.add_argument("--padding", choices=["exact", "none"], default="exact",
                    help="convolution padding (rsd)")
     p.add_argument("--video", default=None, metavar="T0:T1:STEPS",

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence, Union
 
@@ -716,6 +717,16 @@ def write_dataset(m: TransientMeasurement, path: str) -> None:
         f.write("\n")
 
 
+@contextmanager
+def _format_errors() -> Iterator[None]:
+    """Header values the constructors refuse make a malformed file, not bad input."""
+    try:
+        yield
+    except ValidationError as exc:
+        raise ContainerFormatError(str(exc)) from exc
+
+
+@_format_errors()
 def read_dataset(path: str) -> TransientMeasurement:
     """Read a transient measurement container written by :func:`write_dataset`."""
     with open(path, "rb") as f:
@@ -814,6 +825,7 @@ def write_volume(v: ReconstructionVolume, path: str) -> None:
         f.write(b"".join(parts))
 
 
+@_format_errors()
 def read_volume(path: str) -> ReconstructionVolume:
     """Read a reconstruction volume written by :func:`write_volume`.
 

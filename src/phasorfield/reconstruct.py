@@ -9,11 +9,11 @@ illuminations and frequencies in ascending order.  Each algorithm builds the
 same propagation from three parts and differs only in the samplers:
 
 * an **encoder** gives each illumination's relay spectrum on a padded
-  ``[py, px]`` lattice for every frequency, ``[F, py, px]``: embedding and
-  FFT, scaled FFT, type-1 NUFFT, or a 3D convolution read out on a virtual
-  plane;
-* the **output planes** give each depth's kernel spectrum, which multiplies
-  the encoded spectrum, and the voxel positions for the illumination phase;
+  ``[py, px]`` lattice per depth node and frequency, ``[M, F, py, px]``:
+  embedding and FFT, scaled FFT or type-1 NUFFT of a planar relay (one
+  node) or of a 3D relay's samples weighted onto depth nodes;
+* the **output planes** give each depth's kernel spectra from every node,
+  and the voxel positions for the illumination phase;
 * a **decoder** ``read(plane, spectrum)`` reads each product at the plane's
   voxels: an inverse FFT computed on the voxels' lattice window only, or a
   batched type-2 NUFFT.
@@ -29,8 +29,8 @@ srsd      uniform grid                 depth-scaled frustum        scaled FFT + 
 nursd1    scattered points on a plane  cuboid                      type-1 NUFFT + FFT
 nursd2    uniform grid                 explicit voxel list         FFT + type-2 NUFFT
 nursd3    scattered points on a plane  explicit voxel list         type-1 + type-2 NUFFT
-rsd3d     scattered points in 3D       cuboid                      3D FFT convolution
-nursd3d   scattered points in 3D       cuboid                      3D type-1 NUFFT + FFT
+rsd3d     scattered points in 3D       cuboid                      depth-node gridding + FFT
+nursd3d   scattered points in 3D       cuboid                      depth-node NUFFT-1 + FFT
 srsd-nursd2  uniform grid              explicit list, one scale    scaled FFT + type-2 NUFFT
 ========  ===========================  ==========================  =========================
 
@@ -60,7 +60,6 @@ from .core import (
     FrustumGrid,
     NonPlanarRelay,
     NonUniformPlanarRelay,
-    PointList,
     ReconstructionVolume,
     UniformRelay,
     ValidationError,
@@ -68,6 +67,7 @@ from .core import (
     _require,
     illumination_coordinates,
 )
+# cfft_n and cifft_n stay imported unused: the benchmark's layer spans wrap them by name here.
 from .spectral import (
     cfft_2d,
     cfft_n,
@@ -181,16 +181,17 @@ def _illum_phase(khat, x: np.ndarray, y: np.ndarray, z: float,
 class _Plane(NamedTuple):
     """One output depth plane of a propagation.
 
-    The kernel spans ``dz`` from the source plane, sampled at ``lag_x`` and
-    ``lag_y`` on the padded lattice; ``x`` and ``y`` are the plane's voxel
-    positions at depth ``z``, flattened in grid order (x fastest).
+    The kernels span the distances ``dz`` from the source's depth nodes,
+    sampled at ``lag_x`` and ``lag_y`` on the padded lattice; ``x`` and
+    ``y`` are the plane's voxel positions at depth ``z``, flattened in grid
+    order (x fastest).
     ``scale`` is the per-plane ``(alpha, beta)`` of a scaled transform
     applied to the encoded relay, and ``torus`` the NUFFT coordinates of
     explicit voxels.
     """
 
     z: float
-    dz: float
+    dz: tuple[float, ...]
     lag_x: np.ndarray
     lag_y: np.ndarray
     x: np.ndarray
@@ -200,13 +201,14 @@ class _Plane(NamedTuple):
 
 
 def _lattice_planes(vg, px: int, py: int, dx: float, dy: float,
-                    z_src: float) -> list[_Plane]:
-    """The planes of a cuboid read from a ``[py, px]`` lattice of pitch ``(dx, dy)``."""
+                    z_src: Iterable[float]) -> list[_Plane]:
+    """A cuboid's planes, read from a ``[py, px]`` lattice of pitch ``(dx, dy)``."""
     lag_x = (np.arange(px) - px // 2) * dx
     lag_y = (np.arange(py) - py // 2) * dy
     x, y = (a.ravel() for a in np.meshgrid(vg.x0 + vg.dx * np.arange(vg.nx),
                                            vg.y0 + vg.dy * np.arange(vg.ny)))
-    return [_Plane(float(z), float(z) - z_src, lag_x, lag_y, x, y) for z in vg.z_coords()]
+    return [_Plane(float(z), tuple(float(z) - float(s) for s in z_src), lag_x, lag_y, x, y)
+            for z in vg.z_coords()]
 
 
 def _read_window(ny: int, nx: int, origin=None) -> Callable:
@@ -257,12 +259,13 @@ def _propagate(slices: FrequencySlices, grid: VoxelGrid, uhats, planes: list[_Pl
                include_illumination: bool) -> ReconstructionVolume:
     """Propagate encoded relay spectra plane by plane and reduce them.
 
-    ``uhats[p]`` is illumination ``p``'s ``[F, py, px]`` relay spectrum (the
-    embedded relay, for planes with a ``scale``); every plane multiplies it
-    by its kernel spectra and ``read(plane, spectrum)`` gives ``[F, n]``
-    values at its voxels.  Each of ``threads`` workers takes one contiguous
-    block of frequencies through every plane and illumination into its own
-    rows of the terms, which the calling thread then reduces.
+    ``uhats[p]`` is illumination ``p``'s ``[M, F, py, px]`` relay spectrum
+    over ``M`` source depth nodes (the embedded relay, for planes with a
+    ``scale``); every plane sums node ``m``'s spectrum times the kernel
+    spectra over ``plane.dz[m]`` and ``read(plane, spectrum)`` gives
+    ``[F, n]`` values at its voxels.  Each of ``threads`` workers takes one
+    contiguous block of frequencies through every plane and illumination
+    into its own rows of the terms, which the calling thread then reduces.
     """
     _require(int(threads) >= 1, "threads must be >= 1")
     n_freq = slices.n_freq
@@ -274,12 +277,14 @@ def _propagate(slices: FrequencySlices, grid: VoxelGrid, uhats, planes: list[_Pl
     def run(block: slice) -> None:
         kh = khats[block]
         for pl, stop in zip(planes, ends):
-            ghat = cfft_2d(_kernel_2d(kh, pl.lag_x, pl.lag_y, pl.dz))
+            ghats = [cfft_2d(_kernel_2d(kh, pl.lag_x, pl.lag_y, dz)) for dz in pl.dz]
             for p, uhat in enumerate(uhats):
-                u = uhat[block]
-                if pl.scale is not None:
-                    u = sfft_2d_centered(u, *pl.scale)
-                vals = read(pl, u * ghat)
+                spec = None
+                for u, ghat in zip(uhat, ghats):
+                    u = u[block] if pl.scale is None else sfft_2d_centered(u[block], *pl.scale)
+                    spec = u * ghat if spec is None else np.add(spec, u * ghat, out=spec)
+                vals = read(pl, spec)
+                del spec  # before the phase product: a worker holds one spectrum at a time
                 if include_illumination:
                     # In place: NumPy's SIMD complex product is not bitwise
                     # commutative, and `vals * tmp` may reuse `tmp` as `tmp * vals`.
@@ -315,7 +320,7 @@ def _explicit_planes(grid: ExplicitVoxels, z_src: float, center, pitch, src,
     lag_x = (np.arange(px) - px // 2) * (dx / al)
     lag_y = (np.arange(py) - py // 2) * (dy / be)
     return px, py, [
-        _Plane(float(v.z), float(v.z) - z_src, lag_x, lag_y, q[:, 0], q[:, 1],
+        _Plane(float(v.z), (float(v.z) - z_src,), lag_x, lag_y, q[:, 0], q[:, 1],
                torus=np.column_stack([2.0 * np.pi * ux / px, 2.0 * np.pi * uy / py]))
         for v, q, ux, uy in zip(grid.planes, pts, nu_x, nu_y)]
 
@@ -357,8 +362,8 @@ def rsd(slices: FrequencySlices, grid: CuboidGrid, padding: str = "exact",
         px = _pad_size(jx, nu0x + np.arange(vg.nx), g.nx)
         py = _pad_size(jy, nu0y + np.arange(vg.ny), g.ny)
 
-    uhats = [cfft_2d(u) for u in _embed_relay(slices, g, py, px)]
-    return _propagate(slices, grid, uhats, _lattice_planes(vg, px, py, g.dx, g.dy, g.z),
+    uhats = [cfft_2d(u)[None] for u in _embed_relay(slices, g, py, px)]
+    return _propagate(slices, grid, uhats, _lattice_planes(vg, px, py, g.dx, g.dy, (g.z,)),
                       _read_window(vg.ny, vg.nx, (nu0y, nu0x)),
                       times, threads, include_illumination)
 
@@ -384,12 +389,12 @@ def srsd(slices: FrequencySlices, grid: FrustumGrid,
     _check_depths(grid.zs, g.z)
     px = next_fast_len(2 * g.nx)
     py = next_fast_len(2 * g.ny)
-    planes = [_Plane(float(z), float(z) - g.z, (np.arange(px) - px // 2) * (g.dx / al),
+    planes = [_Plane(float(z), (float(z) - g.z,), (np.arange(px) - px // 2) * (g.dx / al),
                      (np.arange(py) - py // 2) * (g.dy / be),
                      *(a.ravel() for a in np.meshgrid(*grid.plane_xy(k))),
                      scale=(float(al), float(be)))
               for k, (z, al, be) in enumerate(zip(grid.zs, grid.alphas, grid.betas))]
-    return _propagate(slices, grid, _embed_relay(slices, g, py, px), planes,
+    return _propagate(slices, grid, _embed_relay(slices, g, py, px)[:, None], planes,
                       _read_window(g.ny, g.nx), times, threads, include_illumination)
 
 
@@ -410,8 +415,8 @@ def nursd1(slices: FrequencySlices, grid: CuboidGrid, eps: float = 1e-6,
     _check_depths(vg.z_coords(), relay.z)
     nu_x, nu_y, px, py = _scattered_lattice(vg, np.asarray(relay.points.points))
     torus = np.column_stack([2.0 * np.pi * nu_x / px, 2.0 * np.pi * nu_y / py])
-    uhats = [nufft1(torus, c, (py, px), eps) for c in slices.coefficients]
-    planes = _lattice_planes(vg, px, py, vg.dx, vg.dy, relay.z)
+    uhats = [nufft1(torus, c, (py, px), eps)[None] for c in slices.coefficients]
+    planes = _lattice_planes(vg, px, py, vg.dx, vg.dy, (relay.z,))
     return _propagate(slices, grid, uhats, planes, _read_window(vg.ny, vg.nx),
                       times, threads, include_illumination)
 
@@ -432,7 +437,7 @@ def _uniform_to_explicit(slices: FrequencySlices, grid: ExplicitVoxels,
     jy = np.array([-(g.ny // 2), g.ny - g.ny // 2 - 1])
     px, py, planes = _explicit_planes(grid, g.z, g.center(), (g.dx, g.dy),
                                       (al * jx, be * jy), (g.nx, g.ny), (al, be))
-    uhats = [cfft_2d(u) if scale is None else sfft_2d_centered(u, al, be)
+    uhats = [(cfft_2d(u) if scale is None else sfft_2d_centered(u, al, be))[None]
              for u in _embed_relay(slices, g, py, px)]
     return _propagate(slices, grid, uhats, planes, _read_points(eps, px, py), times, threads,
                       include_illumination)
@@ -478,7 +483,7 @@ def nursd3(slices: FrequencySlices, grid: ExplicitVoxels, eps: float = 1e-6,
     px, py, planes = _explicit_planes(grid, relay.z, (cx, cy), (pitch, pitch),
                                       (nu_x, nu_y), (1, 1))
     torus = np.column_stack([2.0 * np.pi * nu_x / px, 2.0 * np.pi * nu_y / py])
-    uhats = [nufft1(torus, c, (py, px), eps) for c in slices.coefficients]
+    uhats = [nufft1(torus, c, (py, px), eps)[None] for c in slices.coefficients]
     return _propagate(slices, grid, uhats, planes, _read_points(eps, px, py), times, threads,
                       include_illumination)
 
@@ -504,147 +509,131 @@ def srsd_nursd2(slices: FrequencySlices, grid: ExplicitVoxels, alpha: float,
 
 
 # ---------------------------------------------------------------------------
-# 3D relay surfaces
+# 3D relay surfaces: depth nodes
 # ---------------------------------------------------------------------------
 
 
-def _kernel_3d(khat: float, px: int, py: int, pz: int, dx: float, dy: float,
-               dz3: float) -> np.ndarray:
-    lag_x = (np.arange(px) - px // 2) * dx
-    lag_y = (np.arange(py) - py // 2) * dy
-    lag_z = (np.arange(pz) - pz // 2) * dz3
-    r = np.sqrt(lag_z[:, None, None] ** 2 + lag_y[None, :, None] ** 2
-                + lag_x[None, None, :] ** 2)
-    # The zero-lag slot has r = 0; no extracted slab ever uses it (the
-    # extraction plane lies at least one depth step beyond the farthest
-    # source), so it carries 0 instead of a singular value.
-    center = (pz // 2, py // 2, px // 2)
-    r[center] = 1.0
-    kern = np.exp(PROPAGATION_SIGN * 1j * khat * r) / r
-    kern[center] = 0.0
-    return kern
+_DEPTH_RATE = 0.125
 
 
-def _from_surface(slices: FrequencySlices, grid: CuboidGrid, z_pitch: float | None,
-                  lattice_spectrum: Callable, times: np.ndarray | None, threads: int,
+def _depth_sweep(rel: np.ndarray, vg, k_max: float) -> float:
+    """``k_max * extent * (1 - cos(theta_max)) / 2``: the phase the demodulated
+    kernel (see :func:`_from_surface`) sweeps at most over half the relay's
+    depth extent, ``theta_max`` pairing the widest lateral lag between a
+    detection and a voxel column with the nearest plane; 0 on a flat relay."""
+    z_lo, z_hi = float(rel[:, 2].min()), float(rel[:, 2].max())
+    reach = [max(v.max() - r.min(), r.max() - v.min())
+             for v, r in ((vg.x0 + vg.dx * np.arange(vg.nx), rel[:, 0]),
+                          (vg.y0 + vg.dy * np.arange(vg.ny), rel[:, 1]))]
+    d_min = float(vg.z_coords().min()) - z_hi
+    return k_max * (z_hi - z_lo) * (1.0 - d_min / math.hypot(d_min, *reach)) / 2.0
+
+
+def _depth_node_count(eps: float, sweep: float) -> int:
+    """Fewest depth nodes ``M`` (at most 32) with ``(_DEPTH_RATE * sweep)**M
+    <= eps``; one on a flat relay.
+
+    Fitted on 108 geometries (depth extents 0.005-0.15 m, lambda_c
+    0.04-0.1 m, planes 0.25-1.5 m beyond the relay, relay and voxels 0.2-0.6
+    m wide): the depth-only relative error at M = 2-10 nodes reads
+    ``(rate * sweep)**M`` with rates of 0.047-0.124 (median 0.07; the top
+    is ``_DEPTH_RATE``) for sweeps of 0.006-7.6.  The worst-lag bound
+    ``2*(sweep/2)**M/M!`` overstates it: most lags turn slower than the widest.
+    """
+    _require(0.0 < eps < 1.0, "eps must lie in (0, 1)")
+    m = 1
+    while (_DEPTH_RATE * sweep) ** m > eps and m < 32:
+        m += 1
+    return m
+
+
+def _depth_nodes(z: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """``m`` Chebyshev nodes over ``[z.min(), z.max()]`` and the ``[L, m]``
+    Lagrange basis ``L_m(z_l)`` on them (one node at the midpoint, basis 1)."""
+    lo, hi = float(z.min()), float(z.max())
+    nodes = (lo + hi) / 2.0 + (hi - lo) / 2.0 * np.cos(np.pi * (np.arange(m) + 0.5) / m)
+    off = ~np.eye(m, dtype=bool)
+    ratio = (z[:, None, None] - nodes) / np.where(off, nodes[:, None] - nodes, 1.0)
+    return nodes, np.where(off, ratio, 1.0).prod(axis=-1)
+
+
+def _from_surface(slices: FrequencySlices, grid: CuboidGrid, eps: float,
+                  lateral_spectrum: Callable, times: np.ndarray | None, threads: int,
                   include_illumination: bool) -> ReconstructionVolume:
-    """Two-stage propagation from a 3D relay surface through a virtual lattice.
+    """Propagation from a 3D relay surface through planar kernels at depth nodes.
 
-    The relay points sit at centered lateral indices ``nu_x``, ``nu_y`` of
-    the output lattice and at depths from ``z_min`` on ``nz3`` steps of
-    ``dz3``; ``lattice_spectrum(rel, nu_x, nu_y, z_min, dz3, nz3, shape)``
-    returns ``spectrum(p, fi)``, their 3D spectrum on the padded
-    ``shape = (pz, py, px)`` lattice.  Stage 1 multiplies it by the 3D
-    kernel spectrum and keeps the virtual plane just beyond the surface as
-    the encoded relay; stage 2 propagates that plane onto the cuboid
-    through :func:`_propagate`.
+    With ``s = PROPAGATION_SIGN``, ``g = exp(s*1j*k*r)/r`` is ``exp(s*1j*k*d)``
+    times a factor ``h`` that varies slowly with the depth distance ``d``.
+    Interpolating ``h`` at Chebyshev nodes ``z_m`` over the relay's depths,
+    ``g(z_k - z_l) ~= sum_m L_m(z_l) * exp(s*1j*k*(z_m - z_l)) * g(z_k - z_m)``
+    for a detection at ``z_l``: each node is a planar source of samples so
+    weighted.  ``lateral_spectrum(nu_x, nu_y, columns, (py, px))`` turns the
+    ``[L, M*F]`` columns into their ``[M*F, py, px]`` lattice spectrum.
     """
     rel = _relay(slices, NonPlanarRelay).coordinates()
-    vg = grid.grid
-    dz3 = float(z_pitch) if z_pitch else slices.shortest_wavelength / 2.0
-    _require(dz3 > 0, "depth lattice pitch must be > 0")
-    z_min = float(rel[:, 2].min())
-    nz3 = max(1, math.ceil((float(rel[:, 2].max()) - z_min) / dz3) + 1)
-    pz = next_fast_len(2 * nz3 + 2)
-    z0 = z_min + nz3 * dz3
-    _require(bool((vg.z_coords() > z0).all()),
-             f"every voxel plane must lie beyond the relay surface's far face (z > {z0:.6g})")
+    vg, z = grid.grid, rel[:, 2]
+    _require(bool((vg.z_coords() > z.max()).all()), "every voxel plane must lie beyond "
+             f"the relay's deepest detection (z > {z.max():.6g})")
     nu_x, nu_y, px, py = _scattered_lattice(vg, rel)
-    spectrum = lattice_spectrum(rel, nu_x, nu_y, z_min, dz3, nz3, (pz, py, px))
-    slab = pz // 2 + (nz3 - nz3 // 2)
-    uhats = np.empty((slices.n_illum, slices.n_freq, py, px), dtype=np.complex128)
-    for fi in range(slices.n_freq):
-        khat = slices.frequencies[fi] / SPEED_OF_LIGHT
-        g3 = cfft_n(_kernel_3d(khat, px, py, pz, vg.dx, vg.dy, dz3), axes=(-3, -2, -1))
-        for p in range(slices.n_illum):
-            wave = cifft_n(spectrum(p, fi) * g3, axes=(-3, -2, -1))
-            uhats[p, fi] = cfft_2d(wave[slab])
-    planes = _lattice_planes(vg, px, py, vg.dx, vg.dy, z0)
+    khats = slices.frequencies / SPEED_OF_LIGHT
+    m = _depth_node_count(eps, _depth_sweep(rel, vg, float(khats.max())))
+    nodes, basis = _depth_nodes(z, m)
+    weights = basis[:, :, None] * np.exp(
+        PROPAGATION_SIGN * 1j * khats * (nodes[None, :, None] - z[:, None, None]))
+    uhats = [lateral_spectrum(nu_x, nu_y, (c[:, None, :] * weights).reshape(z.size, -1),
+                              (py, px)).reshape(m, slices.n_freq, py, px)
+             for c in slices.coefficients]
+    planes = _lattice_planes(vg, px, py, vg.dx, vg.dy, nodes)
     return _propagate(slices, grid, uhats, planes, _read_window(vg.ny, vg.nx),
                       times, threads, include_illumination)
 
 
 def rsd3d(slices: FrequencySlices, grid: CuboidGrid, scatter: str = "trilinear",
-          z_pitch: float | None = None, times: np.ndarray | None = None,
+          eps: float = 1e-6, times: np.ndarray | None = None,
           threads: int = 1, include_illumination: bool = True) -> ReconstructionVolume:
-    """Propagation from a 3D relay surface via a gridded 3D convolution.
+    """Propagation from a 3D relay surface via lateral gridding at depth nodes.
 
-    Stage 1 scatters the relay samples onto a 3D virtual lattice (depth
-    pitch defaults to half the shortest retained wavelength; duplicate
-    targets sum) and propagates them by one 3D kernel convolution to a
-    virtual plane just beyond the relay surface.  Stage 2 is plane-to-plane
-    propagation from that virtual plane onto the output cuboid.
+    The relay samples, weighted onto depth nodes as in :func:`_from_surface`
+    (``eps`` sets their number), are deposited on the cuboid's padded
+    lateral lattice, at the nearest node or bilinearly for ``scatter=
+    "trilinear"`` (duplicate targets sum), and Fourier transformed.
     """
     _require(isinstance(grid, CuboidGrid), "rsd3d reconstructs onto a cuboid grid")
     _require(scatter in ("nearest", "trilinear"), "scatter must be 'nearest' or 'trilinear'")
 
-    def gridded(rel, nu_x, nu_y, z_min, dz3, nz3, shape):
-        pz, py, px = shape
-        fx = nu_x + px // 2
-        fy = nu_y + py // 2
-        fz = (rel[:, 2] - z_min) / dz3 + (pz // 2 - nz3 // 2)
-        if scatter == "nearest":
-            ix = np.round(fx).astype(np.int64)[:, None]
-            iy = np.round(fy).astype(np.int64)[:, None]
-            iz = np.round(fz).astype(np.int64)[:, None]
-            wts = np.ones((rel.shape[0], 1))
-        else:
-            def corners(f):
-                lo = np.floor(f).astype(np.int64)
-                frac = f - lo
-                return np.stack([lo, lo + 1], axis=1), np.stack([1.0 - frac, frac], axis=1)
-            gx, wx = corners(fx)
-            gy, wy = corners(fy)
-            gz, wz = corners(fz)
-            ix = np.repeat(gx[:, None, None, :], 2, 1).repeat(2, 2).reshape(-1, 8)
-            iy = np.repeat(gy[:, None, :, None], 2, 1).repeat(2, 3).reshape(-1, 8)
-            iz = np.repeat(gz[:, :, None, None], 2, 2).repeat(2, 3).reshape(-1, 8)
-            wts = (wz[:, :, None, None] * wy[:, None, :, None]
-                   * wx[:, None, None, :]).reshape(-1, 8)
-        for name, idx, bound in (("x", ix, px), ("y", iy, py), ("z", iz, pz)):
-            if idx.min() < 0 or idx.max() >= bound:
-                raise RuntimeError(f"relay scatter indices escaped the {name} lattice")
+    def gridded(nu_x, nu_y, columns, shape):
+        py, px = shape
+        fx, fy = nu_x + px // 2, nu_y + py // 2
+        if scatter == "nearest":  # all weight on the first corner
+            fx, fy = np.round(fx), np.round(fy)
+        x0, y0 = np.floor(fx), np.floor(fy)
+        tx, ty = fx - x0, fy - y0
+        ix, iy = x0[:, None] + [0, 1, 0, 1], y0[:, None] + [0, 0, 1, 1]
+        wts = np.column_stack([(1 - tx) * (1 - ty), tx * (1 - ty), (1 - tx) * ty, tx * ty])
+        fine = np.zeros((py * px, columns.shape[1]), dtype=np.complex128)
+        np.add.at(fine, (iy * px + ix).astype(np.int64).ravel(),
+                  (wts[:, :, None] * columns[:, None, :]).reshape(-1, columns.shape[1]))
+        return cfft_2d(fine.T.reshape(-1, py, px))
 
-        def spectrum(p: int, fi: int) -> np.ndarray:
-            fine = np.zeros(shape, dtype=np.complex128)
-            np.add.at(fine, (iz, iy, ix), slices.coefficients[p, :, fi][:, None] * wts)
-            return cfft_n(fine, axes=(-3, -2, -1))
-        return spectrum
-
-    return _from_surface(slices, grid, z_pitch, gridded, times, threads, include_illumination)
+    return _from_surface(slices, grid, eps, gridded, times, threads, include_illumination)
 
 
 def nursd3d(slices: FrequencySlices, grid: CuboidGrid, eps: float = 1e-6,
-            z_pitch: float | None = None, times: np.ndarray | None = None,
-            threads: int = 1, include_illumination: bool = True) -> ReconstructionVolume:
-    """Propagation from a 3D relay surface via a 3D type-1 NUFFT.
+            times: np.ndarray | None = None, threads: int = 1,
+            include_illumination: bool = True) -> ReconstructionVolume:
+    """Propagation from a 3D relay surface via a lateral type-1 NUFFT at depth nodes.
 
-    Same two-stage structure as :func:`rsd3d`, but stage 1 forms the virtual
-    lattice spectrum directly from the scattered samples with a 3D type-1
-    NUFFT instead of scatter-gridding.  A relay whose points all share one z
-    plane is handed to :func:`nursd1`, which the flat geometry makes exact.
+    The relay samples, weighted onto depth nodes as in :func:`_from_surface`,
+    go through one batched 2D type-1 NUFFT per illumination.  A flat relay
+    takes one node of weight 1, which makes this :func:`nursd1`.
     """
     _require(isinstance(grid, CuboidGrid), "nursd3d reconstructs onto a cuboid grid")
-    relay = _relay(slices, NonPlanarRelay)
-    if relay.z_extent == 0.0:
-        rel = relay.coordinates()
-        flat = NonUniformPlanarRelay(PointList(rel[:, :2]), z=float(rel[0, 2]))
-        flat_slices = FrequencySlices(slices.frequencies, slices.coefficients,
-                                      flat, slices.illuminations)
-        return nursd1(flat_slices, grid, eps=eps, times=times, threads=threads,
-                      include_illumination=include_illumination)
 
-    def transformed(rel, nu_x, nu_y, z_min, dz3, nz3, shape):
-        pz, py, px = shape
-        nu_z = (rel[:, 2] - (z_min + (nz3 // 2) * dz3)) / dz3
-        torus = np.column_stack([2.0 * np.pi * nu_x / px,
-                                 2.0 * np.pi * nu_y / py,
-                                 2.0 * np.pi * nu_z / pz])
-        uhats = [nufft1(torus, c, shape, eps) for c in slices.coefficients]
-        return lambda p, fi: uhats[p][fi]
+    def transformed(nu_x, nu_y, columns, shape):
+        torus = np.column_stack([2.0 * np.pi * nu_x / shape[1], 2.0 * np.pi * nu_y / shape[0]])
+        return nufft1(torus, columns, shape, eps)
 
-    return _from_surface(slices, grid, z_pitch, transformed, times, threads,
-                         include_illumination)
+    return _from_surface(slices, grid, eps, transformed, times, threads, include_illumination)
 
 
 # ---------------------------------------------------------------------------
@@ -658,7 +647,7 @@ ALGORITHM_NAMES = ("rsd", "srsd", "nursd1", "nursd2", "nursd3", "rsd3d",
 def reconstruct(slices: FrequencySlices, grid: VoxelGrid, algorithm: str, *,
                 eps: float = 1e-6, padding: str = "exact",
                 alpha: float | None = None, beta: float | None = None,
-                lattice_pitch: float | None = None, z_pitch: float | None = None,
+                lattice_pitch: float | None = None,
                 scatter: str = "trilinear", times: np.ndarray | None = None,
                 threads: int = 1,
                 include_illumination: bool = True) -> ReconstructionVolume:
@@ -680,9 +669,9 @@ def reconstruct(slices: FrequencySlices, grid: VoxelGrid, algorithm: str, *,
     if name == "nursd3":
         return nursd3(slices, grid, eps=eps, lattice_pitch=lattice_pitch, **common)
     if name == "rsd3d":
-        return rsd3d(slices, grid, scatter=scatter, z_pitch=z_pitch, **common)
+        return rsd3d(slices, grid, scatter=scatter, eps=eps, **common)
     if name == "nursd3d":
-        return nursd3d(slices, grid, eps=eps, z_pitch=z_pitch, **common)
+        return nursd3d(slices, grid, eps=eps, **common)
     if name == "srsd-nursd2":
         _require(alpha is not None, "srsd-nursd2 needs a scale factor (alpha)")
         return srsd_nursd2(slices, grid, alpha=alpha, beta=beta, eps=eps, **common)

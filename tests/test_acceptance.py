@@ -256,7 +256,7 @@ def _consistency_instance(i):
         options["alpha"] = 0.8
     volume = reconstruct(slices, grid, algo, **options)
     reference = oracle.backproject(slices, grid.coordinates())
-    floor = 0.9 if algo in ("rsd3d", "nursd3d") else 0.95
+    floor = 0.95
     return algo, float(ncc(volume.field, reference)), floor
 
 

@@ -2,6 +2,7 @@
 
 import json
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -259,6 +260,26 @@ class TestReconstruct:
         assert main(["info", str(out)]) == 0
         assert "frame times: 1e-09 .. 1e-09 s" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("algo", ["rsd3d", "nursd3d"])
+    def test_3d_relay_planes_must_lie_beyond_the_deepest_detection(self, tmp_path, capsys,
+                                                                   algo):
+        relay, illuminations = README_RELAYS["points_3d"]
+        scene = tmp_path / "s.json"
+        scene.write_text(json.dumps(_scene_doc(relay=relay, illuminations=illuminations)))
+        dataset = tmp_path / "d.nls1"
+        assert main(["simulate", str(scene), "-o", str(dataset)]) == 0
+        base = ["reconstruct", str(dataset), "-o", str(tmp_path / "x.vol"), "--algo", algo,
+                "--lambda-c", "0.04", "--grid"]
+        capsys.readouterr()
+        for z0 in ("0.02", "0.0"):
+            assert main(base + [f"cuboid:4,4,2,0.02,0.02,0.05,-0.03,-0.03,{z0}"]) == 2
+            assert "deepest detection (z > 0.02)" in capsys.readouterr().err
+        assert main(base + ["cuboid:4,4,2,0.02,0.02,0.05,-0.03,-0.03,0.5"]) == 0
+        # The depth lattice pitch went with the virtual slab.
+        with pytest.raises(SystemExit) as exc:
+            main(base + ["cuboid:4,4,2,0.02,0.02,0.05,-0.03,-0.03,0.5", "--z-pitch", "0.01"])
+        assert exc.value.code == 2
+
     def test_bad_video_spec_is_usage_error(self, pipeline, tmp_path, capsys):
         code = main(["reconstruct", str(pipeline["dataset"]),
                      "-o", str(tmp_path / "x.vol"), "--algo", "rsd",
@@ -395,6 +416,45 @@ class TestMalformedInputs:
         code = main(["reconstruct", str(padded), "-o", str(tmp_path / "x.vol"),
                      "--algo", "rsd", "--lambda-c", "0.04", "--grid", CUBOID])
         assert code == 3
+
+    # Header values the constructors refuse: a negative bin width, and zero
+    # counts or pitches of the uniform relay (dataset) or the cuboid (volume).
+    @pytest.mark.parametrize("offset, value, message", [
+        (20, struct.pack("<d", -1.0), "bin width must be > 0"),
+        (37, struct.pack("<I", 0), "grid counts must be >= 1"),
+        (45, struct.pack("<d", 0.0), "grid pitches must be > 0"),
+    ])
+    def test_dataset_with_refused_header_is_io_error(self, pipeline, tmp_path, capsys,
+                                                     offset, value, message):
+        bad = tmp_path / "bad.nls1"
+        raw = bytearray(pipeline["dataset"].read_bytes())
+        raw[offset:offset + len(value)] = value
+        bad.write_bytes(bytes(raw))
+        capsys.readouterr()
+        assert main(["info", str(bad)]) == 3
+        assert message in capsys.readouterr().err
+        code = main(["reconstruct", str(bad), "-o", str(tmp_path / "x.vol"),
+                     "--algo", "rsd", "--lambda-c", "0.04", "--grid", CUBOID])
+        assert code == 3
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("offset, value, message", [
+        (37, struct.pack("<I", 0), "grid counts must be >= 1"),
+        (65, struct.pack("<d", 0.0), "grid pitches must be > 0"),
+    ])
+    def test_volume_with_refused_grid_is_io_error(self, pipeline, tmp_path, capsys,
+                                                  offset, value, message):
+        vol = tmp_path / "v.vol"
+        assert main(["reconstruct", str(pipeline["dataset"]), "-o", str(vol),
+                     "--algo", "rsd", "--lambda-c", "0.04", "--grid", CUBOID]) == 0
+        raw = bytearray(vol.read_bytes())
+        raw[offset:offset + len(value)] = value
+        vol.write_bytes(bytes(raw))
+        capsys.readouterr()
+        assert main(["info", str(vol)]) == 3
+        assert message in capsys.readouterr().err
+        assert main(["metrics", str(vol), str(vol)]) == 3
+        assert message in capsys.readouterr().err
 
     def test_volume_with_trailing_bytes_is_io_error(self, pipeline, tmp_path, capsys):
         vol = tmp_path / "v.vol"

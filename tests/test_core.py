@@ -1,6 +1,7 @@
 """Domain containers, torus rescaling, and the binary container formats."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -363,6 +364,23 @@ class TestDatasetContainer:
         with pytest.raises(NonFiniteDataError):
             read_dataset(str(path))
 
+    # Header fields the constructors refuse: (byte offset, packed value,
+    # message).  delta_t follows magic, version and the three counts; the
+    # uniform relay's kind byte, nx, ny and dx follow it and t0.
+    @pytest.mark.parametrize("offset, value, message", [
+        (20, struct.pack("<d", -1.0), "bin width must be > 0"),
+        (37, struct.pack("<I", 0), "grid counts must be >= 1"),
+        (45, struct.pack("<d", 0.0), "grid pitches must be > 0"),
+    ])
+    def test_refused_header_values_are_format_errors(self, tmp_path, offset, value, message):
+        path = tmp_path / "d.nls1"
+        write_dataset(_small_measurement(), str(path))
+        raw = bytearray(path.read_bytes())
+        raw[offset:offset + len(value)] = value
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ContainerFormatError, match=message):
+            read_dataset(str(path))
+
     def test_volume_file_is_rejected(self, tmp_path):
         g = UniformGrid3D(2, 2, 2, 0.1, 0.1, 0.1, 0.0, 0.0, 1.0)
         v = ReconstructionVolume(CuboidGrid(g), np.zeros(8, complex))
@@ -458,6 +476,20 @@ class TestVolumeContainer:
         raw[8:12] = bytes(4)
         path.write_bytes(bytes(raw))
         with pytest.raises(ContainerFormatError, match="0 frames"):
+            read_volume(str(path))
+
+    # The cuboid's nx follows the grid kind byte at 36, and dz its three
+    # counts and dx, dy.
+    @pytest.mark.parametrize("offset, value, message", [
+        (37, struct.pack("<I", 0), "grid counts must be >= 1"),
+        (65, struct.pack("<d", 0.0), "grid pitches must be > 0"),
+    ])
+    def test_refused_grid_values_are_format_errors(self, tmp_path, offset, value, message):
+        path = self._written(tmp_path, None)
+        raw = bytearray(path.read_bytes())
+        raw[offset:offset + len(value)] = value
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ContainerFormatError, match=message):
             read_volume(str(path))
 
     @pytest.mark.parametrize("word", [2, 7, 2**32 - 1])

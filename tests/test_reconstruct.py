@@ -23,7 +23,7 @@ from phasorfield import (
 )
 from phasorfield.core import PROPAGATION_SIGN, SPEED_OF_LIGHT, UniformGrid3D
 from phasorfield.metrics import ncc
-from phasorfield.reconstruct import _kernel_2d, _pad_size
+from phasorfield.reconstruct import _depth_node_count, _depth_sweep, _kernel_2d, _pad_size
 from phasorfield.reconstruct import (
     ALGORITHM_NAMES,
     light_transport_video,
@@ -44,6 +44,7 @@ from helpers import (
     centered_relay,
     literal_field,
     make_slices,
+    rel_l2,
     rel_linf,
     two_scatterer_slices,
 )
@@ -284,11 +285,16 @@ class TestAlgorithmValidation:
         with pytest.raises(ValidationError, match="scatter"):
             rsd3d(chain["scattered"], chain_grid, scatter="cubic")
 
-    def test_rsd3d_depth_floor_names_the_limit(self, chain):
-        grid = CuboidGrid(UniformGrid3D(8, 8, 1, 0.02, 0.02, 0.1,
-                                        -0.07, -0.07, 0.3))
-        with pytest.raises(ValidationError, match="far face"):
-            rsd3d(chain["scattered"], grid, z_pitch=0.5)
+    def test_rsd3d_depth_floor_names_the_limit(self, rippled):
+        # The ripple's deepest detection sits at z = 0.02: a plane there or
+        # before it is refused by both 3-D paths, one beyond it is not.
+        for z0 in (0.02, 0.01, -0.05):
+            grid = CuboidGrid(UniformGrid3D(8, 8, 2, 0.02, 0.02, 0.1, -0.07, -0.07, z0))
+            for run in (rsd3d, nursd3d):
+                with pytest.raises(ValidationError, match=r"deepest detection \(z > 0.02\)"):
+                    run(rippled, grid)
+        grid = CuboidGrid(UniformGrid3D(8, 8, 1, 0.02, 0.02, 0.1, -0.07, -0.07, 0.03))
+        assert np.isfinite(nursd3d(rippled, grid).field).all()
 
     def test_nursd3d_requires_scattered_3d_relay(self, chain, chain_grid):
         with pytest.raises(ValidationError):
@@ -484,3 +490,107 @@ def test_nursd1_on_drawn_lattice_nodes_equals_rsd(chain, data):
                                     -0.07 + 0.02 * ox, -0.07 + 0.02 * oy, 0.86))
     expected = rsd(uniform, grid).field
     assert rel_linf(nursd1(drawn, grid, eps=EPS).field, expected) < CHAIN_TOL
+
+
+# ---------------------------------------------------------------------------
+# 3-D relays: depth nodes against the literal sum
+# ---------------------------------------------------------------------------
+
+
+# Relay x/y on the cuboid's lattice nodes, so that only the depth
+# interpolation (and, for nursd3d, the NUFFT) can err.
+_LIFTED_GRID = CuboidGrid(UniformGrid3D(8, 8, 3, 0.02, 0.02, 0.05, -0.07, -0.07, 0.8))
+
+
+@pytest.fixture(scope="module")
+def lifted():
+    """A 12x12 relay lattice at 0.02 m lifted to depths drawn in [0, extent],
+    with the literal sum at the cuboid, per depth extent."""
+    out = {}
+    for extent in (0.01, 0.05, 0.15):
+        xy = centered_relay(12, 0.02).coordinates()[:, :2]
+        z = np.random.default_rng(11).uniform(0.0, extent, len(xy))
+        z[[0, -1]] = 0.0, extent
+        relay = NonPlanarRelay(PointList(np.column_stack([xy, z])))
+        ill = PointList(np.array([[0.0, 0.0, 0.0], [0.05, -0.03, 0.01]]))
+        slices = two_scatterer_slices(relay=relay, illuminations=ill)
+        out[extent] = slices, literal_field(slices, _LIFTED_GRID.coordinates())
+    return out
+
+
+@pytest.mark.parametrize("extent", [0.01, 0.05, 0.15])
+@pytest.mark.parametrize("eps", [1e-6, 1e-9])
+@pytest.mark.parametrize("run", [nursd3d, rsd3d])
+def test_3d_paths_match_the_literal_sum(lifted, run, extent, eps):
+    slices, direct = lifted[extent]
+    assert rel_l2(run(slices, _LIFTED_GRID, eps=eps).field, direct) <= eps
+
+
+def _depth_error(monkeypatch, slices, grid, m, reference):
+    """nursd3d's relative error with ``m`` depth nodes and a 1e-12 NUFFT."""
+    recon = sys.modules["phasorfield.reconstruct"]
+    monkeypatch.setattr(recon, "_depth_node_count", lambda eps, sweep: m)
+    return rel_l2(nursd3d(slices, grid, eps=1e-12).field, reference)
+
+
+@pytest.mark.parametrize("extent", [0.01, 0.05, 0.15])
+def test_depth_node_rule_meets_eps(lifted, monkeypatch, extent):
+    slices, direct = lifted[extent]
+    sweep = _depth_sweep(slices.relay.coordinates(), _LIFTED_GRID.grid,
+                         float(slices.frequencies[-1] / SPEED_OF_LIGHT))
+    for eps in (1e-4, 1e-6, 1e-9):
+        m = _depth_node_count(eps, sweep)
+        assert _depth_error(monkeypatch, slices, _LIFTED_GRID, m, direct) <= eps
+
+
+def test_depth_node_rule_on_the_benchmark_geometry(monkeypatch):
+    # 128 detections over a 0.3 m square and 0.02 m of depth, a 16x16x8
+    # cuboid from 0.8 m: the rule takes at most 4 nodes at the default eps,
+    # and they meet it against a 12-node reference.
+    rng = np.random.default_rng(1)
+    pts = np.column_stack([rng.uniform(-0.15, 0.15, (128, 2)), rng.uniform(0.0, 0.02, 128)])
+    slices = two_scatterer_slices(relay=NonPlanarRelay(PointList(pts)),
+                                  illuminations=PointList(np.zeros((1, 3))))
+    grid = CuboidGrid(UniformGrid3D(16, 16, 8, 0.02, 0.02, 0.075, -0.15, -0.15, 0.8))
+    m = _depth_node_count(1e-6, _depth_sweep(pts, grid.grid,
+                                             float(slices.frequencies[-1] / SPEED_OF_LIGHT)))
+    assert m <= 4
+    recon = sys.modules["phasorfield.reconstruct"]
+    monkeypatch.setattr(recon, "_depth_node_count", lambda eps, sweep: 12)
+    reference = nursd3d(slices, grid, eps=1e-12).field
+    assert _depth_error(monkeypatch, slices, grid, m, reference) <= 1e-6
+
+
+def test_flat_relay_takes_one_depth_node():
+    assert _depth_node_count(1e-12, 0.0) == 1
+    rel = np.column_stack([np.zeros((3, 2)), np.full(3, 0.3)])
+    assert _depth_sweep(rel, _LIFTED_GRID.grid, 100.0) == 0.0
+
+
+@pytest.mark.parametrize("eps", [0.0, -1e-6, 1.0, float("nan")])
+def test_rsd3d_rejects_eps_outside_the_unit_interval(rippled, chain_grid, eps):
+    with pytest.raises(ValidationError, match="eps"):
+        rsd3d(rippled, chain_grid, eps=eps)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_nursd3d_on_a_flat_relay_is_nursd1(data):
+    """On a relay flat at any depth nursd3d is nursd1 bit for bit, with no
+    hand-off: one depth node of weight 1."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    n = data.draw(st.integers(1, 40))
+    z = data.draw(st.floats(-0.5, 0.5))
+    xy = rng.uniform(-0.1, 0.1, (n, 2))
+    pitch = data.draw(st.floats(0.01, 0.03))
+    grid = CuboidGrid(UniformGrid3D(
+        data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6)), data.draw(st.integers(1, 3)),
+        pitch, pitch, 0.05, data.draw(st.floats(-0.1, 0.0)), data.draw(st.floats(-0.1, 0.0)),
+        z + data.draw(st.floats(0.1, 1.0))))
+    freqs = SPEED_OF_LIGHT * np.array([60.0, 90.0, 120.0])
+    coeff = rng.normal(size=(1, n, 3)) + 1j * rng.normal(size=(1, n, 3))
+    flat = FrequencySlices(freqs, coeff, NonPlanarRelay(PointList(np.column_stack(
+        [xy, np.full(n, z)]))), PointList(np.array([[0.0, 0.0, z]])))
+    planar = FrequencySlices(freqs, coeff, NonUniformPlanarRelay(PointList(xy), z=z),
+                             PointList(np.array([[0.0, 0.0]])))
+    assert np.array_equal(nursd3d(flat, grid).field, nursd1(planar, grid).field)
