@@ -538,6 +538,8 @@ class ReconstructionVolume:
         return 1 if self.times is None else int(self.times.size)
 
     def frame(self, i: int = 0) -> np.ndarray:
+        _require(0 <= i < self.n_frames,
+                 f"frame index {i} is out of range for a volume of {self.n_frames} frame(s)")
         return self.field if self.times is None else self.field[i]
 
     def as_array3d(self, frame: int = 0) -> np.ndarray:

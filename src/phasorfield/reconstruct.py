@@ -237,6 +237,18 @@ def _scattered_lattice(vg, rel: np.ndarray):
     return nu_x, nu_y, px, py
 
 
+def _torus(nu_x: np.ndarray, nu_y: np.ndarray, px: int, py: int) -> np.ndarray:
+    """NUFFT coordinates of fractional centered indices on a ``[py, px]`` lattice."""
+    return np.column_stack([2.0 * np.pi * nu_x / px, 2.0 * np.pi * nu_y / py])
+
+
+def _lateral_nufft(nu_x, nu_y, columns: np.ndarray, shape: tuple[int, int],
+                   eps: float) -> np.ndarray:
+    """Scattered samples' ``[L, B]`` columns at fractional indices ``(nu_x, nu_y)``
+    to their ``[B, py, px]`` lattice spectrum: one batched type-1 NUFFT."""
+    return nufft1(_torus(nu_x, nu_y, shape[1], shape[0]), columns, shape, eps)
+
+
 def _reduce(slices: FrequencySlices, grid: VoxelGrid, results: Iterable[np.ndarray],
             times: np.ndarray | None) -> ReconstructionVolume:
     if times is None:
@@ -321,7 +333,7 @@ def _explicit_planes(grid: ExplicitVoxels, z_src: float, center, pitch, src,
     lag_y = (np.arange(py) - py // 2) * (dy / be)
     return px, py, [
         _Plane(float(v.z), (float(v.z) - z_src,), lag_x, lag_y, q[:, 0], q[:, 1],
-               torus=np.column_stack([2.0 * np.pi * ux / px, 2.0 * np.pi * uy / py]))
+               torus=_torus(ux, uy, px, py))
         for v, q, ux, uy in zip(grid.planes, pts, nu_x, nu_y)]
 
 
@@ -405,20 +417,13 @@ def nursd1(slices: FrequencySlices, grid: CuboidGrid, eps: float = 1e-6,
 
     The relay samples are moved onto the output lattice's frequency grid by
     one type-1 NUFFT per illumination, batched over frequencies; each depth
-    plane is then an ordinary kernel convolution.  Detections lying exactly
-    on lattice nodes are handled exactly, so a gridded relay reproduces
-    :func:`rsd`.
+    plane is then an ordinary kernel convolution: :func:`_from_surface` with
+    one depth node.  Detections lying exactly on lattice nodes are handled
+    exactly, so a gridded relay reproduces :func:`rsd`.
     """
     _require(isinstance(grid, CuboidGrid), "nursd1 reconstructs onto a cuboid grid")
-    relay = _relay(slices, NonUniformPlanarRelay)
-    vg = grid.grid
-    _check_depths(vg.z_coords(), relay.z)
-    nu_x, nu_y, px, py = _scattered_lattice(vg, np.asarray(relay.points.points))
-    torus = np.column_stack([2.0 * np.pi * nu_x / px, 2.0 * np.pi * nu_y / py])
-    uhats = [nufft1(torus, c, (py, px), eps)[None] for c in slices.coefficients]
-    planes = _lattice_planes(vg, px, py, vg.dx, vg.dy, (relay.z,))
-    return _propagate(slices, grid, uhats, planes, _read_window(vg.ny, vg.nx),
-                      times, threads, include_illumination)
+    return _from_surface(slices, grid, eps, NonUniformPlanarRelay, _lateral_nufft,
+                         times, threads, include_illumination)
 
 
 # ---------------------------------------------------------------------------
@@ -482,8 +487,7 @@ def nursd3(slices: FrequencySlices, grid: ExplicitVoxels, eps: float = 1e-6,
     nu_y = (rel[:, 1] - cy) / pitch
     px, py, planes = _explicit_planes(grid, relay.z, (cx, cy), (pitch, pitch),
                                       (nu_x, nu_y), (1, 1))
-    torus = np.column_stack([2.0 * np.pi * nu_x / px, 2.0 * np.pi * nu_y / py])
-    uhats = [nufft1(torus, c, (py, px), eps)[None] for c in slices.coefficients]
+    uhats = [_lateral_nufft(nu_x, nu_y, c, (py, px), eps)[None] for c in slices.coefficients]
     return _propagate(slices, grid, uhats, planes, _read_points(eps, px, py), times, threads,
                       include_illumination)
 
@@ -557,20 +561,21 @@ def _depth_nodes(z: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, np.where(off, ratio, 1.0).prod(axis=-1)
 
 
-def _from_surface(slices: FrequencySlices, grid: CuboidGrid, eps: float,
+def _from_surface(slices: FrequencySlices, grid: CuboidGrid, eps: float, kind: type,
                   lateral_spectrum: Callable, times: np.ndarray | None, threads: int,
                   include_illumination: bool) -> ReconstructionVolume:
-    """Propagation from a 3D relay surface through planar kernels at depth nodes.
+    """Propagation from a relay surface of ``kind`` through planar kernels at depth nodes.
 
     With ``s = PROPAGATION_SIGN``, ``g = exp(s*1j*k*r)/r`` is ``exp(s*1j*k*d)``
     times a factor ``h`` that varies slowly with the depth distance ``d``.
     Interpolating ``h`` at Chebyshev nodes ``z_m`` over the relay's depths,
     ``g(z_k - z_l) ~= sum_m L_m(z_l) * exp(s*1j*k*(z_m - z_l)) * g(z_k - z_m)``
     for a detection at ``z_l``: each node is a planar source of samples so
-    weighted.  ``lateral_spectrum(nu_x, nu_y, columns, (py, px))`` turns the
+    weighted; a flat relay takes one node, at its plane, of weight exactly 1.
+    ``lateral_spectrum(nu_x, nu_y, columns, (py, px), eps)`` turns the
     ``[L, M*F]`` columns into their ``[M*F, py, px]`` lattice spectrum.
     """
-    rel = _relay(slices, NonPlanarRelay).coordinates()
+    rel = _relay(slices, kind).coordinates()
     vg, z = grid.grid, rel[:, 2]
     _require(bool((vg.z_coords() > z.max()).all()), "every voxel plane must lie beyond "
              f"the relay's deepest detection (z > {z.max():.6g})")
@@ -581,7 +586,7 @@ def _from_surface(slices: FrequencySlices, grid: CuboidGrid, eps: float,
     weights = basis[:, :, None] * np.exp(
         PROPAGATION_SIGN * 1j * khats * (nodes[None, :, None] - z[:, None, None]))
     uhats = [lateral_spectrum(nu_x, nu_y, (c[:, None, :] * weights).reshape(z.size, -1),
-                              (py, px)).reshape(m, slices.n_freq, py, px)
+                              (py, px), eps).reshape(m, slices.n_freq, py, px)
              for c in slices.coefficients]
     planes = _lattice_planes(vg, px, py, vg.dx, vg.dy, nodes)
     return _propagate(slices, grid, uhats, planes, _read_window(vg.ny, vg.nx),
@@ -593,15 +598,16 @@ def rsd3d(slices: FrequencySlices, grid: CuboidGrid, scatter: str = "trilinear",
           threads: int = 1, include_illumination: bool = True) -> ReconstructionVolume:
     """Propagation from a 3D relay surface via lateral gridding at depth nodes.
 
-    The relay samples, weighted onto depth nodes as in :func:`_from_surface`
-    (``eps`` sets their number), are deposited on the cuboid's padded
-    lateral lattice, at the nearest node or bilinearly for ``scatter=
-    "trilinear"`` (duplicate targets sum), and Fourier transformed.
+    The relay samples, weighted onto depth nodes as in :func:`_from_surface`,
+    are deposited on the cuboid's padded lateral lattice, at the nearest node
+    or bilinearly for ``scatter="trilinear"`` (duplicate targets sum), and
+    Fourier transformed.  ``eps`` sets only the depth node count: the
+    lateral error comes from the gridding (about 1e-2 off the nodes).
     """
     _require(isinstance(grid, CuboidGrid), "rsd3d reconstructs onto a cuboid grid")
     _require(scatter in ("nearest", "trilinear"), "scatter must be 'nearest' or 'trilinear'")
 
-    def gridded(nu_x, nu_y, columns, shape):
+    def gridded(nu_x, nu_y, columns, shape, _eps):
         py, px = shape
         fx, fy = nu_x + px // 2, nu_y + py // 2
         if scatter == "nearest":  # all weight on the first corner
@@ -615,7 +621,8 @@ def rsd3d(slices: FrequencySlices, grid: CuboidGrid, scatter: str = "trilinear",
                   (wts[:, :, None] * columns[:, None, :]).reshape(-1, columns.shape[1]))
         return cfft_2d(fine.T.reshape(-1, py, px))
 
-    return _from_surface(slices, grid, eps, gridded, times, threads, include_illumination)
+    return _from_surface(slices, grid, eps, NonPlanarRelay, gridded, times, threads,
+                         include_illumination)
 
 
 def nursd3d(slices: FrequencySlices, grid: CuboidGrid, eps: float = 1e-6,
@@ -628,12 +635,8 @@ def nursd3d(slices: FrequencySlices, grid: CuboidGrid, eps: float = 1e-6,
     takes one node of weight 1, which makes this :func:`nursd1`.
     """
     _require(isinstance(grid, CuboidGrid), "nursd3d reconstructs onto a cuboid grid")
-
-    def transformed(nu_x, nu_y, columns, shape):
-        torus = np.column_stack([2.0 * np.pi * nu_x / shape[1], 2.0 * np.pi * nu_y / shape[0]])
-        return nufft1(torus, columns, shape, eps)
-
-    return _from_surface(slices, grid, eps, transformed, times, threads, include_illumination)
+    return _from_surface(slices, grid, eps, NonPlanarRelay, _lateral_nufft, times, threads,
+                         include_illumination)
 
 
 # ---------------------------------------------------------------------------

@@ -36,23 +36,27 @@ Non-uniform FFT
 ---------------
 ``nufft1`` (points -> modes, exponent ``-1j``) and ``nufft2`` (modes ->
 points, exponent ``+1j``) use Gaussian gridding on a 2x-oversampled fine
-grid.  The deconvolution divides by the exact discrete window transform
-(the DFT of the truncated spread stencil), so points lying exactly on fine
-grid nodes are reproduced to roundoff.
+grid over the lateral (x and y) axes.  The deconvolution divides by the
+exact discrete window transform (the DFT of the truncated spread stencil),
+so points lying exactly on fine grid nodes are reproduced to roundoff.
 
 Each call builds the spread stencils of its points once, as a sparse
 operator ``S`` (CSR, ``(2w+1)^k`` taps per row over the ``k <= 2`` lateral
 axes): type-1 spreading is ``S^T v`` and type-2 interpolation is ``S f``.
-A 3-D transform keeps the depth axis out of ``S`` as a dense per-point
-factor, so no row ever holds ``(2w+1)^3`` taps.  ``nufft2`` uses the same
-stencils and deconvolution as ``nufft1`` and is its exact structural
-adjoint, so ``<nufft1(c), V> = <c, nufft2(V)>`` holds to machine precision.
+A 3-D transform grids no depth: type 1 multiplies each value column by
+``exp(-1j*kz*z_l)`` for every centered depth mode ``kz`` and runs the 2-D
+transform over those phased columns, and type 2 runs the 2-D transform of
+every depth mode's lateral array and sums them with ``exp(+1j*kz*z_l)``, so
+depth is exact.  ``nufft2`` uses the same stencils, deconvolution and
+phases as ``nufft1`` and is its exact structural adjoint, so
+``<nufft1(c), V> = <c, nufft2(V)>`` holds to machine precision.
 
 Both transforms take a batch of vectors that share one point set
 (``[L, B]`` values for ``nufft1``, ``batch=True`` with ``[B, *modes]``
 coefficients for ``nufft2``) and reuse one operator for every column.
 Batch columns go through the fine grid in chunks whose buffers stay within
-``_FINE_CHUNK_BYTES``, so memory does not grow with ``B``.
+``_FINE_CHUNK_BYTES`` (a 3-D column's depth modes go together), so memory
+does not grow with ``B``.
 """
 
 from __future__ import annotations
@@ -108,14 +112,12 @@ def cifft_2d(u: np.ndarray, rows=None, cols=None) -> np.ndarray:
     """Centered-index inverse DFT over the last two axes, optionally windowed.
 
     ``rows`` and ``cols`` are the centered output indices to keep along y and
-    x (taken mod the axis length; ``None`` keeps the whole axis).  A windowed
-    call inverts along x in place, keeps the window's columns, inverts along
-    y over those columns only and keeps the window's rows: the same 1-D
+    x (taken mod the axis length; ``None`` keeps the whole axis).  The
+    inverse runs along x in place, keeps the window's columns, runs along y
+    over those columns only and keeps the window's rows: the same 1-D
     transforms as the full inverse, so every kept value is bitwise equal to
     the full one, and it computes in complex128.
     """
-    if rows is None and cols is None:
-        return cifft_n(u, axes=(-2, -1))
     py, px = u.shape[-2:]
     rows = np.arange(-(py // 2), py - py // 2) if rows is None else np.asarray(rows)
     cols = np.arange(-(px // 2), px - px // 2) if cols is None else np.asarray(cols)
@@ -329,43 +331,27 @@ def _check_points(pts: np.ndarray, d: int) -> np.ndarray:
     return pts
 
 
-def _outer(arrs: list[np.ndarray]) -> np.ndarray:
-    return reduce(np.multiply.outer, arrs)
-
-
 # Batch columns are spread into, and read from, fine grids in chunks whose
 # grids together stay within this many bytes.
 _FINE_CHUNK_BYTES = 1 << 20
 
 
 class _Spread:
-    """Gaussian spread stencils of one point set, built once per call.
+    """Gaussian spread stencils of one lateral point set, built once per call.
 
     ``matrix`` is the CSR spread operator ``S`` of shape ``[L, mry*mrx]``
-    (``[L, mr]`` in 1-D) with ``(2w+1)^k`` taps per row, ``k`` the number of
-    lateral axes, so type-1 spreading is ``S^T v`` and type-2 interpolation
-    ``S f``.  In 3-D the depth axis never enters ``S``: its stencil is the
-    dense ``[L, mrz]`` matrix ``Wz`` (periodic wrap included), transformed
-    once here to the centered depth modes and deconvolved, so ``depth`` is
-    ``[L, mz]`` and a batch column needs only lateral FFTs.  Type-2 uses the
-    conjugate depth factor, which keeps it the exact adjoint of type-1.
+    (``[L, mr]`` in 1-D) with ``(2w+1)^k`` taps per row over the plan's
+    ``k`` axes, so type-1 spreading is ``S^T v`` and type-2 interpolation
+    ``S f``.
     """
 
     def __init__(self, plan: NufftPlan, pts: np.ndarray):
         idx, win = plan.windows(pts)
         n = pts.shape[0]
-        slots = plan.mode_slots()
-        self.depth = None
-        if len(idx) == 3:
-            wz = np.zeros((n, plan.mrs[0]))
-            np.put_along_axis(wz, idx[0], win[0], axis=1)
-            self.depth = np.fft.fft(wz, axis=1)[:, slots[0]] / plan.kers[0]
-            idx, win = idx[1:], win[1:]
-        k = len(idx)
-        self.mrs = plan.mrs[-k:]
-        self.modes = plan.modes[-k:]
-        self.slots = slots[-k:]
-        self.ker = _outer(list(plan.kers[-k:]))
+        self.mrs = plan.mrs
+        self.modes = plan.modes
+        self.slots = plan.mode_slots()
+        self.ker = reduce(np.multiply.outer, plan.kers)
         cols, wts = idx[0], win[0]
         for i, w, mr in zip(idx[1:], win[1:], self.mrs[1:]):
             cols = (cols[:, :, None] * mr + i[:, None, :]).reshape(n, -1)
@@ -376,41 +362,44 @@ class _Spread:
             (wts.ravel(), cols.ravel().astype(index),
              np.arange(0, n * taps + 1, taps, dtype=index)),
             shape=(n, math.prod(self.mrs)))
-        n_depth = 1 if self.depth is None else self.depth.shape[1]
-        self.chunk = max(1, _FINE_CHUNK_BYTES // (16 * math.prod(self.mrs) * n_depth))
+        self.chunk = max(1, _FINE_CHUNK_BYTES // (16 * math.prod(self.mrs)))
 
     def type1(self, vals: np.ndarray) -> np.ndarray:
         """``[L, c]`` values to ``[c, *modes]`` deconvolved modes."""
-        n, c = vals.shape
-        if self.depth is not None:
-            vals = vals[:, :, None] * self.depth[:, None, :]
         # S is real: applied to the float64 view of complex columns it acts
         # on real and imaginary parts at once, with no complex copy of S.
-        flat = np.ascontiguousarray(vals).reshape(n, -1).view(np.float64)
+        flat = np.ascontiguousarray(vals).view(np.float64)
         fine = np.ascontiguousarray(self.matrix.T @ flat).view(np.complex128)
         fine = fine.reshape(self.mrs + (-1,))
         for ax, sl in enumerate(self.slots):
             fine = np.take(sp_fft.fft(fine, axis=ax, overwrite_x=True), sl, axis=ax)
         fine = fine.reshape(self.modes + (-1,)) / self.ker[..., None]
-        if self.depth is None:
-            return np.moveaxis(fine, -1, 0)
-        return fine.reshape(self.modes + (c, -1)).transpose(2, 3, 0, 1)
+        return np.moveaxis(fine, -1, 0)
 
     def type2(self, coeff: np.ndarray) -> np.ndarray:
         """``[c, *modes]`` coefficients to ``[c, L]`` point values."""
-        c = coeff.shape[0]
-        fine = coeff / self.ker
-        fine = np.moveaxis(fine, 0, -1) if self.depth is None else fine.transpose(2, 3, 0, 1)
-        fine = fine.reshape(self.modes + (-1,))
+        fine = np.moveaxis(coeff / self.ker, 0, -1)
         for ax, (sl, mr) in enumerate(zip(self.slots, self.mrs)):
             arr = np.zeros(fine.shape[:ax] + (mr,) + fine.shape[ax + 1:], dtype=np.complex128)
             arr[(slice(None),) * ax + (sl,)] = fine
             fine = sp_fft.ifft(arr, axis=ax, norm="forward", overwrite_x=True)
         flat = np.ascontiguousarray(fine).reshape(self.matrix.shape[1], -1).view(np.float64)
-        out = np.ascontiguousarray(self.matrix @ flat).view(np.complex128)
-        if self.depth is None:
-            return out.T
-        return np.einsum("lck,lk->cl", out.reshape(out.shape[0], c, -1), self.depth.conj())
+        return np.ascontiguousarray(self.matrix @ flat).view(np.complex128).T
+
+
+def _lateral(modes: tuple[int, ...], eps: float, points: np.ndarray):
+    """``(spread, phase, step)`` of one call: the stencils of the points' x
+    and y (x alone in 1-D), the ``[L, mz]`` depth phases ``exp(-1j*kz*z_l)``
+    of a 3-D call (``None`` below 3-D), and the batch columns per chunk."""
+    _require(1 <= len(modes) <= 3, "supported dimensionalities are 1, 2, 3")
+    _require(all(m >= 1 for m in modes), "mode counts must be >= 1")
+    plan = _nufft_plan(modes[-2:], float(eps))
+    pts = _check_points(points, len(modes))
+    spread = _Spread(plan, pts[:, :len(plan.modes)])
+    if len(modes) < 3:
+        return spread, None, spread.chunk
+    kz = np.arange(modes[0]) - modes[0] // 2
+    return spread, np.exp(-1j * np.outer(pts[:, 2], kz)), max(1, spread.chunk // modes[0])
 
 
 def nufft1(points: np.ndarray, values: np.ndarray, modes: tuple[int, ...],
@@ -419,23 +408,26 @@ def nufft1(points: np.ndarray, values: np.ndarray, modes: tuple[int, ...],
 
     ``U[k] = sum_l values[l] * exp(-1j * (kx*x_l + ky*y_l + kz*z_l))`` for
     centered integer modes ``k``; output shape is ``modes`` in array-shape
-    order (x is the last axis), and relative error is bounded by ``eps``.
+    order (x is the last axis), and relative error is bounded by ``eps``
+    (the depth factor of a 3-D call is exact).
     Point coordinates must lie on the torus ``[-pi, pi)``.  ``values`` of
     shape ``[L, B]`` is a batch of ``B`` vectors sharing the points; the
     output is then ``[B, *modes]``, one mode array per column.
     """
     modes = tuple(int(m) for m in modes)
-    plan = _nufft_plan(modes, float(eps))
-    pts = _check_points(points, len(modes))
+    spread, phase, step = _lateral(modes, eps, points)
+    n = spread.matrix.shape[0]
     vals = np.asarray(values, dtype=np.complex128)
-    _require(vals.ndim in (1, 2) and vals.shape[0] == pts.shape[0],
+    _require(vals.ndim in (1, 2) and vals.shape[0] == n,
              "values must be [L] or [L, B] matching the points")
     _require(bool(np.isfinite(vals).all()), "values must be finite")
-    spread = _Spread(plan, pts)
-    batch = vals.reshape(pts.shape[0], -1)
+    batch = vals.reshape(n, -1)
     out = np.empty((batch.shape[1],) + modes, dtype=np.complex128)
-    for lo in range(0, batch.shape[1], spread.chunk):
-        out[lo:lo + spread.chunk] = spread.type1(batch[:, lo:lo + spread.chunk])
+    for lo in range(0, batch.shape[1], step):
+        cols = batch[:, lo:lo + step]
+        if phase is not None:
+            cols = (cols[:, :, None] * phase[:, None, :]).reshape(n, -1)
+        out[lo:lo + step] = spread.type1(cols).reshape((-1,) + modes)
     return out if vals.ndim == 2 else out[0]
 
 
@@ -445,18 +437,20 @@ def nufft2(coefficients: np.ndarray, points: np.ndarray, eps: float, *,
 
     ``out[l] = sum_k coefficients[k] * exp(+1j * (kx*x_l + ky*y_l + kz*z_l))``
     over centered integer modes ``k``; exact structural adjoint of
-    :func:`nufft1` built from the same stencils and deconvolution.  With
-    ``batch=True`` the leading axis of ``coefficients`` indexes ``B`` mode
-    arrays read at the same points, and the output is ``[B, L]``.
+    :func:`nufft1` built from the same stencils, deconvolution and depth
+    phases.  With ``batch=True`` the leading axis of ``coefficients`` indexes
+    ``B`` mode arrays read at the same points, and the output is ``[B, L]``.
     """
     coeff = np.asarray(coefficients, dtype=np.complex128)
     stack = coeff if batch else coeff[None]
     _require(2 <= stack.ndim <= 4, "mode array must be 1D, 2D, or 3D")
     _require(bool(np.isfinite(stack).all()), "coefficients must be finite")
-    plan = _nufft_plan(tuple(int(m) for m in stack.shape[1:]), float(eps))
-    pts = _check_points(points, stack.ndim - 1)
-    spread = _Spread(plan, pts)
-    out = np.empty((stack.shape[0], pts.shape[0]), dtype=np.complex128)
-    for lo in range(0, stack.shape[0], spread.chunk):
-        out[lo:lo + spread.chunk] = spread.type2(stack[lo:lo + spread.chunk])
+    spread, phase, step = _lateral(stack.shape[1:], eps, points)
+    n = spread.matrix.shape[0]
+    out = np.empty((stack.shape[0], n), dtype=np.complex128)
+    for lo in range(0, stack.shape[0], step):
+        vals = spread.type2(stack[lo:lo + step].reshape((-1,) + spread.modes))
+        if phase is not None:
+            vals = np.einsum("bkl,lk->bl", vals.reshape(-1, phase.shape[1], n), phase.conj())
+        out[lo:lo + step] = vals
     return out if batch else out[0]

@@ -260,6 +260,26 @@ class TestReconstruct:
         assert main(["info", str(out)]) == 0
         assert "frame times: 1e-09 .. 1e-09 s" in capsys.readouterr().out
 
+    def test_video_with_nursd3_starts_at_the_static_field(self, tmp_path):
+        # --video renders frames for every algorithm, not only rsd and srsd.
+        relay, illuminations = README_RELAYS["points_planar"]
+        scene = tmp_path / "s.json"
+        scene.write_text(json.dumps(_scene_doc(relay=relay, illuminations=illuminations)))
+        dataset = tmp_path / "d.nls1"
+        assert main(["simulate", str(scene), "-o", str(dataset)]) == 0
+        planes = tmp_path / "planes.json"
+        pts = [[-0.01, 0.0], [0.02, 0.01], [0.0, -0.02]]
+        planes.write_text(json.dumps(
+            {"planes": [{"z": 0.86, "points": pts}, {"z": 0.94, "points": pts[:2]}]}))
+        base = ["reconstruct", str(dataset), "--algo", "nursd3", "--lambda-c", "0.04",
+                "--grid", "@" + str(planes), "-o"]
+        assert main(base + [str(tmp_path / "s.vol")]) == 0
+        assert main(base + [str(tmp_path / "v.vol"), "--video", "0:2e-9:3"]) == 0
+        static, video = read_volume(str(tmp_path / "s.vol")), read_volume(str(tmp_path / "v.vol"))
+        assert video.n_frames == 3 and np.array_equal(video.times, np.linspace(0.0, 2e-9, 3))
+        assert np.array_equal(video.frame(0), static.frame(0))
+        assert not np.array_equal(video.frame(1), static.frame(0))
+
     @pytest.mark.parametrize("algo", ["rsd3d", "nursd3d"])
     def test_3d_relay_planes_must_lie_beyond_the_deepest_detection(self, tmp_path, capsys,
                                                                    algo):
@@ -489,6 +509,21 @@ class TestInfoAndMetrics:
         assert "ssim 1.000000" in txt and "ncc 1.000000" in txt
         assert main(["metrics", str(vol), str(vol), "--align"]) == 0
         assert "shift dx=0 dy=0" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("video, frames", [(None, ("5", "-7", "-1")),
+                                               ("0:2e-9:3", ("3", "99", "-4"))])
+    def test_metrics_frame_out_of_range_is_usage_error(self, pipeline, tmp_path, capsys,
+                                                       video, frames):
+        vol = tmp_path / "m.vol"
+        assert main(["reconstruct", str(pipeline["dataset"]), "-o", str(vol),
+                     "--algo", "rsd", "--lambda-c", "0.04", "--grid", CUBOID]
+                    + (["--video", video] if video else [])) == 0
+        n = read_volume(str(vol)).n_frames
+        for frame in frames:
+            capsys.readouterr()
+            assert main(["metrics", str(vol), str(vol), "--frame", frame]) == 2
+            assert f"of {n} frame(s)" in capsys.readouterr().err
+        assert main(["metrics", str(vol), str(vol), "--frame", str(n - 1)]) == 0
 
 
 class TestParser:

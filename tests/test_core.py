@@ -252,6 +252,21 @@ class TestVoxelGrids:
         with pytest.raises(ValidationError):
             ReconstructionVolume(cub, np.arange(7.0) + 0j)
 
+    @pytest.mark.parametrize("n_frames, index", [(None, 1), (None, -1), (3, 3), (3, 99), (3, -4),
+                                                  (3, -1)])
+    def test_frame_index_must_lie_in_range(self, n_frames, index):
+        cub = CuboidGrid(UniformGrid3D(2, 2, 2, 0.1, 0.1, 0.1, 0.0, 0.0, 1.0))
+        if n_frames is None:
+            v = ReconstructionVolume(cub, np.zeros(8, complex))
+        else:
+            v = ReconstructionVolume(cub, np.zeros((n_frames, 8), complex),
+                                     times=np.arange(n_frames) * 1e-9)
+        with pytest.raises(ValidationError, match=f"of {v.n_frames} frame"):
+            v.frame(index)
+        with pytest.raises(ValidationError, match=f"of {v.n_frames} frame"):
+            v.as_array3d(index)
+        assert v.frame(v.n_frames - 1).shape == (8,)
+
 
 # ---------------------------------------------------------------------------
 # Torus rescaling

@@ -89,7 +89,7 @@ def test_windowed_inverse_is_a_bitwise_slice_of_the_full_one(data):
     u = _complex(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))),
                  (*batch, py, px))
     rows, cols = _window(data, py), _window(data, px)
-    full = cifft_2d(u)
+    full = cifft_n(u, axes=(-2, -1))
     if rows is not None:
         full = full[..., rows + py // 2, :]
     if cols is not None:
@@ -101,7 +101,7 @@ def test_windowed_inverse_is_a_bitwise_slice_of_the_full_one(data):
 @pytest.mark.parametrize("p", [1, 2, 7, 8])
 def test_windowed_inverse_at_the_edges_of_the_index_set(rng, p):
     u = _complex(rng, (2, p, p + 3))
-    full = cifft_2d(u)
+    full = cifft_n(u, axes=(-2, -1))
     first, last = np.array([-(p // 2)]), np.array([p - p // 2 - 1])
     for rows, cols in [(first, None), (last, None), (None, np.array([-((p + 3) // 2)])),
                        (None, np.array([p + 3 - (p + 3) // 2 - 1])), (first, last)]:
@@ -263,8 +263,19 @@ class TestNufft:
             nufft2(np.ones((8, 8), complex), np.zeros((3, 1)), 1e-6)
 
 
+def _depth_modes(modes):
+    return np.arange(modes[0]) - modes[0] // 2
+
+
 def _loop_nufft1(pts, vals, modes, eps):
-    """Per-point gridding loops: the reference for the sparse spread operator."""
+    """Per-point gridding loops: the reference for the sparse spread operator.
+
+    A 3-D call grids x and y only, one depth mode ``kz`` at a time, from the
+    values phased by ``exp(-1j*kz*z)``.
+    """
+    if len(modes) == 3:
+        return np.stack([_loop_nufft1(pts[:, :2], vals * np.exp(-1j * kz * pts[:, 2]),
+                                      modes[1:], eps) for kz in _depth_modes(modes)])
     plan = spectral._nufft_plan(modes, eps)
     idx, win = plan.windows(pts)
     fine = np.zeros(plan.mrs, dtype=complex)
@@ -276,6 +287,9 @@ def _loop_nufft1(pts, vals, modes, eps):
 
 
 def _loop_nufft2(coeff, pts, eps):
+    if coeff.ndim == 3:
+        return sum(np.exp(1j * kz * pts[:, 2]) * _loop_nufft2(c, pts[:, :2], eps)
+                   for kz, c in zip(_depth_modes(coeff.shape), coeff))
     plan = spectral._nufft_plan(coeff.shape, eps)
     arr = np.zeros(plan.mrs, dtype=complex)
     arr[np.ix_(*plan.mode_slots())] = coeff / reduce(np.multiply.outer, plan.kers)
@@ -325,12 +339,10 @@ class TestBatchedNufft:
     def test_3d_batch_matches_direct_sum_across_depth_wrap(self, rng):
         modes = (7, 6, 5)
         pts = _random_points(rng, 30, 3)
+        # Depths near 0 and just below pi, where a gridded depth stencil
+        # would wrap round its fine axis: the exact phases hold there too.
         pts[:10, 2] = rng.uniform(-0.05, 0.05, 10)
         pts[10:20, 2] = np.pi - rng.uniform(0.0, 0.05, 10)
-        # Depth stencils of the first ten points run past the end of the
-        # fine depth axis and wrap to its start.
-        z_idx = spectral._nufft_plan(modes, 1e-10).windows(pts)[0][0]
-        assert (np.diff(z_idx[:10], axis=1) != 1).any(axis=1).all()
         vals = _complex(rng, (30, 4))
         coeff = _complex(rng, (4,) + modes)
         fast1 = nufft1(pts, vals, modes, 1e-10)
@@ -338,6 +350,33 @@ class TestBatchedNufft:
         for b in range(4):
             assert rel_linf(fast1[b], oracle.nudft1(pts, vals[:, b], modes)) < 1e-10
             assert rel_linf(fast2[b], oracle.nudft2(coeff[b], pts)) < 1e-10
+
+    def test_3d_depth_is_exact(self, rng):
+        # Lateral points on lattice nodes are gridded exactly, so at a loose
+        # eps only the depth factor could err, and it is an exact phase.
+        modes = (5, 6, 8)
+        pts = np.column_stack([2 * np.pi * rng.integers(-(m // 2), m - m // 2, 40) / m
+                               for m in (8, 6)] + [_random_points(rng, 40, 1)])
+        vals = _complex(rng, (40,))
+        coeff = _complex(rng, modes)
+        assert rel_linf(nufft1(pts, vals, modes, 1e-2), oracle.nudft1(pts, vals, modes)) < 1e-12
+        assert rel_linf(nufft2(coeff, pts, 1e-2), oracle.nudft2(coeff, pts)) < 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(modes=st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)),
+           n=st.integers(1, 12), batch=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_3d_matches_direct_sum_and_is_adjoint(self, modes, n, batch, seed):
+        rng = np.random.default_rng(seed)
+        pts = _random_points(rng, n, 3)
+        vals = _complex(rng, (n, batch))
+        coeff = _complex(rng, (batch,) + modes)
+        fast1 = nufft1(pts, vals, modes, 1e-10)
+        fast2 = nufft2(coeff, pts, 1e-10, batch=True)
+        for b in range(batch):
+            assert rel_linf(fast1[b], oracle.nudft1(pts, vals[:, b], modes)) < 1e-10
+            assert rel_linf(fast2[b], oracle.nudft2(coeff[b], pts)) < 1e-10
+        lhs = np.vdot(fast1, coeff)
+        assert abs(lhs - np.vdot(vals.T, fast2)) <= 1e-12 * max(abs(lhs), 1e-300)
 
     @pytest.mark.parametrize("modes", [(9, 7), (5, 6, 4)])
     def test_batched_adjointness(self, rng, small_chunks, modes):
@@ -350,19 +389,17 @@ class TestBatchedNufft:
 
     @pytest.mark.parametrize("modes", [(16,), (12, 10), (6, 5, 4)])
     def test_spread_operator_structure(self, rng, modes):
-        # CSR over the lateral axes only: a 3-D operator keeps depth as a
-        # dense factor instead of (2w+1)^3 taps per row.
-        plan = spectral._nufft_plan(modes, 1e-6)
-        spread = spectral._Spread(plan, _random_points(rng, 13, len(modes)))
-        lateral = min(len(modes), 2)
+        # CSR over the lateral axes only: a 3-D call spreads x and y and
+        # phases depth exactly, so no row holds depth taps.
+        lateral = modes[-2:]
+        spread, phase, _ = spectral._lateral(modes, 1e-6, _random_points(rng, 13, len(modes)))
+        plan = spectral._nufft_plan(lateral, 1e-6)
         s = spread.matrix
         assert s.format == "csr" and s.indices.dtype == np.int32
-        assert s.shape == (13, int(np.prod(plan.mrs[-lateral:])))
-        assert (np.diff(s.indptr) == (2 * plan.w + 1) ** lateral).all()
-        if len(modes) == 3:
-            assert spread.depth.shape == (13, modes[0])
-        else:
-            assert spread.depth is None
+        assert s.shape == (13, int(np.prod(plan.mrs)))
+        assert (np.diff(s.indptr) == (2 * plan.w + 1) ** len(lateral)).all()
+        assert not hasattr(spread, "depth")
+        assert (phase is None) if len(modes) < 3 else phase.shape == (13, modes[0])
 
     def test_rejects_batch_shape_mismatches(self):
         pts = np.zeros((3, 1))
