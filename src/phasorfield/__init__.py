@@ -40,6 +40,7 @@ from .core import (
     VoxelPlane,
     grid_coordinates,
     illumination_coordinates,
+    read_container,
     read_dataset,
     read_volume,
     rescale_to_torus,
@@ -114,6 +115,7 @@ __all__ = [
     "VoxelPlane",
     "grid_coordinates",
     "illumination_coordinates",
+    "read_container",
     "read_dataset",
     "read_volume",
     "rescale_to_torus",

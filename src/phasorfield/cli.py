@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -29,12 +30,13 @@ from .core import (
     NonPlanarRelay,
     NonUniformPlanarRelay,
     PointList,
+    ReconstructionVolume,
     UniformGrid2D,
     UniformGrid3D,
     UniformRelay,
     ValidationError,
     VoxelPlane,
-    _ForeignKindError,
+    read_container,
     read_dataset,
     read_volume,
     write_dataset,
@@ -182,6 +184,8 @@ def _parse_video(spec: str) -> np.ndarray:
     if len(parts) != 3:
         raise ValidationError("video spec must be t_start:t_stop:steps")
     t0, t1 = float(parts[0]), float(parts[1])
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValidationError("video start and stop times must be finite")
     steps = int(parts[2])
     if steps < 1:
         raise ValidationError("video needs at least one frame")
@@ -242,15 +246,12 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_info(args) -> int:
-    try:
-        m = read_dataset(args.path)
-    except _ForeignKindError:
-        v = read_volume(args.path)
-        kind = v.grid.kind
-        print(f"volume: {v.n_frames} frame(s) x {v.grid.count} voxels on a "
-              f"{kind} grid")
-        if v.times is not None:
-            print(f"frame times: {v.times[0]:.6g} .. {v.times[-1]:.6g} s")
+    m = read_container(args.path)
+    if isinstance(m, ReconstructionVolume):
+        print(f"volume: {m.n_frames} frame(s) x {m.grid.count} voxels on a "
+              f"{m.grid.kind} grid")
+        if m.times is not None:
+            print(f"frame times: {m.times[0]:.6g} .. {m.times[-1]:.6g} s")
         return 0
     print(f"dataset: {m.n_illum} illumination(s) x {m.n_detect} detector(s) x "
           f"{m.n_bins} bins")
@@ -274,6 +275,8 @@ def _cmd_frustum(args) -> int:
     v_f = phasor.frustum_volume(args.x_in, args.y_in, args.z_in, args.z_out,
                                 args.alpha, beta)
     v_c = phasor.cuboid_volume(args.x_in, args.y_in, args.z_in, args.z_out)
+    if args.z_out == args.z_in:
+        raise ValidationError("--z-out must exceed --z-in: the increase is relative to V_C")
     print(f"V_F {v_f:.2f}")
     print(f"V_C {v_c:.2f}")
     print(f"delta_V {v_f - v_c:.2f}")
@@ -372,6 +375,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ValidationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # an input too large to allocate
+        print(f"error: the input needs more memory than is available: {exc}", file=sys.stderr)
         return 2
     except (ContainerFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

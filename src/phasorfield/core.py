@@ -61,7 +61,7 @@ class NonFiniteDataError(ContainerFormatError):
 
 
 class _ForeignKindError(ContainerFormatError):
-    """The kind tag belongs to the other container type (or to neither)."""
+    """The kind tag belongs to the other container family."""
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -597,13 +597,16 @@ def rescale_to_torus(p: PointList, lo: Sequence[float], hi: Sequence[float]
 
 
 # ---------------------------------------------------------------------------
-# Binary container: transient datasets
+# Binary container: the shared framing, and transient datasets
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"NLS1"
 _VERSION = 1
 _RELAY_KINDS = {"uniform": 0, "nonuniform_planar": 1, "nonplanar": 2}
 _VOLUME_KINDS = {"cuboid": 16, "frustum": 17, "explicit": 18}
+# What a file of each kind tag holds, for the error of a reader of the other family.
+_HOLDS = {**{tag: f"a transient dataset on a {k} relay" for k, tag in _RELAY_KINDS.items()},
+          **{tag: f"a volume on a {k} grid" for k, tag in _VOLUME_KINDS.items()}}
 
 
 class _Reader:
@@ -635,42 +638,66 @@ class _Reader:
                 f"at byte {self.off}")
 
 
-def _pack_points(pts: np.ndarray) -> bytes:
-    return np.ascontiguousarray(pts, dtype="<f8").tobytes()
+def _pack_f8(a: np.ndarray) -> bytes:
+    return np.ascontiguousarray(a, dtype="<f8").tobytes()
+
+
+def _write_container(path: str, counts: tuple[int, int, int], scalars: tuple[float, float],
+                     kind: int, parts: list[bytes]) -> None:
+    """Write the framing (magic, version, 3 counts, 2 scalars, kind byte), then ``parts``."""
+    head = struct.pack("<4sI3I2dB", _MAGIC, _VERSION, *counts, *scalars, kind)
+    with open(path, "wb") as f:
+        f.write(b"".join([head, *parts]))
+
+
+def _open_container(path: str, kinds: dict[str, int], what: str):
+    """Read the framing; return the reader at the body, the counts, the scalars and the kind.
+
+    A kind tag outside ``kinds`` fails, naming what the file holds if it is a known tag.
+    """
+    with open(path, "rb") as f:
+        r = _Reader(f.read())
+    magic = r.take(4)
+    if magic != _MAGIC:
+        raise InvalidMagicError(f"expected magic {_MAGIC!r}, found {magic!r}")
+    (version,) = r.unpack("I")
+    if version != _VERSION:
+        raise UnsupportedVersionError(f"container version {version} is not supported")
+    *counts, s0, s1, kind = r.unpack("3I2dB")
+    if kind not in kinds.values():
+        if kind in _HOLDS:
+            raise _ForeignKindError(f"expected {what}, but the file holds {_HOLDS[kind]}")
+        raise ContainerFormatError(f"unknown container kind tag {kind}")
+    return r, counts, (s0, s1), kind
+
+
+@contextmanager
+def _format_errors() -> Iterator[None]:
+    """Header values the constructors refuse make a malformed file, not bad input."""
+    try:
+        yield
+    except ValidationError as exc:
+        raise ContainerFormatError(str(exc)) from exc
 
 
 def _relay_to_bytes(relay: RelaySampling) -> bytes:
-    out = [struct.pack("<B", _RELAY_KINDS[relay.kind])]
     if isinstance(relay, UniformRelay):
         g = relay.grid
-        out.append(struct.pack("<II", g.nx, g.ny))
-        out.append(struct.pack("<5d", g.dx, g.dy, g.x0, g.y0, g.z))
-    elif isinstance(relay, NonUniformPlanarRelay):
-        out.append(struct.pack("<d", relay.z))
-        out.append(struct.pack("<I", relay.points.count))
-        out.append(_pack_points(relay.points.points))
-    else:
-        out.append(struct.pack("<I", relay.points.count))
-        out.append(_pack_points(relay.points.points))
-    return b"".join(out)
+        return struct.pack("<2I5d", g.nx, g.ny, g.dx, g.dy, g.x0, g.y0, g.z)
+    pts = relay.points
+    if isinstance(relay, NonUniformPlanarRelay):
+        return struct.pack("<dI", relay.z, pts.count) + _pack_f8(pts.points)
+    return struct.pack("<I", pts.count) + _pack_f8(pts.points)
 
 
-def _relay_from_reader(r: _Reader) -> RelaySampling:
-    (kind,) = r.unpack("B")
-    if kind == 0:
-        nx, ny = r.unpack("II")
-        dx, dy, x0, y0, z = r.unpack("5d")
-        return UniformRelay(UniformGrid2D(nx, ny, dx, dy, x0, y0, z))
-    if kind == 1:
-        (z,) = r.unpack("d")
-        (count,) = r.unpack("I")
-        pts = r.array("f8", count * 2).reshape(count, 2)
-        return NonUniformPlanarRelay(PointList(pts), z)
-    if kind == 2:
-        (count,) = r.unpack("I")
-        pts = r.array("f8", count * 3).reshape(count, 3)
-        return NonPlanarRelay(PointList(pts))
-    raise _ForeignKindError(f"unknown relay kind tag {kind} (is this a volume file?)")
+def _relay_from_reader(r: _Reader, kind: int) -> RelaySampling:
+    if kind == _RELAY_KINDS["uniform"]:
+        return UniformRelay(UniformGrid2D(*r.unpack("2I5d")))
+    if kind == _RELAY_KINDS["nonuniform_planar"]:
+        z, count = r.unpack("dI")
+        return NonUniformPlanarRelay(PointList(r.array("f8", count * 2).reshape(count, 2)), z)
+    (count,) = r.unpack("I")  # the last relay kind, "nonplanar"
+    return NonPlanarRelay(PointList(r.array("f8", count * 3).reshape(count, 3)))
 
 
 def _relay_to_json(relay: RelaySampling) -> dict:
@@ -691,18 +718,14 @@ def write_dataset(m: TransientMeasurement, path: str) -> None:
     Output is a pure function of the measurement (no timestamps), so repeated
     writes are byte-identical.
     """
-    parts = [
-        _MAGIC,
-        struct.pack("<I", _VERSION),
-        struct.pack("<III", m.n_illum, m.n_detect, m.n_bins),
-        struct.pack("<dd", m.delta_t, m.t0),
-        _relay_to_bytes(m.relay),
-        struct.pack("<BI", m.illuminations.dim, m.illuminations.count),
-        _pack_points(m.illuminations.points),
-        np.ascontiguousarray(m.histograms, dtype="<f4").tobytes(),
-    ]
-    with open(path, "wb") as f:
-        f.write(b"".join(parts))
+    ill = m.illuminations
+    _write_container(path, (m.n_illum, m.n_detect, m.n_bins), (m.delta_t, m.t0),
+                     _RELAY_KINDS[m.relay.kind], [
+                         _relay_to_bytes(m.relay),
+                         struct.pack("<BI", ill.dim, ill.count),
+                         _pack_f8(ill.points),
+                         np.ascontiguousarray(m.histograms, dtype="<f4").tobytes(),
+                     ])
     sidecar = {
         "format": "NLS1 transient dataset",
         "version": _VERSION,
@@ -712,36 +735,23 @@ def write_dataset(m: TransientMeasurement, path: str) -> None:
         "delta_t": m.delta_t,
         "t0": m.t0,
         "relay": _relay_to_json(m.relay),
-        "n_illumination_points": m.illuminations.count,
+        "n_illumination_points": ill.count,
     }
     with open(path + ".json", "w", encoding="utf-8") as f:
         json.dump(sidecar, f, indent=2, sort_keys=True)
         f.write("\n")
 
 
-@contextmanager
-def _format_errors() -> Iterator[None]:
-    """Header values the constructors refuse make a malformed file, not bad input."""
-    try:
-        yield
-    except ValidationError as exc:
-        raise ContainerFormatError(str(exc)) from exc
-
-
+# Both readers decode their payloads in their own bodies, not in a helper:
+# the file's bytes (held by ``r``) are then freed before the float32 payload
+# copy, at the same frame exit.  In that order the next read trims the heap
+# arena, which keeps the peak resident set of a run of captures down.
 @_format_errors()
 def read_dataset(path: str) -> TransientMeasurement:
     """Read a transient measurement container written by :func:`write_dataset`."""
-    with open(path, "rb") as f:
-        r = _Reader(f.read())
-    magic = r.take(4)
-    if magic != _MAGIC:
-        raise InvalidMagicError(f"expected magic {_MAGIC!r}, found {magic!r}")
-    (version,) = r.unpack("I")
-    if version != _VERSION:
-        raise UnsupportedVersionError(f"container version {version} is not supported")
-    n_illum, n_detect, n_bins = r.unpack("III")
-    delta_t, t0 = r.unpack("dd")
-    relay = _relay_from_reader(r)
+    r, (n_illum, n_detect, n_bins), (delta_t, t0), kind = _open_container(
+        path, _RELAY_KINDS, "a transient dataset")
+    relay = _relay_from_reader(r, kind)
     dim, n_ill_pts = r.unpack("BI")
     if dim not in (2, 3):
         raise ContainerFormatError(f"illumination dimensionality {dim} invalid")
@@ -760,71 +770,50 @@ def read_dataset(path: str) -> TransientMeasurement:
 
 
 def _grid_to_bytes(grid: VoxelGrid) -> bytes:
-    out = []
     if isinstance(grid, CuboidGrid):
         g = grid.grid
-        out.append(struct.pack("<III", g.nx, g.ny, g.nz))
-        out.append(struct.pack("<6d", g.dx, g.dy, g.dz, g.x0, g.y0, g.z0))
-    elif isinstance(grid, FrustumGrid):
+        return struct.pack("<3I6d", g.nx, g.ny, g.nz, g.dx, g.dy, g.dz, g.x0, g.y0, g.z0)
+    if isinstance(grid, FrustumGrid):
         b = grid.base
-        out.append(struct.pack("<III", b.nx, b.ny, grid.n_planes))
-        out.append(struct.pack("<5d", b.dx, b.dy, b.x0, b.y0, b.z))
-        out.append(np.ascontiguousarray(grid.zs, dtype="<f8").tobytes())
-        out.append(np.ascontiguousarray(grid.alphas, dtype="<f8").tobytes())
-        out.append(np.ascontiguousarray(grid.betas, dtype="<f8").tobytes())
-    else:
-        out.append(struct.pack("<I", len(grid.planes)))
-        for p in grid.planes:
-            out.append(struct.pack("<dI", p.z, p.points.count))
-            out.append(_pack_points(p.points.points))
+        return b"".join([struct.pack("<3I5d", b.nx, b.ny, grid.n_planes,
+                                     b.dx, b.dy, b.x0, b.y0, b.z),
+                         *map(_pack_f8, (grid.zs, grid.alphas, grid.betas))])
+    out = [struct.pack("<I", len(grid.planes))]
+    for p in grid.planes:
+        out += [struct.pack("<dI", p.z, p.points.count), _pack_f8(p.points.points)]
     return b"".join(out)
 
 
 def _grid_from_reader(r: _Reader, kind: int) -> VoxelGrid:
-    if kind == 16:
-        nx, ny, nz = r.unpack("III")
-        dx, dy, dz, x0, y0, z0 = r.unpack("6d")
-        return CuboidGrid(UniformGrid3D(nx, ny, nz, dx, dy, dz, x0, y0, z0))
-    if kind == 17:
-        nx, ny, npl = r.unpack("III")
-        dx, dy, x0, y0, z = r.unpack("5d")
-        zs = r.array("f8", npl)
-        al = r.array("f8", npl)
-        be = r.array("f8", npl)
-        return FrustumGrid(UniformGrid2D(nx, ny, dx, dy, x0, y0, z), zs, al, be)
-    if kind == 18:
-        (npl,) = r.unpack("I")
-        planes = []
-        for _ in range(npl):
-            z, count = r.unpack("dI")
-            pts = r.array("f8", count * 2).reshape(count, 2)
-            planes.append(VoxelPlane(z, PointList(pts)))
-        return ExplicitVoxels(tuple(planes))
-    raise ContainerFormatError(f"unknown voxel grid kind tag {kind}")
+    if kind == _VOLUME_KINDS["cuboid"]:
+        return CuboidGrid(UniformGrid3D(*r.unpack("3I6d")))
+    if kind == _VOLUME_KINDS["frustum"]:
+        nx, ny, npl, *geometry = r.unpack("3I5d")
+        zs, al, be = (r.array("f8", npl) for _ in range(3))
+        return FrustumGrid(UniformGrid2D(nx, ny, *geometry), zs, al, be)
+    (npl,) = r.unpack("I")  # the last grid kind, "explicit"
+    planes = []
+    for _ in range(npl):
+        z, count = r.unpack("dI")
+        planes.append(VoxelPlane(z, PointList(r.array("f8", count * 2).reshape(count, 2))))
+    return ExplicitVoxels(tuple(planes))
 
 
 def write_volume(v: ReconstructionVolume, path: str) -> None:
     """Write a reconstruction volume in the shared container framing.
 
-    Same magic/version as the dataset container with voxel-grid kind tags in
-    place of relay kinds; payload is interleaved complex float32 per frame.
-    The header word after the voxel count is 1 for a time-resolved volume
-    (even of one frame) and 0 for a static one.
+    The counts are the frame count, the voxel count and the time-axis word:
+    1 for a time-resolved volume (even of one frame) and 0 for a static one.
+    Both scalars are 0.  The payload is interleaved complex float32 per frame.
     """
     times = v.times if v.times is not None else np.zeros(1)
     field = v.field if v.times is not None else v.field[None, :]
-    parts = [
-        _MAGIC,
-        struct.pack("<I", _VERSION),
-        struct.pack("<III", v.n_frames, v.grid.count, int(v.times is not None)),
-        struct.pack("<dd", 0.0, 0.0),
-        struct.pack("<B", _VOLUME_KINDS[v.grid.kind]),
-        _grid_to_bytes(v.grid),
-        np.ascontiguousarray(times, dtype="<f8").tobytes(),
-        np.ascontiguousarray(field, dtype="<c8").tobytes(),
-    ]
-    with open(path, "wb") as f:
-        f.write(b"".join(parts))
+    _write_container(path, (v.n_frames, v.grid.count, int(v.times is not None)), (0.0, 0.0),
+                     _VOLUME_KINDS[v.grid.kind], [
+                         _grid_to_bytes(v.grid),
+                         _pack_f8(times),
+                         np.ascontiguousarray(field, dtype="<c8").tobytes(),
+                     ])
 
 
 @_format_errors()
@@ -834,20 +823,8 @@ def read_volume(path: str) -> ReconstructionVolume:
     Earlier writers left the time-axis word 0 for every volume, so a volume
     with word 0 is static if it holds one frame and time-resolved otherwise.
     """
-    with open(path, "rb") as f:
-        r = _Reader(f.read())
-    magic = r.take(4)
-    if magic != _MAGIC:
-        raise InvalidMagicError(f"expected magic {_MAGIC!r}, found {magic!r}")
-    (version,) = r.unpack("I")
-    if version != _VERSION:
-        raise UnsupportedVersionError(f"container version {version} is not supported")
-    n_frames, n_voxels, timed = r.unpack("III")
-    r.unpack("dd")
-    (kind,) = r.unpack("B")
-    if kind not in _VOLUME_KINDS.values():
-        raise _ForeignKindError(
-            f"kind tag {kind} is not a volume grid (is this a transient dataset?)")
+    r, (n_frames, n_voxels, timed), _, kind = _open_container(
+        path, _VOLUME_KINDS, "a reconstruction volume")
     if timed not in (0, 1):
         raise ContainerFormatError(f"time-axis word {timed} must be 0 or 1")
     if n_frames == 0:
@@ -863,6 +840,14 @@ def read_volume(path: str) -> ReconstructionVolume:
     if not timed and n_frames == 1:
         return ReconstructionVolume(grid, field[0].astype(np.complex128))
     return ReconstructionVolume(grid, field.astype(np.complex128), times)
+
+
+def read_container(path: str) -> TransientMeasurement | ReconstructionVolume:
+    """Read either container kind: a dataset, or else a volume."""
+    try:
+        return read_dataset(path)
+    except _ForeignKindError:
+        return read_volume(path)
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,12 @@ class PhasorKernel:
         return 2.0 * math.pi * SPEED_OF_LIGHT / float(self.frequencies[-1])
 
 
+def _require_finite(**values: float) -> None:
+    """Refuse NaN and infinite inputs, naming the first one."""
+    for name, v in values.items():
+        _require(math.isfinite(v), f"{name} must be finite, not {v}")
+
+
 def build_kernel(lambda_c: float, n_bins: int, delta_t: float,
                  threshold: float = 0.01) -> PhasorKernel:
     """Select and weight the DFT bins of a Gaussian packet at ``lambda_c``.
@@ -77,9 +83,10 @@ def build_kernel(lambda_c: float, n_bins: int, delta_t: float,
     width ``sigma = c/(5*lambda_c)``; a positive bin ``k`` (1..n_bins//2) is
     retained when ``exp(-(omega_k - omega_c)^2 / (2*sigma^2)) >= threshold``.
     """
-    _require(lambda_c > 0 and math.isfinite(lambda_c), "virtual wavelength must be > 0")
+    _require_finite(lambda_c=lambda_c, delta_t=delta_t)
+    _require(lambda_c > 0, "virtual wavelength must be > 0")
     _require(n_bins >= 2, "need at least two time bins")
-    _require(delta_t > 0 and math.isfinite(delta_t), "bin width must be > 0")
+    _require(delta_t > 0, "bin width must be > 0")
     _require(0.0 < threshold < 1.0, "retention threshold must lie in (0, 1)")
     omega_c = 2.0 * math.pi * SPEED_OF_LIGHT / lambda_c
     sigma = SPEED_OF_LIGHT / (5.0 * lambda_c)
@@ -165,6 +172,7 @@ def frustum_volume(x_in: float, y_in: float, z_in: float, z_out: float,
 
         h*x_in*y_in + (h^2/2)*(x_in/beta + y_in/alpha) + h^3/(3*alpha*beta)
     """
+    _require_finite(x_in=x_in, y_in=y_in, z_in=z_in, z_out=z_out, alpha=alpha, beta=beta)
     _require(x_in > 0 and y_in > 0, "base extents must be > 0")
     _require(z_out >= z_in, "far plane must not precede the near plane")
     _require(alpha > 0 and beta > 0, "scale factors must be > 0")
@@ -176,6 +184,7 @@ def frustum_volume(x_in: float, y_in: float, z_in: float, z_out: float,
 
 def cuboid_volume(x_in: float, y_in: float, z_in: float, z_out: float) -> float:
     """Volume of the unscaled cuboid with the same base and depth span."""
+    _require_finite(x_in=x_in, y_in=y_in, z_in=z_in, z_out=z_out)
     _require(x_in > 0 and y_in > 0, "base extents must be > 0")
     _require(z_out >= z_in, "far plane must not precede the near plane")
     return x_in * y_in * (z_out - z_in)
@@ -188,7 +197,7 @@ class SamplingReport:
     ``ratio = 2|z|/|x|`` compares the lateral modulation wavelength on the
     relay against the depth one; an integer downsampling factor ``D`` is
     admissible when ``ratio > D``, so ``max_downsample = ceil(ratio) - 1``
-    (unbounded when the scatterer is on-axis).
+    (unbounded when the scatterer is on-axis or the ratio overflows a float).
     """
 
     ratio: float
@@ -206,13 +215,14 @@ def sampling_report(x_offset: float, z_offset: float, lambda_star: float,
     the shortest retained wavelength.  Confocal capture halves the sampling
     wavelengths because illumination and detection phases add.
     """
+    _require_finite(x_offset=x_offset, z_offset=z_offset, lambda_star=lambda_star)
     _require(lambda_star > 0, "shortest wavelength must be > 0")
     _require(z_offset != 0, "scatterer must be off the relay plane")
     lambda_sz = lambda_star / (4.0 if confocal else 2.0)
-    if x_offset == 0.0:
+    ratio = 2.0 * abs(z_offset) / abs(x_offset) if x_offset != 0.0 else math.inf
+    if math.isinf(ratio):  # on-axis, or so near it that the ratio overflows
         return SamplingReport(ratio=math.inf, lambda_sz=lambda_sz,
                               lambda_sx=math.inf, max_downsample=math.inf)
-    ratio = 2.0 * abs(z_offset) / abs(x_offset)
     return SamplingReport(
         ratio=ratio,
         lambda_sz=lambda_sz,

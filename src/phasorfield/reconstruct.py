@@ -695,11 +695,7 @@ def light_transport_video(slices: FrequencySlices, grid: VoxelGrid,
     propagation and a scatterer voxel lights up when ``t`` equals the
     illumination time of flight to it.
     """
-    name = algorithm.replace("_", "-").lower()
-    _require(name in ("rsd", "srsd"),
-             "time-resolved rendering supports the plane-to-plane propagators "
-             "('rsd' and 'srsd')")
-    return reconstruct(slices, grid, name, times=np.asarray(times, dtype=np.float64),
+    return reconstruct(slices, grid, algorithm, times=np.asarray(times, dtype=np.float64),
                        threads=threads, include_illumination=include_illumination,
                        **options)
 

@@ -8,7 +8,23 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phasorfield import read_volume
+from phasorfield import (
+    CuboidGrid,
+    ExplicitVoxels,
+    FrustumGrid,
+    NonPlanarRelay,
+    NonUniformPlanarRelay,
+    PointList,
+    ReconstructionVolume,
+    TransientMeasurement,
+    UniformGrid2D,
+    UniformGrid3D,
+    UniformRelay,
+    VoxelPlane,
+    read_volume,
+    write_dataset,
+    write_volume,
+)
 from phasorfield.cli import main
 
 
@@ -59,6 +75,34 @@ class TestCalculatorCommands:
                      "--lambda-star", "0.04", "--confocal"]) == 0
         assert "lambda_sz 0.01" in capsys.readouterr().out
 
+    _FRUSTUM = {"--x-in": "4", "--y-in": "4", "--z-in": "1", "--z-out": "3", "--alpha": "0.5"}
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--z-out", "1", "--z-out must exceed --z-in"),
+        ("--z-out", "inf", "z_out must be finite"),
+        ("--z-in", "nan", "z_in must be finite"),
+        ("--alpha", "inf", "alpha must be finite"),
+    ])
+    def test_frustum_refuses_before_printing(self, capsys, flag, value, message):
+        args = dict(self._FRUSTUM, **{flag: value})
+        assert main(["frustum"] + [a for kv in args.items() for a in kv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and message in err
+
+    @pytest.mark.parametrize("flag, value", [("--z-offset", "inf"), ("--x-offset", "nan"),
+                                             ("--lambda-star", "inf")])
+    def test_sampling_report_refuses_non_finite_inputs(self, capsys, flag, value):
+        args = {"--x-offset": "0.4", "--z-offset": "1.0", "--lambda-star": "0.04", flag: value}
+        assert main(["sampling-report"] + [a for kv in args.items() for a in kv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "must be finite" in err
+
+    def test_sampling_report_overflowing_ratio_is_unbounded(self, capsys):
+        assert main(["sampling-report", "--x-offset", "1e-320", "--z-offset", "0.4",
+                     "--lambda-star", "0.04"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "ratio inf" and out[-1] == "max_downsample inf"
+
 
 class TestSimulate:
     def test_writes_dataset_and_sidecar(self, pipeline, capsys):
@@ -106,6 +150,13 @@ class TestSimulate:
         assert main(["simulate", str(scene), "-o", str(tmp_path / "x.nls1")]) == 2
         assert "delta_t" in capsys.readouterr().err
 
+    def test_too_many_bins_is_usage_error(self, tmp_path, capsys):
+        # 10**15 bins ask for more than 2**47 bytes, so the allocation fails at once.
+        scene = tmp_path / "huge.json"
+        scene.write_text(json.dumps(_scene_doc(n_bins=10**15)))
+        assert main(["simulate", str(scene), "-o", str(tmp_path / "x.nls1")]) == 2
+        assert "more memory than is available" in capsys.readouterr().err
+        assert not (tmp_path / "x.nls1").exists()
 
     @pytest.mark.parametrize("key", ["n_bins", "relay", "scatterers"])
     def test_missing_scene_field_is_usage_error(self, tmp_path, capsys, key):
@@ -320,6 +371,21 @@ class TestReconstruct:
                      "--lambda-c", "0.04", "--grid", CUBOID])
         assert code == 2
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--video", "0:1e-9:1000000000000000"], "more memory than is available"),
+        (["--video", "0:nan:3"], "video start and stop times must be finite"),
+        (["--video", "0:-inf:3"], "video start and stop times must be finite"),
+        (["--lambda-c", "inf"], "lambda_c must be finite"),
+    ])
+    def test_unusable_numbers_are_usage_errors(self, pipeline, tmp_path, capsys,
+                                               flags, message):
+        out = tmp_path / "x.vol"
+        code = main(["reconstruct", str(pipeline["dataset"]), "-o", str(out), "--algo", "rsd",
+                     "--lambda-c", "0.04", "--grid", CUBOID] + flags)
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_dataset_is_io_error(self, tmp_path, capsys):
         code = main(["reconstruct", str(tmp_path / "absent.nls1"),
                      "-o", str(tmp_path / "x.vol"), "--algo", "rsd",
@@ -487,6 +553,55 @@ class TestMalformedInputs:
 
 
 class TestInfoAndMetrics:
+    @pytest.mark.parametrize("relay, first, second", [
+        (UniformRelay(UniformGrid2D(2, 1, 0.1, 0.1, 0.0, 0.0)),
+         "dataset: 1 illumination(s) x 2 detector(s) x 4 bins", "relay kind uniform"),
+        (NonUniformPlanarRelay(PointList(np.zeros((3, 2))), 0.0),
+         "dataset: 1 illumination(s) x 3 detector(s) x 4 bins", "relay kind nonuniform_planar"),
+        (NonPlanarRelay(PointList(np.zeros((1, 3)))),
+         "dataset: 1 illumination(s) x 1 detector(s) x 4 bins", "relay kind nonplanar"),
+    ])
+    def test_info_names_every_relay_kind(self, tmp_path, capsys, relay, first, second):
+        path = tmp_path / "d.nls1"
+        write_dataset(TransientMeasurement(relay, PointList(np.zeros((1, 3))),
+                                           np.ones((1, relay.count, 4)), delta_t=1e-11),
+                      str(path))
+        assert main(["info", str(path)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == first and out[1].endswith(second)
+
+    @pytest.mark.parametrize("grid, first", [
+        (CuboidGrid(UniformGrid3D(2, 1, 3, 0.1, 0.1, 0.1, 0.0, 0.0, 1.0)),
+         "volume: 1 frame(s) x 6 voxels on a cuboid grid"),
+        (FrustumGrid.linear(UniformGrid2D(2, 2, 0.1, 0.1, 0.0, 0.0, 1.0), [1.0, 1.5], 0.5),
+         "volume: 1 frame(s) x 8 voxels on a frustum grid"),
+        (ExplicitVoxels((VoxelPlane(1.0, PointList(np.zeros((5, 2)))),)),
+         "volume: 1 frame(s) x 5 voxels on a explicit grid"),
+    ])
+    def test_info_names_every_grid_kind(self, tmp_path, capsys, grid, first):
+        path = tmp_path / "v.vol"
+        write_volume(ReconstructionVolume(grid, np.ones(grid.count, complex)), str(path))
+        assert main(["info", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines() == [first]
+
+    @pytest.mark.parametrize("tag", [5, 15, 19, 255])
+    def test_unknown_kind_tag_is_io_error(self, pipeline, tmp_path, capsys, tag):
+        vol = tmp_path / "v.vol"
+        assert main(["reconstruct", str(pipeline["dataset"]), "-o", str(vol),
+                     "--algo", "rsd", "--lambda-c", "0.04", "--grid", CUBOID]) == 0
+        for path in (vol, pipeline["dataset"]):
+            raw = bytearray(path.read_bytes())
+            raw[36] = tag  # the kind byte ends the shared framing
+            (tmp_path / path.name).write_bytes(bytes(raw))
+        bad_vol, bad_dataset = tmp_path / vol.name, tmp_path / pipeline["dataset"].name
+        capsys.readouterr()
+        for argv in (["info", str(bad_vol)], ["info", str(bad_dataset)],
+                     ["metrics", str(bad_vol), str(vol)],
+                     ["reconstruct", str(bad_dataset), "-o", str(tmp_path / "x.vol"),
+                      "--algo", "rsd", "--lambda-c", "0.04", "--grid", CUBOID]):
+            assert main(argv) == 3
+            assert f"unknown container kind tag {tag}" in capsys.readouterr().err
+
     def test_info_on_dataset(self, pipeline, capsys):
         assert main(["info", str(pipeline["dataset"])]) == 0
         txt = capsys.readouterr().out

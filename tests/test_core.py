@@ -2,6 +2,7 @@
 
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from phasorfield import (
     ValidationError,
     VoxelPlane,
     illumination_coordinates,
+    read_container,
     read_dataset,
     read_volume,
     rescale_to_torus,
@@ -309,13 +311,71 @@ def _small_measurement(relay=None):
     return TransientMeasurement(relay, ill, hist, delta_t=16e-12, t0=1e-10)
 
 
+# One instance of every relay kind and of every grid kind.
+_RELAY_CASES = (
+    centered_relay(2, 0.1, z=0.3),
+    NonUniformPlanarRelay(PointList(np.array([[0.0, 0.0], [0.1, 0.2], [0.3, -0.1]])), z=0.1),
+    NonPlanarRelay(PointList(np.array([[0.0, 0.0, 0.0], [0.1, 0.2, 0.05]]))),
+)
+_GRID_CASES = (
+    CuboidGrid(UniformGrid3D(2, 2, 2, 0.1, 0.1, 0.1, 0.0, 0.0, 1.0)),
+    FrustumGrid.linear(centered_grid2d(2, 0.1, z=0.5), [0.5, 0.8], alpha0=0.7),
+    ExplicitVoxels((VoxelPlane(1.0, PointList(np.array([[0.0, 0.1], [0.2, 0.0]]))),)),
+)
+
+
+def _write_each(tmp_path):
+    """Write a dataset of every relay kind and a volume of every grid kind."""
+    datasets, volumes = [], []
+    for i, relay in enumerate(_RELAY_CASES):
+        datasets.append((relay.kind, str(tmp_path / f"d{i}.nls1")))
+        write_dataset(_small_measurement(relay), datasets[-1][1])
+    for i, grid in enumerate(_GRID_CASES):
+        volumes.append((grid.kind, str(tmp_path / f"v{i}.vol")))
+        write_volume(ReconstructionVolume(grid, np.zeros(grid.count, complex)), volumes[-1][1])
+    return datasets, volumes
+
+
+# The whole framing of a 1x1 uniform relay with one planar illumination and
+# two bins, and of a static 1x1x1 cuboid volume, little-endian throughout.
+_GOLDEN_DATASET = bytes.fromhex("".join([
+    "4e4c5331", "01000000",                      # magic NLS1, version 1
+    "01000000", "01000000", "02000000",          # n_illum, n_detect, n_bins
+    "000000000000e03f", "000000000000d03f",      # delta_t 0.5, t0 0.25
+    "00",                                        # relay kind tag: uniform
+    "01000000", "01000000",                      # nx, ny
+    "000000000000f03f", "000000000000f03f",      # dx 1, dy 1
+    "0000000000000000", "0000000000000000", "0000000000000000",  # x0, y0, z
+    "02", "01000000",                            # illumination dim, count
+    "0000000000000000", "0000000000000000",      # illumination (0, 0)
+    "0000803f", "00000040",                      # histogram [1, 2] as float32
+]))
+_GOLDEN_VOLUME = bytes.fromhex("".join([
+    "4e4c5331", "01000000",                      # magic NLS1, version 1
+    "01000000", "01000000", "00000000",          # n_frames, n_voxels, static
+    "0000000000000000", "0000000000000000",      # two unused scalars
+    "10",                                        # grid kind tag: cuboid
+    "01000000", "01000000", "01000000",          # nx, ny, nz
+    "000000000000f03f", "000000000000f03f", "000000000000f03f",  # dx, dy, dz
+    "0000000000000000", "0000000000000000", "000000000000f03f",  # x0, y0, z0 1
+    "0000000000000000",                          # the static volume's time
+    "0000803f", "00000040",                      # field [1+2j] as complex64
+]))
+
+
 class TestDatasetContainer:
-    @pytest.mark.parametrize("relay", [
-        centered_relay(2, 0.1, z=0.3),
-        NonUniformPlanarRelay(PointList(np.array([[0.0, 0.0], [0.1, 0.2],
-                                                  [0.3, -0.1]])), z=0.1),
-        NonPlanarRelay(PointList(np.array([[0.0, 0.0, 0.0], [0.1, 0.2, 0.05]]))),
-    ])
+    def test_golden_bytes(self, tmp_path):
+        m = TransientMeasurement(UniformRelay(UniformGrid2D(1, 1, 1.0, 1.0, 0.0, 0.0)),
+                                 PointList(np.array([[0.0, 0.0]])), np.array([[[1.0, 2.0]]]),
+                                 delta_t=0.5, t0=0.25)
+        path = tmp_path / "d.nls1"
+        write_dataset(m, str(path))
+        assert path.read_bytes() == _GOLDEN_DATASET
+        back = read_container(str(path))
+        assert isinstance(back, TransientMeasurement)
+        assert np.array_equal(back.histograms, m.histograms)
+
+    @pytest.mark.parametrize("relay", _RELAY_CASES)
     def test_roundtrip_all_relay_kinds(self, tmp_path, relay):
         m = _small_measurement(relay)
         path = str(tmp_path / "d.nls1")
@@ -397,15 +457,35 @@ class TestDatasetContainer:
             read_dataset(str(path))
 
     def test_volume_file_is_rejected(self, tmp_path):
-        g = UniformGrid3D(2, 2, 2, 0.1, 0.1, 0.1, 0.0, 0.0, 1.0)
-        v = ReconstructionVolume(CuboidGrid(g), np.zeros(8, complex))
-        path = str(tmp_path / "v.vol")
-        write_volume(v, path)
-        with pytest.raises(ContainerFormatError):
-            read_dataset(path)
+        _, volumes = _write_each(tmp_path)
+        for kind, path in volumes:
+            with pytest.raises(ContainerFormatError,
+                               match=f"expected a transient dataset, but the file holds "
+                                     f"a volume on a {kind} grid"):
+                read_dataset(path)
+
+    @pytest.mark.parametrize("tag", [5, 15, 19, 255])
+    @pytest.mark.parametrize("reader", [read_dataset, read_volume, read_container])
+    def test_unknown_kind_tag(self, tmp_path, reader, tag):
+        datasets, volumes = _write_each(tmp_path)
+        for _, path in (datasets[0], volumes[0]):
+            raw = bytearray(Path(path).read_bytes())
+            raw[36] = tag  # the kind byte ends the shared framing
+            Path(path).write_bytes(bytes(raw))
+            with pytest.raises(ContainerFormatError, match=f"^unknown container kind tag {tag}$"):
+                reader(path)
 
 
 class TestVolumeContainer:
+    def test_golden_bytes(self, tmp_path):
+        g = UniformGrid3D(1, 1, 1, 1.0, 1.0, 1.0, 0.0, 0.0, 1.0)
+        path = tmp_path / "v.vol"
+        write_volume(ReconstructionVolume(CuboidGrid(g), np.array([1 + 2j])), str(path))
+        assert path.read_bytes() == _GOLDEN_VOLUME
+        back = read_container(str(path))
+        assert isinstance(back, ReconstructionVolume) and back.times is None
+        assert np.array_equal(back.field, [1 + 2j])
+
     def test_cuboid_roundtrip(self, tmp_path, rng):
         g = UniformGrid3D(3, 2, 2, 0.1, 0.1, 0.1, -0.1, 0.0, 1.0)
         field = rng.normal(size=12) + 1j * rng.normal(size=12)
@@ -442,11 +522,12 @@ class TestVolumeContainer:
         assert np.allclose(back.grid.coordinates(), ev.coordinates())
 
     def test_dataset_file_is_rejected(self, tmp_path):
-        m = _small_measurement()
-        path = str(tmp_path / "d.nls1")
-        write_dataset(m, path)
-        with pytest.raises(ContainerFormatError):
-            read_volume(path)
+        datasets, _ = _write_each(tmp_path)
+        for kind, path in datasets:
+            with pytest.raises(ContainerFormatError,
+                               match=f"expected a reconstruction volume, but the file holds "
+                                     f"a transient dataset on a {kind} relay"):
+                read_volume(path)
 
     # The time-axis word is the third uint32 after magic and version.
     _TIME_WORD = slice(16, 20)
@@ -591,10 +672,9 @@ def _read_bytes(reader, data: bytes, directory):
 
 class TestContainerProperties:
     @settings(max_examples=40, deadline=None)
-    @given(m=_measurements())
-    def test_dataset_roundtrip_is_identity(self, blob_dir, m):
-        back = _read_bytes(read_dataset, _container_bytes(write_dataset, m, blob_dir),
-                           blob_dir)
+    @given(m=_measurements(), reader=st.sampled_from([read_dataset, read_container]))
+    def test_dataset_roundtrip_is_identity(self, blob_dir, m, reader):
+        back = _read_bytes(reader, _container_bytes(write_dataset, m, blob_dir), blob_dir)
         assert back.relay.kind == m.relay.kind
         assert np.array_equal(back.relay.coordinates(), m.relay.coordinates())
         assert np.array_equal(back.illuminations.points, m.illuminations.points)
@@ -602,10 +682,9 @@ class TestContainerProperties:
         assert back.delta_t == m.delta_t and back.t0 == m.t0
 
     @settings(max_examples=40, deadline=None)
-    @given(v=_volumes())
-    def test_volume_roundtrip_is_identity(self, blob_dir, v):
-        back = _read_bytes(read_volume, _container_bytes(write_volume, v, blob_dir),
-                           blob_dir)
+    @given(v=_volumes(), reader=st.sampled_from([read_volume, read_container]))
+    def test_volume_roundtrip_is_identity(self, blob_dir, v, reader):
+        back = _read_bytes(reader, _container_bytes(write_volume, v, blob_dir), blob_dir)
         assert back.grid.kind == v.grid.kind
         assert np.array_equal(back.grid.coordinates(), v.grid.coordinates())
         assert np.array_equal(back.field, v.field)

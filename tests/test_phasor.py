@@ -1,5 +1,7 @@
 """Illumination kernel, frequency projection, and closed-form calculators."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,15 @@ class TestBuildKernel:
     ])
     def test_rejects_degenerate_inputs(self, kwargs):
         with pytest.raises(ValidationError):
+            build_kernel(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        (dict(lambda_c=math.inf, n_bins=64, delta_t=1e-12), "lambda_c"),
+        (dict(lambda_c=math.nan, n_bins=64, delta_t=1e-12), "lambda_c"),
+        (dict(lambda_c=0.04, n_bins=64, delta_t=math.inf), "delta_t"),
+    ])
+    def test_rejects_non_finite_inputs(self, kwargs, name):
+        with pytest.raises(ValidationError, match=f"{name} must be finite"):
             build_kernel(**kwargs)
 
 
@@ -186,6 +197,20 @@ class TestSamplingReport:
         with pytest.raises(ValidationError):
             sampling_report(1.0, 0.0, 0.04)
 
+    def test_overflowing_ratio_is_unbounded(self):
+        r = sampling_report(1e-320, 0.4, 0.04)
+        assert np.isinf(r.ratio) and np.isinf(r.lambda_sx) and np.isinf(r.max_downsample)
+
+    @pytest.mark.parametrize("args, name", [
+        ((0.4, math.inf, 0.04), "z_offset"),
+        ((math.nan, 0.4, 0.04), "x_offset"),
+        ((math.inf, 0.4, 0.04), "x_offset"),
+        ((0.4, 1.0, math.inf), "lambda_star"),
+    ])
+    def test_rejects_non_finite_inputs(self, args, name):
+        with pytest.raises(ValidationError, match=f"{name} must be finite"):
+            sampling_report(*args)
+
 
 class TestFrustumVolume:
     def test_reference_case(self):
@@ -232,6 +257,17 @@ class TestFrustumVolume:
             frustum_volume(4, 4, 0, 4, 0.0, 0.5)
         with pytest.raises(ValidationError):
             frustum_volume(4, 4, 0, 4, 0.5, -1.0)
+
+    @pytest.mark.parametrize("position", range(6))
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_inputs(self, position, bad):
+        args = [4.0, 4.0, 0.0, 4.0, 0.5, 0.5]
+        args[position] = bad
+        with pytest.raises(ValidationError, match="must be finite"):
+            frustum_volume(*args)
+        if position < 4:
+            with pytest.raises(ValidationError, match="must be finite"):
+                cuboid_volume(*args[:4])
 
 
 class TestScaleBounds:

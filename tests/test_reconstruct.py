@@ -372,10 +372,15 @@ class TestLightTransportVideo:
         peak = int(np.argmax(np.abs(vid.field[:, 0])))
         assert abs(peak - 10) <= 1
 
-    def test_rejects_point_sampled_algorithms(self, slices16, grid16_small):
-        with pytest.raises(ValidationError, match="rsd"):
-            light_transport_video(slices16, grid16_small, np.array([0.0]),
-                                  algorithm="nursd1")
+    @pytest.mark.parametrize("algorithm", ["nursd1", "nursd3"])
+    def test_time_zero_frame_for_point_sampled_paths(self, chain, chain_grid, algorithm):
+        grid = chain_grid if algorithm == "nursd1" else ExplicitVoxels(
+            (VoxelPlane(0.9, PointList(np.array([[0.0, 0.0], [0.013, -0.02]]))),))
+        static = reconstruct(chain["planar"], grid, algorithm)
+        vid = light_transport_video(chain["planar"], grid, np.array([0.0]),
+                                    algorithm=algorithm)
+        assert vid.n_frames == 1
+        assert np.array_equal(vid.frame(0), static.frame(0))
 
 
 # ---------------------------------------------------------------------------
