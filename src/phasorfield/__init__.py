@@ -78,8 +78,6 @@ from .reconstruct import (
 )
 from .sim import Scatterer, Scene, add_poisson_noise, simulate, subsample_interpolate
 from .spectral import (
-    NufftPlan,
-    SfftPlan,
     cfft_2d,
     cifft_2d,
     nufft1,
@@ -154,8 +152,6 @@ __all__ = [
     "add_poisson_noise",
     "simulate",
     "subsample_interpolate",
-    "NufftPlan",
-    "SfftPlan",
     "cfft_2d",
     "cifft_2d",
     "nufft1",

@@ -209,12 +209,12 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
+    grid = _parse_grid(args.grid)
+    times = _parse_video(args.video) if args.video else None
     measurement = read_dataset(args.dataset)
     kernel = phasor.build_kernel(args.lambda_c, measurement.n_bins,
                                  measurement.delta_t, args.threshold)
     slices = phasor.to_frequency(measurement, kernel)
-    grid = _parse_grid(args.grid)
-    times = _parse_video(args.video) if args.video else None
     started = time.perf_counter()
     volume = reconstruct(
         slices, grid, args.algo, eps=args.eps, padding=args.padding,
@@ -277,10 +277,14 @@ def _cmd_frustum(args) -> int:
     v_c = phasor.cuboid_volume(args.x_in, args.y_in, args.z_in, args.z_out)
     if args.z_out == args.z_in:
         raise ValidationError("--z-out must exceed --z-in: the increase is relative to V_C")
+    if v_c == 0.0:
+        raise ValidationError("V_C underflows to 0 at these extents, so the increase "
+                              "relative to it is undefined")
+    increase = (v_f - v_c) / v_c * 100  # inf where the ratio overflows a float
     print(f"V_F {v_f:.2f}")
     print(f"V_C {v_c:.2f}")
     print(f"delta_V {v_f - v_c:.2f}")
-    print(f"increase +{round((v_f - v_c) / v_c * 100)}%")
+    print(f"increase +{round(increase) if math.isfinite(increase) else increase}%")
     return 0
 
 

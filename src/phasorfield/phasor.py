@@ -176,10 +176,16 @@ def frustum_volume(x_in: float, y_in: float, z_in: float, z_out: float,
     _require(x_in > 0 and y_in > 0, "base extents must be > 0")
     _require(z_out >= z_in, "far plane must not precede the near plane")
     _require(alpha > 0 and beta > 0, "scale factors must be > 0")
-    h = z_out - z_in
-    return (h * x_in * y_in
-            + 0.5 * h * h * (x_in / beta + y_in / alpha)
-            + h ** 3 / (3.0 * alpha * beta))
+    h = np.float64(z_out - z_in)
+    if h == 0:
+        return 0.0
+    # In float64 an overflow gives inf and a vanishing alpha*beta divides to
+    # inf, where Python floats raise; either result is then refused.
+    with np.errstate(over="ignore", divide="ignore"):
+        volume = (h * x_in * y_in
+                  + 0.5 * h * h * (x_in / beta + y_in / alpha)
+                  + h ** 3 / (3.0 * alpha * beta))
+    return _finite_volume(float(volume), "frustum")
 
 
 def cuboid_volume(x_in: float, y_in: float, z_in: float, z_out: float) -> float:
@@ -187,7 +193,14 @@ def cuboid_volume(x_in: float, y_in: float, z_in: float, z_out: float) -> float:
     _require_finite(x_in=x_in, y_in=y_in, z_in=z_in, z_out=z_out)
     _require(x_in > 0 and y_in > 0, "base extents must be > 0")
     _require(z_out >= z_in, "far plane must not precede the near plane")
-    return x_in * y_in * (z_out - z_in)
+    return _finite_volume(x_in * y_in * (z_out - z_in), "cuboid")
+
+
+def _finite_volume(volume: float, what: str) -> float:
+    _require(math.isfinite(volume),
+             f"the {what} volume overflows a float: the depth span is too long "
+             "for these extents and scale factors")
+    return volume
 
 
 @dataclass(frozen=True)

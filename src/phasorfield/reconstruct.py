@@ -116,8 +116,20 @@ def _close(a: float, b: float) -> bool:
     return math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12)
 
 
+# A lattice reaching further from its centre would need a padded axis of more
+# than 2**31 nodes, past what an int32 index holds.
+_MAX_REACH = 2.0 ** 30
+
+
+def _check_reach(reach: float) -> None:
+    _require(math.isfinite(reach) and reach <= _MAX_REACH,
+             f"the lattice would reach {float(reach):.3g} pitches from its centre; "
+             f"at most {_MAX_REACH:.3g} can be indexed")
+
+
 def _integer_offset(value: float, pitch: float, what: str) -> int:
     q = value / pitch
+    _check_reach(abs(q))
     qi = round(q)
     _require(abs(q - qi) <= 1e-9 * max(1.0, abs(q)),
              f"{what} must be an integer multiple of the lattice pitch")
@@ -137,10 +149,12 @@ def _pad_size(src: np.ndarray, dst: np.ndarray, n_min: int) -> int:
     lag ``dst - src`` and every index itself (they must map inside the
     torus) lands in ``[-P//2, P - P//2)``.  ``n_min`` is the length of the
     embedded input, whose centered indices reach ``n_min // 2``; the result
-    always exceeds it.
+    always exceeds it.  A reach beyond ``_MAX_REACH`` pitches, or one that
+    is not finite, is refused.
     """
     reach = max(dst.max() - src.min(), src.max() - dst.min(),
                 np.abs(src).max(), np.abs(dst).max(), n_min // 2)
+    _check_reach(reach)
     return next_fast_len(2 * math.ceil(reach) + 10)
 
 
@@ -477,7 +491,7 @@ def nursd3(slices: FrequencySlices, grid: ExplicitVoxels, eps: float = 1e-6,
     relay = _relay(slices, NonUniformPlanarRelay)
     pitch = (float(lattice_pitch) if lattice_pitch is not None
              else slices.shortest_wavelength / 2.0)
-    _require(pitch > 0, "lattice pitch must be > 0")
+    _require(math.isfinite(pitch) and pitch > 0, "lattice pitch must be finite and > 0")
     rel = np.asarray(relay.points.points)
     both = np.vstack([rel] + [np.asarray(p.points.points) for p in grid.planes])
     center = (both.min(axis=0) + both.max(axis=0)) / 2.0

@@ -30,7 +30,7 @@ Scaled FFT
 ``(n-o)(k-o) = [(n-o)^2 + (k-o)^2 - (k-n)^2] / 2`` turns the sum into one
 linear convolution against the chirp kernel ``exp(+1j*pi*alpha*l^2/M)``,
 computed exactly with zero-padded FFTs.  ``alpha = 1, o = 0`` reproduces the
-ordinary DFT.
+ordinary DFT; each (length, scale, offset) caches its chirp pair.
 
 Non-uniform FFT
 ---------------
@@ -40,7 +40,8 @@ grid over the lateral (x and y) axes.  The deconvolution divides by the
 exact discrete window transform (the DFT of the truncated spread stencil),
 so points lying exactly on fine grid nodes are reproduced to roundoff.
 
-Each call builds the spread stencils of its points once, as a sparse
+Each call builds the stencils of its points once (``_Spread``, from each
+axis's cached ``_nufft_axis`` and the window ``_windows``) as a sparse
 operator ``S`` (CSR, ``(2w+1)^k`` taps per row over the ``k <= 2`` lateral
 axes): type-1 spreading is ``S^T v`` and type-2 interpolation is ``S f``.
 A 3-D transform grids no depth: type 1 multiplies each value column by
@@ -62,7 +63,6 @@ does not grow with ``B``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
@@ -70,18 +70,16 @@ from scipy import fft as sp_fft
 from scipy.fft import next_fast_len
 from scipy.sparse import csr_array
 
-from .core import ValidationError, _require
+from .core import _require
 
 __all__ = [
     "cfft_2d",
     "cifft_2d",
     "cfft_n",
     "cifft_n",
-    "SfftPlan",
     "sfft_1d",
     "sfft_2d",
     "sfft_2d_centered",
-    "NufftPlan",
     "nufft1",
     "nufft2",
     "next_fast_len",
@@ -133,59 +131,29 @@ def cifft_2d(u: np.ndarray, rows=None, cols=None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SfftPlan:
-    """Precomputed chirps for a scaled DFT of fixed (length, scale, offset)."""
-
-    m: int
-    alpha: float
-    offset: int
-    pad: int
-    chirp: np.ndarray  # [m] pre/post multiplier exp(-1j*pi*alpha*(n-o)^2/m)
-    kernel_fft: np.ndarray  # [pad] FFT of the embedded chirp kernel
-
-    @classmethod
-    def build(cls, m: int, alpha: float, offset: int = 0) -> "SfftPlan":
-        _require(m >= 1, "transform length must be >= 1")
-        _require(math.isfinite(alpha) and alpha != 0.0,
-                 "scale factor must be finite and nonzero")
-        _require(0 <= offset < m, "index offset must lie in [0, length)")
-        n = np.arange(m, dtype=np.float64) - offset
-        chirp = np.exp(-1j * np.pi * alpha * n * n / m)
-        pad = next_fast_len(max(1, 2 * m - 1))
-        lags = np.arange(1 - m, m)
-        kernel = np.zeros(pad, dtype=np.complex128)
-        kernel[lags % pad] = np.exp(1j * np.pi * alpha * lags * lags / m)
-        chirp.setflags(write=False)
-        kfft = np.fft.fft(kernel)
-        kfft.setflags(write=False)
-        return cls(m, float(alpha), int(offset), pad, chirp, kfft)
-
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        """Transform the last axis of ``u`` (length must equal ``m``)."""
-        u = np.asarray(u, dtype=np.complex128)
-        _require(u.shape[-1] == self.m, "last axis length must match the plan")
-        # One padded buffer carries the whole convolution in place (the
-        # ``out=`` of ``np.fft`` needs NumPy 2.0).
-        buf = np.zeros(u.shape[:-1] + (self.pad,), dtype=np.complex128)
-        np.multiply(u, self.chirp, out=buf[..., : self.m])
-        np.fft.fft(buf, axis=-1, out=buf)
-        buf *= self.kernel_fft
-        np.fft.ifft(buf, axis=-1, out=buf)
-        return buf[..., : self.m] * self.chirp
-
-
-# Plan caches are bounded LRUs keyed by (length, scale, offset) and by
-# (modes, eps).  A capture needs at most one sFFT plan per axis and frustum
-# plane and a few NUFFT plans, so both capacities hold a capture's working
-# set many times over while a long sweep of scales cannot grow them.
+# Chirp pairs and NUFFT axes are bounded LRUs keyed by (length, scale, offset)
+# and by (modes, eps) of one axis.  A capture needs at most one chirp pair per
+# axis and frustum plane and a few NUFFT axes, so both capacities hold its
+# working set many times over while a long sweep of scales cannot grow them.
 _SFFT_CACHE_SIZE = 256
 _NUFFT_CACHE_SIZE = 32
 
 
 @lru_cache(maxsize=_SFFT_CACHE_SIZE)
-def _sfft_plan(m: int, alpha: float, offset: int) -> SfftPlan:
-    return SfftPlan.build(m, alpha, offset)
+def _sfft_plan(m: int, alpha: float, offset: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``(chirp, kernel_fft)`` of one scaled DFT: the ``[m]``
+    pre/post multiplier ``exp(-1j*pi*alpha*(n-o)^2/m)`` and the FFT of the
+    chirp kernel embedded in the padded convolution length."""
+    n = np.arange(m, dtype=np.float64) - offset
+    chirp = np.exp(-1j * np.pi * alpha * n * n / m)
+    pad = next_fast_len(max(1, 2 * m - 1))
+    lags = np.arange(1 - m, m)
+    kernel = np.zeros(pad, dtype=np.complex128)
+    kernel[lags % pad] = np.exp(1j * np.pi * alpha * lags * lags / m)
+    chirp.setflags(write=False)
+    kfft = np.fft.fft(kernel)
+    kfft.setflags(write=False)
+    return chirp, kfft
 
 
 def sfft_1d(u: np.ndarray, alpha: float, offset: int = 0, axis: int = -1) -> np.ndarray:
@@ -195,10 +163,21 @@ def sfft_1d(u: np.ndarray, alpha: float, offset: int = 0, axis: int = -1) -> np.
     over array positions ``n, k = 0..M-1``.  ``alpha = 1, offset = 0`` agrees
     with the ordinary forward DFT.
     """
-    u = np.asarray(u, dtype=np.complex128)
-    moved = np.moveaxis(u, axis, -1)
-    plan = _sfft_plan(int(moved.shape[-1]), float(alpha), int(offset))
-    return np.moveaxis(plan.apply(moved), -1, axis)
+    u = np.moveaxis(np.asarray(u, dtype=np.complex128), axis, -1)
+    m, alpha, offset = int(u.shape[-1]), float(alpha), int(offset)
+    _require(m >= 1, "transform length must be >= 1")
+    _require(math.isfinite(alpha) and alpha != 0.0,
+             "scale factor must be finite and nonzero")
+    _require(0 <= offset < m, "index offset must lie in [0, length)")
+    chirp, kernel_fft = _sfft_plan(m, alpha, offset)
+    # One padded buffer carries the whole convolution in place (the ``out=``
+    # of ``np.fft`` needs NumPy 2.0).
+    buf = np.zeros(u.shape[:-1] + kernel_fft.shape, dtype=np.complex128)
+    np.multiply(u, chirp, out=buf[..., :m])
+    np.fft.fft(buf, axis=-1, out=buf)
+    buf *= kernel_fft
+    np.fft.ifft(buf, axis=-1, out=buf)
+    return np.moveaxis(buf[..., :m] * chirp, -1, axis)
 
 
 def sfft_2d(u: np.ndarray, alpha: float, beta: float | None = None,
@@ -235,86 +214,39 @@ _EPS_MAX = 1e-1
 _COORD_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class NufftPlan:
-    """Geometry-independent precomputation for one (modes, eps) pair.
-
-    ``w`` spread half-width grows with the accuracy request; each axis gets a
-    fine grid of ``mrs[a] >= 2*modes[a]`` samples, a Gaussian variance
-    ``taus[a]``, and the exact discrete deconvolution vector ``kers[a]``
-    (the real DFT of the truncated spread stencil, evaluated at the centered
-    output modes).
-    """
-
-    modes: tuple[int, ...]
-    eps: float
-    w: int
-    mrs: tuple[int, ...]
-    taus: tuple[float, ...]
-    kers: tuple[np.ndarray, ...]
-
-    @classmethod
-    def build(cls, modes: tuple[int, ...], eps: float) -> "NufftPlan":
-        _require(1 <= len(modes) <= 3, "supported dimensionalities are 1, 2, 3")
-        _require(all(int(m) >= 1 for m in modes), "mode counts must be >= 1")
-        _require(math.isfinite(eps) and _EPS_MIN <= eps <= _EPS_MAX,
-                 f"accuracy target must lie in [{_EPS_MIN:g}, {_EPS_MAX:g}]")
-        modes = tuple(int(m) for m in modes)
-        w = max(2, math.ceil(math.log10(1.0 / eps)) + 2)
-        mrs = []
-        taus = []
-        kers = []
-        for m in modes:
-            mr = next_fast_len(max(2 * m, 2 * w + 2))
-            # Gaussian width balancing truncation against aliasing at the
-            # actual oversampling ratio; at exactly 2x this is pi*w/(3*m^2).
-            sigma = mr / m
-            tau = math.pi * w / (sigma * (sigma - 0.5) * m * m)
-            h = 2.0 * math.pi / mr
-            k = np.arange(m) - m // 2
-            ker = np.full(m, 1.0)
-            for j in range(1, w + 1):
-                ker += 2.0 * math.exp(-(j * h) ** 2 / (4.0 * tau)) * np.cos(k * j * h)
-            if not (ker > 0).all():
-                raise RuntimeError("window transform must stay positive")
-            ker.setflags(write=False)
-            mrs.append(mr)
-            taus.append(tau)
-            kers.append(ker)
-        return cls(modes, float(eps), w, tuple(mrs), tuple(taus), tuple(kers))
-
-    def mode_slots(self) -> list[np.ndarray]:
-        """Fine-grid DFT slots of the centered output modes, per axis."""
-        return [(np.arange(m) - m // 2) % mr for m, mr in zip(self.modes, self.mrs)]
-
-    def windows(self, pts: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Spread stencils for every point: per-axis indices and weights.
-
-        Returns ``(idx, win)`` where ``idx[a]`` is ``[L, 2w+1]`` fine-grid
-        indices and ``win[a]`` the matching Gaussian weights.  Axis ``a`` of
-        the mode array pairs with point column ``d-1-a`` (x is the last axis).
-        """
-        d = len(self.modes)
-        offs = np.arange(-self.w, self.w + 1)
-        idx_list = []
-        win_list = []
-        for a in range(d):
-            x = pts[:, d - 1 - a]
-            mr = self.mrs[a]
-            tau = self.taus[a]
-            h = 2.0 * math.pi / mr
-            xi = x - 2.0 * math.pi * np.floor(x / (2.0 * math.pi))
-            i0 = np.floor(xi / h + 0.5).astype(np.int64)
-            grid = i0[:, None] + offs[None, :]
-            delta = grid * h - xi[:, None]
-            idx_list.append(grid % mr)
-            win_list.append(np.exp(-delta * delta / (4.0 * tau)))
-        return idx_list, win_list
-
-
 @lru_cache(maxsize=_NUFFT_CACHE_SIZE)
-def _nufft_plan(modes: tuple[int, ...], eps: float) -> NufftPlan:
-    return NufftPlan.build(modes, eps)
+def _nufft_axis(m: int, eps: float) -> tuple[int, int, float, np.ndarray]:
+    """``(w, mr, tau, ker)`` of one axis of ``m`` modes at accuracy ``eps``:
+    the spread half-width, growing with the accuracy request; a fine grid of
+    ``mr >= 2*m`` samples; the Gaussian variance; and the read-only exact
+    deconvolution (the real DFT of the truncated stencil at the modes)."""
+    w = max(2, math.ceil(math.log10(1.0 / eps)) + 2)
+    mr = next_fast_len(max(2 * m, 2 * w + 2))
+    # Gaussian width balancing truncation against aliasing at the actual
+    # oversampling ratio; at exactly 2x this is pi*w/(3*m^2).
+    sigma = mr / m
+    tau = math.pi * w / (sigma * (sigma - 0.5) * m * m)
+    h = 2.0 * math.pi / mr
+    k = np.arange(m) - m // 2
+    ker = np.full(m, 1.0)
+    for j in range(1, w + 1):
+        ker += 2.0 * math.exp(-(j * h) ** 2 / (4.0 * tau)) * np.cos(k * j * h)
+    if not (ker > 0).all():
+        raise RuntimeError("window transform must stay positive")
+    ker.setflags(write=False)
+    return w, mr, tau, ker
+
+
+def _windows(x: np.ndarray, w: int, mr: int, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """Spread stencils of coordinates ``x`` on one axis: ``[L, 2w+1]``
+    fine-grid indices and the matching Gaussian weights."""
+    offs = np.arange(-w, w + 1)
+    h = 2.0 * math.pi / mr
+    xi = x - 2.0 * math.pi * np.floor(x / (2.0 * math.pi))
+    i0 = np.floor(xi / h + 0.5).astype(np.int64)
+    grid = i0[:, None] + offs[None, :]
+    delta = grid * h - xi[:, None]
+    return grid % mr, np.exp(-delta * delta / (4.0 * tau))
 
 
 def _check_points(pts: np.ndarray, d: int) -> np.ndarray:
@@ -337,24 +269,35 @@ _FINE_CHUNK_BYTES = 1 << 20
 
 
 class _Spread:
-    """Gaussian spread stencils of one lateral point set, built once per call.
+    """One call's Gaussian spread of its points over the lateral axes.
 
+    ``modes`` are the lateral modes (x alone in 1-D, y and x otherwise) and
     ``matrix`` is the CSR spread operator ``S`` of shape ``[L, mry*mrx]``
-    (``[L, mr]`` in 1-D) with ``(2w+1)^k`` taps per row over the plan's
-    ``k`` axes, so type-1 spreading is ``S^T v`` and type-2 interpolation
-    ``S f``.
+    (``[L, mr]`` in 1-D) with ``(2w+1)^k`` taps per row over those ``k``
+    axes, so type-1 spreading is ``S^T v`` and type-2 interpolation ``S f``.
+    A 3-D call adds the ``[L, mz]`` depth phases ``exp(-1j*kz*z_l)`` of the
+    centered depth modes as ``phase`` (``None`` below 3-D); ``step`` is the
+    batch columns per fine-grid chunk.
     """
 
-    def __init__(self, plan: NufftPlan, pts: np.ndarray):
-        idx, win = plan.windows(pts)
-        n = pts.shape[0]
-        self.mrs = plan.mrs
-        self.modes = plan.modes
-        self.slots = plan.mode_slots()
-        self.ker = reduce(np.multiply.outer, plan.kers)
-        cols, wts = idx[0], win[0]
-        for i, w, mr in zip(idx[1:], win[1:], self.mrs[1:]):
-            cols = (cols[:, :, None] * mr + i[:, None, :]).reshape(n, -1)
+    def __init__(self, modes: tuple[int, ...], eps: float, points: np.ndarray):
+        _require(1 <= len(modes) <= 3, "supported dimensionalities are 1, 2, 3")
+        _require(all(m >= 1 for m in modes), "mode counts must be >= 1")
+        eps = float(eps)
+        _require(math.isfinite(eps) and _EPS_MIN <= eps <= _EPS_MAX,
+                 f"accuracy target must lie in [{_EPS_MIN:g}, {_EPS_MAX:g}]")
+        pts = _check_points(points, len(modes))
+        self.modes = tuple(modes[-2:])
+        ws, self.mrs, taus, kers = zip(*(_nufft_axis(m, eps) for m in self.modes))
+        self.w = ws[0]
+        self.slots = [(np.arange(m) - m // 2) % mr for m, mr in zip(self.modes, self.mrs)]
+        self.ker = reduce(np.multiply.outer, kers)
+        # Axis a of the mode array pairs with point column d-1-a (x is last).
+        n, d = pts.shape[0], len(self.modes)
+        cols, wts = _windows(pts[:, d - 1], ws[0], self.mrs[0], taus[0])
+        for a in range(1, d):
+            i, w = _windows(pts[:, d - 1 - a], ws[a], self.mrs[a], taus[a])
+            cols = (cols[:, :, None] * self.mrs[a] + i[:, None, :]).reshape(n, -1)
             wts = (wts[:, :, None] * w[:, None, :]).reshape(n, -1)
         taps = cols.shape[1]
         index = np.int32 if n * taps <= np.iinfo(np.int32).max else np.int64
@@ -362,7 +305,12 @@ class _Spread:
             (wts.ravel(), cols.ravel().astype(index),
              np.arange(0, n * taps + 1, taps, dtype=index)),
             shape=(n, math.prod(self.mrs)))
-        self.chunk = max(1, _FINE_CHUNK_BYTES // (16 * math.prod(self.mrs)))
+        self.step = max(1, _FINE_CHUNK_BYTES // (16 * math.prod(self.mrs)))
+        self.phase = None
+        if len(modes) == 3:
+            kz = np.arange(modes[0]) - modes[0] // 2
+            self.phase = np.exp(-1j * np.outer(pts[:, 2], kz))
+            self.step = max(1, self.step // modes[0])
 
     def type1(self, vals: np.ndarray) -> np.ndarray:
         """``[L, c]`` values to ``[c, *modes]`` deconvolved modes."""
@@ -387,21 +335,6 @@ class _Spread:
         return np.ascontiguousarray(self.matrix @ flat).view(np.complex128).T
 
 
-def _lateral(modes: tuple[int, ...], eps: float, points: np.ndarray):
-    """``(spread, phase, step)`` of one call: the stencils of the points' x
-    and y (x alone in 1-D), the ``[L, mz]`` depth phases ``exp(-1j*kz*z_l)``
-    of a 3-D call (``None`` below 3-D), and the batch columns per chunk."""
-    _require(1 <= len(modes) <= 3, "supported dimensionalities are 1, 2, 3")
-    _require(all(m >= 1 for m in modes), "mode counts must be >= 1")
-    plan = _nufft_plan(modes[-2:], float(eps))
-    pts = _check_points(points, len(modes))
-    spread = _Spread(plan, pts[:, :len(plan.modes)])
-    if len(modes) < 3:
-        return spread, None, spread.chunk
-    kz = np.arange(modes[0]) - modes[0] // 2
-    return spread, np.exp(-1j * np.outer(pts[:, 2], kz)), max(1, spread.chunk // modes[0])
-
-
 def nufft1(points: np.ndarray, values: np.ndarray, modes: tuple[int, ...],
            eps: float) -> np.ndarray:
     """Non-uniform points to uniform modes, exponent ``-1j``.
@@ -415,8 +348,8 @@ def nufft1(points: np.ndarray, values: np.ndarray, modes: tuple[int, ...],
     output is then ``[B, *modes]``, one mode array per column.
     """
     modes = tuple(int(m) for m in modes)
-    spread, phase, step = _lateral(modes, eps, points)
-    n = spread.matrix.shape[0]
+    spread = _Spread(modes, eps, points)
+    phase, step, n = spread.phase, spread.step, spread.matrix.shape[0]
     vals = np.asarray(values, dtype=np.complex128)
     _require(vals.ndim in (1, 2) and vals.shape[0] == n,
              "values must be [L] or [L, B] matching the points")
@@ -445,8 +378,8 @@ def nufft2(coefficients: np.ndarray, points: np.ndarray, eps: float, *,
     stack = coeff if batch else coeff[None]
     _require(2 <= stack.ndim <= 4, "mode array must be 1D, 2D, or 3D")
     _require(bool(np.isfinite(stack).all()), "coefficients must be finite")
-    spread, phase, step = _lateral(stack.shape[1:], eps, points)
-    n = spread.matrix.shape[0]
+    spread = _Spread(stack.shape[1:], eps, points)
+    phase, step, n = spread.phase, spread.step, spread.matrix.shape[0]
     out = np.empty((stack.shape[0], n), dtype=np.complex128)
     for lo in range(0, stack.shape[0], step):
         vals = spread.type2(stack[lo:lo + step].reshape((-1,) + spread.modes))

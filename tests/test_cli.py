@@ -21,11 +21,14 @@ from phasorfield import (
     UniformGrid3D,
     UniformRelay,
     VoxelPlane,
+    read_dataset,
     read_volume,
     write_dataset,
     write_volume,
 )
 from phasorfield.cli import main
+from phasorfield.phasor import build_kernel, to_frequency
+from phasorfield.reconstruct import nursd3, rsd, rsd3d, srsd_nursd2
 
 
 def _scene_doc(**overrides):
@@ -88,6 +91,23 @@ class TestCalculatorCommands:
         assert main(["frustum"] + [a for kv in args.items() for a in kv]) == 2
         out, err = capsys.readouterr()
         assert out == "" and message in err
+
+    @pytest.mark.parametrize("flags, message", [
+        ({"--z-in": "1", "--z-out": "1e200"}, "frustum volume overflows"),
+        ({"--z-in": "1", "--z-out": "2", "--alpha": "1e-200"}, "frustum volume overflows"),
+        ({"--x-in": "1e-300", "--y-in": "1e-300", "--z-in": "1", "--z-out": "2"},
+         "V_C underflows to 0"),
+    ])
+    def test_frustum_refuses_unrepresentable_volumes(self, capsys, flags, message):
+        args = dict(self._FRUSTUM, **flags)
+        assert main(["frustum"] + [a for kv in args.items() for a in kv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and message in err
+
+    def test_frustum_increase_past_a_float_reads_inf(self, capsys):
+        args = dict(self._FRUSTUM, **{"--x-in": "1e-160", "--y-in": "1e-160"})
+        assert main(["frustum"] + [a for kv in args.items() for a in kv]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "increase +inf%"
 
     @pytest.mark.parametrize("flag, value", [("--z-offset", "inf"), ("--x-offset", "nan"),
                                              ("--lambda-star", "inf")])
@@ -386,11 +406,131 @@ class TestReconstruct:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_arguments_are_parsed_before_the_dataset_is_read(self, tmp_path, capsys):
+        code = main(["reconstruct", str(tmp_path / "absent.nls1"),
+                     "-o", str(tmp_path / "x.vol"), "--algo", "rsd",
+                     "--lambda-c", "0.04", "--grid", CUBOID, "--video", "0:1e-9:x"])
+        assert code == 2
+        assert not (tmp_path / "x.vol").exists()
+
     def test_missing_dataset_is_io_error(self, tmp_path, capsys):
         code = main(["reconstruct", str(tmp_path / "absent.nls1"),
                      "-o", str(tmp_path / "x.vol"), "--algo", "rsd",
                      "--lambda-c", "0.04", "--grid", CUBOID])
         assert code == 3
+
+
+@pytest.fixture(scope="module")
+def relay_datasets(tmp_path_factory):
+    """One small dataset per README relay kind."""
+    root = tmp_path_factory.mktemp("relays")
+    out = {}
+    for kind, (relay, illuminations) in README_RELAYS.items():
+        scene = root / f"{kind}.json"
+        scene.write_text(json.dumps(_scene_doc(relay=relay, illuminations=illuminations)))
+        out[kind] = root / f"{kind}.nls1"
+        assert main(["simulate", str(scene), "-o", str(out[kind])]) == 0
+    return out
+
+
+def _slices(dataset, lambda_c=0.04):
+    m = read_dataset(str(dataset))
+    return to_frequency(m, build_kernel(lambda_c, m.n_bins, m.delta_t))
+
+
+def _planes_file(tmp_path, points, z=0.9):
+    planes = tmp_path / "planes.json"
+    planes.write_text(json.dumps({"planes": [{"z": z, "points": points}]}))
+    return "@" + str(planes)
+
+
+_PLANE_POINTS = [[-0.01, 0.0], [0.02, 0.01], [0.0, -0.025]]
+
+
+class TestAlgorithmFlags:
+    """Each algorithm's own flag reaches it: the written volume is the
+    library call's field with that option, cast to complex64."""
+
+    def _run(self, tmp_path, dataset, algo, grid, *flags):
+        out = tmp_path / "flag.vol"
+        assert main(["reconstruct", str(dataset), "-o", str(out), "--algo", algo,
+                     "--lambda-c", "0.04", "--grid", grid, *flags]) == 0
+        return read_volume(str(out)).field[0]
+
+    @staticmethod
+    def _same(written, field):
+        return np.array_equal(written, field.astype(np.complex64))
+
+    def test_alpha_and_beta_reach_srsd_nursd2(self, pipeline, tmp_path):
+        grid = ExplicitVoxels((VoxelPlane(0.9, PointList(np.array(_PLANE_POINTS))),))
+        written = self._run(tmp_path, pipeline["dataset"], "srsd-nursd2",
+                            _planes_file(tmp_path, _PLANE_POINTS),
+                            "--alpha", "0.6", "--beta", "0.8")
+        slices = _slices(pipeline["dataset"])
+        assert self._same(written, srsd_nursd2(slices, grid, alpha=0.6, beta=0.8).field[0])
+        assert not self._same(written, srsd_nursd2(slices, grid, alpha=0.6).field[0])
+
+    def test_lattice_pitch_reaches_nursd3(self, relay_datasets, tmp_path):
+        dataset = relay_datasets["points_planar"]
+        grid = ExplicitVoxels((VoxelPlane(0.9, PointList(np.array(_PLANE_POINTS))),))
+        written = self._run(tmp_path, dataset, "nursd3", _planes_file(tmp_path, _PLANE_POINTS),
+                            "--lattice-pitch", "0.013")
+        slices = _slices(dataset)
+        assert self._same(written, nursd3(slices, grid, lattice_pitch=0.013).field[0])
+        assert not self._same(written, nursd3(slices, grid).field[0])
+
+    def test_padding_none_reaches_rsd(self, pipeline, tmp_path):
+        # CUBOID is the relay's own lattice, which padding="none" requires.
+        grid = CuboidGrid(UniformGrid3D(8, 8, 2, 0.02, 0.02, 0.08, -0.07, -0.07, 0.86))
+        written = self._run(tmp_path, pipeline["dataset"], "rsd", CUBOID, "--padding", "none")
+        slices = _slices(pipeline["dataset"])
+        assert self._same(written, rsd(slices, grid, padding="none").field[0])
+        assert not self._same(written, rsd(slices, grid).field[0])
+
+    def test_scatter_nearest_reaches_rsd3d(self, relay_datasets, tmp_path):
+        dataset = relay_datasets["points_3d"]
+        spec = "cuboid:4,4,2,0.02,0.02,0.05,-0.03,-0.03,0.5"
+        grid = CuboidGrid(UniformGrid3D(4, 4, 2, 0.02, 0.02, 0.05, -0.03, -0.03, 0.5))
+        written = self._run(tmp_path, dataset, "rsd3d", spec, "--scatter", "nearest")
+        slices = _slices(dataset)
+        assert self._same(written, rsd3d(slices, grid, scatter="nearest").field[0])
+        assert not self._same(written, rsd3d(slices, grid).field[0])
+
+    def test_srsd_nursd2_without_alpha_is_usage_error(self, pipeline, tmp_path, capsys):
+        code = main(["reconstruct", str(pipeline["dataset"]), "-o", str(tmp_path / "x.vol"),
+                     "--algo", "srsd-nursd2", "--lambda-c", "0.04",
+                     "--grid", _planes_file(tmp_path, _PLANE_POINTS)])
+        assert code == 2
+        assert "alpha" in capsys.readouterr().err
+
+
+class TestUnindexableLattices:
+    @pytest.mark.parametrize("kind, algo, far, flags", [
+        ("uniform", "nursd2", "planes", []),
+        ("points_planar", "nursd1", "cuboid", []),
+        ("points_planar", "nursd3", "planes", []),
+        ("points_planar", "nursd3", None, ["--lattice-pitch", "1e-300"]),
+        ("uniform", "rsd", "cuboid", []),
+    ])
+    def test_lattice_too_large_to_index_is_usage_error(self, relay_datasets, tmp_path, capsys,
+                                                       kind, algo, far, flags):
+        if far == "cuboid":
+            grid = "cuboid:4,4,1,0.02,0.02,0.1,1e300,-0.03,0.9"
+        else:
+            grid = _planes_file(tmp_path, [[1e300, 0.0] if far else [0.01, 0.0], [0.0, 0.0]])
+        out = tmp_path / "x.vol"
+        code = main(["reconstruct", str(relay_datasets[kind]), "-o", str(out), "--algo", algo,
+                     "--lambda-c", "0.04", "--grid", grid, *flags])
+        assert code == 2
+        assert "pitches" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_infinite_lattice_pitch_is_usage_error(self, relay_datasets, tmp_path, capsys):
+        code = main(["reconstruct", str(relay_datasets["points_planar"]),
+                     "-o", str(tmp_path / "x.vol"), "--algo", "nursd3", "--lambda-c", "0.04",
+                     "--grid", _planes_file(tmp_path, _PLANE_POINTS), "--lattice-pitch", "inf"])
+        assert code == 2
+        assert "lattice pitch must be finite" in capsys.readouterr().err
 
 
 class TestMalformedInputs:

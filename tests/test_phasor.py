@@ -258,6 +258,20 @@ class TestFrustumVolume:
         with pytest.raises(ValidationError):
             frustum_volume(4, 4, 0, 4, 0.5, -1.0)
 
+    @pytest.mark.parametrize("args", [
+        (4.0, 4.0, 1.0, 1e200, 0.5, 0.5),    # h**3 overflows
+        (4.0, 4.0, 1.0, 2.0, 1e-200, 1e-200),  # alpha*beta underflows to 0
+        (1e300, 1e300, 0.0, 1e10, 0.5, 0.5),
+    ])
+    def test_refuses_a_volume_that_overflows(self, args):
+        with pytest.raises(ValidationError, match="frustum volume overflows"):
+            frustum_volume(*args)
+
+    def test_cuboid_refuses_a_volume_that_overflows(self):
+        with pytest.raises(ValidationError, match="cuboid volume overflows"):
+            cuboid_volume(1e300, 1e300, 0.0, 1e10)
+        assert cuboid_volume(1e-300, 1e-300, 1.0, 2.0) == 0.0
+
     @pytest.mark.parametrize("position", range(6))
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_rejects_non_finite_inputs(self, position, bad):

@@ -276,6 +276,27 @@ class TestAlgorithmValidation:
         with pytest.raises(ValidationError, match="pitch"):
             nursd3(chain["planar"], ExplicitVoxels(planes), lattice_pitch=0.0)
 
+    @pytest.mark.parametrize("pitch", [np.inf, np.nan])
+    def test_nursd3_rejects_non_finite_lattice_pitch(self, chain, pitch):
+        planes = (VoxelPlane(0.9, PointList(np.array([[0.0, 0.0]]))),)
+        with pytest.raises(ValidationError, match="lattice pitch must be finite"):
+            nursd3(chain["planar"], ExplicitVoxels(planes), lattice_pitch=pitch)
+
+    def test_lattices_too_large_to_index_are_refused(self, chain):
+        far = ExplicitVoxels((VoxelPlane(0.9, PointList(np.array([[1e300, 0.0],
+                                                                  [0.0, 0.0]]))),))
+        near = ExplicitVoxels((VoxelPlane(0.9, PointList(np.array([[0.01, 0.0]]))),))
+        cuboid = CuboidGrid(UniformGrid3D(4, 4, 1, 0.02, 0.02, 0.1, 1e300, -0.07, 0.9))
+        runs = [lambda: nursd2(chain["uniform"], far),
+                lambda: nursd3(chain["planar"], far),
+                lambda: nursd3(chain["planar"], near, lattice_pitch=1e-300),
+                lambda: srsd_nursd2(chain["uniform"], far, alpha=0.5),
+                lambda: nursd1(chain["planar"], cuboid),
+                lambda: rsd(chain["uniform"], cuboid)]
+        for run in runs:
+            with pytest.raises(ValidationError, match="pitches"):
+                run()
+
     def test_hybrid_rejects_out_of_range_scale(self, chain):
         planes = (VoxelPlane(0.9, PointList(np.array([[0.0, 0.0]]))),)
         with pytest.raises(ValidationError, match="scale"):
@@ -452,6 +473,13 @@ def test_pad_size_holds_every_lag_and_index(src, dst, n_min):
     embedded = np.arange(n_min) - n_min // 2
     for v in (lags, -lags, src, -src, dst, -dst, embedded):
         assert v.min() >= -(p // 2) and v.max() < p - p // 2
+
+
+@pytest.mark.parametrize("dst", [[0.0, 5e301], [0.0, np.inf], [0.0, 2.0 ** 31]])
+def test_pad_size_refuses_a_span_it_cannot_index(dst):
+    with pytest.raises(ValidationError, match="pitches"):
+        _pad_size(np.array([-1.0, 1.0]), np.array(dst), 4)
+    assert _pad_size(np.array([-1.0, 1.0]), np.array([0.0, 2.0 ** 20]), 4) > 2 ** 21
 
 
 _KHAT = st.floats(1.0, 400.0)

@@ -1,5 +1,6 @@
 """Centered FFTs, the scaled FFT, and both gridding NUFFT types."""
 
+import types
 from functools import reduce
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import phasorfield
 from phasorfield import ValidationError, oracle, spectral
 from phasorfield.spectral import (
     cfft_2d,
@@ -31,6 +33,16 @@ def _random_points(rng, n, dim):
 
 def _complex(rng, shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def test_package_exports_exactly_its_public_names():
+    # The transforms are the API; their cached setups are internal.
+    public = {name for name, value in vars(phasorfield).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert sorted(phasorfield.__all__) == sorted(public | {"__version__"})
+    assert len(set(phasorfield.__all__)) == len(phasorfield.__all__)
+    for gone in ("SfftPlan", "NufftPlan", "_nufft_plan", "_lateral"):
+        assert not hasattr(phasorfield, gone) and not hasattr(spectral, gone)
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +279,18 @@ def _depth_modes(modes):
     return np.arange(modes[0]) - modes[0] // 2
 
 
+def _loop_axes(modes, eps, pts):
+    """Per-axis ``(mr, slots, ker, idx, win)`` straight from the cached axis
+    and the window, independent of the CSR assembly."""
+    d = len(modes)
+    out = []
+    for a, m in enumerate(modes):
+        w, mr, tau, ker = spectral._nufft_axis(m, eps)
+        idx, win = spectral._windows(pts[:, d - 1 - a], w, mr, tau)
+        out.append((mr, (np.arange(m) - m // 2) % mr, ker, idx, win))
+    return zip(*out)
+
+
 def _loop_nufft1(pts, vals, modes, eps):
     """Per-point gridding loops: the reference for the sparse spread operator.
 
@@ -276,25 +300,23 @@ def _loop_nufft1(pts, vals, modes, eps):
     if len(modes) == 3:
         return np.stack([_loop_nufft1(pts[:, :2], vals * np.exp(-1j * kz * pts[:, 2]),
                                       modes[1:], eps) for kz in _depth_modes(modes)])
-    plan = spectral._nufft_plan(modes, eps)
-    idx, win = plan.windows(pts)
-    fine = np.zeros(plan.mrs, dtype=complex)
+    mrs, slots, kers, idx, win = _loop_axes(modes, eps, pts)
+    fine = np.zeros(mrs, dtype=complex)
     for l in range(pts.shape[0]):
         fine[np.ix_(*[i[l] for i in idx])] += vals[l] * reduce(np.multiply.outer,
                                                                [w[l] for w in win])
-    gathered = np.fft.fftn(fine)[np.ix_(*plan.mode_slots())]
-    return gathered / reduce(np.multiply.outer, plan.kers)
+    gathered = np.fft.fftn(fine)[np.ix_(*slots)]
+    return gathered / reduce(np.multiply.outer, kers)
 
 
 def _loop_nufft2(coeff, pts, eps):
     if coeff.ndim == 3:
         return sum(np.exp(1j * kz * pts[:, 2]) * _loop_nufft2(c, pts[:, :2], eps)
                    for kz, c in zip(_depth_modes(coeff.shape), coeff))
-    plan = spectral._nufft_plan(coeff.shape, eps)
-    arr = np.zeros(plan.mrs, dtype=complex)
-    arr[np.ix_(*plan.mode_slots())] = coeff / reduce(np.multiply.outer, plan.kers)
-    fine = np.fft.ifftn(arr) * float(np.prod(plan.mrs))
-    idx, win = plan.windows(pts)
+    mrs, slots, kers, idx, win = _loop_axes(coeff.shape, eps, pts)
+    arr = np.zeros(mrs, dtype=complex)
+    arr[np.ix_(*slots)] = coeff / reduce(np.multiply.outer, kers)
+    fine = np.fft.ifftn(arr) * float(np.prod(mrs))
     return np.array([np.sum(fine[np.ix_(*[i[l] for i in idx])]
                             * reduce(np.multiply.outer, [w[l] for w in win]))
                      for l in range(pts.shape[0])])
@@ -392,14 +414,16 @@ class TestBatchedNufft:
         # CSR over the lateral axes only: a 3-D call spreads x and y and
         # phases depth exactly, so no row holds depth taps.
         lateral = modes[-2:]
-        spread, phase, _ = spectral._lateral(modes, 1e-6, _random_points(rng, 13, len(modes)))
-        plan = spectral._nufft_plan(lateral, 1e-6)
+        spread = spectral._Spread(modes, 1e-6, _random_points(rng, 13, len(modes)))
+        axes = [spectral._nufft_axis(m, 1e-6) for m in lateral]
         s = spread.matrix
         assert s.format == "csr" and s.indices.dtype == np.int32
-        assert s.shape == (13, int(np.prod(plan.mrs)))
-        assert (np.diff(s.indptr) == (2 * plan.w + 1) ** len(lateral)).all()
+        assert spread.modes == lateral
+        assert s.shape == (13, int(np.prod([mr for _, mr, _, _ in axes])))
+        assert (np.diff(s.indptr) == (2 * axes[0][0] + 1) ** len(lateral)).all()
         assert not hasattr(spread, "depth")
-        assert (phase is None) if len(modes) < 3 else phase.shape == (13, modes[0])
+        phase = spread.phase
+        assert phase is None if len(modes) < 3 else phase.shape == (13, modes[0])
 
     def test_rejects_batch_shape_mismatches(self):
         pts = np.zeros((3, 1))
@@ -427,7 +451,7 @@ class TestPlanCaches:
         pts = _random_points(rng, 4, 1)
         for eps in np.geomspace(1e-12, 1e-2, 2 * spectral._NUFFT_CACHE_SIZE):
             nufft1(pts, np.ones(4, complex), (8,), float(eps))
-        assert spectral._nufft_plan.cache_info().currsize <= spectral._NUFFT_CACHE_SIZE
-        hits = spectral._nufft_plan.cache_info().hits
+        assert spectral._nufft_axis.cache_info().currsize <= spectral._NUFFT_CACHE_SIZE
+        hits = spectral._nufft_axis.cache_info().hits
         nufft2(np.ones(8, complex), pts, 1e-2)
-        assert spectral._nufft_plan.cache_info().hits == hits + 1
+        assert spectral._nufft_axis.cache_info().hits == hits + 1
