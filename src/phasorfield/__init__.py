@@ -43,7 +43,6 @@ from .core import (
     read_container,
     read_dataset,
     read_volume,
-    rescale_to_torus,
     write_dataset,
     write_pgm,
     write_volume,
@@ -116,7 +115,6 @@ __all__ = [
     "read_container",
     "read_dataset",
     "read_volume",
-    "rescale_to_torus",
     "write_dataset",
     "write_pgm",
     "write_volume",

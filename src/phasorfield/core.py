@@ -4,7 +4,8 @@ Conventions used across the package:
 
 * Units are meters, seconds, and rad/s; the speed of light is exact.
 * Array enumeration is row-major with x fastest: 2D fields are ``[ny, nx]``,
-  volumes are ``[nz, ny, nx]``, and flattened voxel order is x, then y, then z.
+  volumes are ``[nz, ny, nx]``, and flattened voxel order is x, then y, then z:
+  each voxel grid's ``depth_planes()`` lists it.
 * A histogram bin ``b`` of a transient measurement samples time ``t0 + b*dt``.
 * Phase conventions come in a conjugate pair governed by one constant:
   temporal analysis uses ``exp(-1j*w*t)`` and spatial propagation uses
@@ -351,9 +352,21 @@ class FrequencySlices:
 # Voxel grids (tagged union)
 # ---------------------------------------------------------------------------
 
+DepthPlane = tuple[float, np.ndarray, np.ndarray]  # z, and read-only lateral x and y
+
+
+class _VoxelOrder:
+    """The voxel order every grid kind shares: the planes its
+    ``depth_planes()`` lists, in order, each plane's voxels x fastest."""
+
+    def coordinates(self) -> np.ndarray:
+        """``[count, 3]`` voxel positions in the grid's voxel order."""
+        return np.vstack([np.column_stack([x, y, np.full(x.size, z)])
+                          for z, x, y in self.depth_planes()])
+
 
 @dataclass(frozen=True)
-class CuboidGrid:
+class CuboidGrid(_VoxelOrder):
     """Uniform cuboid voxel grid."""
 
     grid: UniformGrid3D
@@ -368,22 +381,15 @@ class CuboidGrid:
     def shape(self) -> tuple[int, int, int]:
         return (self.grid.nz, self.grid.ny, self.grid.nx)
 
-    def plane_z(self, k: int) -> float:
-        return self.grid.z0 + k * self.grid.dz
-
-    def plane_xy(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+    def depth_planes(self) -> list[DepthPlane]:
         g = self.grid
-        return (g.x0 + g.dx * np.arange(g.nx), g.y0 + g.dy * np.arange(g.ny))
-
-    def coordinates(self) -> np.ndarray:
-        g = self.grid
-        xs, ys = self.plane_xy(0)
-        zz, yy, xx = np.meshgrid(g.z_coords(), ys, xs, indexing="ij")
-        return np.column_stack([xx.ravel(), yy.ravel(), zz.ravel()])
+        x, y = (_freeze(a.ravel()) for a in np.meshgrid(g.x0 + g.dx * np.arange(g.nx),
+                                                        g.y0 + g.dy * np.arange(g.ny)))
+        return [(float(z), x, y) for z in g.z_coords()]
 
 
 @dataclass(frozen=True)
-class FrustumGrid:
+class FrustumGrid(_VoxelOrder):
     """Depth-scaled voxel grid: plane k keeps the base counts but widens its pitch.
 
     Plane k lies at ``zs[k]`` with lateral pitch ``(base.dx/alphas[k],
@@ -456,19 +462,9 @@ class FrustumGrid:
         ys = cy + py * (np.arange(self.base.ny) - self.base.ny // 2)
         return xs, ys
 
-    def plane_z(self, k: int) -> float:
-        return float(self.zs[k])
-
-    def coordinates(self) -> np.ndarray:
-        out = np.empty((self.count, 3))
-        npl = self.base.count
-        for k in range(self.n_planes):
-            xs, ys = self.plane_xy(k)
-            xx, yy = np.meshgrid(xs, ys)
-            out[k * npl:(k + 1) * npl, 0] = xx.ravel()
-            out[k * npl:(k + 1) * npl, 1] = yy.ravel()
-            out[k * npl:(k + 1) * npl, 2] = self.plane_z(k)
-        return out
+    def depth_planes(self) -> list[DepthPlane]:
+        return [(float(z), *(_freeze(a.ravel()) for a in np.meshgrid(*self.plane_xy(k))))
+                for k, z in enumerate(self.zs)]
 
 
 @dataclass(frozen=True)
@@ -484,7 +480,7 @@ class VoxelPlane:
 
 
 @dataclass(frozen=True)
-class ExplicitVoxels:
+class ExplicitVoxels(_VoxelOrder):
     """Arbitrary voxel list, grouped per depth plane."""
 
     planes: tuple[VoxelPlane, ...]
@@ -499,8 +495,8 @@ class ExplicitVoxels:
     def count(self) -> int:
         return sum(p.points.count for p in self.planes)
 
-    def coordinates(self) -> np.ndarray:
-        return np.vstack([p.points.as_3d(p.z) for p in self.planes])
+    def depth_planes(self) -> list[DepthPlane]:
+        return [(float(p.z), *p.points.points.T) for p in self.planes]
 
 
 VoxelGrid = Union[CuboidGrid, FrustumGrid, ExplicitVoxels]
@@ -547,53 +543,6 @@ class ReconstructionVolume:
         _require(self.grid.kind in ("cuboid", "frustum"),
                  "explicit voxel lists have no 3D array layout")
         return self.frame(frame).reshape(self.grid.shape)
-
-
-# ---------------------------------------------------------------------------
-# Torus rescaling
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TorusMap:
-    """Affine map of a half-open box onto [-pi, pi)^d, with its inverse."""
-
-    lo: np.ndarray
-    hi: np.ndarray
-
-    def __post_init__(self) -> None:
-        lo = np.asarray(self.lo, dtype=np.float64)
-        hi = np.asarray(self.hi, dtype=np.float64)
-        _require(lo.shape == hi.shape and lo.ndim == 1, "box bounds must be 1D and congruent")
-        _require(bool(np.isfinite(lo).all() and np.isfinite(hi).all()),
-                 "box bounds must be finite")
-        _require(bool((hi > lo).all()), "box must have positive extent on every axis")
-        object.__setattr__(self, "lo", _freeze(lo))
-        object.__setattr__(self, "hi", _freeze(hi))
-
-    def forward(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=np.float64)
-        return -math.pi + 2.0 * math.pi * (pts - self.lo) / (self.hi - self.lo)
-
-    def inverse(self, tor: np.ndarray) -> np.ndarray:
-        tor = np.asarray(tor, dtype=np.float64)
-        return self.lo + (tor + math.pi) * (self.hi - self.lo) / (2.0 * math.pi)
-
-
-def rescale_to_torus(p: PointList, lo: Sequence[float], hi: Sequence[float]
-                     ) -> tuple[PointList, TorusMap]:
-    """Map points inside the half-open box [lo, hi) onto [-pi, pi)^d.
-
-    The box must contain every point with ``lo <= x < hi`` per axis; a
-    zero-extent axis is rejected.  Returns the mapped points and the affine
-    map for inversion.
-    """
-    m = TorusMap(np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64))
-    _require(m.lo.size == p.dim, "box dimensionality must match the point list")
-    pts = np.asarray(p.points)
-    _require(bool((pts >= m.lo).all() and (pts < m.hi).all()),
-             "every point must lie inside the half-open box")
-    return PointList(m.forward(pts)), m
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,10 @@ same propagation from three parts and differs only in the samplers:
   ``[py, px]`` lattice per depth node and frequency, ``[M, F, py, px]``:
   embedding and FFT, scaled FFT or type-1 NUFFT of a planar relay (one
   node) or of a 3D relay's samples weighted onto depth nodes;
-* the **output planes** give each depth's kernel spectra from every node,
-  and the voxel positions for the illumination phase;
+* the **output planes** are the grid's own ``depth_planes()``, in its voxel
+  order: each gives its depth's kernel spectra from every node, at the
+  lattice pitch the algorithm reads it with, and its voxel positions for
+  the illumination phase;
 * a **decoder** ``read(plane, spectrum)`` reads each product at the plane's
   voxels: an inverse FFT computed on the voxels' lattice window only, or a
   batched type-2 NUFFT.
@@ -55,6 +57,7 @@ from .core import (
     PROPAGATION_SIGN,
     SPEED_OF_LIGHT,
     CuboidGrid,
+    DepthPlane,
     ExplicitVoxels,
     FrequencySlices,
     FrustumGrid,
@@ -136,9 +139,12 @@ def _integer_offset(value: float, pitch: float, what: str) -> int:
     return int(qi)
 
 
-def _check_depths(zs: np.ndarray, z_relay: float) -> None:
-    _require(bool((np.asarray(zs) > z_relay).all()),
-             "every voxel plane must lie strictly beyond the relay plane")
+def _depth_planes(grid: VoxelGrid, z_relay: float) -> list[DepthPlane]:
+    """The grid's depth planes, refused unless all lie beyond depth ``z_relay``."""
+    planes = grid.depth_planes()
+    _require(all(z > z_relay for z, _, _ in planes), "every voxel plane must lie beyond "
+             f"the relay's deepest detection (z > {float(z_relay):.6g})")
+    return planes
 
 
 def _pad_size(src: np.ndarray, dst: np.ndarray, n_min: int) -> int:
@@ -168,21 +174,22 @@ def _embed_relay(slices: FrequencySlices, g, py: int, px: int) -> np.ndarray:
     return out
 
 
-def _kernel_2d(khat, lag_x: np.ndarray, lag_y: np.ndarray, dz: float) -> np.ndarray:
-    """Kernel on the lag lattice; a vector ``khat`` gives a ``[n, py, px]`` stack.
+def _kernel_2d(khat, shape, pitch, dz: float) -> np.ndarray:
+    """Kernel on the ``shape = (py, px)`` lag lattice of ``pitch = (dx, dy)``;
+    a vector ``khat`` gives a ``[n, py, px]`` stack.
 
     The lags are ``(arange(P) - P//2) * pitch`` and ``r`` is even in them, so
     the kernel is evaluated on one quadrant, the lag magnitudes ``0..P//2`` of
     each axis, and mirrored out (an even ``P``'s unmatched ``-P/2`` lag has
-    magnitude ``P//2`` too).  The quadrant takes the lags at and below the
-    centre, and ``(-j)*pitch`` is exactly ``-(j*pitch)``, so every value is
-    bitwise the one the full lattice gives.
+    magnitude ``P//2`` too).  ``(-j)*pitch`` is exactly ``-(j*pitch)`` and
+    ``r`` squares it, so every value is bitwise the one the full lattice gives.
     """
-    cx, cy = lag_x.size // 2, lag_y.size // 2
-    r = np.sqrt(lag_x[cx::-1][None, :] ** 2 + lag_y[cy::-1][:, None] ** 2 + dz * dz)
+    (py, px), (dx, dy) = shape, pitch
+    r = np.sqrt((np.arange(px // 2 + 1) * dx)[None, :] ** 2
+                + (np.arange(py // 2 + 1) * dy)[:, None] ** 2 + dz * dz)
     quadrant = np.exp(PROPAGATION_SIGN * 1j * np.asarray(khat)[..., None, None] * r) / r
-    return (quadrant.take(np.abs(np.arange(lag_y.size) - cy), axis=-2)
-            .take(np.abs(np.arange(lag_x.size) - cx), axis=-1))
+    return (quadrant.take(np.abs(np.arange(py) - py // 2), axis=-2)
+            .take(np.abs(np.arange(px) - px // 2), axis=-1))
 
 
 def _illum_phase(khat, x: np.ndarray, y: np.ndarray, z: float,
@@ -196,9 +203,8 @@ class _Plane(NamedTuple):
     """One output depth plane of a propagation.
 
     The kernels span the distances ``dz`` from the source's depth nodes,
-    sampled at ``lag_x`` and ``lag_y`` on the padded lattice; ``x`` and
-    ``y`` are the plane's voxel positions at depth ``z``, flattened in grid
-    order (x fastest).
+    sampled at the lattice ``pitch = (dx, dy)``; ``z``, ``x`` and ``y`` are
+    one of the grid's ``depth_planes()``.
     ``scale`` is the per-plane ``(alpha, beta)`` of a scaled transform
     applied to the encoded relay, and ``torus`` the NUFFT coordinates of
     explicit voxels.
@@ -206,23 +212,11 @@ class _Plane(NamedTuple):
 
     z: float
     dz: tuple[float, ...]
-    lag_x: np.ndarray
-    lag_y: np.ndarray
+    pitch: tuple[float, float]
     x: np.ndarray
     y: np.ndarray
     scale: tuple[float, float] | None = None
     torus: np.ndarray | None = None
-
-
-def _lattice_planes(vg, px: int, py: int, dx: float, dy: float,
-                    z_src: Iterable[float]) -> list[_Plane]:
-    """A cuboid's planes, read from a ``[py, px]`` lattice of pitch ``(dx, dy)``."""
-    lag_x = (np.arange(px) - px // 2) * dx
-    lag_y = (np.arange(py) - py // 2) * dy
-    x, y = (a.ravel() for a in np.meshgrid(vg.x0 + vg.dx * np.arange(vg.nx),
-                                           vg.y0 + vg.dy * np.arange(vg.ny)))
-    return [_Plane(float(z), tuple(float(z) - float(s) for s in z_src), lag_x, lag_y, x, y)
-            for z in vg.z_coords()]
 
 
 def _read_window(ny: int, nx: int, origin=None) -> Callable:
@@ -263,15 +257,49 @@ def _lateral_nufft(nu_x, nu_y, columns: np.ndarray, shape: tuple[int, int],
     return nufft1(_torus(nu_x, nu_y, shape[1], shape[0]), columns, shape, eps)
 
 
-def _reduce(slices: FrequencySlices, grid: VoxelGrid, results: Iterable[np.ndarray],
-            times: np.ndarray | None) -> ReconstructionVolume:
+def _frame_times(times, frequencies: np.ndarray) -> np.ndarray | None:
+    """``times`` as a checked vector: nonempty and finite, with every phase
+    ``w*t`` of a frame finite too."""
     if times is None:
+        return None
+    t = np.asarray(times, dtype=np.float64)
+    _require(t.ndim == 1 and t.size >= 1, "frame times must be a nonempty vector")
+    _require(bool(np.isfinite(t).all()), "frame times must be finite")
+    t_max = float(np.abs(t).max())
+    _require(math.isfinite(t_max * float(np.abs(frequencies).max())),
+             f"frame times up to {t_max:.3g} s give phases beyond floating point "
+             "at the highest frequency")
+    return t
+
+
+def _check_planes(planes: list[_Plane], shape: tuple[int, int], k_max: float,
+                  ill: np.ndarray | None) -> None:
+    """Refuse a plane whose kernel phase ``k*r`` at its largest lag, computed
+    as :func:`_kernel_2d` computes ``r``, or whose illumination phase at its
+    farthest voxel from ``ill`` (if given) is not finite."""
+    py, px = shape
+    for pl in planes:
+        lx, ly = (px // 2) * float(pl.pitch[0]), (py // 2) * float(pl.pitch[1])
+        dz = max(abs(float(d)) for d in pl.dz)
+        _require(math.isfinite(k_max * math.sqrt(lx * lx + ly * ly + dz * dz)),
+                 f"voxel plane at z = {pl.z:.6g}: its kernel phases overflow at the "
+                 f"lattice pitch {pl.pitch[0]:.3g} x {pl.pitch[1]:.3g} m")
+        if ill is not None:
+            far = [max(float(v.max()) - float(lo), float(hi) - float(v.min()))
+                   for v, lo, hi in zip((pl.x, pl.y, np.array([pl.z])),
+                                        ill.min(axis=0), ill.max(axis=0))]
+            _require(math.isfinite(k_max * math.sqrt(sum(f * f for f in far))),
+                     f"voxel plane at z = {pl.z:.6g}: it lies too far from the "
+                     "illumination points for a finite phase")
+
+
+def _reduce(slices: FrequencySlices, grid: VoxelGrid, results: Iterable[np.ndarray],
+            t: np.ndarray | None) -> ReconstructionVolume:
+    if t is None:
         out = np.zeros(grid.count, dtype=np.complex128)
         for term in results:
             out += term
         return ReconstructionVolume(grid, out)
-    t = np.asarray(times, dtype=np.float64)
-    _require(t.ndim == 1 and t.size >= 1, "frame times must be a nonempty vector")
     frames = np.zeros((t.size, grid.count), dtype=np.complex128)
     for fi, term in enumerate(results):
         w = float(slices.frequencies[fi])
@@ -280,30 +308,38 @@ def _reduce(slices: FrequencySlices, grid: VoxelGrid, results: Iterable[np.ndarr
     return ReconstructionVolume(grid, frames, t)
 
 
-def _propagate(slices: FrequencySlices, grid: VoxelGrid, uhats, planes: list[_Plane],
-               read: Callable, times: np.ndarray | None, threads: int,
+def _propagate(slices: FrequencySlices, grid: VoxelGrid, shape: tuple[int, int],
+               planes: list[_Plane], encode: Callable, read: Callable,
+               times: np.ndarray | None, threads: int,
                include_illumination: bool) -> ReconstructionVolume:
     """Propagate encoded relay spectra plane by plane and reduce them.
 
-    ``uhats[p]`` is illumination ``p``'s ``[M, F, py, px]`` relay spectrum
-    over ``M`` source depth nodes (the embedded relay, for planes with a
-    ``scale``); every plane sums node ``m``'s spectrum times the kernel
-    spectra over ``plane.dz[m]`` and ``read(plane, spectrum)`` gives
-    ``[F, n]`` values at its voxels.  Each of ``threads`` workers takes one
-    contiguous block of frequencies through every plane and illumination
-    into its own rows of the terms, which the calling thread then reduces.
+    ``encode()`` gives each illumination ``p``'s ``[M, F, py, px]`` relay
+    spectrum on the ``shape = (py, px)`` lattice over ``M`` source depth
+    nodes (the embedded relay, for planes with a ``scale``); it runs only
+    after the frame times and every plane's phases have been checked, so a
+    refused input runs no transform.  Every plane sums node ``m``'s spectrum
+    times the kernel spectra over ``plane.dz[m]`` and ``read(plane,
+    spectrum)`` gives ``[F, n]`` values at its voxels.  Each of ``threads``
+    workers takes one contiguous block of frequencies through every plane
+    and illumination into its own rows of the terms, which the calling
+    thread then reduces.
     """
     _require(int(threads) >= 1, "threads must be >= 1")
+    times = _frame_times(times, slices.frequencies)
     n_freq = slices.n_freq
     khats = slices.frequencies / SPEED_OF_LIGHT
     ill = illumination_coordinates(slices.relay, slices.illuminations)
+    _check_planes(planes, shape, float(np.abs(khats).max()),
+                  ill if include_illumination else None)
+    uhats = encode()
     ends = np.cumsum([pl.x.size for pl in planes])
     terms = np.zeros((n_freq, grid.count), dtype=np.complex128)
 
     def run(block: slice) -> None:
         kh = khats[block]
         for pl, stop in zip(planes, ends):
-            ghats = [cfft_2d(_kernel_2d(kh, pl.lag_x, pl.lag_y, dz)) for dz in pl.dz]
+            ghats = [cfft_2d(_kernel_2d(kh, shape, pl.pitch, dz)) for dz in pl.dz]
             for p, uhat in enumerate(uhats):
                 spec = None
                 for u, ghat in zip(uhat, ghats):
@@ -336,19 +372,15 @@ def _explicit_planes(grid: ExplicitVoxels, z_src: float, center, pitch, src,
     (likewise in y); ``src`` holds the input's x and y indices on the same
     scaled axes and ``n_min`` its embedded lengths, which size the padding.
     """
-    _check_depths(np.asarray([float(plane.z) for plane in grid.planes]), z_src)
+    depth = _depth_planes(grid, z_src)
     (cx, cy), (dx, dy), (al, be) = center, pitch, scale
-    pts = [np.asarray(plane.points.points) for plane in grid.planes]
-    nu_x = [al * (q[:, 0] - cx) / dx for q in pts]
-    nu_y = [be * (q[:, 1] - cy) / dy for q in pts]
+    nu_x = [al * (x - cx) / dx for _, x, _ in depth]
+    nu_y = [be * (y - cy) / dy for _, _, y in depth]
     px = _pad_size(src[0], np.concatenate(nu_x), n_min[0])
     py = _pad_size(src[1], np.concatenate(nu_y), n_min[1])
-    lag_x = (np.arange(px) - px // 2) * (dx / al)
-    lag_y = (np.arange(py) - py // 2) * (dy / be)
-    return px, py, [
-        _Plane(float(v.z), (float(v.z) - z_src,), lag_x, lag_y, q[:, 0], q[:, 1],
-               torus=_torus(ux, uy, px, py))
-        for v, q, ux, uy in zip(grid.planes, pts, nu_x, nu_y)]
+    return px, py, [_Plane(z, (z - z_src,), (dx / al, dy / be), x, y,
+                           torus=_torus(ux, uy, px, py))
+                    for (z, x, y), ux, uy in zip(depth, nu_x, nu_y)]
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +407,7 @@ def rsd(slices: FrequencySlices, grid: CuboidGrid, padding: str = "exact",
     cx, cy = g.center()
     nu0x = _integer_offset(vg.x0 - cx, g.dx, "output grid x origin offset")
     nu0y = _integer_offset(vg.y0 - cy, g.dy, "output grid y origin offset")
-    _check_depths(vg.z_coords(), g.z)
+    depth = _depth_planes(grid, g.z)
     jx = np.arange(g.nx) - g.nx // 2
     jy = np.arange(g.ny) - g.ny // 2
     if padding == "none":
@@ -388,8 +420,9 @@ def rsd(slices: FrequencySlices, grid: CuboidGrid, padding: str = "exact",
         px = _pad_size(jx, nu0x + np.arange(vg.nx), g.nx)
         py = _pad_size(jy, nu0y + np.arange(vg.ny), g.ny)
 
-    uhats = [cfft_2d(u)[None] for u in _embed_relay(slices, g, py, px)]
-    return _propagate(slices, grid, uhats, _lattice_planes(vg, px, py, g.dx, g.dy, (g.z,)),
+    planes = [_Plane(z, (z - g.z,), (g.dx, g.dy), x, y) for z, x, y in depth]
+    return _propagate(slices, grid, (py, px), planes,
+                      lambda: [cfft_2d(u)[None] for u in _embed_relay(slices, g, py, px)],
                       _read_window(vg.ny, vg.nx, (nu0y, nu0x)),
                       times, threads, include_illumination)
 
@@ -412,15 +445,13 @@ def srsd(slices: FrequencySlices, grid: FrustumGrid,
              and _close(b.dx, g.dx) and _close(b.dy, g.dy)
              and _close(b.x0, g.x0) and _close(b.y0, g.y0),
              "the frustum base must coincide with the relay lattice")
-    _check_depths(grid.zs, g.z)
+    planes = [_Plane(z, (z - g.z,), (g.dx / al, g.dy / be), x, y, scale=(al, be))
+              for (z, x, y), al, be in zip(_depth_planes(grid, g.z), grid.alphas.tolist(),
+                                           grid.betas.tolist())]
     px = next_fast_len(2 * g.nx)
     py = next_fast_len(2 * g.ny)
-    planes = [_Plane(float(z), (float(z) - g.z,), (np.arange(px) - px // 2) * (g.dx / al),
-                     (np.arange(py) - py // 2) * (g.dy / be),
-                     *(a.ravel() for a in np.meshgrid(*grid.plane_xy(k))),
-                     scale=(float(al), float(be)))
-              for k, (z, al, be) in enumerate(zip(grid.zs, grid.alphas, grid.betas))]
-    return _propagate(slices, grid, _embed_relay(slices, g, py, px)[:, None], planes,
+    return _propagate(slices, grid, (py, px), planes,
+                      lambda: _embed_relay(slices, g, py, px)[:, None],
                       _read_window(g.ny, g.nx), times, threads, include_illumination)
 
 
@@ -456,10 +487,13 @@ def _uniform_to_explicit(slices: FrequencySlices, grid: ExplicitVoxels,
     jy = np.array([-(g.ny // 2), g.ny - g.ny // 2 - 1])
     px, py, planes = _explicit_planes(grid, g.z, g.center(), (g.dx, g.dy),
                                       (al * jx, be * jy), (g.nx, g.ny), (al, be))
-    uhats = [(cfft_2d(u) if scale is None else sfft_2d_centered(u, al, be))[None]
-             for u in _embed_relay(slices, g, py, px)]
-    return _propagate(slices, grid, uhats, planes, _read_points(eps, px, py), times, threads,
-                      include_illumination)
+
+    def encode():
+        return [(cfft_2d(u) if scale is None else sfft_2d_centered(u, al, be))[None]
+                for u in _embed_relay(slices, g, py, px)]
+
+    return _propagate(slices, grid, (py, px), planes, encode, _read_points(eps, px, py),
+                      times, threads, include_illumination)
 
 
 def nursd2(slices: FrequencySlices, grid: ExplicitVoxels, eps: float = 1e-6,
@@ -493,7 +527,7 @@ def nursd3(slices: FrequencySlices, grid: ExplicitVoxels, eps: float = 1e-6,
              else slices.shortest_wavelength / 2.0)
     _require(math.isfinite(pitch) and pitch > 0, "lattice pitch must be finite and > 0")
     rel = np.asarray(relay.points.points)
-    both = np.vstack([rel] + [np.asarray(p.points.points) for p in grid.planes])
+    both = np.vstack([rel, grid.coordinates()[:, :2]])
     center = (both.min(axis=0) + both.max(axis=0)) / 2.0
     anchor = rel[0] + np.round((center - rel[0]) / pitch) * pitch
     cx, cy = float(anchor[0]), float(anchor[1])
@@ -501,9 +535,10 @@ def nursd3(slices: FrequencySlices, grid: ExplicitVoxels, eps: float = 1e-6,
     nu_y = (rel[:, 1] - cy) / pitch
     px, py, planes = _explicit_planes(grid, relay.z, (cx, cy), (pitch, pitch),
                                       (nu_x, nu_y), (1, 1))
-    uhats = [_lateral_nufft(nu_x, nu_y, c, (py, px), eps)[None] for c in slices.coefficients]
-    return _propagate(slices, grid, uhats, planes, _read_points(eps, px, py), times, threads,
-                      include_illumination)
+    return _propagate(slices, grid, (py, px), planes,
+                      lambda: [_lateral_nufft(nu_x, nu_y, c, (py, px), eps)[None]
+                               for c in slices.coefficients],
+                      _read_points(eps, px, py), times, threads, include_illumination)
 
 
 def srsd_nursd2(slices: FrequencySlices, grid: ExplicitVoxels, alpha: float,
@@ -591,19 +626,22 @@ def _from_surface(slices: FrequencySlices, grid: CuboidGrid, eps: float, kind: t
     """
     rel = _relay(slices, kind).coordinates()
     vg, z = grid.grid, rel[:, 2]
-    _require(bool((vg.z_coords() > z.max()).all()), "every voxel plane must lie beyond "
-             f"the relay's deepest detection (z > {z.max():.6g})")
+    depth = _depth_planes(grid, float(z.max()))
     nu_x, nu_y, px, py = _scattered_lattice(vg, rel)
     khats = slices.frequencies / SPEED_OF_LIGHT
     m = _depth_node_count(eps, _depth_sweep(rel, vg, float(khats.max())))
     nodes, basis = _depth_nodes(z, m)
     weights = basis[:, :, None] * np.exp(
         PROPAGATION_SIGN * 1j * khats * (nodes[None, :, None] - z[:, None, None]))
-    uhats = [lateral_spectrum(nu_x, nu_y, (c[:, None, :] * weights).reshape(z.size, -1),
-                              (py, px), eps).reshape(m, slices.n_freq, py, px)
-             for c in slices.coefficients]
-    planes = _lattice_planes(vg, px, py, vg.dx, vg.dy, nodes)
-    return _propagate(slices, grid, uhats, planes, _read_window(vg.ny, vg.nx),
+    planes = [_Plane(zk, tuple(zk - s for s in nodes.tolist()), (vg.dx, vg.dy), x, y)
+              for zk, x, y in depth]
+
+    def encode():
+        return [lateral_spectrum(nu_x, nu_y, (c[:, None, :] * weights).reshape(z.size, -1),
+                                 (py, px), eps).reshape(m, slices.n_freq, py, px)
+                for c in slices.coefficients]
+
+    return _propagate(slices, grid, (py, px), planes, encode, _read_window(vg.ny, vg.nx),
                       times, threads, include_illumination)
 
 

@@ -533,6 +533,32 @@ class TestUnindexableLattices:
         assert "lattice pitch must be finite" in capsys.readouterr().err
 
 
+class TestOverflowingPhases:
+    """Inputs whose kernel or frame phases overflow exit 2, naming the plane
+    depth or the frame times, before any transform runs."""
+
+    @pytest.mark.parametrize("grid, flags, named", [
+        ("cuboid:8,8,2,0.02,0.02,0.1,-0.07,-0.07,1e300", ["--algo", "rsd"],
+         "voxel plane at z = 1e+300:"),
+        ("cuboid:8,8,2,0.02,0.02,0.1,-0.07,-0.07,1e160", ["--algo", "rsd"],
+         "voxel plane at z = 1e+160:"),
+        # The widening law starts at the first plane, so the second one overflows.
+        ("frustum:8,8,2,0.02,0.02,0.1,-0.07,-0.07,0.9,1e-300", ["--algo", "srsd"],
+         "voxel plane at z = 1:"),
+        (None, ["--algo", "srsd-nursd2", "--alpha", "1e-300"], "voxel plane at z = 0.9:"),
+        (CUBOID, ["--algo", "rsd", "--video", "0:1e300:2"], "frame times up to 1e+300 s"),
+    ])
+    def test_refused_before_any_transform(self, pipeline, tmp_path, capsys, no_transforms,
+                                          grid, flags, named):
+        out = tmp_path / "x.vol"
+        grid = grid or _planes_file(tmp_path, _PLANE_POINTS)
+        code = main(["reconstruct", str(pipeline["dataset"]), "-o", str(out),
+                     "--lambda-c", "0.04", "--grid", grid, *flags])
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestMalformedInputs:
     @pytest.mark.parametrize("doc, named", [
         ({"voxels": []}, "'planes'"),

@@ -1,4 +1,4 @@
-"""Domain containers, torus rescaling, and the binary container formats."""
+"""Domain containers, the voxel order, and the binary container formats."""
 
 import json
 import struct
@@ -32,13 +32,11 @@ from phasorfield import (
     read_container,
     read_dataset,
     read_volume,
-    rescale_to_torus,
     write_dataset,
     write_pgm,
     write_volume,
 )
 from phasorfield.core import (
-    TorusMap,
     UniformGrid2D,
     UniformGrid3D,
     grid_coordinates,
@@ -268,35 +266,6 @@ class TestVoxelGrids:
         with pytest.raises(ValidationError, match=f"of {v.n_frames} frame"):
             v.as_array3d(index)
         assert v.frame(v.n_frames - 1).shape == (8,)
-
-
-# ---------------------------------------------------------------------------
-# Torus rescaling
-# ---------------------------------------------------------------------------
-
-
-class TestTorus:
-    def test_forward_inverse_roundtrip(self, rng):
-        pts = rng.uniform(-3.0, 5.0, size=(40, 2))
-        mapped, torus = rescale_to_torus(PointList(pts), [-3.0, -3.0], [5.0, 5.0])
-        assert np.all(mapped.points >= -np.pi) and np.all(mapped.points < np.pi)
-        back = torus.inverse(mapped.points)
-        assert np.allclose(back, pts, atol=1e-12)
-
-    def test_bounds_are_half_open(self):
-        with pytest.raises(ValidationError):
-            rescale_to_torus(PointList(np.array([[1.0, 0.0]])), [0.0, 0.0], [1.0, 1.0])
-        mapped, _ = rescale_to_torus(PointList(np.array([[0.0, 0.0]])),
-                                     [0.0, 0.0], [1.0, 1.0])
-        assert np.allclose(mapped.points, -np.pi)
-
-    def test_rejects_degenerate_box(self):
-        with pytest.raises(ValidationError):
-            TorusMap(np.array([0.0, 0.0]), np.array([1.0, 0.0]))
-
-    def test_rejects_dimension_mismatch(self):
-        with pytest.raises(ValidationError):
-            rescale_to_torus(PointList(np.zeros((1, 3))), [0.0, 0.0], [1.0, 1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -629,7 +598,7 @@ def _measurements(draw):
 
 
 @st.composite
-def _volumes(draw):
+def _grids(draw):
     kind = draw(st.sampled_from(["cuboid", "frustum", "explicit"]))
     if kind == "cuboid":
         grid = CuboidGrid(UniformGrid3D(draw(_COUNT), draw(_COUNT), draw(_COUNT),
@@ -644,6 +613,12 @@ def _volumes(draw):
     else:
         grid = ExplicitVoxels(tuple(VoxelPlane(draw(_COORD), PointList(draw(_points(2))))
                                     for _ in range(draw(_COUNT))))
+    return grid
+
+
+@st.composite
+def _volumes(draw):
+    grid = draw(_grids())
     n_frames = draw(st.sampled_from([None, 1, 2, 3]))
     shape = (grid.count,) if n_frames is None else (n_frames, grid.count)
     part = hnp.arrays(np.float64, shape, elements=st.floats(-1e6, 1e6, width=32))
@@ -720,6 +695,37 @@ class TestContainerProperties:
         raw = _container_bytes(write_volume, v, blob_dir)
         with pytest.raises(ContainerFormatError, match="follow the payload"):
             _read_bytes(read_volume, raw + suffix, blob_dir)
+
+
+class TestVoxelOrder:
+    @settings(max_examples=60, deadline=None)
+    @given(grid=_grids())
+    def test_every_layout_follows_the_depth_planes(self, blob_dir, grid):
+        planes = grid.depth_planes()
+        coords = grid.coordinates()
+        assert coords.shape == (grid.count, 3)
+        assert np.array_equal(coords, np.vstack([np.column_stack([x, y, np.full(x.size, z)])
+                                                 for z, x, y in planes]))
+        assert not any(a.flags.writeable for _, x, y in planes for a in (x, y))
+        if grid.kind == "cuboid":
+            g = grid.grid
+            want = [(g.x0 + i * g.dx, g.y0 + j * g.dy, g.z0 + k * g.dz)
+                    for k in range(g.nz) for j in range(g.ny) for i in range(g.nx)]
+        elif grid.kind == "frustum":
+            want = [(xs[i], ys[j], z) for k, z in enumerate(grid.zs)
+                    for xs, ys in [grid.plane_xy(k)]
+                    for j in range(grid.base.ny) for i in range(grid.base.nx)]
+        else:
+            want = [(x, y, p.z) for p in grid.planes for x, y in p.points.points]
+        assert np.array_equal(coords, want)
+        labels = np.arange(grid.count) + 0j
+        volume = ReconstructionVolume(grid, labels)
+        if grid.kind != "explicit":
+            assert np.array_equal(volume.as_array3d(), labels.reshape(grid.shape))
+        back = _read_bytes(read_volume, _container_bytes(write_volume, volume, blob_dir),
+                           blob_dir)
+        assert np.array_equal(back.grid.coordinates(), coords)
+        assert np.array_equal(back.field, labels)
 
 
 class TestPgm:

@@ -1,5 +1,6 @@
 """Fast volumetric propagators against literal sums and each other."""
 
+import re
 import sys
 
 import numpy as np
@@ -100,6 +101,17 @@ def chain_grid():
 @pytest.fixture(scope="module")
 def chain_reference(chain, chain_grid):
     return rsd(chain["uniform"], chain_grid).field
+
+
+def _cuboid_at(z0):
+    """The chain's 8x8 lattice, two planes from depth ``z0``."""
+    return CuboidGrid(UniformGrid3D(8, 8, 2, 0.02, 0.02, 0.08, -0.07, -0.07, z0))
+
+
+def _lit_from(slices, source):
+    """``slices``' first illumination's coefficients, lit from ``source`` instead."""
+    return FrequencySlices(slices.frequencies, slices.coefficients[:1], slices.relay,
+                           PointList(np.array([source])))
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +308,42 @@ class TestAlgorithmValidation:
         for run in runs:
             with pytest.raises(ValidationError, match="pitches"):
                 run()
+
+    def test_overflowing_phases_are_refused_before_any_transform(self, chain, chain_grid,
+                                                                   no_transforms):
+        explicit = ExplicitVoxels((VoxelPlane(0.9, PointList(np.array([[0.0, 0.0],
+                                                                       [0.01, 0.02]]))),))
+        frustum = FrustumGrid.linear(centered_grid2d(8, 0.02), [0.9, 1.0], alpha0=1e-300)
+        s = chain["uniform"]
+        runs = [(lambda: srsd_nursd2(s, explicit, alpha=1e-300), "plane at z = 0.9:"),
+                (lambda: srsd(s, frustum), "plane at z = 0.9:"),
+                (lambda: rsd(s, _cuboid_at(1e300)), "plane at z = 1e+300:"),
+                (lambda: rsd(s, _cuboid_at(1e160)), "plane at z = 1e+160:"),
+                (lambda: rsd(_lit_from(s, [1e200, 0.0]), chain_grid),
+                 "too far from the illumination")]
+        for run, named in runs:
+            with pytest.raises(ValidationError, match=re.escape(named)):
+                run()
+
+    def test_far_illumination_is_refused_only_where_its_phase_is_used(self, chain,
+                                                                      chain_grid):
+        far, near = (rsd(_lit_from(chain["uniform"], xy), chain_grid, include_illumination=False)
+                     for xy in ([1e200, 0.0], [0.0, 0.0]))
+        assert np.array_equal(far.field, near.field)
+
+    @pytest.mark.parametrize("times, message", [
+        ([np.nan], "frame times must be finite"),
+        ([0.0, np.inf], "frame times must be finite"),
+        ([], "frame times must be a nonempty vector"),
+        ([[0.0, 1e-9]], "frame times must be a nonempty vector"),
+        ([0.0, 1e300], "frame times up to 1e+300 s"),
+    ])
+    def test_frame_times_are_checked_before_any_transform(self, chain, chain_grid,
+                                                          no_transforms, times, message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            rsd(chain["uniform"], chain_grid, times=times)
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            light_transport_video(chain["planar"], chain_grid, times, algorithm="nursd1")
 
     def test_hybrid_rejects_out_of_range_scale(self, chain):
         planes = (VoxelPlane(0.9, PointList(np.array([[0.0, 0.0]]))),)
@@ -498,7 +546,7 @@ def test_mirrored_kernel_equals_full_lattice_formula(px, py, dx, dy, dz, khat):
     lag_y = (np.arange(py) - py // 2) * dy
     r = np.sqrt(lag_x[None, :] ** 2 + lag_y[:, None] ** 2 + dz * dz)
     direct = np.exp(PROPAGATION_SIGN * 1j * np.asarray(khat)[..., None, None] * r) / r
-    out = _kernel_2d(khat, lag_x, lag_y, dz)
+    out = _kernel_2d(khat, (py, px), (dx, dy), dz)
     assert out.shape == direct.shape and out.tobytes() == direct.tobytes()
 
 
