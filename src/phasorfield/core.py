@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -66,7 +67,16 @@ class _ForeignKindError(ContainerFormatError):
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
-    """Return a C-contiguous read-only copy of ``a``."""
+    """Return ``a`` as a C-contiguous read-only array that nothing else can write.
+
+    An ndarray that owns its data, is C-contiguous and is already read-only
+    is adopted as it is: making it read-only is its owner's promise not to
+    write it again.  Anything else, a writable array or a view of one even if
+    the view is read-only, is copied.
+    """
+    if (isinstance(a, np.ndarray) and a.flags.owndata and a.flags.c_contiguous
+            and not a.flags.writeable):
+        return a
     out = np.ascontiguousarray(a).copy()
     out.setflags(write=False)
     return out
@@ -274,7 +284,13 @@ def illumination_coordinates(relay: RelaySampling, illuminations: PointList) -> 
 
 @dataclass(frozen=True)
 class TransientMeasurement:
-    """Time-resolved histograms over (illumination, detection, time-bin)."""
+    """Time-resolved histograms over (illumination, detection, time-bin).
+
+    ``histograms`` is held as a read-only float64 array.  A float64 array
+    that owns its data, is C-contiguous and is read-only is adopted without
+    a copy (as :func:`read_dataset` hands over its payload); any other input
+    is copied, so later writes to the caller's array do not reach it.
+    """
 
     relay: RelaySampling
     illuminations: PointList
@@ -310,7 +326,11 @@ class TransientMeasurement:
 
 @dataclass(frozen=True)
 class FrequencySlices:
-    """Complex wavefront coefficients per (illumination, detection, frequency)."""
+    """Complex wavefront coefficients per (illumination, detection, frequency).
+
+    Read-only complex128 coefficients that own their data are adopted
+    without a copy (as :func:`phasor.to_frequency` hands them over).
+    """
 
     frequencies: np.ndarray  # [F] rad/s, strictly increasing
     coefficients: np.ndarray  # [n_illum, n_detect, F] complex
@@ -508,7 +528,9 @@ class ReconstructionVolume:
 
     ``field`` is ``[n_voxels]`` for static output and ``[n_frames, n_voxels]``
     when ``times`` is set; voxel order follows the grid enumeration (x fastest,
-    then y, then z / plane groups in order).
+    then y, then z / plane groups in order).  A read-only complex128 field
+    that owns its data is adopted without a copy (as :func:`read_volume`
+    hands it over); any other field is copied.
     """
 
     grid: VoxelGrid
@@ -558,17 +580,38 @@ _HOLDS = {**{tag: f"a transient dataset on a {k} relay" for k, tag in _RELAY_KIN
           **{tag: f"a volume on a {k} grid" for k, tag in _VOLUME_KINDS.items()}}
 
 
+# Payload values read and converted per block: the float32 or complex64
+# file block and its finiteness mask stay a few MB whatever the file holds.
+_READ_BLOCK = 1 << 18
+
+
 class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
+    """Reads a container from an open file, front to back.
+
+    Every length is checked against the file's size before it is read or
+    allocated, so a header that declares more data than the file holds
+    fails at once.
+    """
+
+    def __init__(self, f):
+        self.f = f
+        self.size = os.fstat(f.fileno()).st_size
         self.off = 0
 
-    def take(self, n: int) -> bytes:
-        if self.off + n > len(self.data):
+    def _claim(self, n: int) -> None:
+        if self.off + n > self.size:
             raise TruncatedPayloadError(
-                f"file ends at byte {len(self.data)} but {self.off + n} are needed")
-        chunk = self.data[self.off:self.off + n]
+                f"file ends at byte {self.size} but {self.off + n} are needed")
         self.off += n
+
+    def _short_read(self, got: int, n: int) -> None:
+        if got != n:
+            raise TruncatedPayloadError("file shrank while it was being read")
+
+    def take(self, n: int) -> bytes:
+        self._claim(n)
+        chunk = self.f.read(n)
+        self._short_read(len(chunk), n)
         return chunk
 
     def unpack(self, fmt: str):
@@ -579,33 +622,54 @@ class _Reader:
         raw = self.take(dt.itemsize * count)
         return np.frombuffer(raw, dtype=dt).astype(dt.base.type)
 
+    def payload(self, dtype: str, shape: tuple[int, ...], what: str) -> np.ndarray:
+        """Read ``shape`` little-endian ``dtype`` values block by block into
+        one read-only array of that shape and 64-bit components, refusing
+        non-finite values."""
+        dt = np.dtype(dtype).newbyteorder("<")
+        self._claim(dt.itemsize * math.prod(shape))
+        out = np.empty(shape, np.result_type(dt, np.float64))
+        raw = np.empty(dt.itemsize * min(_READ_BLOCK, out.size), np.uint8)
+        flat = out.reshape(-1)
+        for i in range(0, out.size, _READ_BLOCK):
+            n = dt.itemsize * min(_READ_BLOCK, out.size - i)
+            self._short_read(self.f.readinto(raw[:n]), n)
+            block = raw[:n].view(dt)
+            if not np.isfinite(block).all():
+                raise NonFiniteDataError(f"{what} payload contains non-finite values")
+            flat[i:i + block.size] = block
+        out.setflags(write=False)
+        return out
+
     def end(self) -> None:
         """Fail unless the whole input has been consumed."""
-        if self.off != len(self.data):
+        if self.off != self.size:
             raise ContainerFormatError(
-                f"{len(self.data) - self.off} unexpected byte(s) follow the payload "
+                f"{self.size - self.off} unexpected byte(s) follow the payload "
                 f"at byte {self.off}")
 
 
-def _pack_f8(a: np.ndarray) -> bytes:
-    return np.ascontiguousarray(a, dtype="<f8").tobytes()
+def _le_buffer(a: np.ndarray, dtype: str) -> memoryview:
+    """``a`` as contiguous little-endian ``dtype``, for writing from its own buffer."""
+    return memoryview(np.ascontiguousarray(a, dtype=dtype))
 
 
 def _write_container(path: str, counts: tuple[int, int, int], scalars: tuple[float, float],
-                     kind: int, parts: list[bytes]) -> None:
+                     kind: int, parts: list) -> None:
     """Write the framing (magic, version, 3 counts, 2 scalars, kind byte), then ``parts``."""
-    head = struct.pack("<4sI3I2dB", _MAGIC, _VERSION, *counts, *scalars, kind)
     with open(path, "wb") as f:
-        f.write(b"".join([head, *parts]))
+        f.write(struct.pack("<4sI3I2dB", _MAGIC, _VERSION, *counts, *scalars, kind))
+        for part in parts:
+            f.write(part)
 
 
-def _open_container(path: str, kinds: dict[str, int], what: str):
-    """Read the framing; return the reader at the body, the counts, the scalars and the kind.
+def _open_container(f, kinds: dict[str, int], what: str):
+    """Read the framing from the open file ``f``; return the reader at the body,
+    the counts, the scalars and the kind.
 
     A kind tag outside ``kinds`` fails, naming what the file holds if it is a known tag.
     """
-    with open(path, "rb") as f:
-        r = _Reader(f.read())
+    r = _Reader(f)
     magic = r.take(4)
     if magic != _MAGIC:
         raise InvalidMagicError(f"expected magic {_MAGIC!r}, found {magic!r}")
@@ -629,14 +693,14 @@ def _format_errors() -> Iterator[None]:
         raise ContainerFormatError(str(exc)) from exc
 
 
-def _relay_to_bytes(relay: RelaySampling) -> bytes:
+def _relay_parts(relay: RelaySampling) -> list:
     if isinstance(relay, UniformRelay):
         g = relay.grid
-        return struct.pack("<2I5d", g.nx, g.ny, g.dx, g.dy, g.x0, g.y0, g.z)
+        return [struct.pack("<2I5d", g.nx, g.ny, g.dx, g.dy, g.x0, g.y0, g.z)]
     pts = relay.points
     if isinstance(relay, NonUniformPlanarRelay):
-        return struct.pack("<dI", relay.z, pts.count) + _pack_f8(pts.points)
-    return struct.pack("<I", pts.count) + _pack_f8(pts.points)
+        return [struct.pack("<dI", relay.z, pts.count), _le_buffer(pts.points, "<f8")]
+    return [struct.pack("<I", pts.count), _le_buffer(pts.points, "<f8")]
 
 
 def _relay_from_reader(r: _Reader, kind: int) -> RelaySampling:
@@ -670,10 +734,10 @@ def write_dataset(m: TransientMeasurement, path: str) -> None:
     ill = m.illuminations
     _write_container(path, (m.n_illum, m.n_detect, m.n_bins), (m.delta_t, m.t0),
                      _RELAY_KINDS[m.relay.kind], [
-                         _relay_to_bytes(m.relay),
+                         *_relay_parts(m.relay),
                          struct.pack("<BI", ill.dim, ill.count),
-                         _pack_f8(ill.points),
-                         np.ascontiguousarray(m.histograms, dtype="<f4").tobytes(),
+                         _le_buffer(ill.points, "<f8"),
+                         _le_buffer(m.histograms, "<f4"),
                      ])
     sidecar = {
         "format": "NLS1 transient dataset",
@@ -691,26 +755,25 @@ def write_dataset(m: TransientMeasurement, path: str) -> None:
         f.write("\n")
 
 
-# Both readers decode their payloads in their own bodies, not in a helper:
-# the file's bytes (held by ``r``) are then freed before the float32 payload
-# copy, at the same frame exit.  In that order the next read trims the heap
-# arena, which keeps the peak resident set of a run of captures down.
+# The histograms are the one large part of a capture.  The reader converts
+# them block by block into one read-only float64 array of their final shape,
+# which TransientMeasurement adopts, so a capture is held once in memory: the
+# file's bytes are never all in memory, and no float32 or second float64
+# copy is made.
 @_format_errors()
 def read_dataset(path: str) -> TransientMeasurement:
     """Read a transient measurement container written by :func:`write_dataset`."""
-    r, (n_illum, n_detect, n_bins), (delta_t, t0), kind = _open_container(
-        path, _RELAY_KINDS, "a transient dataset")
-    relay = _relay_from_reader(r, kind)
-    dim, n_ill_pts = r.unpack("BI")
-    if dim not in (2, 3):
-        raise ContainerFormatError(f"illumination dimensionality {dim} invalid")
-    ill = r.array("f8", n_ill_pts * dim).reshape(n_ill_pts, dim)
-    hist = r.array("f4", n_illum * n_detect * n_bins).reshape(n_illum, n_detect, n_bins)
-    r.end()
-    if not np.isfinite(hist).all():
-        raise NonFiniteDataError("histogram payload contains non-finite values")
-    return TransientMeasurement(relay, PointList(ill), hist.astype(np.float64),
-                                delta_t, t0)
+    with open(path, "rb") as f:
+        r, (n_illum, n_detect, n_bins), (delta_t, t0), kind = _open_container(
+            f, _RELAY_KINDS, "a transient dataset")
+        relay = _relay_from_reader(r, kind)
+        dim, n_ill_pts = r.unpack("BI")
+        if dim not in (2, 3):
+            raise ContainerFormatError(f"illumination dimensionality {dim} invalid")
+        ill = r.array("f8", n_ill_pts * dim).reshape(n_ill_pts, dim)
+        hist = r.payload("f4", (n_illum, n_detect, n_bins), "histogram")
+        r.end()
+    return TransientMeasurement(relay, PointList(ill), hist, delta_t, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -718,19 +781,18 @@ def read_dataset(path: str) -> TransientMeasurement:
 # ---------------------------------------------------------------------------
 
 
-def _grid_to_bytes(grid: VoxelGrid) -> bytes:
+def _grid_parts(grid: VoxelGrid) -> list:
     if isinstance(grid, CuboidGrid):
         g = grid.grid
-        return struct.pack("<3I6d", g.nx, g.ny, g.nz, g.dx, g.dy, g.dz, g.x0, g.y0, g.z0)
+        return [struct.pack("<3I6d", g.nx, g.ny, g.nz, g.dx, g.dy, g.dz, g.x0, g.y0, g.z0)]
     if isinstance(grid, FrustumGrid):
         b = grid.base
-        return b"".join([struct.pack("<3I5d", b.nx, b.ny, grid.n_planes,
-                                     b.dx, b.dy, b.x0, b.y0, b.z),
-                         *map(_pack_f8, (grid.zs, grid.alphas, grid.betas))])
+        return [struct.pack("<3I5d", b.nx, b.ny, grid.n_planes, b.dx, b.dy, b.x0, b.y0, b.z),
+                *(_le_buffer(a, "<f8") for a in (grid.zs, grid.alphas, grid.betas))]
     out = [struct.pack("<I", len(grid.planes))]
     for p in grid.planes:
-        out += [struct.pack("<dI", p.z, p.points.count), _pack_f8(p.points.points)]
-    return b"".join(out)
+        out += [struct.pack("<dI", p.z, p.points.count), _le_buffer(p.points.points, "<f8")]
+    return out
 
 
 def _grid_from_reader(r: _Reader, kind: int) -> VoxelGrid:
@@ -759,9 +821,9 @@ def write_volume(v: ReconstructionVolume, path: str) -> None:
     field = v.field if v.times is not None else v.field[None, :]
     _write_container(path, (v.n_frames, v.grid.count, int(v.times is not None)), (0.0, 0.0),
                      _VOLUME_KINDS[v.grid.kind], [
-                         _grid_to_bytes(v.grid),
-                         _pack_f8(times),
-                         np.ascontiguousarray(field, dtype="<c8").tobytes(),
+                         *_grid_parts(v.grid),
+                         _le_buffer(times, "<f8"),
+                         _le_buffer(field, "<c8"),
                      ])
 
 
@@ -772,23 +834,21 @@ def read_volume(path: str) -> ReconstructionVolume:
     Earlier writers left the time-axis word 0 for every volume, so a volume
     with word 0 is static if it holds one frame and time-resolved otherwise.
     """
-    r, (n_frames, n_voxels, timed), _, kind = _open_container(
-        path, _VOLUME_KINDS, "a reconstruction volume")
-    if timed not in (0, 1):
-        raise ContainerFormatError(f"time-axis word {timed} must be 0 or 1")
-    if n_frames == 0:
-        raise ContainerFormatError("volume declares 0 frames")
-    grid = _grid_from_reader(r, kind)
-    if grid.count != n_voxels:
-        raise ContainerFormatError("declared voxel count does not match grid geometry")
-    times = r.array("f8", n_frames)
-    field = r.array("c8", n_frames * n_voxels).reshape(n_frames, n_voxels)
-    r.end()
-    if not np.isfinite(field).all():
-        raise NonFiniteDataError("volume payload contains non-finite values")
-    if not timed and n_frames == 1:
-        return ReconstructionVolume(grid, field[0].astype(np.complex128))
-    return ReconstructionVolume(grid, field.astype(np.complex128), times)
+    with open(path, "rb") as f:
+        r, (n_frames, n_voxels, timed), _, kind = _open_container(
+            f, _VOLUME_KINDS, "a reconstruction volume")
+        if timed not in (0, 1):
+            raise ContainerFormatError(f"time-axis word {timed} must be 0 or 1")
+        if n_frames == 0:
+            raise ContainerFormatError("volume declares 0 frames")
+        grid = _grid_from_reader(r, kind)
+        if grid.count != n_voxels:
+            raise ContainerFormatError("declared voxel count does not match grid geometry")
+        times = r.array("f8", n_frames)
+        static = not timed and n_frames == 1
+        field = r.payload("c8", (n_voxels,) if static else (n_frames, n_voxels), "volume")
+        r.end()
+    return ReconstructionVolume(grid, field, None if static else times)
 
 
 def read_container(path: str) -> TransientMeasurement | ReconstructionVolume:

@@ -111,21 +111,34 @@ def build_kernel(lambda_c: float, n_bins: int, delta_t: float,
     )
 
 
+# Histogram values transformed per rfft call in :func:`to_frequency`: the
+# block's half spectrum stays a few MB whatever the capture holds.
+_PROJECTION_BLOCK = 1 << 18
+
+
 def to_frequency(measurement: TransientMeasurement, kernel: PhasorKernel) -> FrequencySlices:
     """Project time histograms onto the kernel's weighted frequency bins.
 
     Coefficient for bin ``k``: ``FFT(histogram)[k] * weight_k *
     exp(-1j*omega_k*t0)`` — the forward DFT analyzes against
     ``exp(-1j*omega*t)`` and the ``t0`` phase refers bin 0 back to absolute
-    time zero.
+    time zero.  The histograms are real and the kernel's bins lie in
+    ``1..n_bins//2``, so a real FFT over blocks of detectors gives every
+    retained bin without forming the full spectrum.
     """
     _require(measurement.n_bins == kernel.n_bins,
              "measurement and kernel disagree on the number of time bins")
     _require(math.isclose(measurement.delta_t, kernel.delta_t, rel_tol=1e-12),
              "measurement and kernel disagree on the bin width")
-    spectrum = np.fft.fft(measurement.histograms, axis=2)
-    coeff = spectrum[:, :, kernel.bin_indices] * kernel.weights
-    coeff = coeff * np.exp(-1j * kernel.frequencies * measurement.t0)
+    h = measurement.histograms
+    n_illum, n_detect, n_bins = h.shape
+    coeff = np.empty((n_illum, n_detect, kernel.n_freq), dtype=np.complex128)
+    step = max(1, _PROJECTION_BLOCK // (n_illum * n_bins))
+    for i in range(0, n_detect, step):
+        coeff[:, i:i + step] = np.fft.rfft(h[:, i:i + step], axis=2)[:, :, kernel.bin_indices]
+    coeff *= kernel.weights
+    coeff *= np.exp(-1j * kernel.frequencies * measurement.t0)
+    coeff.setflags(write=False)
     return FrequencySlices(
         frequencies=kernel.frequencies,
         coefficients=coeff,

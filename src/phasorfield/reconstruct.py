@@ -569,16 +569,16 @@ def srsd_nursd2(slices: FrequencySlices, grid: ExplicitVoxels, alpha: float,
 _DEPTH_RATE = 0.125
 
 
-def _depth_sweep(rel: np.ndarray, vg, k_max: float) -> float:
+def _depth_sweep(rel: np.ndarray, grid: CuboidGrid, k_max: float) -> float:
     """``k_max * extent * (1 - cos(theta_max)) / 2``: the phase the demodulated
     kernel (see :func:`_from_surface`) sweeps at most over half the relay's
     depth extent, ``theta_max`` pairing the widest lateral lag between a
     detection and a voxel column with the nearest plane; 0 on a flat relay."""
     z_lo, z_hi = float(rel[:, 2].min()), float(rel[:, 2].max())
+    zs, xs, ys = zip(*grid.depth_planes())
     reach = [max(v.max() - r.min(), r.max() - v.min())
-             for v, r in ((vg.x0 + vg.dx * np.arange(vg.nx), rel[:, 0]),
-                          (vg.y0 + vg.dy * np.arange(vg.ny), rel[:, 1]))]
-    d_min = float(vg.z_coords().min()) - z_hi
+             for v, r in ((np.concatenate(xs), rel[:, 0]), (np.concatenate(ys), rel[:, 1]))]
+    d_min = min(zs) - z_hi
     return k_max * (z_hi - z_lo) * (1.0 - d_min / math.hypot(d_min, *reach)) / 2.0
 
 
@@ -629,7 +629,7 @@ def _from_surface(slices: FrequencySlices, grid: CuboidGrid, eps: float, kind: t
     depth = _depth_planes(grid, float(z.max()))
     nu_x, nu_y, px, py = _scattered_lattice(vg, rel)
     khats = slices.frequencies / SPEED_OF_LIGHT
-    m = _depth_node_count(eps, _depth_sweep(rel, vg, float(khats.max())))
+    m = _depth_node_count(eps, _depth_sweep(rel, grid, float(khats.max())))
     nodes, basis = _depth_nodes(z, m)
     weights = basis[:, :, None] * np.exp(
         PROPAGATION_SIGN * 1j * khats * (nodes[None, :, None] - z[:, None, None]))

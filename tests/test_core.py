@@ -2,7 +2,9 @@
 
 import json
 import struct
+import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -36,11 +38,14 @@ from phasorfield import (
     write_pgm,
     write_volume,
 )
+from phasorfield import core
 from phasorfield.core import (
     UniformGrid2D,
     UniformGrid3D,
+    _freeze,
     grid_coordinates,
 )
+from phasorfield.phasor import build_kernel, to_frequency
 
 from helpers import centered_grid2d, centered_relay
 
@@ -169,6 +174,29 @@ class TestTransientMeasurement:
         with pytest.raises(ValidationError):
             TransientMeasurement(self._relay(), PointList(np.zeros((1, 2))),
                                  np.zeros((1, 4, 8)), delta_t=0.0)
+
+
+class TestFreeze:
+    def test_writable_input_is_copied(self):
+        h = np.ones((1, 4, 8))
+        m = TransientMeasurement(centered_relay(2, 0.1), PointList(np.zeros((1, 2))), h, 1e-12)
+        h[0, 0, 0] = 5.0
+        assert m.histograms[0, 0, 0] == 1.0 and not m.histograms.flags.writeable
+
+    def test_read_only_view_is_copied(self):
+        owner = np.arange(12.0)
+        view = owner[2:10]
+        view.setflags(write=False)
+        frozen = _freeze(view)
+        owner[2] = -1.0
+        assert frozen is not view and frozen[0] == 2.0
+
+    def test_owned_read_only_array_is_adopted(self):
+        h = np.ones((1, 4, 8))
+        h.setflags(write=False)
+        assert _freeze(h) is h
+        m = TransientMeasurement(centered_relay(2, 0.1), PointList(np.zeros((1, 2))), h, 1e-12)
+        assert m.histograms is h
 
 
 class TestFrequencySlices:
@@ -362,13 +390,13 @@ class TestDatasetContainer:
         p1, p2 = str(tmp_path / "a.nls1"), str(tmp_path / "b.nls1")
         write_dataset(m, p1)
         write_dataset(m, p2)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_sidecar_is_plain_json_without_timestamps(self, tmp_path):
         m = _small_measurement()
         path = str(tmp_path / "d.nls1")
         write_dataset(m, path)
-        doc = json.load(open(path + ".json"))
+        doc = json.loads(Path(path + ".json").read_text(encoding="utf-8"))
         assert doc["n_bins"] == 8 and doc["relay"]["kind"] == "uniform"
         assert not any("time" in k.lower() and k != "t0" for k in doc
                        if k not in ("delta_t",))
@@ -443,6 +471,74 @@ class TestDatasetContainer:
             Path(path).write_bytes(bytes(raw))
             with pytest.raises(ContainerFormatError, match=f"^unknown container kind tag {tag}$"):
                 reader(path)
+
+
+def _traced_peak(fn):
+    """``fn()`` and the peak bytes traced while it ran."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# What a streamed read may hold beyond its result: one file block of 2^18
+# values and its finiteness mask, or one projection block's half spectrum.
+_STREAM_SLACK = 4e6
+
+
+class TestStreamedRead:
+    def test_a_capture_is_held_once(self, tmp_path):
+        # frustum-video's shape: [2, 2304, 1024].  Reading it and projecting
+        # it may hold the float64 histograms, one eighth more for the
+        # measurement's own mask checks, and a few blocks.
+        relay = UniformRelay(UniformGrid2D(48, 48, 0.01, 0.01, -0.24, -0.24))
+        h = np.random.default_rng(3).poisson(2.0, (2, 2304, 1024)).astype(np.float64)
+        path = str(tmp_path / "big.nls1")
+        write_dataset(TransientMeasurement(relay, PointList(np.zeros((2, 2))), h, 16e-12), path)
+        del h
+        kernel = build_kernel(0.06, 1024, 16e-12)
+
+        def front_end():
+            m = read_dataset(path)
+            return m, to_frequency(m, kernel)
+
+        (m, sl), peak = _traced_peak(front_end)
+        assert m.histograms.flags.owndata and sl.coefficients.flags.owndata
+        assert peak <= 1.15 * m.histograms.nbytes + _STREAM_SLACK
+
+    @pytest.mark.parametrize("times", [None, np.array([0.0, 1e-9])])
+    def test_a_volume_is_held_once(self, tmp_path, times):
+        grid = CuboidGrid(UniformGrid3D(500, 400, 2, 0.01, 0.01, 0.01, 0.0, 0.0, 1.0))
+        shape = (grid.count,) if times is None else (times.size, grid.count)
+        path = str(tmp_path / "v.vol")
+        write_volume(ReconstructionVolume(grid, np.full(shape, 1 + 2j), times), path)
+        v, peak = _traced_peak(lambda: read_volume(path))
+        assert v.field.shape == shape and v.field.flags.owndata
+        assert peak <= 1.15 * v.field.nbytes + _STREAM_SLACK
+
+    def test_a_huge_declared_payload_fails_before_allocating(self, tmp_path):
+        raw = bytearray(_container_bytes(write_dataset, _small_measurement(), tmp_path))
+        raw[8:20] = struct.pack("<3I", 1, 1 << 20, 1 << 20)  # 2^40 histogram values
+        path = tmp_path / "huge.nls1"
+        path.write_bytes(bytes(raw[:200]).ljust(200, b"\0"))
+
+        def read():
+            with pytest.raises(TruncatedPayloadError, match="file ends at byte 200 but"):
+                read_dataset(str(path))
+
+        _, peak = _traced_peak(read)
+        assert peak < 1e6
+
+    def test_a_file_that_shrinks_while_read_is_truncated(self, tmp_path, monkeypatch):
+        raw = _container_bytes(write_dataset, _small_measurement(), tmp_path)
+        path = tmp_path / "d.nls1"
+        path.write_bytes(raw[:-8])
+        # The size taken when the file was opened outlasts the bytes the read finds.
+        monkeypatch.setattr(core.os, "fstat", lambda fd: SimpleNamespace(st_size=len(raw)))
+        with pytest.raises(TruncatedPayloadError, match="shrank"):
+            read_dataset(str(path))
 
 
 class TestVolumeContainer:

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from phasorfield import PointList, TransientMeasurement, ValidationError
+from phasorfield import NonUniformPlanarRelay, PointList, TransientMeasurement, ValidationError
+from phasorfield import phasor
 from phasorfield.core import SPEED_OF_LIGHT
 from phasorfield.phasor import (
     build_kernel,
@@ -18,7 +19,7 @@ from phasorfield.phasor import (
     to_frequency,
 )
 
-from helpers import centered_relay, rel_linf
+from helpers import centered_relay, rel_l2, rel_linf
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +135,31 @@ class TestToFrequency:
         c2 = to_frequency(_measurement(h2, dt), k).coefficients
         c12 = to_frequency(_measurement(2.0 * h1 + 3.0 * h2, dt), k).coefficients
         assert rel_linf(c12, 2.0 * c1 + 3.0 * c2) < 1e-10
+
+    @staticmethod
+    def _counts(rng, n_bins, n_detect=300):
+        """Poisson counts on ``n_detect`` scattered detections, two illuminations."""
+        relay = NonUniformPlanarRelay(PointList(rng.uniform(-0.3, 0.3, (n_detect, 2))), 0.0)
+        h = rng.poisson(3.0, (2, n_detect, n_bins)).astype(np.float64)
+        return TransientMeasurement(relay, PointList(np.zeros((2, 2))), h, 16e-12, t0=1e-10)
+
+    @pytest.mark.parametrize("n_bins", [1024, 1023])
+    def test_blocked_real_fft_matches_the_full_spectrum(self, rng, n_bins):
+        m = self._counts(rng, n_bins)
+        k = build_kernel(0.06, n_bins, m.delta_t)
+        # 300 detections at these bin counts span three projection blocks.
+        assert m.n_detect > phasor._PROJECTION_BLOCK // (m.n_illum * n_bins) * 2
+        full = np.fft.fft(m.histograms, axis=2)[:, :, k.bin_indices]
+        reference = full * k.weights * np.exp(-1j * k.frequencies * m.t0)
+        assert rel_l2(to_frequency(m, k).coefficients, reference) <= 1e-15
+
+    def test_block_size_does_not_change_a_bit(self, rng, monkeypatch):
+        m = self._counts(rng, 1023, n_detect=40)
+        k = build_kernel(0.06, 1023, m.delta_t)
+        monkeypatch.setattr(phasor, "_PROJECTION_BLOCK", 1 << 40)
+        whole = to_frequency(m, k).coefficients
+        monkeypatch.setattr(phasor, "_PROJECTION_BLOCK", 1)
+        assert np.array_equal(to_frequency(m, k).coefficients, whole)
 
     def test_rejects_kernel_built_for_other_time_axis(self):
         m = _measurement(np.zeros((1, 4, 256)))

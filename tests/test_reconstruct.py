@@ -617,7 +617,7 @@ def _depth_error(monkeypatch, slices, grid, m, reference):
 @pytest.mark.parametrize("extent", [0.01, 0.05, 0.15])
 def test_depth_node_rule_meets_eps(lifted, monkeypatch, extent):
     slices, direct = lifted[extent]
-    sweep = _depth_sweep(slices.relay.coordinates(), _LIFTED_GRID.grid,
+    sweep = _depth_sweep(slices.relay.coordinates(), _LIFTED_GRID,
                          float(slices.frequencies[-1] / SPEED_OF_LIGHT))
     for eps in (1e-4, 1e-6, 1e-9):
         m = _depth_node_count(eps, sweep)
@@ -633,7 +633,7 @@ def test_depth_node_rule_on_the_benchmark_geometry(monkeypatch):
     slices = two_scatterer_slices(relay=NonPlanarRelay(PointList(pts)),
                                   illuminations=PointList(np.zeros((1, 3))))
     grid = CuboidGrid(UniformGrid3D(16, 16, 8, 0.02, 0.02, 0.075, -0.15, -0.15, 0.8))
-    m = _depth_node_count(1e-6, _depth_sweep(pts, grid.grid,
+    m = _depth_node_count(1e-6, _depth_sweep(pts, grid,
                                              float(slices.frequencies[-1] / SPEED_OF_LIGHT)))
     assert m <= 4
     recon = sys.modules["phasorfield.reconstruct"]
@@ -645,7 +645,7 @@ def test_depth_node_rule_on_the_benchmark_geometry(monkeypatch):
 def test_flat_relay_takes_one_depth_node():
     assert _depth_node_count(1e-12, 0.0) == 1
     rel = np.column_stack([np.zeros((3, 2)), np.full(3, 0.3)])
-    assert _depth_sweep(rel, _LIFTED_GRID.grid, 100.0) == 0.0
+    assert _depth_sweep(rel, _LIFTED_GRID, 100.0) == 0.0
 
 
 @pytest.mark.parametrize("eps", [0.0, -1e-6, 1.0, float("nan")])
