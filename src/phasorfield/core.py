@@ -307,8 +307,10 @@ class TransientMeasurement:
         _require(h.shape[1] == self.relay.count, "detector axis must match relay point count")
         _require(h.shape[0] == self.illuminations.count,
                  "illumination axis must match illumination point count")
-        _require(bool(np.isfinite(h).all()), "histograms must be finite")
-        _require(bool((h >= 0).all()), "histogram values are photon counts and must be >= 0")
+        # Reductions, not full-size masks: NaN propagates through min and max.
+        lo, hi = float(h.min()), float(h.max())
+        _require(math.isfinite(lo) and math.isfinite(hi), "histograms must be finite")
+        _require(lo >= 0, "histogram values are photon counts and must be >= 0")
         object.__setattr__(self, "histograms", _freeze(h))
 
     @property

@@ -5,13 +5,19 @@ frequency and each illumination point, the relay wavefront is propagated to
 the requested voxels through the free-space kernel
 ``exp(s*1j*(w/c)*r)/r`` (``s = PROPAGATION_SIGN``), multiplied by the
 illumination phase ``exp(s*1j*(w/c)*|x_p - x_v|)``, and summed over
-illuminations and frequencies in ascending order.  Each algorithm builds the
-same propagation from three parts and differs only in the samplers:
+illuminations and frequencies in ascending order.
 
-* an **encoder** gives each illumination's relay spectrum on a padded
-  ``[py, px]`` lattice per depth node and frequency, ``[M, F, py, px]``:
-  embedding and FFT, scaled FFT or type-1 NUFFT of a planar relay (one
-  node) or of a 3D relay's samples weighted onto depth nodes;
+Each algorithm is one row of ``_ALGORITHMS``: the grid kind it reconstructs
+onto, the relay kind it reads and a planner.  :func:`reconstruct`, which each
+public algorithm calls, checks the kinds and plans (:func:`_plan`) from the
+geometry alone, never the coefficients, then runs the plan
+(:func:`_propagate`): each of ``threads`` workers takes one contiguous block
+of frequencies through every plane.  A plan has three parts:
+
+* an **encoder** ``encode(coefficients)`` gives each illumination's relay
+  spectrum on a padded ``[py, px]`` lattice per depth node and frequency,
+  ``[M, F, py, px]``: embedding and FFT, scaled FFT or type-1 NUFFT of a
+  planar relay (one node) or of a 3D relay's samples weighted onto depth nodes;
 * the **output planes** are the grid's own ``depth_planes()``, in its voxel
   order: each gives its depth's kernel spectra from every node, at the
   lattice pitch the algorithm reads it with, and its voxel positions for
@@ -19,9 +25,6 @@ same propagation from three parts and differs only in the samplers:
 * a **decoder** ``read(plane, spectrum)`` reads each product at the plane's
   voxels: an inverse FFT computed on the voxels' lattice window only, or a
   batched type-2 NUFFT.
-
-:func:`_propagate` joins them for every algorithm; each of ``threads``
-workers takes one contiguous block of frequencies through it.
 
 ========  ===========================  ==========================  =========================
 name      relay sampling               voxels                      transforms
@@ -49,7 +52,8 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, NamedTuple
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -63,9 +67,10 @@ from .core import (
     FrustumGrid,
     NonPlanarRelay,
     NonUniformPlanarRelay,
+    PointList,
     ReconstructionVolume,
+    RelaySampling,
     UniformRelay,
-    ValidationError,
     VoxelGrid,
     _require,
     illumination_coordinates,
@@ -99,20 +104,18 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Shared machinery: lattice geometry, kernels, the propagation loop
+# Shared machinery: lattice geometry, kernels, the propagation run
 # ---------------------------------------------------------------------------
 
+
+_ONTO = {CuboidGrid: "a cuboid grid", FrustumGrid: "a frustum grid",
+         ExplicitVoxels: "explicit voxels"}
 
 _RELAY_NEEDS = {
     UniformRelay: "this algorithm needs detections on a uniform relay grid",
     NonUniformPlanarRelay: "this algorithm needs scattered detections on a single plane",
     NonPlanarRelay: "this algorithm needs detections scattered in 3D",
 }
-
-
-def _relay(slices: FrequencySlices, kind: type):
-    _require(isinstance(slices.relay, kind), _RELAY_NEEDS[kind])
-    return slices.relay
 
 
 def _close(a: float, b: float) -> bool:
@@ -164,9 +167,9 @@ def _pad_size(src: np.ndarray, dst: np.ndarray, n_min: int) -> int:
     return next_fast_len(2 * math.ceil(reach) + 10)
 
 
-def _embed_relay(slices: FrequencySlices, g, py: int, px: int) -> np.ndarray:
+def _embed_relay(coefficients: np.ndarray, g, py: int, px: int) -> np.ndarray:
     """Each illumination's uniform relay centred in a ``[F, py, px]`` zero array."""
-    coeff = np.swapaxes(slices.coefficients, 1, 2)
+    coeff = np.swapaxes(coefficients, 1, 2)
     out = np.zeros(coeff.shape[:2] + (py, px), dtype=np.complex128)
     oy = py // 2 - g.ny // 2
     ox = px // 2 - g.nx // 2
@@ -219,6 +222,19 @@ class _Plane(NamedTuple):
     torus: np.ndarray | None = None
 
 
+class _Plan(NamedTuple):
+    """One reconstruction from geometry alone, with ``[P, 3]`` illumination
+    coordinates; ``read`` gives ``[F, n]`` values at a plane's voxels."""
+
+    grid: VoxelGrid
+    frequencies: np.ndarray
+    illuminations: np.ndarray
+    shape: tuple[int, int]
+    planes: list[_Plane]
+    encode: Callable
+    read: Callable
+
+
 def _read_window(ny: int, nx: int, origin=None) -> Callable:
     """Lattice decoder: the inverse FFT on the ``[ny, nx]`` window of centered
     indices from ``origin`` only."""
@@ -233,18 +249,6 @@ def _read_points(eps: float, px: int, py: int) -> Callable:
     return lambda pl, spec: nufft2(spec, pl.torus, eps, batch=True) * scale
 
 
-def _scattered_lattice(vg, rel: np.ndarray):
-    """``(nu_x, nu_y, px, py)``: relay points' fractional indices about a
-    cuboid's centre node, and the padded size of the cuboid's lattice."""
-    cx = vg.x0 + (vg.nx // 2) * vg.dx
-    cy = vg.y0 + (vg.ny // 2) * vg.dy
-    nu_x = (rel[:, 0] - cx) / vg.dx
-    nu_y = (rel[:, 1] - cy) / vg.dy
-    px = _pad_size(nu_x, np.arange(vg.nx) - vg.nx // 2, vg.nx)
-    py = _pad_size(nu_y, np.arange(vg.ny) - vg.ny // 2, vg.ny)
-    return nu_x, nu_y, px, py
-
-
 def _torus(nu_x: np.ndarray, nu_y: np.ndarray, px: int, py: int) -> np.ndarray:
     """NUFFT coordinates of fractional centered indices on a ``[py, px]`` lattice."""
     return np.column_stack([2.0 * np.pi * nu_x / px, 2.0 * np.pi * nu_y / py])
@@ -255,6 +259,24 @@ def _lateral_nufft(nu_x, nu_y, columns: np.ndarray, shape: tuple[int, int],
     """Scattered samples' ``[L, B]`` columns at fractional indices ``(nu_x, nu_y)``
     to their ``[B, py, px]`` lattice spectrum: one batched type-1 NUFFT."""
     return nufft1(_torus(nu_x, nu_y, shape[1], shape[0]), columns, shape, eps)
+
+
+def _lateral_gridding(nu_x, nu_y, columns: np.ndarray, shape: tuple[int, int],
+                      _eps: float, scatter: str) -> np.ndarray:
+    """As :func:`_lateral_nufft`, but deposited at the nearest node or bilinearly
+    for ``scatter="trilinear"`` (duplicate targets sum) and Fourier transformed."""
+    py, px = shape
+    fx, fy = nu_x + px // 2, nu_y + py // 2
+    if scatter == "nearest":  # all weight on the first corner
+        fx, fy = np.round(fx), np.round(fy)
+    x0, y0 = np.floor(fx), np.floor(fy)
+    tx, ty = fx - x0, fy - y0
+    ix, iy = x0[:, None] + [0, 1, 0, 1], y0[:, None] + [0, 0, 1, 1]
+    wts = np.column_stack([(1 - tx) * (1 - ty), tx * (1 - ty), (1 - tx) * ty, tx * ty])
+    fine = np.zeros((py * px, columns.shape[1]), dtype=np.complex128)
+    np.add.at(fine, (iy * px + ix).astype(np.int64).ravel(),
+              (wts[:, :, None] * columns[:, None, :]).reshape(-1, columns.shape[1]))
+    return cfft_2d(fine.T.reshape(-1, py, px))
 
 
 def _frame_times(times, frequencies: np.ndarray) -> np.ndarray | None:
@@ -293,48 +315,39 @@ def _check_planes(planes: list[_Plane], shape: tuple[int, int], k_max: float,
                      "illumination points for a finite phase")
 
 
-def _reduce(slices: FrequencySlices, grid: VoxelGrid, results: Iterable[np.ndarray],
-            t: np.ndarray | None) -> ReconstructionVolume:
+def _reduce(plan: _Plan, terms: np.ndarray, t: np.ndarray | None) -> ReconstructionVolume:
     if t is None:
-        out = np.zeros(grid.count, dtype=np.complex128)
-        for term in results:
+        out = np.zeros(plan.grid.count, dtype=np.complex128)
+        for term in terms:
             out += term
-        return ReconstructionVolume(grid, out)
-    frames = np.zeros((t.size, grid.count), dtype=np.complex128)
-    for fi, term in enumerate(results):
-        w = float(slices.frequencies[fi])
+        return ReconstructionVolume(plan.grid, out)
+    frames = np.zeros((t.size, plan.grid.count), dtype=np.complex128)
+    for fi, term in enumerate(terms):
+        w = float(plan.frequencies[fi])
         for ti in range(t.size):
             frames[ti] += np.exp(1j * w * t[ti]) * term
-    return ReconstructionVolume(grid, frames, t)
+    return ReconstructionVolume(plan.grid, frames, t)
 
 
-def _propagate(slices: FrequencySlices, grid: VoxelGrid, shape: tuple[int, int],
-               planes: list[_Plane], encode: Callable, read: Callable,
-               times: np.ndarray | None, threads: int,
-               include_illumination: bool) -> ReconstructionVolume:
-    """Propagate encoded relay spectra plane by plane and reduce them.
+def _propagate(plan: _Plan, coefficients: np.ndarray, times: np.ndarray | None,
+               threads: int, include_illumination: bool) -> ReconstructionVolume:
+    """Run ``plan`` on the ``[P, L, F]`` coefficients and reduce the result.
 
-    ``encode()`` gives each illumination ``p``'s ``[M, F, py, px]`` relay
-    spectrum on the ``shape = (py, px)`` lattice over ``M`` source depth
-    nodes (the embedded relay, for planes with a ``scale``); it runs only
-    after the frame times and every plane's phases have been checked, so a
-    refused input runs no transform.  Every plane sums node ``m``'s spectrum
-    times the kernel spectra over ``plane.dz[m]`` and ``read(plane,
-    spectrum)`` gives ``[F, n]`` values at its voxels.  Each of ``threads``
-    workers takes one contiguous block of frequencies through every plane
-    and illumination into its own rows of the terms, which the calling
-    thread then reduces.
+    The encoder runs only after the frame times and every plane's phases
+    have been checked, so a refused input runs no transform.  Each worker
+    takes its block of frequencies through every plane into its own rows of
+    the terms, which this thread then reduces.
     """
     _require(int(threads) >= 1, "threads must be >= 1")
-    times = _frame_times(times, slices.frequencies)
-    n_freq = slices.n_freq
-    khats = slices.frequencies / SPEED_OF_LIGHT
-    ill = illumination_coordinates(slices.relay, slices.illuminations)
+    times = _frame_times(times, plan.frequencies)
+    n_freq = int(plan.frequencies.size)
+    khats = plan.frequencies / SPEED_OF_LIGHT
+    shape, planes, ill = plan.shape, plan.planes, plan.illuminations
     _check_planes(planes, shape, float(np.abs(khats).max()),
                   ill if include_illumination else None)
-    uhats = encode()
+    uhats = plan.encode(coefficients)
     ends = np.cumsum([pl.x.size for pl in planes])
-    terms = np.zeros((n_freq, grid.count), dtype=np.complex128)
+    terms = np.zeros((n_freq, plan.grid.count), dtype=np.complex128)
 
     def run(block: slice) -> None:
         kh = khats[block]
@@ -345,7 +358,7 @@ def _propagate(slices: FrequencySlices, grid: VoxelGrid, shape: tuple[int, int],
                 for u, ghat in zip(uhat, ghats):
                     u = u[block] if pl.scale is None else sfft_2d_centered(u[block], *pl.scale)
                     spec = u * ghat if spec is None else np.add(spec, u * ghat, out=spec)
-                vals = read(pl, spec)
+                vals = plan.read(pl, spec)
                 del spec  # before the phase product: a worker holds one spectrum at a time
                 if include_illumination:
                     # In place: NumPy's SIMD complex product is not bitwise
@@ -361,7 +374,7 @@ def _propagate(slices: FrequencySlices, grid: VoxelGrid, shape: tuple[int, int],
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run, blocks))
-    return _reduce(slices, grid, terms, times)
+    return _reduce(plan, terms, times)
 
 
 def _explicit_planes(grid: ExplicitVoxels, z_src: float, center, pitch, src,
@@ -384,24 +397,14 @@ def _explicit_planes(grid: ExplicitVoxels, z_src: float, center, pitch, src,
 
 
 # ---------------------------------------------------------------------------
-# Lattice readout: rsd, srsd and nursd1
+# Planners, each giving ``(shape, planes, encode, read)``, and their table
 # ---------------------------------------------------------------------------
 
 
-def rsd(slices: FrequencySlices, grid: CuboidGrid, padding: str = "exact",
-        times: np.ndarray | None = None, threads: int = 1,
-        include_illumination: bool = True) -> ReconstructionVolume:
-    """Plane-to-plane propagation onto a cuboid sharing the relay pitch.
-
-    ``padding="exact"`` sizes the convolution so no lag wraps; ``"none"``
-    keeps the bare relay-sized circular convolution (aliased away from the
-    center) and then requires the output lattice to coincide with the relay
-    lattice.
-    """
-    _require(isinstance(grid, CuboidGrid), "rsd reconstructs onto a cuboid grid")
+def _plan_rsd(relay: UniformRelay, frequencies, grid: CuboidGrid, padding="exact", **_):
+    """The relay lattice embedded and transformed, read on the cuboid's window."""
     _require(padding in ("exact", "none"), "padding must be 'exact' or 'none'")
-    g = _relay(slices, UniformRelay).grid
-    vg = grid.grid
+    g, vg = relay.grid, grid.grid
     _require(_close(vg.dx, g.dx) and _close(vg.dy, g.dy),
              "output lateral pitch must equal the relay pitch")
     cx, cy = g.center()
@@ -411,36 +414,20 @@ def rsd(slices: FrequencySlices, grid: CuboidGrid, padding: str = "exact",
     jx = np.arange(g.nx) - g.nx // 2
     jy = np.arange(g.ny) - g.ny // 2
     if padding == "none":
-        _require(vg.nx == g.nx and vg.ny == g.ny
-                 and nu0x == jx[0] and nu0y == jy[0],
-                 "padding='none' requires the output lattice to coincide with "
-                 "the relay lattice")
+        _require(vg.nx == g.nx and vg.ny == g.ny and nu0x == jx[0] and nu0y == jy[0],
+                 "padding='none' requires the output lattice to coincide with the relay lattice")
         px, py = g.nx, g.ny
     else:
         px = _pad_size(jx, nu0x + np.arange(vg.nx), g.nx)
         py = _pad_size(jy, nu0y + np.arange(vg.ny), g.ny)
-
     planes = [_Plane(z, (z - g.z,), (g.dx, g.dy), x, y) for z, x, y in depth]
-    return _propagate(slices, grid, (py, px), planes,
-                      lambda: [cfft_2d(u)[None] for u in _embed_relay(slices, g, py, px)],
-                      _read_window(vg.ny, vg.nx, (nu0y, nu0x)),
-                      times, threads, include_illumination)
+    return ((py, px), planes, lambda cs: [cfft_2d(u)[None] for u in _embed_relay(cs, g, py, px)],
+            _read_window(vg.ny, vg.nx, (nu0y, nu0x)))
 
 
-def srsd(slices: FrequencySlices, grid: FrustumGrid,
-         times: np.ndarray | None = None, threads: int = 1,
-         include_illumination: bool = True) -> ReconstructionVolume:
-    """Scaled propagation onto a frustum whose planes widen with depth.
-
-    Plane ``k`` applies the scaled transform with factors ``(alpha_k,
-    beta_k)`` against a kernel sampled at the widened pitch
-    ``(dx/alpha_k, dy/beta_k)``; the output plane keeps the relay counts but
-    covers the widened extent.  With all factors equal to 1 this reduces
-    exactly to :func:`rsd` on the relay lattice.
-    """
-    _require(isinstance(grid, FrustumGrid), "srsd reconstructs onto a frustum grid")
-    g = _relay(slices, UniformRelay).grid
-    b = grid.base
+def _plan_srsd(relay: UniformRelay, frequencies, grid: FrustumGrid, **_):
+    """The embedded relay, scaled per plane as the run reaches it."""
+    g, b = relay.grid, grid.base
     _require(b.nx == g.nx and b.ny == g.ny
              and _close(b.dx, g.dx) and _close(b.dy, g.dy)
              and _close(b.x0, g.x0) and _close(b.y0, g.y0),
@@ -448,83 +435,37 @@ def srsd(slices: FrequencySlices, grid: FrustumGrid,
     planes = [_Plane(z, (z - g.z,), (g.dx / al, g.dy / be), x, y, scale=(al, be))
               for (z, x, y), al, be in zip(_depth_planes(grid, g.z), grid.alphas.tolist(),
                                            grid.betas.tolist())]
-    px = next_fast_len(2 * g.nx)
-    py = next_fast_len(2 * g.ny)
-    return _propagate(slices, grid, (py, px), planes,
-                      lambda: _embed_relay(slices, g, py, px)[:, None],
-                      _read_window(g.ny, g.nx), times, threads, include_illumination)
+    py, px = next_fast_len(2 * g.ny), next_fast_len(2 * g.nx)
+    return ((py, px), planes, lambda cs: _embed_relay(cs, g, py, px)[:, None],
+            _read_window(g.ny, g.nx))
 
 
-def nursd1(slices: FrequencySlices, grid: CuboidGrid, eps: float = 1e-6,
-           times: np.ndarray | None = None, threads: int = 1,
-           include_illumination: bool = True) -> ReconstructionVolume:
-    """Propagation from scattered planar detections onto a cuboid lattice.
-
-    The relay samples are moved onto the output lattice's frequency grid by
-    one type-1 NUFFT per illumination, batched over frequencies; each depth
-    plane is then an ordinary kernel convolution: :func:`_from_surface` with
-    one depth node.  Detections lying exactly on lattice nodes are handled
-    exactly, so a gridded relay reproduces :func:`rsd`.
-    """
-    _require(isinstance(grid, CuboidGrid), "nursd1 reconstructs onto a cuboid grid")
-    return _from_surface(slices, grid, eps, NonUniformPlanarRelay, _lateral_nufft,
-                         times, threads, include_illumination)
-
-
-# ---------------------------------------------------------------------------
-# Explicit voxels: nursd2, nursd3 and srsd-nursd2
-# ---------------------------------------------------------------------------
-
-
-def _uniform_to_explicit(slices: FrequencySlices, grid: ExplicitVoxels,
-                         scale: tuple[float, float] | None, eps: float,
-                         times: np.ndarray | None, threads: int,
-                         include_illumination: bool) -> ReconstructionVolume:
-    """Uniform relay read at explicit voxels; ``scale`` selects the scaled FFT."""
-    g = _relay(slices, UniformRelay).grid
-    al, be = scale or (1.0, 1.0)
+def _plan_uniform_explicit(relay: UniformRelay, frequencies, grid: ExplicitVoxels, eps=1e-6,
+                           alpha=None, beta=None, scaled=False, **_):
+    """A uniform relay read at explicit voxels; ``scaled`` (srsd-nursd2) takes it
+    through the scaled FFT by ``(alpha, beta)``, ``beta`` defaulting to ``alpha``."""
+    al = be = 1.0
+    if scaled:
+        _require(alpha is not None, "srsd-nursd2 needs a scale factor (alpha)")
+        al, be = alpha, alpha if beta is None else beta
+        _require(0 < al <= 1 and 0 < be <= 1, "scale factors must lie in (0, 1]")
+    g = relay.grid
     jx = np.array([-(g.nx // 2), g.nx - g.nx // 2 - 1])
     jy = np.array([-(g.ny // 2), g.ny - g.ny // 2 - 1])
     px, py, planes = _explicit_planes(grid, g.z, g.center(), (g.dx, g.dy),
                                       (al * jx, be * jy), (g.nx, g.ny), (al, be))
-
-    def encode():
-        return [(cfft_2d(u) if scale is None else sfft_2d_centered(u, al, be))[None]
-                for u in _embed_relay(slices, g, py, px)]
-
-    return _propagate(slices, grid, (py, px), planes, encode, _read_points(eps, px, py),
-                      times, threads, include_illumination)
+    return ((py, px), planes,
+            lambda cs: [(sfft_2d_centered(u, al, be) if scaled else cfft_2d(u))[None]
+                        for u in _embed_relay(cs, g, py, px)],
+            _read_points(eps, px, py))
 
 
-def nursd2(slices: FrequencySlices, grid: ExplicitVoxels, eps: float = 1e-6,
-           times: np.ndarray | None = None, threads: int = 1,
-           include_illumination: bool = True) -> ReconstructionVolume:
-    """Propagation from a uniform relay onto arbitrarily placed voxels.
-
-    Each depth plane's spectrum (relay spectrum times kernel spectrum) is
-    evaluated at the voxels' fractional lattice positions by a type-2 NUFFT.
-    Voxels on lattice nodes reproduce the :func:`rsd` values exactly.
-    """
-    _require(isinstance(grid, ExplicitVoxels), "nursd2 reconstructs onto explicit voxels")
-    return _uniform_to_explicit(slices, grid, None, eps, times, threads, include_illumination)
-
-
-def nursd3(slices: FrequencySlices, grid: ExplicitVoxels, eps: float = 1e-6,
-           lattice_pitch: float | None = None,
-           times: np.ndarray | None = None, threads: int = 1,
-           include_illumination: bool = True) -> ReconstructionVolume:
-    """Fully non-uniform propagation through a virtual lattice.
-
-    Both the scattered relay samples and the explicit voxels are referred to
-    a virtual uniform lattice (pitch defaults to half the shortest retained
-    wavelength, anchored so the first relay point lies exactly on a node);
-    a type-1 NUFFT forms the lattice spectrum, each plane multiplies the
-    kernel spectrum, and a type-2 NUFFT reads the result at the voxels.
-    """
-    _require(isinstance(grid, ExplicitVoxels), "nursd3 reconstructs onto explicit voxels")
-    relay = _relay(slices, NonUniformPlanarRelay)
+def _plan_nursd3(relay: NonUniformPlanarRelay, frequencies, grid: ExplicitVoxels, eps=1e-6,
+                 lattice_pitch=None, **_):
+    """Relay and voxels on one virtual lattice with a node on the first relay
+    point; its pitch defaults to half the shortest wavelength, ``pi*c/w_max``."""
     pitch = (float(lattice_pitch) if lattice_pitch is not None
-             else slices.shortest_wavelength / 2.0)
+             else math.pi * SPEED_OF_LIGHT / float(frequencies[-1]))
     _require(math.isfinite(pitch) and pitch > 0, "lattice pitch must be finite and > 0")
     rel = np.asarray(relay.points.points)
     both = np.vstack([rel, grid.coordinates()[:, :2]])
@@ -535,35 +476,9 @@ def nursd3(slices: FrequencySlices, grid: ExplicitVoxels, eps: float = 1e-6,
     nu_y = (rel[:, 1] - cy) / pitch
     px, py, planes = _explicit_planes(grid, relay.z, (cx, cy), (pitch, pitch),
                                       (nu_x, nu_y), (1, 1))
-    return _propagate(slices, grid, (py, px), planes,
-                      lambda: [_lateral_nufft(nu_x, nu_y, c, (py, px), eps)[None]
-                               for c in slices.coefficients],
-                      _read_points(eps, px, py), times, threads, include_illumination)
-
-
-def srsd_nursd2(slices: FrequencySlices, grid: ExplicitVoxels, alpha: float,
-                beta: float | None = None, eps: float = 1e-6,
-                times: np.ndarray | None = None, threads: int = 1,
-                include_illumination: bool = True) -> ReconstructionVolume:
-    """Scaled propagation read out at arbitrary voxel positions.
-
-    One global scale pair ``(alpha, beta)`` widens the kernel pitch as in
-    :func:`srsd`; voxels are read from the scaled spectrum at fractional
-    scaled indices ``alpha*(x - cx)/dx`` by a type-2 NUFFT, combining the
-    wide field of view of the scaled transform with free voxel placement.
-    """
-    _require(isinstance(grid, ExplicitVoxels),
-             "srsd-nursd2 reconstructs onto explicit voxels")
-    if beta is None:
-        beta = alpha
-    _require(0 < alpha <= 1 and 0 < beta <= 1, "scale factors must lie in (0, 1]")
-    return _uniform_to_explicit(slices, grid, (alpha, beta), eps, times, threads,
-                                include_illumination)
-
-
-# ---------------------------------------------------------------------------
-# 3D relay surfaces: depth nodes
-# ---------------------------------------------------------------------------
+    return ((py, px), planes,
+            lambda cs: [_lateral_nufft(nu_x, nu_y, c, (py, px), eps)[None] for c in cs],
+            _read_points(eps, px, py))
 
 
 _DEPTH_RATE = 0.125
@@ -571,9 +486,9 @@ _DEPTH_RATE = 0.125
 
 def _depth_sweep(rel: np.ndarray, grid: CuboidGrid, k_max: float) -> float:
     """``k_max * extent * (1 - cos(theta_max)) / 2``: the phase the demodulated
-    kernel (see :func:`_from_surface`) sweeps at most over half the relay's
-    depth extent, ``theta_max`` pairing the widest lateral lag between a
-    detection and a voxel column with the nearest plane; 0 on a flat relay."""
+    kernel (see :func:`_plan_depth_nodes`) sweeps at most over half the
+    relay's depth extent, ``theta_max`` pairing the widest lateral lag between
+    a detection and a voxel column with the nearest plane; 0 on a flat relay."""
     z_lo, z_hi = float(rel[:, 2].min()), float(rel[:, 2].max())
     zs, xs, ys = zip(*grid.depth_planes())
     reach = [max(v.max() - r.min(), r.max() - v.min())
@@ -610,10 +525,9 @@ def _depth_nodes(z: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, np.where(off, ratio, 1.0).prod(axis=-1)
 
 
-def _from_surface(slices: FrequencySlices, grid: CuboidGrid, eps: float, kind: type,
-                  lateral_spectrum: Callable, times: np.ndarray | None, threads: int,
-                  include_illumination: bool) -> ReconstructionVolume:
-    """Propagation from a relay surface of ``kind`` through planar kernels at depth nodes.
+def _plan_depth_nodes(relay, frequencies, grid: CuboidGrid, eps=1e-6, scatter="trilinear",
+                      gridded=False, **_):
+    """A relay surface read onto a cuboid through planar kernels at depth nodes.
 
     With ``s = PROPAGATION_SIGN``, ``g = exp(s*1j*k*r)/r`` is ``exp(s*1j*k*d)``
     times a factor ``h`` that varies slowly with the depth distance ``d``.
@@ -621,82 +535,69 @@ def _from_surface(slices: FrequencySlices, grid: CuboidGrid, eps: float, kind: t
     ``g(z_k - z_l) ~= sum_m L_m(z_l) * exp(s*1j*k*(z_m - z_l)) * g(z_k - z_m)``
     for a detection at ``z_l``: each node is a planar source of samples so
     weighted; a flat relay takes one node, at its plane, of weight exactly 1.
-    ``lateral_spectrum(nu_x, nu_y, columns, (py, px), eps)`` turns the
-    ``[L, M*F]`` columns into their ``[M*F, py, px]`` lattice spectrum.
+    :func:`_lateral_nufft`, or :func:`_lateral_gridding` if ``gridded`` (rsd3d),
+    turns the ``[L, M*F]`` columns into their ``[M*F, py, px]`` lattice spectrum.
     """
-    rel = _relay(slices, kind).coordinates()
+    if gridded:
+        _require(scatter in ("nearest", "trilinear"), "scatter must be 'nearest' or 'trilinear'")
+    rel = relay.coordinates()
     vg, z = grid.grid, rel[:, 2]
     depth = _depth_planes(grid, float(z.max()))
-    nu_x, nu_y, px, py = _scattered_lattice(vg, rel)
-    khats = slices.frequencies / SPEED_OF_LIGHT
+    nu_x = (rel[:, 0] - (vg.x0 + (vg.nx // 2) * vg.dx)) / vg.dx  # about the centre node
+    nu_y = (rel[:, 1] - (vg.y0 + (vg.ny // 2) * vg.dy)) / vg.dy
+    px = _pad_size(nu_x, np.arange(vg.nx) - vg.nx // 2, vg.nx)
+    py = _pad_size(nu_y, np.arange(vg.ny) - vg.ny // 2, vg.ny)
+    khats = frequencies / SPEED_OF_LIGHT
     m = _depth_node_count(eps, _depth_sweep(rel, grid, float(khats.max())))
     nodes, basis = _depth_nodes(z, m)
     weights = basis[:, :, None] * np.exp(
         PROPAGATION_SIGN * 1j * khats * (nodes[None, :, None] - z[:, None, None]))
     planes = [_Plane(zk, tuple(zk - s for s in nodes.tolist()), (vg.dx, vg.dy), x, y)
               for zk, x, y in depth]
+    lateral = partial(_lateral_gridding, scatter=scatter) if gridded else _lateral_nufft
 
-    def encode():
-        return [lateral_spectrum(nu_x, nu_y, (c[:, None, :] * weights).reshape(z.size, -1),
-                                 (py, px), eps).reshape(m, slices.n_freq, py, px)
-                for c in slices.coefficients]
+    def encode(coefficients):
+        return [lateral(nu_x, nu_y, (c[:, None, :] * weights).reshape(z.size, -1),
+                        (py, px), eps).reshape(m, frequencies.size, py, px)
+                for c in coefficients]
 
-    return _propagate(slices, grid, (py, px), planes, encode, _read_window(vg.ny, vg.nx),
-                      times, threads, include_illumination)
-
-
-def rsd3d(slices: FrequencySlices, grid: CuboidGrid, scatter: str = "trilinear",
-          eps: float = 1e-6, times: np.ndarray | None = None,
-          threads: int = 1, include_illumination: bool = True) -> ReconstructionVolume:
-    """Propagation from a 3D relay surface via lateral gridding at depth nodes.
-
-    The relay samples, weighted onto depth nodes as in :func:`_from_surface`,
-    are deposited on the cuboid's padded lateral lattice, at the nearest node
-    or bilinearly for ``scatter="trilinear"`` (duplicate targets sum), and
-    Fourier transformed.  ``eps`` sets only the depth node count: the
-    lateral error comes from the gridding (about 1e-2 off the nodes).
-    """
-    _require(isinstance(grid, CuboidGrid), "rsd3d reconstructs onto a cuboid grid")
-    _require(scatter in ("nearest", "trilinear"), "scatter must be 'nearest' or 'trilinear'")
-
-    def gridded(nu_x, nu_y, columns, shape, _eps):
-        py, px = shape
-        fx, fy = nu_x + px // 2, nu_y + py // 2
-        if scatter == "nearest":  # all weight on the first corner
-            fx, fy = np.round(fx), np.round(fy)
-        x0, y0 = np.floor(fx), np.floor(fy)
-        tx, ty = fx - x0, fy - y0
-        ix, iy = x0[:, None] + [0, 1, 0, 1], y0[:, None] + [0, 0, 1, 1]
-        wts = np.column_stack([(1 - tx) * (1 - ty), tx * (1 - ty), (1 - tx) * ty, tx * ty])
-        fine = np.zeros((py * px, columns.shape[1]), dtype=np.complex128)
-        np.add.at(fine, (iy * px + ix).astype(np.int64).ravel(),
-                  (wts[:, :, None] * columns[:, None, :]).reshape(-1, columns.shape[1]))
-        return cfft_2d(fine.T.reshape(-1, py, px))
-
-    return _from_surface(slices, grid, eps, NonPlanarRelay, gridded, times, threads,
-                         include_illumination)
+    return (py, px), planes, encode, _read_window(vg.ny, vg.nx)
 
 
-def nursd3d(slices: FrequencySlices, grid: CuboidGrid, eps: float = 1e-6,
-            times: np.ndarray | None = None, threads: int = 1,
-            include_illumination: bool = True) -> ReconstructionVolume:
-    """Propagation from a 3D relay surface via a lateral type-1 NUFFT at depth nodes.
+# name -> (grid kind, relay kind, planner)
+_ALGORITHMS = {
+    "rsd": (CuboidGrid, UniformRelay, _plan_rsd),
+    "srsd": (FrustumGrid, UniformRelay, _plan_srsd),
+    "nursd1": (CuboidGrid, NonUniformPlanarRelay, _plan_depth_nodes),
+    "nursd2": (ExplicitVoxels, UniformRelay, _plan_uniform_explicit),
+    "nursd3": (ExplicitVoxels, NonUniformPlanarRelay, _plan_nursd3),
+    "rsd3d": (CuboidGrid, NonPlanarRelay, partial(_plan_depth_nodes, gridded=True)),
+    "nursd3d": (CuboidGrid, NonPlanarRelay, _plan_depth_nodes),
+    "srsd-nursd2": (ExplicitVoxels, UniformRelay,
+                    partial(_plan_uniform_explicit, scaled=True)),
+}
 
-    The relay samples, weighted onto depth nodes as in :func:`_from_surface`,
-    go through one batched 2D type-1 NUFFT per illumination.  A flat relay
-    takes one node of weight 1, which makes this :func:`nursd1`.
-    """
-    _require(isinstance(grid, CuboidGrid), "nursd3d reconstructs onto a cuboid grid")
-    return _from_surface(slices, grid, eps, NonPlanarRelay, _lateral_nufft, times, threads,
-                         include_illumination)
+ALGORITHM_NAMES = tuple(_ALGORITHMS)
+
+
+def _plan(algorithm: str, relay: RelaySampling, illuminations: PointList,
+          frequencies: np.ndarray, grid: VoxelGrid, **options) -> _Plan:
+    """Check ``algorithm``'s grid and relay kinds, then plan it from the
+    geometry alone; options it does not use are ignored."""
+    name = algorithm.replace("_", "-").lower()
+    _require(name in _ALGORITHMS,
+             f"unknown algorithm {algorithm!r}; choose from {', '.join(ALGORITHM_NAMES)}")
+    grid_kind, relay_kind, planner = _ALGORITHMS[name]
+    _require(isinstance(grid, grid_kind), f"{name} reconstructs onto {_ONTO[grid_kind]}")
+    _require(isinstance(relay, relay_kind), _RELAY_NEEDS[relay_kind])
+    shape, planes, encode, read = planner(relay, frequencies, grid, **options)
+    return _Plan(grid, frequencies, illumination_coordinates(relay, illuminations),
+                 shape, planes, encode, read)
 
 
 # ---------------------------------------------------------------------------
-# Dispatch, video rendering, projections
+# The one way in, the algorithms by name, video rendering, projections
 # ---------------------------------------------------------------------------
-
-ALGORITHM_NAMES = ("rsd", "srsd", "nursd1", "nursd2", "nursd3", "rsd3d",
-                   "nursd3d", "srsd-nursd2")
 
 
 def reconstruct(slices: FrequencySlices, grid: VoxelGrid, algorithm: str, *,
@@ -711,27 +612,126 @@ def reconstruct(slices: FrequencySlices, grid: VoxelGrid, algorithm: str, *,
     Algorithm-specific options are ignored by algorithms that do not use
     them, except ``alpha`` which ``srsd-nursd2`` requires.
     """
-    name = algorithm.replace("_", "-").lower()
-    common = dict(times=times, threads=threads, include_illumination=include_illumination)
-    if name == "rsd":
-        return rsd(slices, grid, padding=padding, **common)
-    if name == "srsd":
-        return srsd(slices, grid, **common)
-    if name == "nursd1":
-        return nursd1(slices, grid, eps=eps, **common)
-    if name == "nursd2":
-        return nursd2(slices, grid, eps=eps, **common)
-    if name == "nursd3":
-        return nursd3(slices, grid, eps=eps, lattice_pitch=lattice_pitch, **common)
-    if name == "rsd3d":
-        return rsd3d(slices, grid, scatter=scatter, eps=eps, **common)
-    if name == "nursd3d":
-        return nursd3d(slices, grid, eps=eps, **common)
-    if name == "srsd-nursd2":
-        _require(alpha is not None, "srsd-nursd2 needs a scale factor (alpha)")
-        return srsd_nursd2(slices, grid, alpha=alpha, beta=beta, eps=eps, **common)
-    raise ValidationError(
-        f"unknown algorithm {algorithm!r}; choose from {', '.join(ALGORITHM_NAMES)}")
+    plan = _plan(algorithm, slices.relay, slices.illuminations, slices.frequencies, grid,
+                 eps=eps, padding=padding, alpha=alpha, beta=beta,
+                 lattice_pitch=lattice_pitch, scatter=scatter)
+    return _propagate(plan, slices.coefficients, times, threads, include_illumination)
+
+
+def rsd(slices: FrequencySlices, grid: CuboidGrid, padding: str = "exact",
+        times: np.ndarray | None = None, threads: int = 1,
+        include_illumination: bool = True) -> ReconstructionVolume:
+    """Plane-to-plane propagation onto a cuboid sharing the relay pitch.
+
+    ``padding="exact"`` sizes the convolution so no lag wraps; ``"none"``
+    keeps the bare relay-sized circular convolution (aliased away from the
+    center) and then requires the output lattice to coincide with the relay
+    lattice.
+    """
+    return reconstruct(slices, grid, "rsd", padding=padding, times=times, threads=threads,
+                       include_illumination=include_illumination)
+
+
+def srsd(slices: FrequencySlices, grid: FrustumGrid,
+         times: np.ndarray | None = None, threads: int = 1,
+         include_illumination: bool = True) -> ReconstructionVolume:
+    """Scaled propagation onto a frustum whose planes widen with depth.
+
+    Plane ``k`` applies the scaled transform with factors ``(alpha_k,
+    beta_k)`` against a kernel sampled at the widened pitch
+    ``(dx/alpha_k, dy/beta_k)``; the output plane keeps the relay counts but
+    covers the widened extent.  With all factors equal to 1 this reduces
+    exactly to :func:`rsd` on the relay lattice.
+    """
+    return reconstruct(slices, grid, "srsd", times=times, threads=threads,
+                       include_illumination=include_illumination)
+
+
+def nursd1(slices: FrequencySlices, grid: CuboidGrid, eps: float = 1e-6,
+           times: np.ndarray | None = None, threads: int = 1,
+           include_illumination: bool = True) -> ReconstructionVolume:
+    """Propagation from scattered planar detections onto a cuboid lattice.
+
+    The relay samples are moved onto the output lattice's frequency grid by
+    one type-1 NUFFT per illumination, batched over frequencies; each depth
+    plane is then an ordinary kernel convolution: :func:`_plan_depth_nodes`
+    with one depth node.  Detections lying exactly on lattice nodes are
+    handled exactly, so a gridded relay reproduces :func:`rsd`.
+    """
+    return reconstruct(slices, grid, "nursd1", eps=eps, times=times, threads=threads,
+                       include_illumination=include_illumination)
+
+
+def nursd2(slices: FrequencySlices, grid: ExplicitVoxels, eps: float = 1e-6,
+           times: np.ndarray | None = None, threads: int = 1,
+           include_illumination: bool = True) -> ReconstructionVolume:
+    """Propagation from a uniform relay onto arbitrarily placed voxels.
+
+    Each depth plane's spectrum (relay spectrum times kernel spectrum) is
+    evaluated at the voxels' fractional lattice positions by a type-2 NUFFT.
+    Voxels on lattice nodes reproduce the :func:`rsd` values exactly.
+    """
+    return reconstruct(slices, grid, "nursd2", eps=eps, times=times, threads=threads,
+                       include_illumination=include_illumination)
+
+
+def nursd3(slices: FrequencySlices, grid: ExplicitVoxels, eps: float = 1e-6,
+           lattice_pitch: float | None = None,
+           times: np.ndarray | None = None, threads: int = 1,
+           include_illumination: bool = True) -> ReconstructionVolume:
+    """Fully non-uniform propagation through a virtual lattice.
+
+    Both the scattered relay samples and the explicit voxels are referred to
+    a virtual uniform lattice (pitch defaults to half the shortest retained
+    wavelength, anchored so the first relay point lies exactly on a node);
+    a type-1 NUFFT forms the lattice spectrum, each plane multiplies the
+    kernel spectrum, and a type-2 NUFFT reads the result at the voxels.
+    """
+    return reconstruct(slices, grid, "nursd3", eps=eps, lattice_pitch=lattice_pitch, times=times,
+                       threads=threads, include_illumination=include_illumination)
+
+
+def rsd3d(slices: FrequencySlices, grid: CuboidGrid, scatter: str = "trilinear",
+          eps: float = 1e-6, times: np.ndarray | None = None,
+          threads: int = 1, include_illumination: bool = True) -> ReconstructionVolume:
+    """Propagation from a 3D relay surface via lateral gridding at depth nodes.
+
+    The relay samples, weighted onto depth nodes as in :func:`_plan_depth_nodes`,
+    are deposited on the cuboid's padded lateral lattice, at the nearest node
+    or bilinearly for ``scatter="trilinear"`` (duplicate targets sum), and
+    Fourier transformed.  ``eps`` sets only the depth node count: the
+    lateral error comes from the gridding (about 1e-2 off the nodes).
+    """
+    return reconstruct(slices, grid, "rsd3d", scatter=scatter, eps=eps, times=times,
+                       threads=threads, include_illumination=include_illumination)
+
+
+def nursd3d(slices: FrequencySlices, grid: CuboidGrid, eps: float = 1e-6,
+            times: np.ndarray | None = None, threads: int = 1,
+            include_illumination: bool = True) -> ReconstructionVolume:
+    """Propagation from a 3D relay surface via a lateral type-1 NUFFT at depth nodes.
+
+    The relay samples, weighted onto depth nodes as in :func:`_plan_depth_nodes`,
+    go through one batched 2D type-1 NUFFT per illumination.  A flat relay
+    takes one node of weight 1, which makes this :func:`nursd1`.
+    """
+    return reconstruct(slices, grid, "nursd3d", eps=eps, times=times, threads=threads,
+                       include_illumination=include_illumination)
+
+
+def srsd_nursd2(slices: FrequencySlices, grid: ExplicitVoxels, alpha: float,
+                beta: float | None = None, eps: float = 1e-6,
+                times: np.ndarray | None = None, threads: int = 1,
+                include_illumination: bool = True) -> ReconstructionVolume:
+    """Scaled propagation read out at arbitrary voxel positions.
+
+    One global scale pair ``(alpha, beta)`` widens the kernel pitch as in
+    :func:`srsd`; voxels are read from the scaled spectrum at fractional
+    scaled indices ``alpha*(x - cx)/dx`` by a type-2 NUFFT, combining the
+    wide field of view of the scaled transform with free voxel placement.
+    """
+    return reconstruct(slices, grid, "srsd-nursd2", alpha=alpha, beta=beta, eps=eps, times=times,
+                       threads=threads, include_illumination=include_illumination)
 
 
 def light_transport_video(slices: FrequencySlices, grid: VoxelGrid,

@@ -1,6 +1,7 @@
 """Domain containers, the voxel order, and the binary container formats."""
 
 import json
+import re
 import struct
 import tracemalloc
 from pathlib import Path
@@ -174,6 +175,19 @@ class TestTransientMeasurement:
         with pytest.raises(ValidationError):
             TransientMeasurement(self._relay(), PointList(np.zeros((1, 2))),
                                  np.zeros((1, 4, 8)), delta_t=0.0)
+
+    @pytest.mark.parametrize("values, message", [
+        ([np.nan], "histograms must be finite"),
+        ([np.inf], "histograms must be finite"),
+        ([-np.inf], "histograms must be finite"),
+        ([-1.0, np.nan], "histograms must be finite"),
+        ([-1.0], "photon counts and must be >= 0"),
+    ])
+    def test_refuses_non_finite_before_negative_counts(self, values, message):
+        h = np.zeros((1, 4, 8))
+        h[0, 0, :len(values)] = values
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            TransientMeasurement(self._relay(), PointList(np.zeros((1, 2))), h, 1e-12)
 
 
 class TestFreeze:
@@ -507,6 +521,17 @@ class TestStreamedRead:
         (m, sl), peak = _traced_peak(front_end)
         assert m.histograms.flags.owndata and sl.coefficients.flags.owndata
         assert peak <= 1.15 * m.histograms.nbytes + _STREAM_SLACK
+
+    def test_a_measurement_checks_its_histograms_without_masks(self):
+        # frustum-video's shape, owned and read-only: adopted, and checked
+        # by reductions rather than full-size boolean masks.
+        h = np.random.default_rng(3).poisson(2.0, (2, 2304, 1024)).astype(np.float64)
+        h.setflags(write=False)
+        relay = UniformRelay(UniformGrid2D(48, 48, 0.01, 0.01, -0.24, -0.24))
+        m, peak = _traced_peak(
+            lambda: TransientMeasurement(relay, PointList(np.zeros((2, 2))), h, 16e-12))
+        assert m.histograms is h
+        assert peak < 1e6
 
     @pytest.mark.parametrize("times", [None, np.array([0.0, 1e-9])])
     def test_a_volume_is_held_once(self, tmp_path, times):

@@ -24,7 +24,8 @@ from phasorfield import (
 )
 from phasorfield.core import PROPAGATION_SIGN, SPEED_OF_LIGHT, UniformGrid3D
 from phasorfield.metrics import ncc
-from phasorfield.reconstruct import _depth_node_count, _depth_sweep, _kernel_2d, _pad_size
+from phasorfield.reconstruct import _depth_node_count, _depth_sweep, _kernel_2d, _pad_size, _plan
+from phasorfield.spectral import next_fast_len
 from phasorfield.reconstruct import (
     ALGORITHM_NAMES,
     light_transport_video,
@@ -400,6 +401,127 @@ class TestDispatcher:
     def test_unknown_algorithm(self, chain, chain_grid):
         with pytest.raises(ValidationError, match="unknown algorithm"):
             reconstruct(chain["uniform"], chain_grid, "fbp")
+
+
+# ---------------------------------------------------------------------------
+# The table: kinds checked on both entries, plans built from geometry alone
+# ---------------------------------------------------------------------------
+
+
+_ONTO = {"rsd": "a cuboid grid", "srsd": "a frustum grid", "nursd1": "a cuboid grid",
+         "nursd2": "explicit voxels", "nursd3": "explicit voxels", "rsd3d": "a cuboid grid",
+         "nursd3d": "a cuboid grid", "srsd-nursd2": "explicit voxels"}
+_NEEDS = {"uniform": "this algorithm needs detections on a uniform relay grid",
+          "planar": "this algorithm needs scattered detections on a single plane",
+          "scattered": "this algorithm needs detections scattered in 3D"}
+_KINDS = {"rsd": ("cuboid", "uniform"), "srsd": ("frustum", "uniform"),
+          "nursd1": ("cuboid", "planar"), "nursd2": ("explicit", "uniform"),
+          "nursd3": ("explicit", "planar"), "rsd3d": ("cuboid", "scattered"),
+          "nursd3d": ("cuboid", "scattered"), "srsd-nursd2": ("explicit", "uniform")}
+_OPTIONS = {"srsd-nursd2": {"alpha": 0.8}}
+
+
+@pytest.fixture(scope="module")
+def kind_grids(chain_grid):
+    planes = tuple(VoxelPlane(z, PointList(np.array([[0.0, 0.0], [0.013, -0.02]])))
+                   for z in (0.86, 0.94))
+    return {"cuboid": chain_grid, "explicit": ExplicitVoxels(planes),
+            "frustum": FrustumGrid.linear(centered_grid2d(8, 0.02), [0.86, 0.94], alpha0=0.8)}
+
+
+def _both_entries(name):
+    """The algorithm's public function and ``reconstruct`` under its name."""
+    public = {"rsd": rsd, "srsd": srsd, "nursd1": nursd1, "nursd2": nursd2, "nursd3": nursd3,
+              "rsd3d": rsd3d, "nursd3d": nursd3d, "srsd-nursd2": srsd_nursd2}[name]
+    return (lambda sl, grid: public(sl, grid, **_OPTIONS.get(name, {})),
+            lambda sl, grid: reconstruct(sl, grid, name, **_OPTIONS.get(name, {})))
+
+
+class TestKindMismatches:
+    @pytest.mark.parametrize("name", ALGORITHM_NAMES)
+    def test_every_wrong_grid_kind_is_named(self, chain, kind_grids, no_transforms, name):
+        grid_kind, relay_kind = _KINDS[name]
+        for run in _both_entries(name):
+            for kind, grid in kind_grids.items():
+                if kind != grid_kind:
+                    with pytest.raises(ValidationError,
+                                       match=f"^{re.escape(name)} reconstructs onto "
+                                             f"{_ONTO[name]}$"):
+                        run(chain[relay_kind], grid)
+
+    @pytest.mark.parametrize("name", ALGORITHM_NAMES)
+    def test_every_wrong_relay_kind_is_named(self, chain, kind_grids, no_transforms, name):
+        grid_kind, relay_kind = _KINDS[name]
+        for run in _both_entries(name):
+            for kind in _NEEDS:
+                if kind != relay_kind:
+                    with pytest.raises(ValidationError, match=f"^{_NEEDS[relay_kind]}$"):
+                        run(chain[kind], kind_grids[grid_kind])
+
+    @pytest.mark.parametrize("name", ALGORITHM_NAMES)
+    def test_the_grid_kind_is_checked_before_the_relay_kind(self, chain, kind_grids,
+                                                            no_transforms, name):
+        grid_kind, relay_kind = _KINDS[name]
+        grid = next(g for k, g in kind_grids.items() if k != grid_kind)
+        slices = next(chain[k] for k in _NEEDS if k != relay_kind)
+        for run in _both_entries(name):
+            with pytest.raises(ValidationError, match="reconstructs onto"):
+                run(slices, grid)
+
+
+def _geometry(slices):
+    return slices.relay, slices.illuminations, slices.frequencies
+
+
+class TestPlan:
+    @pytest.mark.parametrize("name", ALGORITHM_NAMES)
+    def test_planes_follow_the_grid_without_coefficients(self, chain, kind_grids, rippled,
+                                                         no_transforms, name):
+        grid_kind, relay_kind = _KINDS[name]
+        slices = rippled if relay_kind == "scattered" else chain[relay_kind]
+        grid = kind_grids[grid_kind]
+        plan = _plan(name, *_geometry(slices), grid, **_OPTIONS.get(name, {}))
+        depth = grid.depth_planes()
+        assert [pl.z for pl in plan.planes] == [z for z, _, _ in depth]
+        for pl, (_, x, y) in zip(plan.planes, depth):
+            assert np.array_equal(pl.x, x) and np.array_equal(pl.y, y)
+        assert plan.grid is grid and plan.illuminations.shape == (2, 3)
+
+    def test_rsd_pads_to_every_lag_unless_told_not_to(self, chain, no_transforms):
+        g = chain["relay"].grid
+        grid = CuboidGrid(UniformGrid3D(3, 5, 2, 0.02, 0.02, 0.08, 0.05, -0.11, 0.86))
+        plan = _plan("rsd", *_geometry(chain["uniform"]), grid)
+        nu0x, nu0y = round((0.05 - g.center()[0]) / g.dx), round((-0.11 - g.center()[1]) / g.dy)
+        jx, jy = np.arange(8) - 4, np.arange(8) - 4
+        assert plan.shape == (_pad_size(jy, nu0y + np.arange(5), 8),
+                              _pad_size(jx, nu0x + np.arange(3), 8))
+        bare = _plan("rsd", *_geometry(chain["uniform"]), _cuboid_at(0.86), padding="none")
+        assert bare.shape == (g.ny, g.nx)
+
+    def test_srsd_doubles_the_relay_and_scales_each_plane(self, chain, kind_grids,
+                                                          no_transforms):
+        frustum = kind_grids["frustum"]
+        plan = _plan("srsd", *_geometry(chain["uniform"]), frustum)
+        assert plan.shape == (next_fast_len(16), next_fast_len(16))
+        assert [pl.scale for pl in plan.planes] == list(zip(frustum.alphas.tolist(),
+                                                            frustum.betas.tolist()))
+
+    def test_nursd3d_takes_one_depth_node_only_on_a_flat_relay(self, chain, chain_grid,
+                                                              rippled, no_transforms):
+        flat = _plan("nursd3d", *_geometry(chain["scattered"]), chain_grid)
+        rippling = _plan("nursd3d", *_geometry(rippled), chain_grid)
+        assert all(len(pl.dz) == 1 for pl in flat.planes)
+        assert all(len(pl.dz) > 1 for pl in rippling.planes)
+
+    @settings(max_examples=50, deadline=None)
+    @given(w_max=st.floats(1e9, 1e12))
+    def test_nursd3_pitch_defaults_to_half_the_shortest_wavelength(self, chain, w_max):
+        freqs = np.array([w_max / 2, w_max])
+        sl = FrequencySlices(freqs, np.zeros((2, 64, 2), complex), chain["planar"].relay,
+                             chain["planar"].illuminations)
+        voxels = ExplicitVoxels((VoxelPlane(0.9, PointList(np.array([[0.0, 0.0]]))),))
+        plan = _plan("nursd3", *_geometry(sl), voxels)
+        assert plan.planes[0].pitch == (sl.shortest_wavelength / 2.0,) * 2
 
 
 # ---------------------------------------------------------------------------
