@@ -268,12 +268,17 @@ class NonPlanarRelay:
 RelaySampling = Union[UniformRelay, NonUniformPlanarRelay, NonPlanarRelay]
 
 
+def _require_illumination_plane(relay: RelaySampling, illuminations: PointList) -> None:
+    """Refuse a planar illumination list on a relay that has no plane to lift it onto."""
+    _require(illuminations.dim == 3 or not isinstance(relay, NonPlanarRelay),
+             "planar illumination lists need a planar relay to supply their z plane")
+
+
 def illumination_coordinates(relay: RelaySampling, illuminations: PointList) -> np.ndarray:
     """Return illumination positions as (L, 3), lifting planar lists onto the relay plane."""
+    _require_illumination_plane(relay, illuminations)
     if illuminations.dim == 3:
         return np.asarray(illuminations.points)
-    _require(not isinstance(relay, NonPlanarRelay),
-             "planar illumination lists need a planar relay to supply their z plane")
     return illuminations.as_3d(relay.z)
 
 
@@ -307,6 +312,7 @@ class TransientMeasurement:
         _require(h.shape[1] == self.relay.count, "detector axis must match relay point count")
         _require(h.shape[0] == self.illuminations.count,
                  "illumination axis must match illumination point count")
+        _require_illumination_plane(self.relay, self.illuminations)
         # Reductions, not full-size masks: NaN propagates through min and max.
         lo, hi = float(h.min()), float(h.max())
         _require(math.isfinite(lo) and math.isfinite(hi), "histograms must be finite")
@@ -349,6 +355,7 @@ class FrequencySlices:
         _require(c.shape[1] == self.relay.count, "detection axis must match relay point count")
         _require(c.shape[0] == self.illuminations.count,
                  "illumination axis must match illumination point count")
+        _require_illumination_plane(self.relay, self.illuminations)
         _require(bool(np.isfinite(c).all()), "coefficients must be finite")
         object.__setattr__(self, "frequencies", _freeze(w))
         object.__setattr__(self, "coefficients", _freeze(c))
@@ -547,6 +554,7 @@ class ReconstructionVolume:
         else:
             t = np.asarray(self.times, dtype=np.float64)
             _require(t.ndim == 1 and t.size >= 1, "time axis must be a nonempty vector")
+            _require(bool(np.isfinite(t).all()), "frame times must be finite")
             _require(f.ndim == 2 and f.shape == (t.size, self.grid.count),
                      "time-resolved field must be [n_frames, n_voxels]")
             object.__setattr__(self, "times", _freeze(t))
@@ -618,11 +626,6 @@ class _Reader:
 
     def unpack(self, fmt: str):
         return struct.unpack("<" + fmt, self.take(struct.calcsize("<" + fmt)))
-
-    def array(self, dtype: str, count: int) -> np.ndarray:
-        dt = np.dtype(dtype).newbyteorder("<")
-        raw = self.take(dt.itemsize * count)
-        return np.frombuffer(raw, dtype=dt).astype(dt.base.type)
 
     def payload(self, dtype: str, shape: tuple[int, ...], what: str) -> np.ndarray:
         """Read ``shape`` little-endian ``dtype`` values block by block into
@@ -710,9 +713,9 @@ def _relay_from_reader(r: _Reader, kind: int) -> RelaySampling:
         return UniformRelay(UniformGrid2D(*r.unpack("2I5d")))
     if kind == _RELAY_KINDS["nonuniform_planar"]:
         z, count = r.unpack("dI")
-        return NonUniformPlanarRelay(PointList(r.array("f8", count * 2).reshape(count, 2)), z)
+        return NonUniformPlanarRelay(PointList(r.payload("f8", (count, 2), "relay point")), z)
     (count,) = r.unpack("I")  # the last relay kind, "nonplanar"
-    return NonPlanarRelay(PointList(r.array("f8", count * 3).reshape(count, 3)))
+    return NonPlanarRelay(PointList(r.payload("f8", (count, 3), "relay point")))
 
 
 def _relay_to_json(relay: RelaySampling) -> dict:
@@ -772,7 +775,7 @@ def read_dataset(path: str) -> TransientMeasurement:
         dim, n_ill_pts = r.unpack("BI")
         if dim not in (2, 3):
             raise ContainerFormatError(f"illumination dimensionality {dim} invalid")
-        ill = r.array("f8", n_ill_pts * dim).reshape(n_ill_pts, dim)
+        ill = r.payload("f8", (n_ill_pts, dim), "illumination point")
         hist = r.payload("f4", (n_illum, n_detect, n_bins), "histogram")
         r.end()
     return TransientMeasurement(relay, PointList(ill), hist, delta_t, t0)
@@ -802,13 +805,13 @@ def _grid_from_reader(r: _Reader, kind: int) -> VoxelGrid:
         return CuboidGrid(UniformGrid3D(*r.unpack("3I6d")))
     if kind == _VOLUME_KINDS["frustum"]:
         nx, ny, npl, *geometry = r.unpack("3I5d")
-        zs, al, be = (r.array("f8", npl) for _ in range(3))
+        zs, al, be = (r.payload("f8", (npl,), what) for what in ("plane depth", "alpha", "beta"))
         return FrustumGrid(UniformGrid2D(nx, ny, *geometry), zs, al, be)
     (npl,) = r.unpack("I")  # the last grid kind, "explicit"
     planes = []
     for _ in range(npl):
         z, count = r.unpack("dI")
-        planes.append(VoxelPlane(z, PointList(r.array("f8", count * 2).reshape(count, 2))))
+        planes.append(VoxelPlane(z, PointList(r.payload("f8", (count, 2), "voxel point"))))
     return ExplicitVoxels(tuple(planes))
 
 
@@ -846,7 +849,7 @@ def read_volume(path: str) -> ReconstructionVolume:
         grid = _grid_from_reader(r, kind)
         if grid.count != n_voxels:
             raise ContainerFormatError("declared voxel count does not match grid geometry")
-        times = r.array("f8", n_frames)
+        times = r.payload("f8", (n_frames,), "frame time")
         static = not timed and n_frames == 1
         field = r.payload("c8", (n_voxels,) if static else (n_frames, n_voxels), "volume")
         r.end()

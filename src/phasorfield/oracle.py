@@ -1,8 +1,10 @@
 """Brute-force reference implementations.
 
 Everything here trades speed for transparency: direct evaluation of the
-defining sums with no FFTs, no gridding, and no algebraic shortcuts.  These
-are the ground truth that the fast transforms and reconstructions are tested
+defining sums with no FFTs, no gridding, and no algebraic shortcuts.  The
+scaled DFT and the type-1 and type-2 NUDFTs are the ground truth for the fast
+transforms; :func:`literal_field`, the per-voxel propagation sum with the
+kernel's 1/r, is the one reference every reconstruction algorithm is tested
 against.  Summation orders are fixed and BLAS-free (``einsum`` with
 ``optimize=False``, sequential Python loops) so results are bit-reproducible
 across runs and thread counts.
@@ -24,7 +26,7 @@ __all__ = [
     "scaled_dft",
     "nudft1",
     "nudft2",
-    "backproject",
+    "literal_field",
 ]
 
 
@@ -84,16 +86,19 @@ def _distances(points_xyz: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", diff, diff, optimize=False))
 
 
-def backproject(slices: FrequencySlices, voxels: np.ndarray) -> np.ndarray:
-    """Direct backprojection of frequency slices onto arbitrary voxel positions.
+def literal_field(slices: FrequencySlices, voxels: np.ndarray,
+                  include_illumination: bool = True) -> np.ndarray:
+    """The literal propagation of frequency slices onto arbitrary voxel positions.
 
-    For each voxel ``x_v`` the field is the phase-only double sum
+    For each voxel ``x_v`` the field is the double sum
 
         I(x_v) = sum_w sum_p exp(s*1j*(w/c)|x_p - x_v|)
-                 * sum_c P[p, c, w] * exp(s*1j*(w/c)|x_c - x_v|)
+                 * sum_c P[p, c, w] * exp(s*1j*(w/c)*r) / r,   r = |x_c - x_v|
 
-    with ``s = PROPAGATION_SIGN``; no amplitude falloff is applied.  The
-    frequency-major accumulation order is fixed.
+    with ``s = PROPAGATION_SIGN``: the Rayleigh-Sommerfeld kernel with its
+    1/r falloff, which every reconstruction algorithm evaluates.  With
+    ``include_illumination=False`` the illumination phase factor is left
+    out.  The frequency-major accumulation order is fixed.
     """
     voxels = np.asarray(voxels, dtype=np.float64)
     _require(voxels.ndim == 2 and voxels.shape[1] == 3, "voxels must be [V, 3]")
@@ -109,9 +114,11 @@ def backproject(slices: FrequencySlices, voxels: np.ndarray) -> np.ndarray:
         r_ill = _distances(ill, voxels[v])
         terms = np.empty((nf, npt), dtype=np.complex128)
         for f in range(nf):
-            det_phase = np.exp(1j * khat[f] * r_det)
+            kernel = np.exp(1j * khat[f] * r_det) / r_det
             for p in range(npt):
-                inner = np.sum(coeff[p, :, f] * det_phase)
-                terms[f, p] = np.exp(1j * khat[f] * r_ill[p]) * inner
+                inner = np.sum(coeff[p, :, f] * kernel)
+                if include_illumination:
+                    inner = np.exp(1j * khat[f] * r_ill[p]) * inner
+                terms[f, p] = inner
         out[v] = np.sum(terms.ravel())
     return out

@@ -1,9 +1,7 @@
 """Shared helpers for the test suite.
 
-Everything here is deliberately simple and independent of the library's fast
-paths: the literal-sum evaluators below re-derive the propagation formulas
-with plain per-voxel loops so they can serve as oracles for the transforms
-under test.
+Small scenes, relays and error norms.  The literal propagation sum the
+reconstructions are checked against is :func:`phasorfield.oracle.literal_field`.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from phasorfield import (
     simulate,
     to_frequency,
 )
-from phasorfield.core import SPEED_OF_LIGHT, PROPAGATION_SIGN, UniformGrid2D
+from phasorfield.core import UniformGrid2D
 
 
 def rel_l2(a: np.ndarray, b: np.ndarray) -> float:
@@ -65,37 +63,3 @@ def two_scatterer_slices(**kwargs) -> FrequencySlices:
                      PointList(np.array([[0.0, 0.0], [0.05, -0.03]])))
     return make_slices(scene, relay, ill, **kwargs)
 
-
-def literal_field(slices: FrequencySlices, voxels: np.ndarray,
-                  include_illumination: bool = True) -> np.ndarray:
-    """Per-voxel evaluation of the propagation the fast paths compute.
-
-    For each voxel x_v this sums, over frequencies and illuminations in
-    ascending order,
-
-        exp(s*1j*(w/c)*|x_p - x_v|) * sum_c coeff * exp(s*1j*(w/c)*r) / r
-
-    with r = |x_c - x_v| and s the library's propagation sign.  Unlike the
-    exponent-only backprojection oracle this keeps the kernel's 1/r, so it
-    matches the fast propagators rather than the filtered-backprojection
-    definition.
-    """
-    det = slices.relay.coordinates()
-    from phasorfield.core import illumination_coordinates
-    ill = illumination_coordinates(slices.relay, slices.illuminations)
-    voxels = np.asarray(voxels, dtype=np.float64)
-    out = np.zeros(voxels.shape[0], dtype=np.complex128)
-    for vi, v in enumerate(voxels):
-        r_det = np.sqrt(((det - v) ** 2).sum(axis=1))
-        r_ill = np.sqrt(((ill - v) ** 2).sum(axis=1))
-        acc = 0.0 + 0.0j
-        for fi, w in enumerate(slices.frequencies):
-            khat = w / SPEED_OF_LIGHT
-            kern = np.exp(PROPAGATION_SIGN * 1j * khat * r_det) / r_det
-            for p in range(ill.shape[0]):
-                term = np.sum(slices.coefficients[p, :, fi] * kern)
-                if include_illumination:
-                    term = term * np.exp(PROPAGATION_SIGN * 1j * khat * r_ill[p])
-                acc += term
-        out[vi] = acc
-    return out

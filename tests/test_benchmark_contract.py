@@ -1,4 +1,4 @@
-"""The names the benchmark's layer spans wrap stay the calls the library makes.
+"""The benchmark's outside view of the library stays true to it.
 
 ``perfbench/spans.py`` measures each layer from outside by rebinding names in
 ``phasorfield.cli``, ``phasorfield.phasor`` and ``phasorfield.reconstruct``.
@@ -6,6 +6,9 @@ A wrapped name that disappears, or a decoder that stops reading through a
 wrapped call, drops a per-layer metric, and the benchmark run then reports a
 malformed result.  These tests load that module read-only and run one tiny
 capture per benchmark algorithm through it.
+
+``perfbench/literal.py`` is the benchmark's own literal sum, kept apart from
+the library; it must evaluate the same sum as ``phasorfield.oracle``.
 """
 
 import contextlib
@@ -16,19 +19,32 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from phasorfield import NonPlanarRelay, PointList, oracle
 from phasorfield.cli import main
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+from helpers import centered_relay, rel_linf, two_scatterer_slices
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"_benchmark_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def spans():
-    spec = importlib.util.spec_from_file_location("_benchmark_spans", SPANS_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("spans")
+
+
+@pytest.fixture(scope="module")
+def literal():
+    return _load("literal")
 
 
 def test_every_wrapped_name_exists(spans):
@@ -87,3 +103,20 @@ def test_traced_capture_has_every_layer_metric(spans, tmp_path, algo):
     if windowed:
         # The decoders compute exactly the voxel values they deliver.
         assert metrics["reconstruct.useful_frac"] == 1.0
+
+
+@pytest.mark.parametrize("relay", [
+    centered_relay(8, 0.02),
+    NonPlanarRelay(PointList(np.column_stack([
+        centered_relay(8, 0.02).coordinates()[:, :2],
+        np.random.default_rng(5).uniform(0.0, 0.05, 64)]))),
+], ids=["uniform", "nonplanar"])
+def test_the_benchmark_sums_what_the_oracle_sums(literal, relay):
+    ill = PointList(np.array([[0.0, 0.0, 0.0], [0.05, -0.03, 0.01]]))
+    slices = two_scatterer_slices(relay=relay, illuminations=ill)
+    voxels = np.random.default_rng(7).uniform([-0.08, -0.08, 0.85], [0.08, 0.08, 1.05],
+                                              size=(40, 3))
+    want = oracle.literal_field(slices, voxels)
+    got = literal.literal_field(slices.frequencies, slices.coefficients,
+                                relay.coordinates(), ill.points, voxels)
+    assert rel_linf(got, want) <= 1e-12

@@ -660,6 +660,20 @@ class TestMalformedInputs:
         assert main(["info", str(vol)]) == 3
         assert "volume declares 0 frames" in capsys.readouterr().err
 
+    def test_volume_with_non_finite_frame_time_is_io_error(self, pipeline, tmp_path, capsys):
+        vol = tmp_path / "v.vol"
+        assert main(["reconstruct", str(pipeline["dataset"]), "-o", str(vol), "--algo", "rsd",
+                     "--lambda-c", "0.04", "--grid", CUBOID, "--video", "0:1e-9:2"]) == 0
+        n_voxels = int.from_bytes(vol.read_bytes()[12:16], "little")
+        raw = bytearray(vol.read_bytes())
+        # The last of the two frame times precedes the complex64 field.
+        end = len(raw) - 8 * 2 * n_voxels
+        raw[end - 8:end] = struct.pack("<d", float("nan"))
+        vol.write_bytes(bytes(raw))
+        capsys.readouterr()
+        assert main(["info", str(vol)]) == 3
+        assert "frame time payload contains non-finite values" in capsys.readouterr().err
+
     def test_dataset_with_trailing_bytes_is_io_error(self, pipeline, tmp_path, capsys):
         padded = tmp_path / "padded.nls1"
         padded.write_bytes(pipeline["dataset"].read_bytes() + b"\0" * 7)

@@ -146,6 +146,17 @@ class TestRelays:
         with pytest.raises(ValidationError):
             illumination_coordinates(relay, PointList(np.array([[0.0, 0.0]])))
 
+    @pytest.mark.parametrize("build", [
+        lambda relay, ill: TransientMeasurement(relay, ill, np.zeros((1, 2, 4)), 1e-12),
+        lambda relay, ill: FrequencySlices(np.array([1e9]), np.zeros((1, 2, 1), complex),
+                                           relay, ill),
+    ], ids=["measurement", "slices"])
+    def test_planar_illuminations_on_a_nonplanar_relay_are_refused_on_construction(self, build):
+        relay = NonPlanarRelay(PointList(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.1]])))
+        with pytest.raises(ValidationError, match="need a planar relay to supply their z plane"):
+            build(relay, PointList(np.array([[0.0, 0.0]])))
+        assert build(relay, PointList(np.array([[0.0, 0.0, 0.0]]))).n_illum == 1
+
 
 # ---------------------------------------------------------------------------
 # Measurements and frequency slices
@@ -294,6 +305,12 @@ class TestVoxelGrids:
         with pytest.raises(ValidationError):
             ReconstructionVolume(cub, np.arange(7.0) + 0j)
 
+    @pytest.mark.parametrize("times", [[0.0, np.nan], [np.inf, 1e-9]])
+    def test_volume_refuses_non_finite_times(self, times):
+        cub = CuboidGrid(UniformGrid3D(2, 2, 2, 0.1, 0.1, 0.1, 0.0, 0.0, 1.0))
+        with pytest.raises(ValidationError, match="frame times must be finite"):
+            ReconstructionVolume(cub, np.zeros((2, 8), complex), times=np.array(times))
+
     @pytest.mark.parametrize("n_frames, index", [(None, 1), (None, -1), (3, 3), (3, 99), (3, -4),
                                                   (3, -1)])
     def test_frame_index_must_lie_in_range(self, n_frames, index):
@@ -317,7 +334,7 @@ class TestVoxelGrids:
 
 def _small_measurement(relay=None):
     relay = relay if relay is not None else centered_relay(2, 0.1)
-    ill = PointList(np.array([[0.0, 0.0]]))
+    ill = PointList(np.zeros((1, 3 if relay.kind == "nonplanar" else 2)))
     hist = np.linspace(0.0, 1.0, 1 * relay.count * 8).reshape(1, relay.count, 8)
     return TransientMeasurement(relay, ill, hist, delta_t=16e-12, t0=1e-10)
 
@@ -653,6 +670,15 @@ class TestVolumeContainer:
         two.write_bytes(bytes(raw))
         assert np.array_equal(read_volume(str(two)).times, [1e-9, 2e-9])
 
+    def test_non_finite_frame_time_is_refused(self, tmp_path):
+        path = self._written(tmp_path, np.array([1e-9, 2e-9]))
+        raw = bytearray(path.read_bytes())
+        # The two 8-byte times precede the 2 x 2 complex64 field at the end.
+        raw[-40:-32] = struct.pack("<d", np.nan)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(NonFiniteDataError, match="frame time payload"):
+            read_volume(str(path))
+
     def test_zero_frames_are_rejected(self, tmp_path):
         # A one-frame video of 2 voxels, cut to 0 frames: the frame count
         # word (after magic and version) is 0 and the 8-byte time and the
@@ -711,7 +737,9 @@ _RELAYS = st.one_of(
 @st.composite
 def _measurements(draw):
     relay = draw(_RELAYS)
-    ill = PointList(draw(_points(draw(st.sampled_from([2, 3])))))
+    # A non-planar relay has no plane to lift a planar illumination list onto.
+    dims = [3] if relay.kind == "nonplanar" else [2, 3]
+    ill = PointList(draw(_points(draw(st.sampled_from(dims)))))
     hist = draw(hnp.arrays(np.float64, (ill.count, relay.count, draw(_COUNT)),
                            elements=st.floats(0.0, 1e6, width=32)))
     return TransientMeasurement(relay, ill, hist, delta_t=draw(st.floats(1e-13, 1e-9)),

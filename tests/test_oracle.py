@@ -1,4 +1,4 @@
-"""The brute-force reference transforms and backprojection."""
+"""The brute-force reference transforms and the literal propagation sum."""
 
 import numpy as np
 import pytest
@@ -14,8 +14,8 @@ def _complex(rng, shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
-def _backproject_alt(slices: FrequencySlices, voxels: np.ndarray) -> np.ndarray:
-    """The sum of :func:`oracle.backproject` filled illumination-major.
+def _literal_alt(slices: FrequencySlices, voxels: np.ndarray) -> np.ndarray:
+    """The sum of :func:`oracle.literal_field` filled illumination-major.
 
     Walks the (frequency, illumination) table in transposed order and places
     each factor on the other side of the product.
@@ -30,8 +30,8 @@ def _backproject_alt(slices: FrequencySlices, voxels: np.ndarray) -> np.ndarray:
         terms = np.empty((slices.n_freq, len(ill)), dtype=np.complex128)
         for p in range(len(ill)):
             for f in range(slices.n_freq):
-                det_phase = np.exp(1j * khat[f] * r_det)
-                inner = np.sum(slices.coefficients[p, :, f] * det_phase)
+                kernel = np.exp(1j * khat[f] * r_det) / r_det
+                inner = np.sum(slices.coefficients[p, :, f] * kernel)
                 terms[f, p] = inner * np.exp(1j * khat[f] * r_ill[p])
         out[v] = np.sum(terms.ravel())
     return out
@@ -102,7 +102,7 @@ class TestNudft:
             oracle.nudft2(np.zeros((4, 4), complex), np.zeros((3, 1)))
 
 
-class TestBackproject:
+class TestLiteralField:
     def _one_term_slices(self, omega, coeff_value):
         grid = UniformGrid2D(1, 1, 1.0, 1.0, 0.2, -0.1, z=0.0)
         relay = UniformRelay(grid)
@@ -117,14 +117,16 @@ class TestBackproject:
         r_det = np.linalg.norm(np.array([0.2, -0.1, 0.0]) - vox[0])
         r_ill = np.linalg.norm(np.array([-0.3, 0.4, 0.0]) - vox[0])
         k = PROPAGATION_SIGN * omega / SPEED_OF_LIGHT
-        expected = np.exp(1j * k * r_ill) * cval * np.exp(1j * k * r_det)
-        got = oracle.backproject(sl, vox)
-        assert got.shape == (1,)
-        assert abs(got[0] - expected) / abs(expected) < 1e-12
+        detected = cval * np.exp(1j * k * r_det) / r_det
+        for include_illumination, expected in ((True, np.exp(1j * k * r_ill) * detected),
+                                               (False, detected)):
+            got = oracle.literal_field(sl, vox, include_illumination=include_illumination)
+            assert got.shape == (1,)
+            assert abs(got[0] - expected) / abs(expected) < 1e-12
 
     def test_zero_coefficients_give_zero_field(self):
         sl = self._one_term_slices(3.1e9, 0.0)
-        assert np.all(oracle.backproject(sl, np.array([[0.0, 0.0, 1.0]])) == 0)
+        assert np.all(oracle.literal_field(sl, np.array([[0.0, 0.0, 1.0]])) == 0)
 
     def test_fill_order_cannot_change_the_sum(self, rng):
         relay = centered_relay(8, 0.05)
@@ -134,8 +136,8 @@ class TestBackproject:
         sl = FrequencySlices(freqs, coeff, relay, ill)
         vox = rng.uniform(-0.3, 0.3, size=(64, 3))
         vox[:, 2] = rng.uniform(0.6, 1.2, size=64)
-        a = oracle.backproject(sl, vox)
-        b = _backproject_alt(sl, vox)
+        a = oracle.literal_field(sl, vox)
+        b = _literal_alt(sl, vox)
         assert np.array_equal(a, b)
 
     def test_repeat_calls_are_bit_identical(self, rng):
@@ -145,8 +147,8 @@ class TestBackproject:
         sl = FrequencySlices(np.array([1e9, 2e9, 3e9]), coeff, relay, ill)
         vox = rng.uniform(-0.2, 0.2, size=(10, 3))
         vox[:, 2] += 1.0
-        assert np.array_equal(oracle.backproject(sl, vox),
-                              oracle.backproject(sl, vox))
+        assert np.array_equal(oracle.literal_field(sl, vox),
+                              oracle.literal_field(sl, vox))
 
     def test_conjugate_symmetric_slices_give_real_field(self, rng):
         relay = centered_relay(2, 0.1)
@@ -156,10 +158,10 @@ class TestBackproject:
         sl = FrequencySlices(np.array([-2.0e9, 2.0e9]), coeff, relay, ill)
         vox = rng.uniform(-0.2, 0.2, size=(5, 3))
         vox[:, 2] += 1.0
-        field = oracle.backproject(sl, vox)
+        field = oracle.literal_field(sl, vox)
         assert np.max(np.abs(field.imag)) <= 1e-10 * np.max(np.abs(field.real))
 
     def test_rejects_bad_voxel_shape(self, rng):
         sl = self._one_term_slices(3.1e9, 1.0)
         with pytest.raises(ValidationError):
-            oracle.backproject(sl, np.zeros((4, 2)))
+            oracle.literal_field(sl, np.zeros((4, 2)))

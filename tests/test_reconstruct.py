@@ -21,6 +21,7 @@ from phasorfield import (
     Scene,
     ValidationError,
     VoxelPlane,
+    oracle,
 )
 from phasorfield.core import PROPAGATION_SIGN, SPEED_OF_LIGHT, UniformGrid3D
 from phasorfield.metrics import ncc
@@ -44,7 +45,6 @@ from phasorfield.reconstruct import (
 from helpers import (
     centered_grid2d,
     centered_relay,
-    literal_field,
     make_slices,
     rel_l2,
     rel_linf,
@@ -123,14 +123,14 @@ def _lit_from(slices, source):
 class TestRsdExactness:
     def test_matches_literal_sum(self, slices16, grid16_small):
         vol = rsd(slices16, grid16_small)
-        direct = literal_field(slices16, grid16_small.coordinates())
+        direct = oracle.literal_field(slices16, grid16_small.coordinates())
         assert rel_linf(vol.field, direct) < 1e-10
         assert vol.grid is grid16_small and vol.n_frames == 1
 
     def test_detection_only_variant(self, slices16, grid16_small):
         vol = rsd(slices16, grid16_small, include_illumination=False)
-        direct = literal_field(slices16, grid16_small.coordinates(),
-                               include_illumination=False)
+        direct = oracle.literal_field(slices16, grid16_small.coordinates(),
+                                      include_illumination=False)
         assert rel_linf(vol.field, direct) < 1e-10
 
     def test_scaled_grid_recovers_what_the_unpadded_grid_misses(self):
@@ -717,7 +717,7 @@ def lifted():
         relay = NonPlanarRelay(PointList(np.column_stack([xy, z])))
         ill = PointList(np.array([[0.0, 0.0, 0.0], [0.05, -0.03, 0.01]]))
         slices = two_scatterer_slices(relay=relay, illuminations=ill)
-        out[extent] = slices, literal_field(slices, _LIFTED_GRID.coordinates())
+        out[extent] = slices, oracle.literal_field(slices, _LIFTED_GRID.coordinates())
     return out
 
 
