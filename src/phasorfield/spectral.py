@@ -58,17 +58,27 @@ coefficients for ``nufft2``) and reuse one operator for every column.
 Batch columns go through the fine grid in chunks whose buffers stay within
 ``_FINE_CHUNK_BYTES`` (a 3-D column's depth modes go together), so memory
 does not grow with ``B``.
+
+SciPy
+-----
+Importing this module, and the package, needs NumPy alone: the centered and
+scaled FFTs run on ``np.fft``, and ``next_fast_len`` is local.  Only the
+NUFFT uses SciPy (``scipy.sparse.csr_array`` for ``S`` and ``scipy.fft``
+for the fine-grid transforms), importing it on its first call, so the
+algorithms ``nursd1``, ``nursd2``, ``nursd3``, ``nursd3d`` and
+``srsd-nursd2`` need SciPy and ``rsd``, ``srsd`` and ``rsd3d`` do not.  The
+first call may come from several worker threads at once; Python's import
+lock makes them wait for one import.  ``metrics.align_by_correlation`` is
+the package's only other use of SciPy.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache, reduce
 
 import numpy as np
-from scipy import fft as sp_fft
-from scipy.fft import next_fast_len
-from scipy.sparse import csr_array
 
 from .core import _require
 
@@ -89,6 +99,39 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Plain and centered FFTs
 # ---------------------------------------------------------------------------
+
+
+def next_fast_len(target: int) -> int:
+    """Smallest 11-smooth integer ``>= target`` (a fast complex FFT length),
+    as ``scipy.fft.next_fast_len`` gives it.
+
+    Each product ``f`` of powers of 3, 5, 7 and 11 below the best length so
+    far is completed by the least power of two that takes it to ``target``,
+    so a target near ``2**31`` visits about a thousand products.
+    """
+    target = operator.index(target)
+    _require(target >= 1, "FFT length target must be >= 1")
+    t1 = target - 1
+    best = 1 << t1.bit_length()
+    f11 = 1
+    while f11 < best:
+        f7 = f11
+        while f7 < best:
+            f5 = f7
+            while f5 < best:
+                f = f5
+                while f < best:
+                    # f * 2**s >= target exactly when 2**s > (target - 1) // f.
+                    c = f << (t1 // f).bit_length()
+                    if c <= best:
+                        if c == target:
+                            return c
+                        best = c
+                    f *= 3
+                f5 *= 5
+            f7 *= 7
+        f11 *= 11
+    return best
 
 
 def cfft_n(u: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
@@ -300,6 +343,7 @@ class _Spread:
             cols = (cols[:, :, None] * self.mrs[a] + i[:, None, :]).reshape(n, -1)
             wts = (wts[:, :, None] * w[:, None, :]).reshape(n, -1)
         taps = cols.shape[1]
+        from scipy.sparse import csr_array  # only the NUFFT needs SciPy
         index = np.int32 if n * taps <= np.iinfo(np.int32).max else np.int64
         self.matrix = csr_array(
             (wts.ravel(), cols.ravel().astype(index),
@@ -314,23 +358,25 @@ class _Spread:
 
     def type1(self, vals: np.ndarray) -> np.ndarray:
         """``[L, c]`` values to ``[c, *modes]`` deconvolved modes."""
+        from scipy.fft import fft
         # S is real: applied to the float64 view of complex columns it acts
         # on real and imaginary parts at once, with no complex copy of S.
         flat = np.ascontiguousarray(vals).view(np.float64)
         fine = np.ascontiguousarray(self.matrix.T @ flat).view(np.complex128)
         fine = fine.reshape(self.mrs + (-1,))
         for ax, sl in enumerate(self.slots):
-            fine = np.take(sp_fft.fft(fine, axis=ax, overwrite_x=True), sl, axis=ax)
+            fine = np.take(fft(fine, axis=ax, overwrite_x=True), sl, axis=ax)
         fine = fine.reshape(self.modes + (-1,)) / self.ker[..., None]
         return np.moveaxis(fine, -1, 0)
 
     def type2(self, coeff: np.ndarray) -> np.ndarray:
         """``[c, *modes]`` coefficients to ``[c, L]`` point values."""
+        from scipy.fft import ifft
         fine = np.moveaxis(coeff / self.ker, 0, -1)
         for ax, (sl, mr) in enumerate(zip(self.slots, self.mrs)):
             arr = np.zeros(fine.shape[:ax] + (mr,) + fine.shape[ax + 1:], dtype=np.complex128)
             arr[(slice(None),) * ax + (sl,)] = fine
-            fine = sp_fft.ifft(arr, axis=ax, norm="forward", overwrite_x=True)
+            fine = ifft(arr, axis=ax, norm="forward", overwrite_x=True)
         flat = np.ascontiguousarray(fine).reshape(self.matrix.shape[1], -1).view(np.float64)
         return np.ascontiguousarray(self.matrix @ flat).view(np.complex128).T
 

@@ -1,13 +1,17 @@
 """End-to-end command-line behavior, exit codes, and output determinism."""
 
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import phasorfield
 from phasorfield import (
     CuboidGrid,
     ExplicitVoxels,
@@ -502,6 +506,42 @@ class TestAlgorithmFlags:
                      "--grid", _planes_file(tmp_path, _PLANE_POINTS)])
         assert code == 2
         assert "alpha" in capsys.readouterr().err
+
+
+# Runs the CLI argument lists given as JSON in a fresh interpreter where any
+# import of scipy or a scipy submodule fails, and prints their exit codes.
+_WITHOUT_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None
+from phasorfield.cli import main
+print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))
+"""
+
+
+class TestWithoutScipy:
+    """The FFT-only algorithms run on NumPy alone, and write the bytes they
+    write when SciPy is importable."""
+
+    def test_fft_only_paths_run_without_scipy(self, pipeline, relay_datasets, tmp_path):
+        runs = {
+            "rsd": [str(pipeline["dataset"]), "--algo", "rsd", "--grid", CUBOID,
+                    "--threads", "2"],
+            "srsd": [str(pipeline["dataset"]), "--algo", "srsd", "--video", "0:2e-9:3",
+                     "--grid", "frustum:8,8,2,0.02,0.02,0.08,-0.07,-0.07,0.86,0.7"],
+            "rsd3d": [str(relay_datasets["points_3d"]), "--algo", "rsd3d",
+                      "--grid", "cuboid:4,4,2,0.02,0.02,0.05,-0.03,-0.03,0.5"],
+        }
+        argvs = [["reconstruct", *args, "--lambda-c", "0.04", "-o", str(tmp_path / f"{name}.vol")]
+                 for name, args in runs.items()]
+        env = {**os.environ, "PYTHONPATH": str(Path(phasorfield.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, json.dumps(argvs)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout.splitlines()[-1]) == [0] * len(runs)
+        for name, argv in zip(runs, argvs):
+            blocked = (tmp_path / f"{name}.vol").read_bytes()
+            assert main(argv[:-1] + [str(tmp_path / f"{name}-scipy.vol")]) == 0
+            assert blocked == (tmp_path / f"{name}-scipy.vol").read_bytes()
 
 
 class TestUnindexableLattices:

@@ -135,3 +135,15 @@ def test_import_leaves_scipy_signal_out(module):
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     assert done.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("module", ["phasorfield", "phasorfield.cli"])
+def test_import_leaves_scipy_out(module):
+    # Only the NUFFT paths and align_by_correlation need SciPy, and each
+    # imports it on first use; the FFT-only paths run on NumPy alone.
+    code = (f"import sys, {module}; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": str(Path(phasorfield.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"

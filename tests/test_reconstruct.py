@@ -1,7 +1,10 @@
 """Fast volumetric propagators against literal sums and each other."""
 
+import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import phasorfield
 from phasorfield import (
     CuboidGrid,
     ExplicitVoxels,
@@ -579,6 +583,35 @@ class TestLightTransportVideo:
 # ---------------------------------------------------------------------------
 
 
+# Runs the algorithm named by its argument and prints whether SciPy was
+# imported before the threads=3 run, whether that run imported it, and
+# whether its field is bitwise the threads=1 field.
+_FIRST_SCIPY_IMPORT_IN_POOL = """
+import sys
+import numpy as np
+from phasorfield import (ExplicitVoxels, PointList, Scatterer, Scene, UniformRelay,
+                         VoxelPlane, reconstruct)
+from phasorfield.core import UniformGrid2D
+from phasorfield.phasor import build_kernel, to_frequency
+from phasorfield.sim import simulate
+
+relay = UniformRelay(UniformGrid2D(8, 8, 0.02, 0.02, -0.07, -0.07))
+m = simulate(Scene((Scatterer((0.01, 0.01, 0.9)),)), relay, PointList(np.array([[0.0, 0.0]])),
+             delta_t=16e-12, n_bins=1024)
+slices = to_frequency(m, build_kernel(0.04, 1024, 16e-12))
+rng = np.random.default_rng(3)
+voxels = ExplicitVoxels(tuple(
+    VoxelPlane(z, PointList(rng.uniform(-0.08, 0.08, (9, 2)))) for z in (0.86, 0.94)))
+algo = sys.argv[1]
+options = {"alpha": 0.8} if algo == "srsd-nursd2" else {}
+print("scipy" in sys.modules)
+sys.setswitchinterval(1e-6)
+pooled = reconstruct(slices, voxels, algo, threads=3, **options)
+print("scipy.sparse" in sys.modules)
+print(np.array_equal(pooled.field, reconstruct(slices, voxels, algo, threads=1, **options).field))
+"""
+
+
 class TestMisc:
     def test_project_max_depth(self, slices16, grid16_small):
         vol = rsd(slices16, grid16_small)
@@ -615,6 +648,16 @@ class TestMisc:
         finally:
             sys.setswitchinterval(interval)
         assert np.array_equal(a.field, b.field)
+
+    @pytest.mark.parametrize("algo", ["nursd2", "srsd-nursd2"])
+    def test_first_scipy_import_inside_the_pool(self, algo):
+        # These two read their planes by NUFFT inside the workers, so in a
+        # fresh interpreter the workers race to import SciPy.
+        env = {**os.environ, "PYTHONPATH": str(Path(phasorfield.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", _FIRST_SCIPY_IMPORT_IN_POOL, algo],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["False", "True", "True"]
 
     @pytest.mark.parametrize("threads", [0, -1])
     def test_threads_below_one_are_rejected(self, chain, chain_grid, threads):

@@ -1,5 +1,6 @@
 """Centered FFTs, the scaled FFT, and both gridding NUFFT types."""
 
+import time
 import types
 from functools import reduce
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fft import next_fast_len as scipy_next_fast_len
 
 import phasorfield
 from phasorfield import ValidationError, oracle, spectral
@@ -15,6 +17,7 @@ from phasorfield.spectral import (
     cfft_n,
     cifft_2d,
     cifft_n,
+    next_fast_len,
     nufft1,
     nufft2,
     sfft_1d,
@@ -43,6 +46,33 @@ def test_package_exports_exactly_its_public_names():
     assert len(set(phasorfield.__all__)) == len(phasorfield.__all__)
     for gone in ("SfftPlan", "NufftPlan", "_nufft_plan", "_lateral"):
         assert not hasattr(phasorfield, gone) and not hasattr(spectral, gone)
+
+
+class TestNextFastLen:
+    def test_matches_scipy_up_to_20000(self):
+        assert all(next_fast_len(t) == scipy_next_fast_len(t) for t in range(1, 20001))
+
+    # Lattice reaches up to 2**30 pitches give padded targets up to 2**31 + 10;
+    # the last three are primes near that ceiling.
+    @pytest.mark.parametrize("target", [2**30, 2**31 + 11, 10**9 + 7,
+                                        2147483629, 2147483647, 2147483693])
+    def test_matches_scipy_at_large_targets_quickly(self, target):
+        assert next_fast_len(target) == scipy_next_fast_len(target)
+        # A search stepping through integers takes tens of milliseconds at these targets.
+        seconds = []
+        for _ in range(7):
+            start = time.perf_counter()
+            next_fast_len(target)
+            seconds.append(time.perf_counter() - start)
+        assert min(seconds) < 1e-3
+
+    def test_accepts_numpy_integers(self):
+        assert next_fast_len(np.int64(13)) == 14
+
+    @pytest.mark.parametrize("target", [0, -1])
+    def test_target_below_one_is_refused(self, target):
+        with pytest.raises(ValueError, match=">= 1"):
+            next_fast_len(target)
 
 
 # ---------------------------------------------------------------------------
