@@ -17,7 +17,10 @@ of frequencies through every plane.  A plan has three parts:
 * an **encoder** ``encode(coefficients)`` gives each illumination's relay
   spectrum on a padded ``[py, px]`` lattice per depth node and frequency,
   ``[M, F, py, px]``: embedding and FFT, scaled FFT or type-1 NUFFT of a
-  planar relay (one node) or of a 3D relay's samples weighted onto depth nodes;
+  planar relay (one node) or of a 3D relay's samples weighted onto depth
+  nodes.  ``srsd``'s encoder alone yields the bare ``[1, F, ny, nx]`` relay,
+  because its scale changes with depth: each plane's scaled transform takes
+  those ``ny*nx`` samples straight to the padded lattice's modes;
 * the **output planes** are the grid's own ``depth_planes()``, in its voxel
   order: each gives its depth's kernel spectra from every node, at the
   lattice pitch the algorithm reads it with, and its voxel positions for
@@ -167,13 +170,19 @@ def _pad_size(src: np.ndarray, dst: np.ndarray, n_min: int) -> int:
     return next_fast_len(2 * math.ceil(reach) + 10)
 
 
+def _relay_lattice(coefficients: np.ndarray, g) -> np.ndarray:
+    """The ``[P, L, F]`` coefficients of a uniform relay as ``[P, F, ny, nx]``."""
+    coeff = np.swapaxes(coefficients, 1, 2)
+    return coeff.reshape(coeff.shape[:2] + (g.ny, g.nx))
+
+
 def _embed_relay(coefficients: np.ndarray, g, py: int, px: int) -> np.ndarray:
     """Each illumination's uniform relay centred in a ``[F, py, px]`` zero array."""
-    coeff = np.swapaxes(coefficients, 1, 2)
-    out = np.zeros(coeff.shape[:2] + (py, px), dtype=np.complex128)
+    relay = _relay_lattice(coefficients, g)
+    out = np.zeros(relay.shape[:2] + (py, px), dtype=np.complex128)
     oy = py // 2 - g.ny // 2
     ox = px // 2 - g.nx // 2
-    out[..., oy:oy + g.ny, ox:ox + g.nx] = coeff.reshape(coeff.shape[:2] + (g.ny, g.nx))
+    out[..., oy:oy + g.ny, ox:ox + g.nx] = relay
     return out
 
 
@@ -208,9 +217,9 @@ class _Plane(NamedTuple):
     The kernels span the distances ``dz`` from the source's depth nodes,
     sampled at the lattice ``pitch = (dx, dy)``; ``z``, ``x`` and ``y`` are
     one of the grid's ``depth_planes()``.
-    ``scale`` is the per-plane ``(alpha, beta)`` of a scaled transform
-    applied to the encoded relay, and ``torus`` the NUFFT coordinates of
-    explicit voxels.
+    ``scale`` is the per-plane ``(alpha, beta)`` of the scaled transform
+    that takes the encoded bare relay to the padded lattice's modes, and
+    ``torus`` the NUFFT coordinates of explicit voxels.
     """
 
     z: float
@@ -356,7 +365,8 @@ def _propagate(plan: _Plan, coefficients: np.ndarray, times: np.ndarray | None,
             for p, uhat in enumerate(uhats):
                 spec = None
                 for u, ghat in zip(uhat, ghats):
-                    u = u[block] if pl.scale is None else sfft_2d_centered(u[block], *pl.scale)
+                    u = (u[block] if pl.scale is None
+                         else sfft_2d_centered(u[block], *pl.scale, shape=shape))
                     spec = u * ghat if spec is None else np.add(spec, u * ghat, out=spec)
                 vals = plan.read(pl, spec)
                 del spec  # before the phase product: a worker holds one spectrum at a time
@@ -426,7 +436,7 @@ def _plan_rsd(relay: UniformRelay, frequencies, grid: CuboidGrid, padding="exact
 
 
 def _plan_srsd(relay: UniformRelay, frequencies, grid: FrustumGrid, **_):
-    """The embedded relay, scaled per plane as the run reaches it."""
+    """The bare relay, scaled onto the padded lattice per plane as the run reaches it."""
     g, b = relay.grid, grid.base
     _require(b.nx == g.nx and b.ny == g.ny
              and _close(b.dx, g.dx) and _close(b.dy, g.dy)
@@ -436,7 +446,7 @@ def _plan_srsd(relay: UniformRelay, frequencies, grid: FrustumGrid, **_):
               for (z, x, y), al, be in zip(_depth_planes(grid, g.z), grid.alphas.tolist(),
                                            grid.betas.tolist())]
     py, px = next_fast_len(2 * g.ny), next_fast_len(2 * g.nx)
-    return ((py, px), planes, lambda cs: _embed_relay(cs, g, py, px)[:, None],
+    return ((py, px), planes, lambda cs: _relay_lattice(cs, g)[:, None],
             _read_window(g.ny, g.nx))
 
 
@@ -454,10 +464,14 @@ def _plan_uniform_explicit(relay: UniformRelay, frequencies, grid: ExplicitVoxel
     jy = np.array([-(g.ny // 2), g.ny - g.ny // 2 - 1])
     px, py, planes = _explicit_planes(grid, g.z, g.center(), (g.dx, g.dy),
                                       (al * jx, be * jy), (g.nx, g.ny), (al, be))
-    return ((py, px), planes,
-            lambda cs: [(sfft_2d_centered(u, al, be) if scaled else cfft_2d(u))[None]
-                        for u in _embed_relay(cs, g, py, px)],
-            _read_points(eps, px, py))
+
+    def encode(coefficients):
+        if scaled:
+            return [sfft_2d_centered(u, al, be, shape=(py, px))[None]
+                    for u in _relay_lattice(coefficients, g)]
+        return [cfft_2d(u)[None] for u in _embed_relay(coefficients, g, py, px)]
+
+    return (py, px), planes, encode, _read_points(eps, px, py)
 
 
 def _plan_nursd3(relay: NonUniformPlanarRelay, frequencies, grid: ExplicitVoxels, eps=1e-6,
@@ -641,7 +655,10 @@ def srsd(slices: FrequencySlices, grid: FrustumGrid,
     beta_k)`` against a kernel sampled at the widened pitch
     ``(dx/alpha_k, dy/beta_k)``; the output plane keeps the relay counts but
     covers the widened extent.  With all factors equal to 1 this reduces
-    exactly to :func:`rsd` on the relay lattice.
+    exactly to :func:`rsd` on the relay lattice.  The result is accurate
+    only while that pitch stays within half the shortest retained
+    wavelength, ``dx/alpha_k <= lambda_min/2`` (likewise in y); beyond it
+    the sampled kernel aliases, whatever the padding.
     """
     return reconstruct(slices, grid, "srsd", times=times, threads=threads,
                        include_illumination=include_illumination)

@@ -25,12 +25,19 @@ inverse.
 
 Scaled FFT
 ----------
-``sfft_1d`` evaluates ``U[k] = sum_n u[n] * exp(-2j*pi/M * alpha *
-(n-o)*(k-o))`` for an arbitrary real scale ``alpha`` via chirp factorization:
-``(n-o)(k-o) = [(n-o)^2 + (k-o)^2 - (k-n)^2] / 2`` turns the sum into one
-linear convolution against the chirp kernel ``exp(+1j*pi*alpha*l^2/M)``,
-computed exactly with zero-padded FFTs.  ``alpha = 1, o = 0`` reproduces the
-ordinary DFT; each (length, scale, offset) caches its chirp pair.
+``sfft_1d`` maps ``N`` samples to ``M`` modes: ``U[k] = sum_n u[n] *
+exp(-2j*pi/M * alpha * (n-o)*(k-q))`` for ``0 <= n < N`` and ``0 <= k < M``,
+with an arbitrary real scale ``alpha``, input offset ``o`` and output offset
+``q``.  The denominator is the output length ``M``.  Chirp factorization (the
+chirp-z transform of Rabiner, Schafer & Rader, 1969) writes ``(n-o)(k-q) =
+[(n-o)^2 + (k-q)^2 - l^2] / 2`` with ``l = (k-q) - (n-o)``, which turns the
+sum into one linear convolution of the ``N`` chirped samples against the
+kernel ``exp(+1j*pi*alpha*l^2/M)`` over the ``N + M - 1`` steps ``k - n``,
+computed exactly with zero-padded FFTs of length ``next_fast_len(N + M -
+1)``.  By default ``M = N`` and ``q = o``, and ``alpha = 1, o = 0``
+reproduces the ordinary DFT.  Each (lengths, scale, offsets) caches its two
+chirps and kernel spectrum.  ``sfft_2d_centered`` so takes a centered input
+to the modes of a larger lattice without embedding it in zeros first.
 
 Non-uniform FFT
 ---------------
@@ -174,53 +181,67 @@ def cifft_2d(u: np.ndarray, rows=None, cols=None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-# Chirp pairs and NUFFT axes are bounded LRUs keyed by (length, scale, offset)
-# and by (modes, eps) of one axis.  A capture needs at most one chirp pair per
-# axis and frustum plane and a few NUFFT axes, so both capacities hold its
-# working set many times over while a long sweep of scales cannot grow them.
+# Scaled-FFT plans and NUFFT axes are bounded LRUs keyed by (lengths, scale,
+# offsets) and by (modes, eps) of one axis.  A capture needs at most one
+# scaled-FFT plan per axis and frustum plane and a few NUFFT axes, so both
+# capacities hold its working set many times over while a long sweep of
+# scales cannot grow them.
 _SFFT_CACHE_SIZE = 256
 _NUFFT_CACHE_SIZE = 32
 
 
 @lru_cache(maxsize=_SFFT_CACHE_SIZE)
-def _sfft_plan(m: int, alpha: float, offset: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only ``(chirp, kernel_fft)`` of one scaled DFT: the ``[m]``
-    pre/post multiplier ``exp(-1j*pi*alpha*(n-o)^2/m)`` and the FFT of the
-    chirp kernel embedded in the padded convolution length."""
-    n = np.arange(m, dtype=np.float64) - offset
-    chirp = np.exp(-1j * np.pi * alpha * n * n / m)
-    pad = next_fast_len(max(1, 2 * m - 1))
-    lags = np.arange(1 - m, m)
+def _sfft_plan(n_in: int, m_out: int, alpha: float, offset_in: int,
+               offset_out: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only ``(chirp_in, chirp_out, kernel_fft)`` of one scaled DFT from
+    ``n_in`` samples to ``m_out`` modes: the ``[n_in]`` pre-multiplier
+    ``exp(-1j*pi*alpha*(n-o_in)^2/m_out)``, the ``[m_out]`` post-multiplier
+    likewise in ``k - o_out``, and the FFT of the chirp kernel at the lags
+    ``k - n`` embedded in the padded convolution length."""
+    n = np.arange(n_in, dtype=np.float64) - offset_in
+    chirp_in = np.exp(-1j * np.pi * alpha * n * n / m_out)
+    k = np.arange(m_out, dtype=np.float64) - offset_out
+    chirp_out = np.exp(-1j * np.pi * alpha * k * k / m_out)
+    pad = next_fast_len(n_in + m_out - 1)
+    steps = np.arange(1 - n_in, m_out)
+    lags = steps + (offset_in - offset_out)
     kernel = np.zeros(pad, dtype=np.complex128)
-    kernel[lags % pad] = np.exp(1j * np.pi * alpha * lags * lags / m)
-    chirp.setflags(write=False)
+    kernel[steps % pad] = np.exp(1j * np.pi * alpha * lags * lags / m_out)
+    chirp_in.setflags(write=False)
+    chirp_out.setflags(write=False)
     kfft = np.fft.fft(kernel)
     kfft.setflags(write=False)
-    return chirp, kfft
+    return chirp_in, chirp_out, kfft
 
 
-def sfft_1d(u: np.ndarray, alpha: float, offset: int = 0, axis: int = -1) -> np.ndarray:
-    """Scaled DFT along one axis.
+def sfft_1d(u: np.ndarray, alpha: float, offset: int = 0, axis: int = -1,
+            m_out: int | None = None, offset_out: int | None = None) -> np.ndarray:
+    """Scaled DFT along one axis, from its ``N`` samples to ``m_out`` modes.
 
-    Computes ``U[k] = sum_n u[n] * exp(-2j*pi/M * alpha * (n-offset)*(k-offset))``
-    over array positions ``n, k = 0..M-1``.  ``alpha = 1, offset = 0`` agrees
-    with the ordinary forward DFT.
+    Computes ``U[k] = sum_n u[n] * exp(-2j*pi/M * alpha * (n-offset)*(k-offset_out))``
+    over array positions ``n = 0..N-1`` and ``k = 0..M-1``, ``M = m_out``.
+    ``m_out`` defaults to ``N`` and ``offset_out`` to ``offset``; then
+    ``alpha = 1, offset = 0`` agrees with the ordinary forward DFT.
     """
     u = np.moveaxis(np.asarray(u, dtype=np.complex128), axis, -1)
-    m, alpha, offset = int(u.shape[-1]), float(alpha), int(offset)
-    _require(m >= 1, "transform length must be >= 1")
+    n_in, alpha, offset = int(u.shape[-1]), float(alpha), int(offset)
+    m_out = n_in if m_out is None else int(m_out)
+    offset_out = offset if offset_out is None else int(offset_out)
+    _require(n_in >= 1, "transform length must be >= 1")
+    _require(m_out >= 1, "output length must be >= 1")
     _require(math.isfinite(alpha) and alpha != 0.0,
              "scale factor must be finite and nonzero")
-    _require(0 <= offset < m, "index offset must lie in [0, length)")
-    chirp, kernel_fft = _sfft_plan(m, alpha, offset)
+    _require(0 <= offset < n_in, "index offset must lie in [0, length)")
+    _require(0 <= offset_out < m_out, "output index offset must lie in [0, output length)")
+    chirp_in, chirp_out, kernel_fft = _sfft_plan(n_in, m_out, alpha, offset, offset_out)
     # One padded buffer carries the whole convolution in place (the ``out=``
     # of ``np.fft`` needs NumPy 2.0).
     buf = np.zeros(u.shape[:-1] + kernel_fft.shape, dtype=np.complex128)
-    np.multiply(u, chirp, out=buf[..., :m])
+    np.multiply(u, chirp_in, out=buf[..., :n_in])
     np.fft.fft(buf, axis=-1, out=buf)
     buf *= kernel_fft
     np.fft.ifft(buf, axis=-1, out=buf)
-    return np.moveaxis(buf[..., :m] * chirp, -1, axis)
+    return np.moveaxis(buf[..., :m_out] * chirp_out, -1, axis)
 
 
 def sfft_2d(u: np.ndarray, alpha: float, beta: float | None = None,
@@ -236,16 +257,25 @@ def sfft_2d(u: np.ndarray, alpha: float, beta: float | None = None,
     return sfft_1d(out, beta, offset=offsets[0], axis=-2)
 
 
-def sfft_2d_centered(u: np.ndarray, alpha: float, beta: float | None = None) -> np.ndarray:
+def sfft_2d_centered(u: np.ndarray, alpha: float, beta: float | None = None,
+                     shape: tuple[int, int] | None = None) -> np.ndarray:
     """Scaled DFT of the last two axes in the centered-index convention.
 
-    Equivalent to :func:`sfft_2d` with per-axis offsets ``M//2``:
-    ``U[ky, kx] = sum u[jy, jx] * exp(-2j*pi*(alpha*jx*kx/Mx + beta*jy*ky/My))``
-    with all indices centered.  At ``alpha = beta = 1`` this matches
-    :func:`cfft_2d` up to roundoff.
+    Maps ``[..., ny, nx]`` samples to ``[..., my, mx]`` modes,
+    ``shape = (my, mx)`` defaulting to ``(ny, nx)``:
+    ``U[ky, kx] = sum u[jy, jx] * exp(-2j*pi*(alpha*jx*kx/mx + beta*jy*ky/my))``
+    with all indices centered, as :func:`sfft_2d` gives it on the samples
+    embedded centered in a ``[my, mx]`` zero array.  The x pass runs over the
+    ``ny`` input rows only, then the y pass over the ``mx`` columns.  At
+    ``alpha = beta = 1`` and the default shape this matches :func:`cfft_2d`
+    up to roundoff.
     """
+    if beta is None:
+        beta = alpha
     ny, nx = np.asarray(u).shape[-2:]
-    return sfft_2d(u, alpha, beta, offsets=(ny // 2, nx // 2))
+    my, mx = (ny, nx) if shape is None else (int(shape[0]), int(shape[1]))
+    out = sfft_1d(u, alpha, nx // 2, axis=-1, m_out=mx, offset_out=mx // 2)
+    return sfft_1d(out, beta, ny // 2, axis=-2, m_out=my, offset_out=my // 2)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import shlex
 import struct
 import subprocess
 import sys
@@ -229,14 +230,35 @@ def _readme_scene_section() -> str:
     return text[text.index("### Scene JSON"):text.index("### Grid specifications")]
 
 
+def _readme_scene() -> str:
+    section = _readme_scene_section()
+    return section.split("```json", 1)[1].split("```", 1)[0]
+
+
+def _readme_pipeline() -> list[list[str]]:
+    """The ``simulate`` and ``reconstruct`` commands of the README's "Command
+    line" block, continuation lines joined, as argument lists."""
+    text = README.read_text(encoding="utf-8")
+    block = text[text.index("## Command line"):].split("```sh", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
+    return [argv for argv in commands
+            if argv[:1] == ["phasorfield"] and argv[1:2] in (["simulate"], ["reconstruct"])]
+
+
 class TestReadmeScene:
     def test_example_scene_simulates(self, tmp_path):
-        section = _readme_scene_section()
-        example = section[section.index("```json") + len("```json"):]
-        example = example[:example.index("```")]
         scene = tmp_path / "readme.json"
-        scene.write_text(example)
+        scene.write_text(_readme_scene())
         assert main(["simulate", str(scene), "-o", str(tmp_path / "readme.nls1")]) == 0
+
+    def test_command_line_example_runs_on_the_example_scene(self, tmp_path, monkeypatch):
+        (tmp_path / "scene.json").write_text(_readme_scene())
+        monkeypatch.chdir(tmp_path)
+        commands = _readme_pipeline()
+        assert [argv[1] for argv in commands] == ["simulate", "reconstruct"]
+        for argv in commands:
+            assert main(argv[1:]) == 0, argv
+        assert read_volume("out.vol").grid.count > 0
 
     def test_documented_relay_kinds_simulate(self, tmp_path):
         section = _readme_scene_section()

@@ -26,6 +26,7 @@ from phasorfield import (
     ValidationError,
     VoxelPlane,
     oracle,
+    spectral,
 )
 from phasorfield.core import PROPAGATION_SIGN, SPEED_OF_LIGHT, UniformGrid3D
 from phasorfield.metrics import ncc
@@ -509,6 +510,23 @@ class TestPlan:
         assert plan.shape == (next_fast_len(16), next_fast_len(16))
         assert [pl.scale for pl in plan.planes] == list(zip(frustum.alphas.tolist(),
                                                             frustum.betas.tolist()))
+
+    def test_srsd_encodes_the_bare_relay(self, chain, kind_grids):
+        slices, g = chain["uniform"], chain["relay"].grid
+        plan = _plan("srsd", *_geometry(slices), kind_grids["frustum"])
+        encoded = plan.encode(slices.coefficients)
+        n_ill, _, n_freq = slices.coefficients.shape
+        assert np.shape(encoded) == (n_ill, 1, n_freq, g.ny, g.nx)
+        assert np.array_equal(encoded[:, 0].reshape(n_ill, n_freq, -1),
+                              np.swapaxes(slices.coefficients, 1, 2))
+
+    def test_srsd_adds_at_most_two_scaled_fft_plans_per_plane(self, chain):
+        frustum = FrustumGrid.linear(centered_grid2d(8, 0.02), [0.86, 0.9, 0.94, 0.98],
+                                     alpha0=0.7, beta0=0.6)
+        spectral._sfft_plan.cache_clear()
+        srsd(chain["uniform"], frustum)
+        info = spectral._sfft_plan.cache_info()
+        assert info.misses <= 2 * 4 and info.currsize <= 2 * 4
 
     def test_nursd3d_takes_one_depth_node_only_on_a_flat_relay(self, chain, chain_grid,
                                                               rippled, no_transforms):

@@ -1,5 +1,6 @@
 """Centered FFTs, the scaled FFT, and both gridding NUFFT types."""
 
+import hashlib
 import time
 import types
 from functools import reduce
@@ -206,6 +207,120 @@ class TestScaledFft:
     def test_rejects_bad_offset(self):
         with pytest.raises(ValidationError):
             sfft_1d(np.ones(4, complex), 0.5, offset=-1)
+
+    @pytest.mark.parametrize("m_out", [0, -3])
+    def test_rejects_an_empty_output(self, m_out):
+        with pytest.raises(ValidationError, match="output length"):
+            sfft_1d(np.ones(4, complex), 0.5, m_out=m_out)
+
+    @pytest.mark.parametrize("offset_out", [-1, 6])
+    def test_rejects_an_output_offset_outside_the_output(self, offset_out):
+        with pytest.raises(ValidationError, match="output index offset"):
+            sfft_1d(np.ones(4, complex), 0.5, m_out=6, offset_out=offset_out)
+
+
+def _embedded_scaled_dft(u, alpha, offset_in, m_out, offset_out):
+    """The ``n_in -> m_out`` scaled DFT as ``oracle.scaled_dft`` of ``u``
+    zero-embedded in a length ``L`` long enough for input and output, with
+    the scale rescaled to the oracle's denominator ``L``."""
+    o = max(offset_in, offset_out)
+    length = o + max(u.size, m_out)
+    v = np.zeros(length, dtype=np.complex128)
+    v[o - offset_in:o - offset_in + u.size] = u
+    full = oracle.scaled_dft(v, alpha * length / m_out, o)
+    return full[o - offset_out:o - offset_out + m_out]
+
+
+_SCALE = st.floats(-1.0, 1.0).filter(lambda a: a != 0.0)
+
+
+class TestRectangularScaledFft:
+    """``sfft_1d`` from ``n_in`` samples to ``m_out != n_in`` modes and the
+    centered 2-D transform onto a larger lattice."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(n_in=st.integers(1, 64), m_out=st.integers(1, 64), alpha=_SCALE,
+           centred=st.booleans(), data=st.data())
+    def test_matches_the_oracle_on_the_embedded_input(self, n_in, m_out, alpha, centred, data):
+        if centred:
+            o_in, o_out = n_in // 2, m_out // 2
+        else:
+            o_in = data.draw(st.integers(0, n_in - 1), label="offset_in")
+            o_out = data.draw(st.integers(0, m_out - 1), label="offset_out")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        u = _complex(rng, (n_in,))
+        fast = sfft_1d(u, alpha, o_in, m_out=m_out, offset_out=o_out)
+        assert fast.shape == (m_out,)
+        assert rel_linf(fast, _embedded_scaled_dft(u, alpha, o_in, m_out, o_out)) < 1e-9
+
+    def test_batched_axis_handling(self, rng):
+        u = _complex(rng, (5, 3, 7))
+        want = np.stack([np.stack([sfft_1d(r, 0.6, 2, m_out=11, offset_out=4) for r in b])
+                         for b in u])
+        assert rel_linf(sfft_1d(u, 0.6, 2, m_out=11, offset_out=4), want) < 1e-12
+        along_y = sfft_1d(np.swapaxes(u, 1, 2), 0.6, 2, axis=-2, m_out=11, offset_out=4)
+        assert rel_linf(np.swapaxes(along_y, 1, 2), want) < 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(ny=st.integers(1, 12), nx=st.integers(1, 12), grow_y=st.integers(0, 12),
+           grow_x=st.integers(0, 12), alpha=_SCALE, beta=_SCALE,
+           seed=st.integers(0, 2**32 - 1))
+    def test_2d_equals_the_square_transform_of_the_embedded_relay(self, ny, nx, grow_y, grow_x,
+                                                                  alpha, beta, seed):
+        # Embedded centred in a zero [my, mx] lattice, as reconstruct._embed_relay does.
+        my, mx = ny + grow_y, nx + grow_x
+        u = _complex(np.random.default_rng(seed), (2, ny, nx))
+        lattice = np.zeros((2, my, mx), dtype=np.complex128)
+        oy, ox = my // 2 - ny // 2, mx // 2 - nx // 2
+        lattice[:, oy:oy + ny, ox:ox + nx] = u
+        fast = sfft_2d_centered(u, alpha, beta, shape=(my, mx))
+        assert fast.shape == (2, my, mx)
+        assert rel_linf(fast, sfft_2d_centered(lattice, alpha, beta)) < 1e-12
+
+
+def _square_sfft_1d(u, alpha, offset):
+    """The square scaled DFT (``m_out = n_in``) exactly as the transform
+    computed it before it took an output length: its chirp, kernel and
+    padded convolution, step for step."""
+    m = u.shape[-1]
+    n = np.arange(m, dtype=np.float64) - offset
+    chirp = np.exp(-1j * np.pi * alpha * n * n / m)
+    pad = next_fast_len(max(1, 2 * m - 1))
+    lags = np.arange(1 - m, m)
+    kernel = np.zeros(pad, dtype=np.complex128)
+    kernel[lags % pad] = np.exp(1j * np.pi * alpha * lags * lags / m)
+    kfft = np.fft.fft(kernel)
+    buf = np.zeros(u.shape[:-1] + kfft.shape, dtype=np.complex128)
+    np.multiply(u, chirp, out=buf[..., :m])
+    np.fft.fft(buf, axis=-1, out=buf)
+    buf *= kfft
+    np.fft.ifft(buf, axis=-1, out=buf)
+    return buf[..., :m] * chirp
+
+
+def _digest(arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def test_default_square_path_is_bit_identical():
+    # Digests rather than hard-coded bytes: the square arithmetic is pinned
+    # against its own step-for-step copy on the machine that runs the test.
+    rng = np.random.default_rng(7)
+    cases = [(m, alpha, o) for m in (1, 2, 5, 8, 17, 48, 96)
+             for alpha in (0.3, -0.7, 1.0, 1.7) for o in sorted({0, m // 2, m - 1})]
+    inputs = [_complex(rng, (3, m)) for m, _, _ in cases]
+    fast = [sfft_1d(u, alpha, o) for u, (_, alpha, o) in zip(inputs, cases)]
+    slow = [_square_sfft_1d(u, alpha, o) for u, (_, alpha, o) in zip(inputs, cases)]
+    assert _digest(fast) == _digest(slow)
+    u = _complex(rng, (4, 12, 10))
+    for alpha, beta in [(0.6, 0.8), (0.5, None), (1.0, 1.0)]:
+        b = alpha if beta is None else beta
+        x_pass = _square_sfft_1d(u, alpha, 5)
+        slow = np.swapaxes(_square_sfft_1d(np.swapaxes(x_pass, -1, -2), b, 6), -1, -2)
+        assert _digest([sfft_2d_centered(u, alpha, beta)]) == _digest([slow])
 
 
 # ---------------------------------------------------------------------------
@@ -469,12 +584,15 @@ class TestBatchedNufft:
 
 class TestPlanCaches:
     def test_sfft_plans_stay_within_bound(self, rng):
-        u = _complex(rng, (8,))
-        for alpha in np.linspace(0.1, 0.9, 2 * spectral._SFFT_CACHE_SIZE):
-            sfft_1d(u, float(alpha))
+        # Square and rectangular transforms, each (n_in, m_out) over a sweep of scales.
+        sizes = [(n, m) for n in (3, 8, 13) for m in (1, 8, 20)]
+        alphas = np.linspace(0.1, 0.9, 2 * spectral._SFFT_CACHE_SIZE // len(sizes) + 1)
+        for alpha in alphas:
+            for n, m in sizes:
+                sfft_1d(_complex(rng, (n,)), float(alpha), n // 2, m_out=m, offset_out=m // 2)
         assert spectral._sfft_plan.cache_info().currsize <= spectral._SFFT_CACHE_SIZE
         hits = spectral._sfft_plan.cache_info().hits
-        sfft_1d(u, 0.9)
+        sfft_1d(_complex(rng, (13,)), float(alphas[-1]), 6, m_out=20, offset_out=10)
         assert spectral._sfft_plan.cache_info().hits == hits + 1
 
     def test_nufft_plans_stay_within_bound(self, rng):
