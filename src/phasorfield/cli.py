@@ -7,7 +7,8 @@ Subcommands: ``simulate`` renders a scene description to a transient dataset,
 swept-volume statistics of a depth-scaled grid.
 
 Exit codes: 0 on success, 2 for invalid inputs or usage, 3 for I/O and file
-format failures.
+format failures.  ``reconstruct`` refuses a flag its ``--algo`` does not take
+(exit 2) before it reads the dataset.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .core import (
     write_pgm,
     write_volume,
 )
-from .reconstruct import ALGORITHM_NAMES, project_max_depth, reconstruct
+from .reconstruct import ALGORITHM_NAMES, _algorithm, project_max_depth, reconstruct
 
 __all__ = ["main", "entry", "build_parser"]
 
@@ -210,21 +211,25 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_reconstruct(args) -> int:
     grid = _parse_grid(args.grid)
+    if args.pgm and isinstance(grid, ExplicitVoxels):
+        raise ValidationError("--pgm needs a cuboid or frustum grid: explicit voxel lists "
+                              "have no 3D array layout")
     times = _parse_video(args.video) if args.video else None
+    options = {k: v for k, v in vars(args).items() if v is not None
+               and k in ("eps", "padding", "alpha", "beta", "lattice_pitch", "scatter")}
+    _algorithm(args.algo, options)
     measurement = read_dataset(args.dataset)
     kernel = phasor.build_kernel(args.lambda_c, measurement.n_bins,
                                  measurement.delta_t, args.threshold)
     slices = phasor.to_frequency(measurement, kernel)
+    del measurement  # frees the histograms: only their projection is read from here on
     started = time.perf_counter()
-    volume = reconstruct(
-        slices, grid, args.algo, eps=args.eps, padding=args.padding,
-        alpha=args.alpha, beta=args.beta, lattice_pitch=args.lattice_pitch,
-        scatter=args.scatter, times=times, threads=args.threads)
+    volume = reconstruct(slices, grid, args.algo, times=times, threads=args.threads, **options)
     elapsed = time.perf_counter() - started
     write_volume(volume, args.output)
     if args.pgm:
         write_pgm(project_max_depth(volume), args.pgm)
-    n_ill = measurement.n_illum
+    n_ill = slices.n_illum
     print(f"reconstructed {grid.count} voxels from {n_ill} illumination(s) "
           f"with {kernel.n_freq} frequencies in {elapsed:.3f} s "
           f"({elapsed / n_ill:.3f} s per illumination)")
@@ -318,18 +323,20 @@ def build_parser() -> argparse.ArgumentParser:
                    help="frequency retention threshold")
     p.add_argument("--grid", required=True,
                    help="cuboid:..., frustum:..., or @planes.json")
-    p.add_argument("--eps", type=float, default=1e-6,
-                   help="accuracy target of the NUFFTs and of the 3-D paths' depth nodes")
+    p.add_argument("--eps", type=float, default=None,
+                   help="accuracy target of the NUFFTs and of the 3-D paths' depth nodes "
+                        "(all but rsd and srsd; default 1e-6)")
     p.add_argument("--alpha", type=float, default=None,
                    help="scale factor (srsd-nursd2)")
     p.add_argument("--beta", type=float, default=None,
                    help="y scale factor (srsd-nursd2; defaults to alpha)")
     p.add_argument("--lattice-pitch", type=float, default=None,
                    help="virtual lattice pitch (nursd3)")
-    p.add_argument("--scatter", choices=["nearest", "trilinear"], default="trilinear",
-                   help="lateral gridding of rsd3d: nearest node, or bilinear for 'trilinear'")
-    p.add_argument("--padding", choices=["exact", "none"], default="exact",
-                   help="convolution padding (rsd)")
+    p.add_argument("--scatter", choices=["nearest", "trilinear"], default=None,
+                   help="lateral gridding of rsd3d: nearest node, or bilinear for 'trilinear' "
+                        "(default trilinear)")
+    p.add_argument("--padding", choices=["exact", "none"], default=None,
+                   help="convolution padding (rsd; default exact)")
     p.add_argument("--video", default=None, metavar="T0:T1:STEPS",
                    help="render time-resolved frames at linspace(T0, T1, STEPS)")
     p.add_argument("--threads", type=int, default=1,

@@ -7,9 +7,9 @@ the requested voxels through the free-space kernel
 illumination phase ``exp(s*1j*(w/c)*|x_p - x_v|)``, and summed over
 illuminations and frequencies in ascending order.
 
-Each algorithm is one row of ``_ALGORITHMS``: the grid kind it reconstructs
-onto, the relay kind it reads and a planner.  :func:`reconstruct`, which each
-public algorithm calls, checks the kinds and plans (:func:`_plan`) from the
+Each algorithm is one row of ``_ALGORITHMS``: its grid kind, relay kind,
+options and planner.  :func:`reconstruct`, which each public algorithm calls,
+refuses any other option, checks the kinds and plans (:func:`_plan`) from the
 geometry alone, never the coefficients, then runs the plan
 (:func:`_propagate`): each of ``threads`` workers takes one contiguous block
 of frequencies through every plane.  A plan has three parts:
@@ -411,7 +411,7 @@ def _explicit_planes(grid: ExplicitVoxels, z_src: float, center, pitch, src,
 # ---------------------------------------------------------------------------
 
 
-def _plan_rsd(relay: UniformRelay, frequencies, grid: CuboidGrid, padding="exact", **_):
+def _plan_rsd(relay: UniformRelay, frequencies, grid: CuboidGrid, padding="exact"):
     """The relay lattice embedded and transformed, read on the cuboid's window."""
     _require(padding in ("exact", "none"), "padding must be 'exact' or 'none'")
     g, vg = relay.grid, grid.grid
@@ -435,7 +435,7 @@ def _plan_rsd(relay: UniformRelay, frequencies, grid: CuboidGrid, padding="exact
             _read_window(vg.ny, vg.nx, (nu0y, nu0x)))
 
 
-def _plan_srsd(relay: UniformRelay, frequencies, grid: FrustumGrid, **_):
+def _plan_srsd(relay: UniformRelay, frequencies, grid: FrustumGrid):
     """The bare relay, scaled onto the padded lattice per plane as the run reaches it."""
     g, b = relay.grid, grid.base
     _require(b.nx == g.nx and b.ny == g.ny
@@ -451,7 +451,7 @@ def _plan_srsd(relay: UniformRelay, frequencies, grid: FrustumGrid, **_):
 
 
 def _plan_uniform_explicit(relay: UniformRelay, frequencies, grid: ExplicitVoxels, eps=1e-6,
-                           alpha=None, beta=None, scaled=False, **_):
+                           alpha=None, beta=None, scaled=False):
     """A uniform relay read at explicit voxels; ``scaled`` (srsd-nursd2) takes it
     through the scaled FFT by ``(alpha, beta)``, ``beta`` defaulting to ``alpha``."""
     al = be = 1.0
@@ -475,7 +475,7 @@ def _plan_uniform_explicit(relay: UniformRelay, frequencies, grid: ExplicitVoxel
 
 
 def _plan_nursd3(relay: NonUniformPlanarRelay, frequencies, grid: ExplicitVoxels, eps=1e-6,
-                 lattice_pitch=None, **_):
+                 lattice_pitch=None):
     """Relay and voxels on one virtual lattice with a node on the first relay
     point; its pitch defaults to half the shortest wavelength, ``pi*c/w_max``."""
     pitch = (float(lattice_pitch) if lattice_pitch is not None
@@ -540,7 +540,7 @@ def _depth_nodes(z: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _plan_depth_nodes(relay, frequencies, grid: CuboidGrid, eps=1e-6, scatter="trilinear",
-                      gridded=False, **_):
+                      gridded=False):
     """A relay surface read onto a cuboid through planar kernels at depth nodes.
 
     With ``s = PROPAGATION_SIGN``, ``g = exp(s*1j*k*r)/r`` is ``exp(s*1j*k*d)``
@@ -552,8 +552,7 @@ def _plan_depth_nodes(relay, frequencies, grid: CuboidGrid, eps=1e-6, scatter="t
     :func:`_lateral_nufft`, or :func:`_lateral_gridding` if ``gridded`` (rsd3d),
     turns the ``[L, M*F]`` columns into their ``[M*F, py, px]`` lattice spectrum.
     """
-    if gridded:
-        _require(scatter in ("nearest", "trilinear"), "scatter must be 'nearest' or 'trilinear'")
+    _require(scatter in ("nearest", "trilinear"), "scatter must be 'nearest' or 'trilinear'")
     rel = relay.coordinates()
     vg, z = grid.grid, rel[:, 2]
     depth = _depth_planes(grid, float(z.max()))
@@ -578,30 +577,38 @@ def _plan_depth_nodes(relay, frequencies, grid: CuboidGrid, eps=1e-6, scatter="t
     return (py, px), planes, encode, _read_window(vg.ny, vg.nx)
 
 
-# name -> (grid kind, relay kind, planner)
+# name -> (grid kind, relay kind, the options the planner takes, planner)
 _ALGORITHMS = {
-    "rsd": (CuboidGrid, UniformRelay, _plan_rsd),
-    "srsd": (FrustumGrid, UniformRelay, _plan_srsd),
-    "nursd1": (CuboidGrid, NonUniformPlanarRelay, _plan_depth_nodes),
-    "nursd2": (ExplicitVoxels, UniformRelay, _plan_uniform_explicit),
-    "nursd3": (ExplicitVoxels, NonUniformPlanarRelay, _plan_nursd3),
-    "rsd3d": (CuboidGrid, NonPlanarRelay, partial(_plan_depth_nodes, gridded=True)),
-    "nursd3d": (CuboidGrid, NonPlanarRelay, _plan_depth_nodes),
-    "srsd-nursd2": (ExplicitVoxels, UniformRelay,
+    "rsd": (CuboidGrid, UniformRelay, ("padding",), _plan_rsd),
+    "srsd": (FrustumGrid, UniformRelay, (), _plan_srsd),
+    "nursd1": (CuboidGrid, NonUniformPlanarRelay, ("eps",), _plan_depth_nodes),
+    "nursd2": (ExplicitVoxels, UniformRelay, ("eps",), _plan_uniform_explicit),
+    "nursd3": (ExplicitVoxels, NonUniformPlanarRelay, ("eps", "lattice_pitch"), _plan_nursd3),
+    "rsd3d": (CuboidGrid, NonPlanarRelay, ("eps", "scatter"),
+              partial(_plan_depth_nodes, gridded=True)),
+    "nursd3d": (CuboidGrid, NonPlanarRelay, ("eps",), _plan_depth_nodes),
+    "srsd-nursd2": (ExplicitVoxels, UniformRelay, ("eps", "alpha", "beta"),
                     partial(_plan_uniform_explicit, scaled=True)),
 }
 
 ALGORITHM_NAMES = tuple(_ALGORITHMS)
 
 
-def _plan(algorithm: str, relay: RelaySampling, illuminations: PointList,
-          frequencies: np.ndarray, grid: VoxelGrid, **options) -> _Plan:
-    """Check ``algorithm``'s grid and relay kinds, then plan it from the
-    geometry alone; options it does not use are ignored."""
-    name = algorithm.replace("_", "-").lower()
+def _algorithm(algorithm: str, options) -> tuple[str, tuple]:
+    """``algorithm``'s normalised name and row, which must list every key of ``options``."""
+    name = str(algorithm).replace("_", "-").lower()
     _require(name in _ALGORITHMS,
              f"unknown algorithm {algorithm!r}; choose from {', '.join(ALGORITHM_NAMES)}")
-    grid_kind, relay_kind, planner = _ALGORITHMS[name]
+    takes = _ALGORITHMS[name][2]
+    key = next((k for k in options if k not in takes), None)
+    _require(key is None, f"{name} takes no option {key}; it takes {', '.join(takes) or 'none'}")
+    return name, _ALGORITHMS[name]
+
+
+def _plan(algorithm: str, relay: RelaySampling, illuminations: PointList,
+          frequencies: np.ndarray, grid: VoxelGrid, **options) -> _Plan:
+    """Plan ``algorithm`` from the geometry alone once its options and kinds pass."""
+    name, (grid_kind, relay_kind, _, planner) = _algorithm(algorithm, options)
     _require(isinstance(grid, grid_kind), f"{name} reconstructs onto {_ONTO[grid_kind]}")
     _require(isinstance(relay, relay_kind), _RELAY_NEEDS[relay_kind])
     shape, planes, encode, read = planner(relay, frequencies, grid, **options)
@@ -615,20 +622,12 @@ def _plan(algorithm: str, relay: RelaySampling, illuminations: PointList,
 
 
 def reconstruct(slices: FrequencySlices, grid: VoxelGrid, algorithm: str, *,
-                eps: float = 1e-6, padding: str = "exact",
-                alpha: float | None = None, beta: float | None = None,
-                lattice_pitch: float | None = None,
-                scatter: str = "trilinear", times: np.ndarray | None = None,
-                threads: int = 1,
-                include_illumination: bool = True) -> ReconstructionVolume:
-    """Run one reconstruction algorithm selected by name.
-
-    Algorithm-specific options are ignored by algorithms that do not use
-    them, except ``alpha`` which ``srsd-nursd2`` requires.
-    """
+                times: np.ndarray | None = None, threads: int = 1,
+                include_illumination: bool = True, **options) -> ReconstructionVolume:
+    """Run one algorithm selected by name.  It takes only the ``options`` its
+    row of ``_ALGORITHMS`` names, defaulting as in its public function."""
     plan = _plan(algorithm, slices.relay, slices.illuminations, slices.frequencies, grid,
-                 eps=eps, padding=padding, alpha=alpha, beta=beta,
-                 lattice_pitch=lattice_pitch, scatter=scatter)
+                 **options)
     return _propagate(plan, slices.coefficients, times, threads, include_illumination)
 
 

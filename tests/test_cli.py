@@ -33,7 +33,15 @@ from phasorfield import (
 )
 from phasorfield.cli import main
 from phasorfield.phasor import build_kernel, to_frequency
-from phasorfield.reconstruct import nursd3, rsd, rsd3d, srsd_nursd2
+from phasorfield.reconstruct import (
+    _ALGORITHMS,
+    ALGORITHM_NAMES,
+    nursd3,
+    nursd3d,
+    rsd,
+    rsd3d,
+    srsd_nursd2,
+)
 
 
 def _scene_doc(**overrides):
@@ -439,6 +447,19 @@ class TestReconstruct:
         assert code == 2
         assert not (tmp_path / "x.vol").exists()
 
+    @pytest.mark.parametrize("present", [True, False])
+    def test_pgm_of_explicit_voxels_is_refused_before_reading(self, pipeline, tmp_path,
+                                                              capsys, present):
+        # Explicit voxels have no 3D array to project, so nothing is run or written.
+        dataset = pipeline["dataset"] if present else tmp_path / "absent.nls1"
+        out, pgm = tmp_path / "x.vol", tmp_path / "x.pgm"
+        code = main(["reconstruct", str(dataset), "-o", str(out), "--algo", "nursd2",
+                     "--lambda-c", "0.04", "--grid", _planes_file(tmp_path, _PLANE_POINTS),
+                     "--pgm", str(pgm)])
+        assert code == 2
+        assert "--pgm needs a cuboid or frustum grid" in capsys.readouterr().err
+        assert not out.exists() and not pgm.exists()
+
     def test_missing_dataset_is_io_error(self, tmp_path, capsys):
         code = main(["reconstruct", str(tmp_path / "absent.nls1"),
                      "-o", str(tmp_path / "x.vol"), "--algo", "rsd",
@@ -471,6 +492,13 @@ def _planes_file(tmp_path, points, z=0.9):
 
 
 _PLANE_POINTS = [[-0.01, 0.0], [0.02, 0.01], [0.0, -0.025]]
+
+# A value for each algorithm option's flag, its default wherever it has one.
+_FLAGS = {"--eps": "1e-6", "--padding": "exact", "--alpha": "0.5", "--beta": "0.5",
+          "--lattice-pitch": "0.01", "--scatter": "trilinear"}
+# A --grid of each algorithm's kind where it is not CUBOID; None for a planes file.
+_GRIDS = {"srsd": "frustum:8,8,2,0.02,0.02,0.08,-0.07,-0.07,0.86,0.7", "nursd2": None,
+          "nursd3": None, "srsd-nursd2": None}
 
 
 class TestAlgorithmFlags:
@@ -521,6 +549,31 @@ class TestAlgorithmFlags:
         slices = _slices(dataset)
         assert self._same(written, rsd3d(slices, grid, scatter="nearest").field[0])
         assert not self._same(written, rsd3d(slices, grid).field[0])
+
+    def test_eps_reaches_nursd3d(self, relay_datasets, tmp_path):
+        dataset = relay_datasets["points_3d"]
+        spec = "cuboid:4,4,2,0.02,0.02,0.05,-0.03,-0.03,0.5"
+        grid = CuboidGrid(UniformGrid3D(4, 4, 2, 0.02, 0.02, 0.05, -0.03, -0.03, 0.5))
+        written = self._run(tmp_path, dataset, "nursd3d", spec, "--eps", "1e-2")
+        slices = _slices(dataset)
+        assert self._same(written, nursd3d(slices, grid, eps=1e-2).field[0])
+        assert not self._same(written, nursd3d(slices, grid).field[0])
+
+    @pytest.mark.parametrize("algo, flag", [
+        (algo, flag) for algo in ALGORITHM_NAMES for flag in _FLAGS
+        if flag[2:].replace("-", "_") not in _ALGORITHMS[algo][2]])
+    @pytest.mark.parametrize("present", [True, False])
+    def test_a_flag_the_algorithm_does_not_take_is_usage_error(self, pipeline, tmp_path, capsys,
+                                                               algo, flag, present):
+        # Refused before the dataset is read, so a missing one exits 2, not 3.
+        grid = _GRIDS.get(algo, CUBOID) or _planes_file(tmp_path, _PLANE_POINTS)
+        dataset = pipeline["dataset"] if present else tmp_path / "absent.nls1"
+        out = tmp_path / "x.vol"
+        assert main(["reconstruct", str(dataset), "-o", str(out), "--algo", algo,
+                     "--lambda-c", "0.04", "--grid", grid, flag, _FLAGS[flag]]) == 2
+        option = flag[2:].replace("-", "_")
+        assert f"error: {algo} takes no option {option}; it takes " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_srsd_nursd2_without_alpha_is_usage_error(self, pipeline, tmp_path, capsys):
         code = main(["reconstruct", str(pipeline["dataset"]), "-o", str(tmp_path / "x.vol"),

@@ -46,6 +46,7 @@ from phasorfield.core import (
     _freeze,
     grid_coordinates,
 )
+from phasorfield.cli import main
 from phasorfield.phasor import build_kernel, to_frequency
 
 from helpers import centered_grid2d, centered_relay
@@ -538,6 +539,24 @@ class TestStreamedRead:
         (m, sl), peak = _traced_peak(front_end)
         assert m.histograms.flags.owndata and sl.coefficients.flags.owndata
         assert peak <= 1.15 * m.histograms.nbytes + _STREAM_SLACK
+
+    def test_the_cli_drops_a_capture_once_projected(self, tmp_path, capsys):
+        # frustum-video's capture and flags.  The reconstruction reads only the
+        # frequency projection, so the histograms are not held underneath it.
+        relay = UniformRelay(UniformGrid2D(48, 48, 0.02, 0.02, -0.47, -0.47))
+        h = np.random.default_rng(3).poisson(2.0, (2, 2304, 1024)).astype(np.float64)
+        path = str(tmp_path / "big.nls1")
+        illuminations = PointList(np.array([[0.1, -0.05], [-0.12, 0.08]]))
+        write_dataset(TransientMeasurement(relay, illuminations, h, 16e-12), path)
+        histogram_bytes = h.nbytes
+        del h
+        argv = ["reconstruct", path, "-o", str(tmp_path / "v.vol"), "--algo", "srsd",
+                "--lambda-c", "0.06", "--video", "0:8e-9:64",
+                "--grid", "frustum:48,48,4,0.02,0.02,0.08,-0.47,-0.47,0.8,0.5"]
+        assert main(argv) == 0  # warm-up: the scaled transforms' plan caches
+        code, peak = _traced_peak(lambda: main(argv))
+        assert code == 0
+        assert peak <= 1.15 * histogram_bytes + _STREAM_SLACK
 
     def test_a_measurement_checks_its_histograms_without_masks(self):
         # frustum-video's shape, owned and read-only: adopted, and checked

@@ -1,5 +1,6 @@
 """Fast volumetric propagators against literal sums and each other."""
 
+import inspect
 import os
 import re
 import subprocess
@@ -30,7 +31,14 @@ from phasorfield import (
 )
 from phasorfield.core import PROPAGATION_SIGN, SPEED_OF_LIGHT, UniformGrid3D
 from phasorfield.metrics import ncc
-from phasorfield.reconstruct import _depth_node_count, _depth_sweep, _kernel_2d, _pad_size, _plan
+from phasorfield.reconstruct import (
+    _ALGORITHMS,
+    _depth_node_count,
+    _depth_sweep,
+    _kernel_2d,
+    _pad_size,
+    _plan,
+)
 from phasorfield.spectral import next_fast_len
 from phasorfield.reconstruct import (
     ALGORITHM_NAMES,
@@ -404,8 +412,9 @@ class TestDispatcher:
             reconstruct(chain["uniform"], ExplicitVoxels(planes), "srsd-nursd2")
 
     def test_unknown_algorithm(self, chain, chain_grid):
-        with pytest.raises(ValidationError, match="unknown algorithm"):
-            reconstruct(chain["uniform"], chain_grid, "fbp")
+        for name in ("fbp", None, 3):
+            with pytest.raises(ValidationError, match=f"^unknown algorithm {name!r}; choose"):
+                reconstruct(chain["uniform"], chain_grid, name)
 
 
 # ---------------------------------------------------------------------------
@@ -434,10 +443,13 @@ def kind_grids(chain_grid):
             "frustum": FrustumGrid.linear(centered_grid2d(8, 0.02), [0.86, 0.94], alpha0=0.8)}
 
 
+_PUBLIC = {"rsd": rsd, "srsd": srsd, "nursd1": nursd1, "nursd2": nursd2, "nursd3": nursd3,
+           "rsd3d": rsd3d, "nursd3d": nursd3d, "srsd-nursd2": srsd_nursd2}
+
+
 def _both_entries(name):
     """The algorithm's public function and ``reconstruct`` under its name."""
-    public = {"rsd": rsd, "srsd": srsd, "nursd1": nursd1, "nursd2": nursd2, "nursd3": nursd3,
-              "rsd3d": rsd3d, "nursd3d": nursd3d, "srsd-nursd2": srsd_nursd2}[name]
+    public = _PUBLIC[name]
     return (lambda sl, grid: public(sl, grid, **_OPTIONS.get(name, {})),
             lambda sl, grid: reconstruct(sl, grid, name, **_OPTIONS.get(name, {})))
 
@@ -472,6 +484,63 @@ class TestKindMismatches:
         for run in _both_entries(name):
             with pytest.raises(ValidationError, match="reconstructs onto"):
                 run(slices, grid)
+
+
+# The options each algorithm takes: 11 of the 48 (algorithm, option) pairs.
+_TAKES = {"rsd": {"padding"}, "srsd": set(), "nursd1": {"eps"}, "nursd2": {"eps"},
+          "nursd3": {"eps", "lattice_pitch"}, "rsd3d": {"eps", "scatter"}, "nursd3d": {"eps"},
+          "srsd-nursd2": {"eps", "alpha", "beta"}}
+# A value for each option, its default wherever it has one.
+_VALUES = {"eps": 1e-6, "padding": "exact", "alpha": 0.8, "beta": None,
+           "lattice_pitch": None, "scatter": "trilinear"}
+_REFUSED = [(name, option) for name in ALGORITHM_NAMES for option in _VALUES
+            if option not in _TAKES[name]]
+
+
+class TestOptionTable:
+    def test_the_table_accepts_exactly_the_algorithms_own_options(self):
+        assert {name: set(row[2]) for name, row in _ALGORITHMS.items()} == _TAKES
+        assert sum(map(len, _TAKES.values())) == 11 and len(_REFUSED) == 37
+
+    @pytest.mark.parametrize("name", ALGORITHM_NAMES)
+    def test_every_listed_option_is_a_parameter_of_the_planner(self, name):
+        # So the table cannot pass an option the planner would refuse with a
+        # TypeError, and the public function defaults it as the planner does.
+        planner = inspect.signature(_ALGORITHMS[name][3]).parameters
+        public = inspect.signature(_PUBLIC[name]).parameters
+        assert all(p.kind is not p.VAR_KEYWORD for p in planner.values())
+        for option in _ALGORITHMS[name][2]:
+            assert option in planner and option in public
+            if public[option].default is not inspect.Parameter.empty:
+                assert public[option].default == planner[option].default
+
+    @pytest.mark.parametrize("name, option", _REFUSED)
+    def test_an_option_the_algorithm_does_not_take_is_refused(self, chain, kind_grids,
+                                                              no_transforms, name, option):
+        grid_kind, relay_kind = _KINDS[name]
+        slices, grid = chain[relay_kind], kind_grids[grid_kind]
+        options = {**_OPTIONS.get(name, {}), option: _VALUES[option]}
+        takes = ", ".join(_ALGORITHMS[name][2]) or "none"
+        message = f"^{re.escape(f'{name} takes no option {option}; it takes {takes}')}$"
+        with pytest.raises(ValidationError, match=message):
+            reconstruct(slices, grid, name, **options)
+        with pytest.raises(ValidationError, match=message):
+            light_transport_video(slices, grid, [0.0], algorithm=name, **options)
+
+    def test_the_refusal_names_what_the_algorithm_takes(self, chain, kind_grids,
+                                                       chain_grid, no_transforms):
+        runs = [(lambda: reconstruct(chain["uniform"], kind_grids["frustum"], "srsd",
+                                     alpha=0.5), "srsd takes no option alpha; it takes none"),
+                (lambda: reconstruct(chain["scattered"], chain_grid, "RSD3D", padding="none"),
+                 "rsd3d takes no option padding; it takes eps, scatter"),
+                (lambda: reconstruct(chain["uniform"], chain_grid, "rsd", foo=1),
+                 "rsd takes no option foo; it takes padding"),
+                # before the kinds: neither the grid nor the relay suits nursd2
+                (lambda: reconstruct(chain["planar"], chain_grid, "nursd2", padding="none"),
+                 "nursd2 takes no option padding; it takes eps")]
+        for run, message in runs:
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                run()
 
 
 def _geometry(slices):
