@@ -61,20 +61,7 @@ from .phasor import (
     scale_bounds,
     to_frequency,
 )
-from .reconstruct import (
-    ALGORITHM_NAMES,
-    light_transport_video,
-    nursd1,
-    nursd2,
-    nursd3,
-    nursd3d,
-    project_max_depth,
-    reconstruct,
-    rsd,
-    rsd3d,
-    srsd,
-    srsd_nursd2,
-)
+from .reconstruct import ALGORITHM_NAMES, project_max_depth, reconstruct
 from .sim import Scatterer, Scene, add_poisson_noise, simulate, subsample_interpolate
 from .spectral import (
     cfft_2d,
@@ -134,17 +121,8 @@ __all__ = [
     "scale_bounds",
     "to_frequency",
     "ALGORITHM_NAMES",
-    "light_transport_video",
-    "nursd1",
-    "nursd2",
-    "nursd3",
-    "nursd3d",
     "project_max_depth",
     "reconstruct",
-    "rsd",
-    "rsd3d",
-    "srsd",
-    "srsd_nursd2",
     "Scatterer",
     "Scene",
     "add_poisson_noise",

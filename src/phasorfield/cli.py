@@ -7,8 +7,9 @@ Subcommands: ``simulate`` renders a scene description to a transient dataset,
 swept-volume statistics of a depth-scaled grid.
 
 Exit codes: 0 on success, 2 for invalid inputs or usage, 3 for I/O and file
-format failures.  ``reconstruct`` refuses a flag its ``--algo`` does not take
-(exit 2) before it reads the dataset.
+format failures.  ``reconstruct`` refuses a flag its ``--algo`` does not take,
+a grid of the wrong kind and ``--threads`` below 1 (exit 2) before it reads
+the dataset.
 """
 
 from __future__ import annotations
@@ -117,6 +118,15 @@ def _number(value, name: str, kind: type = float):
     return kind(value)
 
 
+def _flag(doc: dict, key: str, default: bool) -> bool:
+    """``doc[key]`` (``default`` if absent), or a validation error unless it is
+    a JSON boolean."""
+    value = doc.get(key, default)
+    if not isinstance(value, bool):
+        raise ValidationError(f"{key!r} must be true or false, not {json.dumps(value)}")
+    return value
+
+
 def _points(value, name: str) -> np.ndarray:
     """A JSON list of coordinate lists whose coordinates are JSON numbers."""
     if not isinstance(value, list) or not all(isinstance(p, list) for p in value):
@@ -155,7 +165,7 @@ def _parse_scene(path: str):
         raise ValidationError("scene file must give the bin width 'delta_t'")
     n_bins = _number(_field(doc, "n_bins", "scene file"), "'n_bins'", int)
     relay = _parse_relay(_field(doc, "relay", "scene file"))
-    confocal = bool(doc.get("confocal", False))
+    confocal = _flag(doc, "confocal", False)
     illuminations = None
     if not confocal:
         if "illuminations" not in doc:
@@ -177,7 +187,7 @@ def _parse_scene(path: str):
     return dict(scene=scene, relay=relay, illuminations=illuminations,
                 delta_t=_number(delta_t, "'delta_t'"), n_bins=n_bins,
                 t0=_number(doc.get("t0", 0.0), "'t0'"),
-                confocal=confocal, falloff=bool(doc.get("falloff", True)))
+                confocal=confocal, falloff=_flag(doc, "falloff", True))
 
 
 def _parse_video(spec: str) -> np.ndarray:
@@ -217,7 +227,9 @@ def _cmd_reconstruct(args) -> int:
     times = _parse_video(args.video) if args.video else None
     options = {k: v for k, v in vars(args).items() if v is not None
                and k in ("eps", "padding", "alpha", "beta", "lattice_pitch", "scatter")}
-    _algorithm(args.algo, options)
+    _algorithm(args.algo, options, grid)
+    if args.threads < 1:
+        raise ValidationError("threads must be >= 1")
     measurement = read_dataset(args.dataset)
     kernel = phasor.build_kernel(args.lambda_c, measurement.n_bins,
                                  measurement.delta_t, args.threshold)

@@ -8,9 +8,10 @@ illumination phase ``exp(s*1j*(w/c)*|x_p - x_v|)``, and summed over
 illuminations and frequencies in ascending order.
 
 Each algorithm is one row of ``_ALGORITHMS``: its grid kind, relay kind,
-options and planner.  :func:`reconstruct`, which each public algorithm calls,
-refuses any other option, checks the kinds and plans (:func:`_plan`) from the
-geometry alone, never the coefficients, then runs the plan
+options and planner.  :func:`reconstruct`, the one way in, takes the
+algorithm's name and its options, refuses any other option, checks the kinds
+and plans (:func:`_plan`) from the geometry alone, never the coefficients,
+then runs the plan
 (:func:`_propagate`): each of ``threads`` workers takes one contiguous block
 of frequencies through every plane.  A plan has three parts:
 
@@ -80,6 +81,7 @@ from .core import (
 )
 # cfft_n and cifft_n stay imported unused: the benchmark's layer spans wrap them by name here.
 from .spectral import (
+    _check_eps,
     cfft_2d,
     cfft_n,
     cifft_2d,
@@ -90,20 +92,7 @@ from .spectral import (
     sfft_2d_centered,
 )
 
-__all__ = [
-    "rsd",
-    "srsd",
-    "nursd1",
-    "nursd2",
-    "nursd3",
-    "rsd3d",
-    "nursd3d",
-    "srsd_nursd2",
-    "reconstruct",
-    "light_transport_video",
-    "project_max_depth",
-    "ALGORITHM_NAMES",
-]
+__all__ = ["reconstruct", "project_max_depth", "ALGORITHM_NAMES"]
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +243,7 @@ def _read_window(ny: int, nx: int, origin=None) -> Callable:
 
 def _read_points(eps: float, px: int, py: int) -> Callable:
     """Decoder of explicit planes: a batched type-2 NUFFT at the voxels."""
+    _check_eps(eps)
     scale = 1.0 / (px * py)
     return lambda pl, spec: nufft2(spec, pl.torus, eps, batch=True) * scale
 
@@ -326,16 +316,17 @@ def _check_planes(planes: list[_Plane], shape: tuple[int, int], k_max: float,
 
 def _reduce(plan: _Plan, terms: np.ndarray, t: np.ndarray | None) -> ReconstructionVolume:
     if t is None:
-        out = np.zeros(plan.grid.count, dtype=np.complex128)
+        field = np.zeros(plan.grid.count, dtype=np.complex128)
         for term in terms:
-            out += term
-        return ReconstructionVolume(plan.grid, out)
-    frames = np.zeros((t.size, plan.grid.count), dtype=np.complex128)
-    for fi, term in enumerate(terms):
-        w = float(plan.frequencies[fi])
-        for ti in range(t.size):
-            frames[ti] += np.exp(1j * w * t[ti]) * term
-    return ReconstructionVolume(plan.grid, frames, t)
+            field += term
+    else:
+        field = np.zeros((t.size, plan.grid.count), dtype=np.complex128)
+        for fi, term in enumerate(terms):
+            w = float(plan.frequencies[fi])
+            for ti in range(t.size):
+                field[ti] += np.exp(1j * w * t[ti]) * term
+    field.setflags(write=False)  # so that the volume adopts it instead of copying it
+    return ReconstructionVolume(plan.grid, field, t)
 
 
 def _propagate(plan: _Plan, coefficients: np.ndarray, times: np.ndarray | None,
@@ -553,6 +544,8 @@ def _plan_depth_nodes(relay, frequencies, grid: CuboidGrid, eps=1e-6, scatter="t
     turns the ``[L, M*F]`` columns into their ``[M*F, py, px]`` lattice spectrum.
     """
     _require(scatter in ("nearest", "trilinear"), "scatter must be 'nearest' or 'trilinear'")
+    if not gridded:
+        _check_eps(eps)
     rel = relay.coordinates()
     vg, z = grid.grid, rel[:, 2]
     depth = _depth_planes(grid, float(z.max()))
@@ -594,22 +587,23 @@ _ALGORITHMS = {
 ALGORITHM_NAMES = tuple(_ALGORITHMS)
 
 
-def _algorithm(algorithm: str, options) -> tuple[str, tuple]:
-    """``algorithm``'s normalised name and row, which must list every key of ``options``."""
+def _algorithm(algorithm: str, options, grid: VoxelGrid) -> tuple[str, tuple]:
+    """``algorithm``'s normalised name and row, which must list every key of
+    ``options`` and then reconstruct onto ``grid``'s kind."""
     name = str(algorithm).replace("_", "-").lower()
     _require(name in _ALGORITHMS,
              f"unknown algorithm {algorithm!r}; choose from {', '.join(ALGORITHM_NAMES)}")
-    takes = _ALGORITHMS[name][2]
+    grid_kind, _, takes, _ = _ALGORITHMS[name]
     key = next((k for k in options if k not in takes), None)
     _require(key is None, f"{name} takes no option {key}; it takes {', '.join(takes) or 'none'}")
+    _require(isinstance(grid, grid_kind), f"{name} reconstructs onto {_ONTO[grid_kind]}")
     return name, _ALGORITHMS[name]
 
 
 def _plan(algorithm: str, relay: RelaySampling, illuminations: PointList,
           frequencies: np.ndarray, grid: VoxelGrid, **options) -> _Plan:
     """Plan ``algorithm`` from the geometry alone once its options and kinds pass."""
-    name, (grid_kind, relay_kind, _, planner) = _algorithm(algorithm, options)
-    _require(isinstance(grid, grid_kind), f"{name} reconstructs onto {_ONTO[grid_kind]}")
+    _, (_, relay_kind, _, planner) = _algorithm(algorithm, options, grid)
     _require(isinstance(relay, relay_kind), _RELAY_NEEDS[relay_kind])
     shape, planes, encode, read = planner(relay, frequencies, grid, **options)
     return _Plan(grid, frequencies, illumination_coordinates(relay, illuminations),
@@ -617,155 +611,56 @@ def _plan(algorithm: str, relay: RelaySampling, illuminations: PointList,
 
 
 # ---------------------------------------------------------------------------
-# The one way in, the algorithms by name, video rendering, projections
+# The one way in and projections
 # ---------------------------------------------------------------------------
 
 
 def reconstruct(slices: FrequencySlices, grid: VoxelGrid, algorithm: str, *,
                 times: np.ndarray | None = None, threads: int = 1,
                 include_illumination: bool = True, **options) -> ReconstructionVolume:
-    """Run one algorithm selected by name.  It takes only the ``options`` its
-    row of ``_ALGORITHMS`` names, defaulting as in its public function."""
+    """Reconstruct ``slices`` onto ``grid`` by the algorithm named ``algorithm``.
+
+    The name is case-blind and reads ``_`` as ``-``.  Each algorithm takes
+    only the keyword ``options`` listed here, with the defaults shown; any
+    other raises :class:`ValidationError` before anything is planned.
+
+    * ``rsd``, ``padding="exact"``: onto a cuboid at the relay pitch.
+      ``"exact"`` sizes the convolution so no lag wraps; ``"none"`` keeps
+      the bare relay-sized circular convolution (aliased away from the
+      centre) and requires the output lattice to coincide with the relay
+      lattice.
+    * ``srsd``: onto a frustum based on the relay lattice; plane ``k`` scales
+      by ``(alpha_k, beta_k)`` against a kernel sampled at ``dx/alpha_k``
+      (likewise in y).  Accurate only while ``dx/alpha_k <= lambda_min/2``,
+      half the shortest retained wavelength; beyond it the kernel aliases.
+    * ``nursd1``, ``eps=1e-6``: scattered planar detections onto a cuboid by a
+      type-1 NUFFT; detections on lattice nodes are exact.
+    * ``nursd2``, ``eps=1e-6``: a uniform relay read at explicit voxels by a
+      type-2 NUFFT; voxels on lattice nodes are exact.
+    * ``nursd3``, ``eps=1e-6, lattice_pitch=None``: scattered planar detections
+      to explicit voxels through a virtual lattice whose pitch defaults to
+      half the shortest retained wavelength, anchored with a node on the
+      first relay point.
+    * ``rsd3d``, ``eps=1e-6, scatter="trilinear"``: a 3-D relay onto a cuboid,
+      weighted onto depth nodes and deposited at the nearest node or
+      bilinearly.  ``eps`` sets only the node count: the lateral gridding
+      errs by about 1e-2 off the nodes.
+    * ``nursd3d``, ``eps=1e-6``: as ``rsd3d`` with a type-1 NUFFT for the
+      gridding; on a flat relay it is ``nursd1`` bit for bit.
+    * ``srsd-nursd2``, ``alpha, beta=alpha, eps=1e-6``: ``alpha`` is required;
+      one scale pair as in ``srsd``, read at explicit voxels by a type-2 NUFFT.
+
+    ``times`` renders the light-transport video: frame ``t`` is
+    ``sum_w exp(1j*w*t) * V_w`` over the per-frequency volumes ``V_w`` the
+    static volume sums, so its ``t = 0`` frame equals the static volume bit
+    for bit.  ``include_illumination=False`` keeps only the detection-side
+    propagation: a scatterer's voxel then lights up when ``t`` is the
+    illumination's time of flight to it.  ``threads`` (>= 1) workers split
+    the frequencies without changing a bit of the result.
+    """
     plan = _plan(algorithm, slices.relay, slices.illuminations, slices.frequencies, grid,
                  **options)
     return _propagate(plan, slices.coefficients, times, threads, include_illumination)
-
-
-def rsd(slices: FrequencySlices, grid: CuboidGrid, padding: str = "exact",
-        times: np.ndarray | None = None, threads: int = 1,
-        include_illumination: bool = True) -> ReconstructionVolume:
-    """Plane-to-plane propagation onto a cuboid sharing the relay pitch.
-
-    ``padding="exact"`` sizes the convolution so no lag wraps; ``"none"``
-    keeps the bare relay-sized circular convolution (aliased away from the
-    center) and then requires the output lattice to coincide with the relay
-    lattice.
-    """
-    return reconstruct(slices, grid, "rsd", padding=padding, times=times, threads=threads,
-                       include_illumination=include_illumination)
-
-
-def srsd(slices: FrequencySlices, grid: FrustumGrid,
-         times: np.ndarray | None = None, threads: int = 1,
-         include_illumination: bool = True) -> ReconstructionVolume:
-    """Scaled propagation onto a frustum whose planes widen with depth.
-
-    Plane ``k`` applies the scaled transform with factors ``(alpha_k,
-    beta_k)`` against a kernel sampled at the widened pitch
-    ``(dx/alpha_k, dy/beta_k)``; the output plane keeps the relay counts but
-    covers the widened extent.  With all factors equal to 1 this reduces
-    exactly to :func:`rsd` on the relay lattice.  The result is accurate
-    only while that pitch stays within half the shortest retained
-    wavelength, ``dx/alpha_k <= lambda_min/2`` (likewise in y); beyond it
-    the sampled kernel aliases, whatever the padding.
-    """
-    return reconstruct(slices, grid, "srsd", times=times, threads=threads,
-                       include_illumination=include_illumination)
-
-
-def nursd1(slices: FrequencySlices, grid: CuboidGrid, eps: float = 1e-6,
-           times: np.ndarray | None = None, threads: int = 1,
-           include_illumination: bool = True) -> ReconstructionVolume:
-    """Propagation from scattered planar detections onto a cuboid lattice.
-
-    The relay samples are moved onto the output lattice's frequency grid by
-    one type-1 NUFFT per illumination, batched over frequencies; each depth
-    plane is then an ordinary kernel convolution: :func:`_plan_depth_nodes`
-    with one depth node.  Detections lying exactly on lattice nodes are
-    handled exactly, so a gridded relay reproduces :func:`rsd`.
-    """
-    return reconstruct(slices, grid, "nursd1", eps=eps, times=times, threads=threads,
-                       include_illumination=include_illumination)
-
-
-def nursd2(slices: FrequencySlices, grid: ExplicitVoxels, eps: float = 1e-6,
-           times: np.ndarray | None = None, threads: int = 1,
-           include_illumination: bool = True) -> ReconstructionVolume:
-    """Propagation from a uniform relay onto arbitrarily placed voxels.
-
-    Each depth plane's spectrum (relay spectrum times kernel spectrum) is
-    evaluated at the voxels' fractional lattice positions by a type-2 NUFFT.
-    Voxels on lattice nodes reproduce the :func:`rsd` values exactly.
-    """
-    return reconstruct(slices, grid, "nursd2", eps=eps, times=times, threads=threads,
-                       include_illumination=include_illumination)
-
-
-def nursd3(slices: FrequencySlices, grid: ExplicitVoxels, eps: float = 1e-6,
-           lattice_pitch: float | None = None,
-           times: np.ndarray | None = None, threads: int = 1,
-           include_illumination: bool = True) -> ReconstructionVolume:
-    """Fully non-uniform propagation through a virtual lattice.
-
-    Both the scattered relay samples and the explicit voxels are referred to
-    a virtual uniform lattice (pitch defaults to half the shortest retained
-    wavelength, anchored so the first relay point lies exactly on a node);
-    a type-1 NUFFT forms the lattice spectrum, each plane multiplies the
-    kernel spectrum, and a type-2 NUFFT reads the result at the voxels.
-    """
-    return reconstruct(slices, grid, "nursd3", eps=eps, lattice_pitch=lattice_pitch, times=times,
-                       threads=threads, include_illumination=include_illumination)
-
-
-def rsd3d(slices: FrequencySlices, grid: CuboidGrid, scatter: str = "trilinear",
-          eps: float = 1e-6, times: np.ndarray | None = None,
-          threads: int = 1, include_illumination: bool = True) -> ReconstructionVolume:
-    """Propagation from a 3D relay surface via lateral gridding at depth nodes.
-
-    The relay samples, weighted onto depth nodes as in :func:`_plan_depth_nodes`,
-    are deposited on the cuboid's padded lateral lattice, at the nearest node
-    or bilinearly for ``scatter="trilinear"`` (duplicate targets sum), and
-    Fourier transformed.  ``eps`` sets only the depth node count: the
-    lateral error comes from the gridding (about 1e-2 off the nodes).
-    """
-    return reconstruct(slices, grid, "rsd3d", scatter=scatter, eps=eps, times=times,
-                       threads=threads, include_illumination=include_illumination)
-
-
-def nursd3d(slices: FrequencySlices, grid: CuboidGrid, eps: float = 1e-6,
-            times: np.ndarray | None = None, threads: int = 1,
-            include_illumination: bool = True) -> ReconstructionVolume:
-    """Propagation from a 3D relay surface via a lateral type-1 NUFFT at depth nodes.
-
-    The relay samples, weighted onto depth nodes as in :func:`_plan_depth_nodes`,
-    go through one batched 2D type-1 NUFFT per illumination.  A flat relay
-    takes one node of weight 1, which makes this :func:`nursd1`.
-    """
-    return reconstruct(slices, grid, "nursd3d", eps=eps, times=times, threads=threads,
-                       include_illumination=include_illumination)
-
-
-def srsd_nursd2(slices: FrequencySlices, grid: ExplicitVoxels, alpha: float,
-                beta: float | None = None, eps: float = 1e-6,
-                times: np.ndarray | None = None, threads: int = 1,
-                include_illumination: bool = True) -> ReconstructionVolume:
-    """Scaled propagation read out at arbitrary voxel positions.
-
-    One global scale pair ``(alpha, beta)`` widens the kernel pitch as in
-    :func:`srsd`; voxels are read from the scaled spectrum at fractional
-    scaled indices ``alpha*(x - cx)/dx`` by a type-2 NUFFT, combining the
-    wide field of view of the scaled transform with free voxel placement.
-    """
-    return reconstruct(slices, grid, "srsd-nursd2", alpha=alpha, beta=beta, eps=eps, times=times,
-                       threads=threads, include_illumination=include_illumination)
-
-
-def light_transport_video(slices: FrequencySlices, grid: VoxelGrid,
-                          times: np.ndarray, algorithm: str = "rsd",
-                          threads: int = 1, include_illumination: bool = True,
-                          **options) -> ReconstructionVolume:
-    """Render the time-resolved light transport of the virtual wavefront.
-
-    Frame ``t`` carries ``sum_w exp(1j*w*t) * V_w`` over the same
-    per-frequency volumes ``V_w`` the static reconstruction sums, so the
-    ``t = 0`` frame equals the static result bit for bit.  With
-    ``include_illumination=False`` the volumes keep only the detection-side
-    propagation and a scatterer voxel lights up when ``t`` equals the
-    illumination time of flight to it.
-    """
-    return reconstruct(slices, grid, algorithm, times=np.asarray(times, dtype=np.float64),
-                       threads=threads, include_illumination=include_illumination,
-                       **options)
 
 
 def project_max_depth(volume: ReconstructionVolume, frame: int = 0) -> np.ndarray:

@@ -287,6 +287,14 @@ _EPS_MAX = 1e-1
 _COORD_TOL = 1e-9
 
 
+def _check_eps(eps: float) -> float:
+    """``eps`` as a float, refused unless it is an accuracy target the NUFFT meets."""
+    eps = float(eps)
+    _require(math.isfinite(eps) and _EPS_MIN <= eps <= _EPS_MAX,
+             f"accuracy target must lie in [{_EPS_MIN:g}, {_EPS_MAX:g}]")
+    return eps
+
+
 @lru_cache(maxsize=_NUFFT_CACHE_SIZE)
 def _nufft_axis(m: int, eps: float) -> tuple[int, int, float, np.ndarray]:
     """``(w, mr, tau, ker)`` of one axis of ``m`` modes at accuracy ``eps``:
@@ -356,9 +364,7 @@ class _Spread:
     def __init__(self, modes: tuple[int, ...], eps: float, points: np.ndarray):
         _require(1 <= len(modes) <= 3, "supported dimensionalities are 1, 2, 3")
         _require(all(m >= 1 for m in modes), "mode counts must be >= 1")
-        eps = float(eps)
-        _require(math.isfinite(eps) and _EPS_MIN <= eps <= _EPS_MAX,
-                 f"accuracy target must lie in [{_EPS_MIN:g}, {_EPS_MAX:g}]")
+        eps = _check_eps(eps)
         pts = _check_points(points, len(modes))
         self.modes = tuple(modes[-2:])
         ws, self.mrs, taus, kers = zip(*(_nufft_axis(m, eps) for m in self.modes))

@@ -36,16 +36,7 @@ from phasorfield.phasor import (
     sampling_report,
     to_frequency,
 )
-from phasorfield.reconstruct import (
-    ALGORITHM_NAMES,
-    light_transport_video,
-    nursd1,
-    nursd3d,
-    project_max_depth,
-    reconstruct,
-    rsd,
-    srsd,
-)
+from phasorfield.reconstruct import ALGORITHM_NAMES, project_max_depth, reconstruct
 from phasorfield.sim import add_poisson_noise, simulate, subsample_interpolate
 from phasorfield.spectral import nufft1, nufft2, sfft_1d
 
@@ -152,7 +143,7 @@ def capture():
         illuminations=ill3)
     grid = CuboidGrid(UniformGrid3D(16, 16, 2, 0.02, 0.02, 0.1,
                                     -0.15, -0.15, 0.9))
-    reference = rsd(slices_u, grid).field
+    reference = reconstruct(slices_u, grid, "rsd").field
     return dict(u=slices_u, p=slices_p, s=slices_3, grid=grid, ref=reference)
 
 
@@ -168,11 +159,11 @@ class TestDegeneracyChain:
     def test_srsd_unit_scale_equals_rsd(self, capture):
         frustum = FrustumGrid(centered_grid2d(16, 0.02), np.array([0.9, 1.0]),
                               np.ones(2), np.ones(2))
-        out = srsd(capture["u"], frustum).field
+        out = reconstruct(capture["u"], frustum, "srsd").field
         assert rel_l2(out, capture["ref"]) <= 1e-8
 
     def test_nursd1_on_uniform_points_equals_rsd(self, capture):
-        out = nursd1(capture["p"], capture["grid"], eps=self.EPS).field
+        out = reconstruct(capture["p"], capture["grid"], "nursd1", eps=self.EPS).field
         assert rel_l2(out, capture["ref"]) <= self.EPS + 1e-8
 
     def test_nursd2_on_lattice_targets_equals_rsd(self, capture):
@@ -191,8 +182,8 @@ class TestDegeneracyChain:
         assert rel_l2(out, capture["ref"]) <= self.EPS + 1e-8
 
     def test_nursd3d_on_flat_relay_equals_nursd1(self, capture):
-        flat = nursd3d(capture["s"], capture["grid"], eps=self.EPS).field
-        planar = nursd1(capture["p"], capture["grid"], eps=self.EPS).field
+        flat = reconstruct(capture["s"], capture["grid"], "nursd3d", eps=self.EPS).field
+        planar = reconstruct(capture["p"], capture["grid"], "nursd1", eps=self.EPS).field
         assert np.array_equal(flat, planar)
 
 
@@ -284,7 +275,7 @@ def test_single_scatterer_localization(z_true):
     grid = CuboidGrid(UniformGrid3D(9, 9, 9, 0.02, 0.02, dz,
                                     0.01 - 4 * 0.02, 0.03 - 4 * 0.02,
                                     z_true - 4 * dz))
-    volume = rsd(slices, grid)
+    volume = reconstruct(slices, grid, "rsd")
     peak = grid.coordinates()[int(np.argmax(np.abs(volume.field)))]
 
     delta_x = lateral_resolution(lambda_c, z_true, aperture)
@@ -319,8 +310,8 @@ def test_keep_every_fifth_detector():
 
     grid = CuboidGrid(UniformGrid3D(16, 16, 5, pitch, pitch, 0.05,
                                     0.075 - 7 * pitch, -0.045 - 7 * pitch, 1.4))
-    vol_full = rsd(slices_full, grid)
-    vol_sub = rsd(slices_sub, grid)
+    vol_full = reconstruct(slices_full, grid, "rsd")
+    vol_sub = reconstruct(slices_sub, grid, "rsd")
     proj_full = project_max_depth(vol_full)
     proj_sub = project_max_depth(vol_sub)
     assert ssim(proj_full, proj_sub) >= 0.8
@@ -342,12 +333,12 @@ def test_poisson_noise_degrades_monotonically():
     kernel = build_kernel(0.06, 1024, 16e-12)
     grid = CuboidGrid(UniformGrid3D(16, 16, 3, 0.02, 0.02, 0.08,
                                     -0.15, -0.15, 0.86))
-    clean = _normalized(project_max_depth(rsd(to_frequency(m, kernel), grid)))
+    clean = _normalized(project_max_depth(reconstruct(to_frequency(m, kernel), grid, "rsd")))
 
     scores = []
     for scale in (1e4, 1e2, 1e0):
         noisy = add_poisson_noise(m, scale, seed=42)
-        vol = rsd(to_frequency(noisy, kernel), grid)
+        vol = reconstruct(to_frequency(noisy, kernel), grid, "rsd")
         scores.append(ssim(clean, _normalized(project_max_depth(vol))))
     assert scores[0] >= scores[1] - 1e-12
     assert scores[1] >= scores[2] - 1e-12
@@ -363,8 +354,8 @@ class TestVideoSanity:
         slices = two_scatterer_slices()
         grid = CuboidGrid(UniformGrid3D(8, 8, 2, 0.02, 0.02, 0.1,
                                         -0.07, -0.07, 0.9))
-        static = rsd(slices, grid)
-        vid = light_transport_video(slices, grid, np.array([0.0]))
+        static = reconstruct(slices, grid, "rsd")
+        vid = reconstruct(slices, grid, "rsd", times=np.array([0.0]))
         assert np.array_equal(vid.frame(0), static.frame(0))
 
     def test_wavefront_arrival_at_one_meter(self):
@@ -378,8 +369,8 @@ class TestVideoSanity:
         t_flight = depth / SPEED_OF_LIGHT
         frame_dt = 50e-12
         times = t_flight + frame_dt * (np.arange(17) - 8)
-        vid = light_transport_video(slices, grid, times,
-                                    include_illumination=False)
+        vid = reconstruct(slices, grid, "rsd", times=times,
+                          include_illumination=False)
         peak = int(np.argmax(np.abs(vid.field[:, 0])))
         assert abs(times[peak] - t_flight) <= frame_dt
 

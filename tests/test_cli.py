@@ -33,15 +33,7 @@ from phasorfield import (
 )
 from phasorfield.cli import main
 from phasorfield.phasor import build_kernel, to_frequency
-from phasorfield.reconstruct import (
-    _ALGORITHMS,
-    ALGORITHM_NAMES,
-    nursd3,
-    nursd3d,
-    rsd,
-    rsd3d,
-    srsd_nursd2,
-)
+from phasorfield.reconstruct import _ALGORITHMS, ALGORITHM_NAMES, reconstruct
 
 
 def _scene_doc(**overrides):
@@ -521,8 +513,10 @@ class TestAlgorithmFlags:
                             _planes_file(tmp_path, _PLANE_POINTS),
                             "--alpha", "0.6", "--beta", "0.8")
         slices = _slices(pipeline["dataset"])
-        assert self._same(written, srsd_nursd2(slices, grid, alpha=0.6, beta=0.8).field[0])
-        assert not self._same(written, srsd_nursd2(slices, grid, alpha=0.6).field[0])
+        assert self._same(written, reconstruct(slices, grid, "srsd-nursd2",
+                                               alpha=0.6, beta=0.8).field[0])
+        assert not self._same(written, reconstruct(slices, grid, "srsd-nursd2",
+                                                   alpha=0.6).field[0])
 
     def test_lattice_pitch_reaches_nursd3(self, relay_datasets, tmp_path):
         dataset = relay_datasets["points_planar"]
@@ -530,16 +524,17 @@ class TestAlgorithmFlags:
         written = self._run(tmp_path, dataset, "nursd3", _planes_file(tmp_path, _PLANE_POINTS),
                             "--lattice-pitch", "0.013")
         slices = _slices(dataset)
-        assert self._same(written, nursd3(slices, grid, lattice_pitch=0.013).field[0])
-        assert not self._same(written, nursd3(slices, grid).field[0])
+        assert self._same(written, reconstruct(slices, grid, "nursd3",
+                                               lattice_pitch=0.013).field[0])
+        assert not self._same(written, reconstruct(slices, grid, "nursd3").field[0])
 
     def test_padding_none_reaches_rsd(self, pipeline, tmp_path):
         # CUBOID is the relay's own lattice, which padding="none" requires.
         grid = CuboidGrid(UniformGrid3D(8, 8, 2, 0.02, 0.02, 0.08, -0.07, -0.07, 0.86))
         written = self._run(tmp_path, pipeline["dataset"], "rsd", CUBOID, "--padding", "none")
         slices = _slices(pipeline["dataset"])
-        assert self._same(written, rsd(slices, grid, padding="none").field[0])
-        assert not self._same(written, rsd(slices, grid).field[0])
+        assert self._same(written, reconstruct(slices, grid, "rsd", padding="none").field[0])
+        assert not self._same(written, reconstruct(slices, grid, "rsd").field[0])
 
     def test_scatter_nearest_reaches_rsd3d(self, relay_datasets, tmp_path):
         dataset = relay_datasets["points_3d"]
@@ -547,8 +542,8 @@ class TestAlgorithmFlags:
         grid = CuboidGrid(UniformGrid3D(4, 4, 2, 0.02, 0.02, 0.05, -0.03, -0.03, 0.5))
         written = self._run(tmp_path, dataset, "rsd3d", spec, "--scatter", "nearest")
         slices = _slices(dataset)
-        assert self._same(written, rsd3d(slices, grid, scatter="nearest").field[0])
-        assert not self._same(written, rsd3d(slices, grid).field[0])
+        assert self._same(written, reconstruct(slices, grid, "rsd3d", scatter="nearest").field[0])
+        assert not self._same(written, reconstruct(slices, grid, "rsd3d").field[0])
 
     def test_eps_reaches_nursd3d(self, relay_datasets, tmp_path):
         dataset = relay_datasets["points_3d"]
@@ -556,8 +551,8 @@ class TestAlgorithmFlags:
         grid = CuboidGrid(UniformGrid3D(4, 4, 2, 0.02, 0.02, 0.05, -0.03, -0.03, 0.5))
         written = self._run(tmp_path, dataset, "nursd3d", spec, "--eps", "1e-2")
         slices = _slices(dataset)
-        assert self._same(written, nursd3d(slices, grid, eps=1e-2).field[0])
-        assert not self._same(written, nursd3d(slices, grid).field[0])
+        assert self._same(written, reconstruct(slices, grid, "nursd3d", eps=1e-2).field[0])
+        assert not self._same(written, reconstruct(slices, grid, "nursd3d").field[0])
 
     @pytest.mark.parametrize("algo, flag", [
         (algo, flag) for algo in ALGORITHM_NAMES for flag in _FLAGS
@@ -596,6 +591,16 @@ print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))
 class TestWithoutScipy:
     """The FFT-only algorithms run on NumPy alone, and write the bytes they
     write when SciPy is importable."""
+
+    def test_readme_library_example_runs_as_written(self):
+        text = README.read_text(encoding="utf-8")
+        example = text[text.index("## Library"):].split("```python\n", 1)[1].split("```", 1)[0]
+        assert 'reconstruct(slices, grid, "rsd")' in example
+        env = {**os.environ, "PYTHONPATH": str(Path(phasorfield.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-c", 'import sys\nsys.modules["scipy"] = None\n' + example],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
 
     def test_fft_only_paths_run_without_scipy(self, pipeline, relay_datasets, tmp_path):
         runs = {
@@ -734,6 +739,9 @@ class TestMalformedInputs:
                                    "points": [[0.0, 0.0]]}), "relay 'z' must be a number"),
         (lambda d: d.update(relay={"kind": "points_3d", "points": [[0.0, 0.0, False]]}),
          "relay 'points' must be a number"),
+        *((lambda d, k=flag, v=value: d.update({k: v}),
+           f"'{flag}' must be true or false, not {json.dumps(value)}")
+          for flag in ("confocal", "falloff") for value in ("false", 0, None)),
     ])
     def test_non_numeric_scene_number_is_usage_error(self, tmp_path, capsys, edit, named):
         doc = _scene_doc()
@@ -742,6 +750,37 @@ class TestMalformedInputs:
         scene.write_text(json.dumps(doc))
         assert main(["simulate", str(scene), "-o", str(tmp_path / "x.nls1")]) == 2
         assert named in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [scene]
+
+    def test_boolean_falloff_is_read(self, tmp_path):
+        renders = {}
+        for falloff in (True, False):
+            scene = tmp_path / f"{falloff}.json"
+            scene.write_text(json.dumps(_scene_doc(falloff=falloff)))
+            out = tmp_path / f"{falloff}.nls1"
+            assert main(["simulate", str(scene), "-o", str(out)]) == 0
+            renders[falloff] = read_dataset(str(out)).histograms
+        assert not np.array_equal(renders[True], renders[False])
+
+    @pytest.mark.parametrize("algo, grid, flags, named", [
+        ("rsd", None, [], "rsd reconstructs onto a cuboid grid"),
+        ("srsd", CUBOID, [], "srsd reconstructs onto a frustum grid"),
+        ("nursd2", CUBOID, [], "nursd2 reconstructs onto explicit voxels"),
+        ("rsd", CUBOID, ["--threads", "0"], "threads must be >= 1"),
+    ], ids=["rsd-planes", "srsd-cuboid", "nursd2-cuboid", "threads-0"])
+    def test_refused_before_the_dataset_is_read(self, tmp_path, capsys, monkeypatch,
+                                                algo, grid, flags, named):
+        def unread(path):
+            raise AssertionError(f"{path} was read")
+
+        monkeypatch.setattr("phasorfield.cli.read_dataset", unread)
+        out = tmp_path / "x.vol"
+        grid = grid or _planes_file(tmp_path, _PLANE_POINTS)
+        code = main(["reconstruct", str(tmp_path / "absent.nls1"), "-o", str(out),
+                     "--algo", algo, "--lambda-c", "0.04", "--grid", grid, *flags])
+        assert code == 2
+        assert f"error: {named}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_threads_below_one_is_usage_error(self, pipeline, tmp_path, capsys, threads):

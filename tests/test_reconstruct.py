@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -40,20 +41,7 @@ from phasorfield.reconstruct import (
     _plan,
 )
 from phasorfield.spectral import next_fast_len
-from phasorfield.reconstruct import (
-    ALGORITHM_NAMES,
-    light_transport_video,
-    nursd1,
-    nursd2,
-    nursd3,
-    nursd3d,
-    project_max_depth,
-    reconstruct,
-    rsd,
-    rsd3d,
-    srsd,
-    srsd_nursd2,
-)
+from phasorfield.reconstruct import ALGORITHM_NAMES, project_max_depth, reconstruct
 
 from helpers import (
     centered_grid2d,
@@ -114,7 +102,7 @@ def chain_grid():
 
 @pytest.fixture(scope="module")
 def chain_reference(chain, chain_grid):
-    return rsd(chain["uniform"], chain_grid).field
+    return reconstruct(chain["uniform"], chain_grid, "rsd").field
 
 
 def _cuboid_at(z0):
@@ -135,13 +123,13 @@ def _lit_from(slices, source):
 
 class TestRsdExactness:
     def test_matches_literal_sum(self, slices16, grid16_small):
-        vol = rsd(slices16, grid16_small)
+        vol = reconstruct(slices16, grid16_small, "rsd")
         direct = oracle.literal_field(slices16, grid16_small.coordinates())
         assert rel_linf(vol.field, direct) < 1e-10
         assert vol.grid is grid16_small and vol.n_frames == 1
 
     def test_detection_only_variant(self, slices16, grid16_small):
-        vol = rsd(slices16, grid16_small, include_illumination=False)
+        vol = reconstruct(slices16, grid16_small, "rsd", include_illumination=False)
         direct = oracle.literal_field(slices16, grid16_small.coordinates(),
                                       include_illumination=False)
         assert rel_linf(vol.field, direct) < 1e-10
@@ -157,7 +145,7 @@ class TestRsdExactness:
 
         frustum = FrustumGrid(centered_grid2d(16, 0.02), np.array([0.5]),
                               np.array([0.5]), np.array([0.5]))
-        svol = srsd(slices, frustum)
+        svol = reconstruct(slices, frustum, "srsd")
         xs, ys = frustum.plane_xy(0)
         xx, yy = np.meshgrid(xs, ys)
         flat = int(np.argmax(np.abs(svol.field)))
@@ -166,15 +154,15 @@ class TestRsdExactness:
 
         unpadded_grid = CuboidGrid(UniformGrid3D(16, 16, 1, 0.02, 0.02, 0.1,
                                                  -0.15, -0.15, 0.5))
-        uvol = rsd(slices, unpadded_grid, padding="none")
+        uvol = reconstruct(slices, unpadded_grid, "rsd", padding="none")
         coords = unpadded_grid.coordinates()
         peak = coords[int(np.argmax(np.abs(uvol.field)))]
         assert np.hypot(peak[0] - 0.25, peak[1]) > 0.09
 
     def test_repeat_and_threaded_runs_are_bit_identical(self, slices16, grid16_small):
-        a = rsd(slices16, grid16_small)
-        b = rsd(slices16, grid16_small)
-        c = rsd(slices16, grid16_small, threads=4)
+        a = reconstruct(slices16, grid16_small, "rsd")
+        b = reconstruct(slices16, grid16_small, "rsd")
+        c = reconstruct(slices16, grid16_small, "rsd", threads=4)
         assert np.array_equal(a.field, b.field)
         assert np.array_equal(a.field, c.field)
 
@@ -183,38 +171,38 @@ class TestRsdValidation:
     def test_rejects_foreign_pitch(self, slices16):
         grid = CuboidGrid(UniformGrid3D(4, 4, 1, 0.03, 0.02, 0.1, -0.03, -0.01, 0.9))
         with pytest.raises(ValidationError, match="pitch"):
-            rsd(slices16, grid)
+            reconstruct(slices16, grid, "rsd")
 
     def test_rejects_off_lattice_origin(self, slices16):
         grid = CuboidGrid(UniformGrid3D(4, 4, 1, 0.02, 0.02, 0.1, -0.025, -0.01, 0.9))
         with pytest.raises(ValidationError, match="origin"):
-            rsd(slices16, grid)
+            reconstruct(slices16, grid, "rsd")
 
     def test_rejects_voxels_behind_the_relay(self, slices16):
         grid = CuboidGrid(UniformGrid3D(4, 4, 2, 0.02, 0.02, 0.1, -0.03, -0.01, -0.05))
         with pytest.raises(ValidationError, match="beyond the relay"):
-            rsd(slices16, grid)
+            reconstruct(slices16, grid, "rsd")
 
     def test_unpadded_needs_coinciding_lattice(self, slices16, grid16_small):
         with pytest.raises(ValidationError, match="padding="):
-            rsd(slices16, grid16_small, padding="none")
+            reconstruct(slices16, grid16_small, "rsd", padding="none")
 
     def test_rejects_unknown_padding(self, slices16, grid16_small):
         with pytest.raises(ValidationError, match="padding"):
-            rsd(slices16, grid16_small, padding="wrap")
+            reconstruct(slices16, grid16_small, "rsd", padding="wrap")
 
     def test_rejects_wrong_grid_kind(self, slices16):
         ev = ExplicitVoxels((VoxelPlane(0.9, PointList(np.array([[0.0, 0.0]]))),))
         with pytest.raises(ValidationError, match="cuboid"):
-            rsd(slices16, ev)
+            reconstruct(slices16, ev, "rsd")
 
     def test_rejects_non_uniform_relay(self, chain, grid16_small):
         with pytest.raises(ValidationError):
-            rsd(chain["planar"], grid16_small)
+            reconstruct(chain["planar"], grid16_small, "rsd")
 
     def test_rejects_bad_times_shape(self, slices16, grid16_small):
         with pytest.raises(ValidationError, match="times"):
-            rsd(slices16, grid16_small, times=np.zeros((2, 2)))
+            reconstruct(slices16, grid16_small, "rsd", times=np.zeros((2, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -227,49 +215,49 @@ class TestDegeneracyChain:
         base = centered_grid2d(8, 0.02)
         frustum = FrustumGrid(base, np.array([0.86, 0.94]),
                               np.ones(2), np.ones(2))
-        vol = srsd(chain["uniform"], frustum)
+        vol = reconstruct(chain["uniform"], frustum, "srsd")
         assert rel_linf(vol.field, chain_reference) < CHAIN_TOL
 
     def test_nursd1_with_gridded_points(self, chain, chain_grid, chain_reference):
-        vol = nursd1(chain["planar"], chain_grid, eps=EPS)
+        vol = reconstruct(chain["planar"], chain_grid, "nursd1", eps=EPS)
         assert rel_linf(vol.field, chain_reference) < CHAIN_TOL
 
     def test_nursd2_with_gridded_voxels(self, chain, chain_grid, chain_reference):
         planes = tuple(VoxelPlane(z, _plane_points(centered_grid2d(8, 0.02)))
                        for z in (0.86, 0.94))
-        vol = nursd2(chain["uniform"], ExplicitVoxels(planes), eps=EPS)
+        vol = reconstruct(chain["uniform"], ExplicitVoxels(planes), "nursd2", eps=EPS)
         assert rel_linf(vol.field, chain_reference) < CHAIN_TOL
 
     def test_nursd3_with_everything_on_grid(self, chain, chain_grid, chain_reference):
         planes = tuple(VoxelPlane(z, _plane_points(centered_grid2d(8, 0.02)))
                        for z in (0.86, 0.94))
-        vol = nursd3(chain["planar"], ExplicitVoxels(planes), eps=EPS,
-                     lattice_pitch=0.02)
+        vol = reconstruct(chain["planar"], ExplicitVoxels(planes), "nursd3", eps=EPS,
+                          lattice_pitch=0.02)
         assert rel_linf(vol.field, chain_reference) < 2 * CHAIN_TOL
 
     def test_scaled_scatter_hybrid_with_unit_scale(self, chain, chain_grid,
                                                    chain_reference):
         planes = tuple(VoxelPlane(z, _plane_points(centered_grid2d(8, 0.02)))
                        for z in (0.86, 0.94))
-        vol = srsd_nursd2(chain["uniform"], ExplicitVoxels(planes),
+        vol = reconstruct(chain["uniform"], ExplicitVoxels(planes), "srsd-nursd2",
                           alpha=1.0, eps=EPS)
         assert rel_linf(vol.field, chain_reference) < CHAIN_TOL
 
     def test_nursd3d_with_flat_relay_delegates(self, chain, chain_grid):
-        flat = nursd3d(chain["scattered"], chain_grid, eps=EPS)
-        planar = nursd1(chain["planar"], chain_grid, eps=EPS)
+        flat = reconstruct(chain["scattered"], chain_grid, "nursd3d", eps=EPS)
+        planar = reconstruct(chain["planar"], chain_grid, "nursd1", eps=EPS)
         assert np.array_equal(flat.field, planar.field)
 
     def test_rsd3d_scatter_modes_agree_on_lattice_points(self, chain, chain_grid):
         # the flat relay sits exactly on the 3D deposit lattice, so nearest
         # and trilinear scattering deposit identically
-        tri = rsd3d(chain["scattered"], chain_grid, scatter="trilinear")
-        near = rsd3d(chain["scattered"], chain_grid, scatter="nearest")
+        tri = reconstruct(chain["scattered"], chain_grid, "rsd3d", scatter="trilinear")
+        near = reconstruct(chain["scattered"], chain_grid, "rsd3d", scatter="nearest")
         assert np.array_equal(tri.field, near.field)
 
     def test_rsd3d_tracks_the_planar_reference(self, chain, chain_grid,
                                                chain_reference):
-        vol = rsd3d(chain["scattered"], chain_grid)
+        vol = reconstruct(chain["scattered"], chain_grid, "rsd3d")
         assert ncc(vol.field, chain_reference) > 0.9
 
 
@@ -283,42 +271,42 @@ class TestAlgorithmValidation:
         base = centered_grid2d(6, 0.02)  # wrong side length
         frustum = FrustumGrid(base, np.array([0.9]), np.ones(1), np.ones(1))
         with pytest.raises(ValidationError, match="base"):
-            srsd(chain["uniform"], frustum)
+            reconstruct(chain["uniform"], frustum, "srsd")
 
     def test_srsd_rejects_cuboid(self, chain, chain_grid):
         with pytest.raises(ValidationError, match="frustum"):
-            srsd(chain["uniform"], chain_grid)
+            reconstruct(chain["uniform"], chain_grid, "srsd")
 
     def test_nursd1_requires_scattered_planar_relay(self, chain, chain_grid):
         with pytest.raises(ValidationError):
-            nursd1(chain["uniform"], chain_grid)
+            reconstruct(chain["uniform"], chain_grid, "nursd1")
 
     def test_nursd2_rejects_cuboid(self, chain, chain_grid):
         with pytest.raises(ValidationError, match="explicit"):
-            nursd2(chain["uniform"], chain_grid)
+            reconstruct(chain["uniform"], chain_grid, "nursd2")
 
     def test_nursd3_rejects_bad_lattice_pitch(self, chain):
         planes = (VoxelPlane(0.9, PointList(np.array([[0.0, 0.0]]))),)
         with pytest.raises(ValidationError, match="pitch"):
-            nursd3(chain["planar"], ExplicitVoxels(planes), lattice_pitch=0.0)
+            reconstruct(chain["planar"], ExplicitVoxels(planes), "nursd3", lattice_pitch=0.0)
 
     @pytest.mark.parametrize("pitch", [np.inf, np.nan])
     def test_nursd3_rejects_non_finite_lattice_pitch(self, chain, pitch):
         planes = (VoxelPlane(0.9, PointList(np.array([[0.0, 0.0]]))),)
         with pytest.raises(ValidationError, match="lattice pitch must be finite"):
-            nursd3(chain["planar"], ExplicitVoxels(planes), lattice_pitch=pitch)
+            reconstruct(chain["planar"], ExplicitVoxels(planes), "nursd3", lattice_pitch=pitch)
 
     def test_lattices_too_large_to_index_are_refused(self, chain):
         far = ExplicitVoxels((VoxelPlane(0.9, PointList(np.array([[1e300, 0.0],
                                                                   [0.0, 0.0]]))),))
         near = ExplicitVoxels((VoxelPlane(0.9, PointList(np.array([[0.01, 0.0]]))),))
         cuboid = CuboidGrid(UniformGrid3D(4, 4, 1, 0.02, 0.02, 0.1, 1e300, -0.07, 0.9))
-        runs = [lambda: nursd2(chain["uniform"], far),
-                lambda: nursd3(chain["planar"], far),
-                lambda: nursd3(chain["planar"], near, lattice_pitch=1e-300),
-                lambda: srsd_nursd2(chain["uniform"], far, alpha=0.5),
-                lambda: nursd1(chain["planar"], cuboid),
-                lambda: rsd(chain["uniform"], cuboid)]
+        runs = [lambda: reconstruct(chain["uniform"], far, "nursd2"),
+                lambda: reconstruct(chain["planar"], far, "nursd3"),
+                lambda: reconstruct(chain["planar"], near, "nursd3", lattice_pitch=1e-300),
+                lambda: reconstruct(chain["uniform"], far, "srsd-nursd2", alpha=0.5),
+                lambda: reconstruct(chain["planar"], cuboid, "nursd1"),
+                lambda: reconstruct(chain["uniform"], cuboid, "rsd")]
         for run in runs:
             with pytest.raises(ValidationError, match="pitches"):
                 run()
@@ -329,11 +317,12 @@ class TestAlgorithmValidation:
                                                                        [0.01, 0.02]]))),))
         frustum = FrustumGrid.linear(centered_grid2d(8, 0.02), [0.9, 1.0], alpha0=1e-300)
         s = chain["uniform"]
-        runs = [(lambda: srsd_nursd2(s, explicit, alpha=1e-300), "plane at z = 0.9:"),
-                (lambda: srsd(s, frustum), "plane at z = 0.9:"),
-                (lambda: rsd(s, _cuboid_at(1e300)), "plane at z = 1e+300:"),
-                (lambda: rsd(s, _cuboid_at(1e160)), "plane at z = 1e+160:"),
-                (lambda: rsd(_lit_from(s, [1e200, 0.0]), chain_grid),
+        runs = [(lambda: reconstruct(s, explicit, "srsd-nursd2", alpha=1e-300),
+                 "plane at z = 0.9:"),
+                (lambda: reconstruct(s, frustum, "srsd"), "plane at z = 0.9:"),
+                (lambda: reconstruct(s, _cuboid_at(1e300), "rsd"), "plane at z = 1e+300:"),
+                (lambda: reconstruct(s, _cuboid_at(1e160), "rsd"), "plane at z = 1e+160:"),
+                (lambda: reconstruct(_lit_from(s, [1e200, 0.0]), chain_grid, "rsd"),
                  "too far from the illumination")]
         for run, named in runs:
             with pytest.raises(ValidationError, match=re.escape(named)):
@@ -341,7 +330,8 @@ class TestAlgorithmValidation:
 
     def test_far_illumination_is_refused_only_where_its_phase_is_used(self, chain,
                                                                       chain_grid):
-        far, near = (rsd(_lit_from(chain["uniform"], xy), chain_grid, include_illumination=False)
+        far, near = (reconstruct(_lit_from(chain["uniform"], xy), chain_grid, "rsd",
+                                 include_illumination=False)
                      for xy in ([1e200, 0.0], [0.0, 0.0]))
         assert np.array_equal(far.field, near.field)
 
@@ -355,33 +345,33 @@ class TestAlgorithmValidation:
     def test_frame_times_are_checked_before_any_transform(self, chain, chain_grid,
                                                           no_transforms, times, message):
         with pytest.raises(ValidationError, match=re.escape(message)):
-            rsd(chain["uniform"], chain_grid, times=times)
+            reconstruct(chain["uniform"], chain_grid, "rsd", times=times)
         with pytest.raises(ValidationError, match=re.escape(message)):
-            light_transport_video(chain["planar"], chain_grid, times, algorithm="nursd1")
+            reconstruct(chain["planar"], chain_grid, "nursd1", times=times)
 
     def test_hybrid_rejects_out_of_range_scale(self, chain):
         planes = (VoxelPlane(0.9, PointList(np.array([[0.0, 0.0]]))),)
         with pytest.raises(ValidationError, match="scale"):
-            srsd_nursd2(chain["uniform"], ExplicitVoxels(planes), alpha=1.5)
+            reconstruct(chain["uniform"], ExplicitVoxels(planes), "srsd-nursd2", alpha=1.5)
 
     def test_rsd3d_rejects_unknown_scatter(self, chain, chain_grid):
         with pytest.raises(ValidationError, match="scatter"):
-            rsd3d(chain["scattered"], chain_grid, scatter="cubic")
+            reconstruct(chain["scattered"], chain_grid, "rsd3d", scatter="cubic")
 
     def test_rsd3d_depth_floor_names_the_limit(self, rippled):
         # The ripple's deepest detection sits at z = 0.02: a plane there or
         # before it is refused by both 3-D paths, one beyond it is not.
         for z0 in (0.02, 0.01, -0.05):
             grid = CuboidGrid(UniformGrid3D(8, 8, 2, 0.02, 0.02, 0.1, -0.07, -0.07, z0))
-            for run in (rsd3d, nursd3d):
+            for name in ("rsd3d", "nursd3d"):
                 with pytest.raises(ValidationError, match=r"deepest detection \(z > 0.02\)"):
-                    run(rippled, grid)
+                    reconstruct(rippled, grid, name)
         grid = CuboidGrid(UniformGrid3D(8, 8, 1, 0.02, 0.02, 0.1, -0.07, -0.07, 0.03))
-        assert np.isfinite(nursd3d(rippled, grid).field).all()
+        assert np.isfinite(reconstruct(rippled, grid, "nursd3d").field).all()
 
     def test_nursd3d_requires_scattered_3d_relay(self, chain, chain_grid):
         with pytest.raises(ValidationError):
-            nursd3d(chain["uniform"], chain_grid)
+            reconstruct(chain["uniform"], chain_grid, "nursd3d")
 
 
 # ---------------------------------------------------------------------------
@@ -416,9 +406,16 @@ class TestDispatcher:
             with pytest.raises(ValidationError, match=f"^unknown algorithm {name!r}; choose"):
                 reconstruct(chain["uniform"], chain_grid, name)
 
+    def test_reconstruct_is_the_one_way_in(self):
+        recon = sys.modules["phasorfield.reconstruct"]
+        for name in ("rsd", "srsd", "nursd1", "nursd2", "nursd3", "rsd3d", "nursd3d",
+                     "srsd_nursd2", "light_transport_video"):
+            assert not hasattr(phasorfield, name) and not hasattr(recon, name)
+        assert recon.__all__ == ["reconstruct", "project_max_depth", "ALGORITHM_NAMES"]
+
 
 # ---------------------------------------------------------------------------
-# The table: kinds checked on both entries, plans built from geometry alone
+# The table: kinds checked before any transform, plans built from geometry alone
 # ---------------------------------------------------------------------------
 
 
@@ -443,37 +440,28 @@ def kind_grids(chain_grid):
             "frustum": FrustumGrid.linear(centered_grid2d(8, 0.02), [0.86, 0.94], alpha0=0.8)}
 
 
-_PUBLIC = {"rsd": rsd, "srsd": srsd, "nursd1": nursd1, "nursd2": nursd2, "nursd3": nursd3,
-           "rsd3d": rsd3d, "nursd3d": nursd3d, "srsd-nursd2": srsd_nursd2}
-
-
-def _both_entries(name):
-    """The algorithm's public function and ``reconstruct`` under its name."""
-    public = _PUBLIC[name]
-    return (lambda sl, grid: public(sl, grid, **_OPTIONS.get(name, {})),
-            lambda sl, grid: reconstruct(sl, grid, name, **_OPTIONS.get(name, {})))
+def _run(name, slices, grid):
+    """``reconstruct`` under ``name`` with the options it cannot do without."""
+    return reconstruct(slices, grid, name, **_OPTIONS.get(name, {}))
 
 
 class TestKindMismatches:
     @pytest.mark.parametrize("name", ALGORITHM_NAMES)
     def test_every_wrong_grid_kind_is_named(self, chain, kind_grids, no_transforms, name):
         grid_kind, relay_kind = _KINDS[name]
-        for run in _both_entries(name):
-            for kind, grid in kind_grids.items():
-                if kind != grid_kind:
-                    with pytest.raises(ValidationError,
-                                       match=f"^{re.escape(name)} reconstructs onto "
-                                             f"{_ONTO[name]}$"):
-                        run(chain[relay_kind], grid)
+        for kind, grid in kind_grids.items():
+            if kind != grid_kind:
+                with pytest.raises(ValidationError,
+                                   match=f"^{re.escape(name)} reconstructs onto {_ONTO[name]}$"):
+                    _run(name, chain[relay_kind], grid)
 
     @pytest.mark.parametrize("name", ALGORITHM_NAMES)
     def test_every_wrong_relay_kind_is_named(self, chain, kind_grids, no_transforms, name):
         grid_kind, relay_kind = _KINDS[name]
-        for run in _both_entries(name):
-            for kind in _NEEDS:
-                if kind != relay_kind:
-                    with pytest.raises(ValidationError, match=f"^{_NEEDS[relay_kind]}$"):
-                        run(chain[kind], kind_grids[grid_kind])
+        for kind in _NEEDS:
+            if kind != relay_kind:
+                with pytest.raises(ValidationError, match=f"^{_NEEDS[relay_kind]}$"):
+                    _run(name, chain[kind], kind_grids[grid_kind])
 
     @pytest.mark.parametrize("name", ALGORITHM_NAMES)
     def test_the_grid_kind_is_checked_before_the_relay_kind(self, chain, kind_grids,
@@ -481,9 +469,8 @@ class TestKindMismatches:
         grid_kind, relay_kind = _KINDS[name]
         grid = next(g for k, g in kind_grids.items() if k != grid_kind)
         slices = next(chain[k] for k in _NEEDS if k != relay_kind)
-        for run in _both_entries(name):
-            with pytest.raises(ValidationError, match="reconstructs onto"):
-                run(slices, grid)
+        with pytest.raises(ValidationError, match="reconstructs onto"):
+            _run(name, slices, grid)
 
 
 # The options each algorithm takes: 11 of the 48 (algorithm, option) pairs.
@@ -505,14 +492,11 @@ class TestOptionTable:
     @pytest.mark.parametrize("name", ALGORITHM_NAMES)
     def test_every_listed_option_is_a_parameter_of_the_planner(self, name):
         # So the table cannot pass an option the planner would refuse with a
-        # TypeError, and the public function defaults it as the planner does.
+        # TypeError.
         planner = inspect.signature(_ALGORITHMS[name][3]).parameters
-        public = inspect.signature(_PUBLIC[name]).parameters
         assert all(p.kind is not p.VAR_KEYWORD for p in planner.values())
         for option in _ALGORITHMS[name][2]:
-            assert option in planner and option in public
-            if public[option].default is not inspect.Parameter.empty:
-                assert public[option].default == planner[option].default
+            assert option in planner
 
     @pytest.mark.parametrize("name, option", _REFUSED)
     def test_an_option_the_algorithm_does_not_take_is_refused(self, chain, kind_grids,
@@ -525,7 +509,7 @@ class TestOptionTable:
         with pytest.raises(ValidationError, match=message):
             reconstruct(slices, grid, name, **options)
         with pytest.raises(ValidationError, match=message):
-            light_transport_video(slices, grid, [0.0], algorithm=name, **options)
+            reconstruct(slices, grid, name, times=[0.0], **options)
 
     def test_the_refusal_names_what_the_algorithm_takes(self, chain, kind_grids,
                                                        chain_grid, no_transforms):
@@ -593,9 +577,19 @@ class TestPlan:
         frustum = FrustumGrid.linear(centered_grid2d(8, 0.02), [0.86, 0.9, 0.94, 0.98],
                                      alpha0=0.7, beta0=0.6)
         spectral._sfft_plan.cache_clear()
-        srsd(chain["uniform"], frustum)
+        reconstruct(chain["uniform"], frustum, "srsd")
         info = spectral._sfft_plan.cache_info()
         assert info.misses <= 2 * 4 and info.currsize <= 2 * 4
+
+    @pytest.mark.parametrize("name", ["nursd1", "nursd2", "nursd3", "nursd3d", "srsd-nursd2"])
+    @pytest.mark.parametrize("eps", [0.5, 1e-20])
+    def test_a_nufft_eps_out_of_range_is_refused_while_planning(self, chain, kind_grids, rippled,
+                                                               no_transforms, name, eps):
+        grid_kind, relay_kind = _KINDS[name]
+        slices = rippled if relay_kind == "scattered" else chain[relay_kind]
+        with pytest.raises(ValidationError,
+                           match=f"^{re.escape('accuracy target must lie in [1e-14, 0.1]')}$"):
+            reconstruct(slices, kind_grids[grid_kind], name, eps=eps, **_OPTIONS.get(name, {}))
 
     def test_nursd3d_takes_one_depth_node_only_on_a_flat_relay(self, chain, chain_grid,
                                                               rippled, no_transforms):
@@ -622,9 +616,9 @@ class TestPlan:
 
 class TestLightTransportVideo:
     def test_time_zero_frame_is_the_static_field(self, slices16, grid16_small):
-        static = rsd(slices16, grid16_small)
-        vid = light_transport_video(slices16, grid16_small,
-                                    np.array([0.0, 1.0e-9]))
+        static = reconstruct(slices16, grid16_small, "rsd")
+        vid = reconstruct(slices16, grid16_small, "rsd",
+                          times=np.array([0.0, 1.0e-9]))
         assert vid.n_frames == 2
         assert np.array_equal(vid.frame(0), static.frame(0))
         assert not np.array_equal(vid.frame(1), static.frame(0))
@@ -634,9 +628,9 @@ class TestLightTransportVideo:
         base = centered_grid2d(8, 0.02)
         frustum = FrustumGrid(base, np.array([0.86, 0.94]),
                               np.full(2, 0.8), np.full(2, 0.8))
-        static = srsd(chain["uniform"], frustum)
-        vid = light_transport_video(chain["uniform"], frustum,
-                                    np.array([0.0]), algorithm="srsd")
+        static = reconstruct(chain["uniform"], frustum, "srsd")
+        vid = reconstruct(chain["uniform"], frustum, "srsd",
+                          times=np.array([0.0]))
         assert np.array_equal(vid.frame(0), static.frame(0))
 
     def test_detection_only_peak_at_illumination_flight_time(self):
@@ -649,18 +643,30 @@ class TestLightTransportVideo:
         r_ill = np.linalg.norm([0.01, 0.01, 1.0])
         t_star = r_ill / SPEED_OF_LIGHT
         times = np.linspace(t_star - 0.5e-9, t_star + 0.5e-9, 21)
-        vid = light_transport_video(slices, grid, times,
-                                    include_illumination=False)
+        vid = reconstruct(slices, grid, "rsd", times=times,
+                          include_illumination=False)
         peak = int(np.argmax(np.abs(vid.field[:, 0])))
         assert abs(peak - 10) <= 1
+
+    def test_the_volume_adopts_the_frames_without_a_copy(self, chain):
+        # 400 frames on an 8x8x8 cuboid: the 3.3 MB of frames dominate, and
+        # a copy of them into the volume would double the peak.
+        grid = CuboidGrid(UniformGrid3D(8, 8, 8, 0.02, 0.02, 0.01, -0.07, -0.07, 0.86))
+        tracemalloc.start()
+        try:
+            vid = reconstruct(chain["uniform"], grid, "rsd", times=np.linspace(0.0, 1e-9, 400))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert vid.field.nbytes == 400 * grid.count * 16
+        assert peak < 1.5 * vid.field.nbytes + 2**18
 
     @pytest.mark.parametrize("algorithm", ["nursd1", "nursd3"])
     def test_time_zero_frame_for_point_sampled_paths(self, chain, chain_grid, algorithm):
         grid = chain_grid if algorithm == "nursd1" else ExplicitVoxels(
             (VoxelPlane(0.9, PointList(np.array([[0.0, 0.0], [0.013, -0.02]]))),))
         static = reconstruct(chain["planar"], grid, algorithm)
-        vid = light_transport_video(chain["planar"], grid, np.array([0.0]),
-                                    algorithm=algorithm)
+        vid = reconstruct(chain["planar"], grid, algorithm, times=np.array([0.0]))
         assert vid.n_frames == 1
         assert np.array_equal(vid.frame(0), static.frame(0))
 
@@ -701,7 +707,7 @@ print(np.array_equal(pooled.field, reconstruct(slices, voxels, algo, threads=1, 
 
 class TestMisc:
     def test_project_max_depth(self, slices16, grid16_small):
-        vol = rsd(slices16, grid16_small)
+        vol = reconstruct(slices16, grid16_small, "rsd")
         img = project_max_depth(vol)
         assert img.shape == (3, 4)
         assert np.array_equal(img, np.abs(vol.as_array3d()).max(axis=0))
@@ -714,17 +720,19 @@ class TestMisc:
         voxels = ExplicitVoxels(tuple(
             VoxelPlane(z, PointList(rng.uniform(-0.08, 0.08, (9, 2)))) for z in (0.86, 0.94)))
         run = {
-            "nursd1": lambda t: nursd1(chain["planar"], chain_grid, eps=EPS, threads=t),
-            "srsd": lambda t: srsd(chain["uniform"], frustum, times=np.array([0.0, 1e-9]),
-                                   threads=t),
-            "rsd3d": lambda t: rsd3d(rippled, chain_grid, threads=t),
-            "nursd3d": lambda t: nursd3d(rippled, chain_grid, eps=EPS, threads=t),
-            "rsd": lambda t: rsd(chain["uniform"], chain_grid, threads=t),
-            "nursd2": lambda t: nursd2(chain["uniform"], voxels, eps=EPS, threads=t),
-            "nursd3": lambda t: nursd3(chain["planar"], voxels, eps=EPS,
-                                       times=np.array([0.0, 1e-9]), threads=t),
-            "srsd-nursd2": lambda t: srsd_nursd2(chain["uniform"], voxels, alpha=0.8,
-                                                 eps=EPS, threads=t),
+            "nursd1": lambda t: reconstruct(chain["planar"], chain_grid, "nursd1", eps=EPS,
+                                            threads=t),
+            "srsd": lambda t: reconstruct(chain["uniform"], frustum, "srsd",
+                                          times=np.array([0.0, 1e-9]), threads=t),
+            "rsd3d": lambda t: reconstruct(rippled, chain_grid, "rsd3d", threads=t),
+            "nursd3d": lambda t: reconstruct(rippled, chain_grid, "nursd3d", eps=EPS, threads=t),
+            "rsd": lambda t: reconstruct(chain["uniform"], chain_grid, "rsd", threads=t),
+            "nursd2": lambda t: reconstruct(chain["uniform"], voxels, "nursd2", eps=EPS,
+                                            threads=t),
+            "nursd3": lambda t: reconstruct(chain["planar"], voxels, "nursd3", eps=EPS,
+                                            times=np.array([0.0, 1e-9]), threads=t),
+            "srsd-nursd2": lambda t: reconstruct(chain["uniform"], voxels, "srsd-nursd2",
+                                                 alpha=0.8, eps=EPS, threads=t),
         }[algo]
         a = run(1)
         # More workers than cores, switching as often as the interpreter allows.
@@ -821,8 +829,8 @@ def test_nursd1_on_drawn_lattice_nodes_equals_rsd(chain, data):
     ox, oy = data.draw(st.integers(0, 8 - nx)), data.draw(st.integers(0, 8 - ny))
     grid = CuboidGrid(UniformGrid3D(nx, ny, 2, 0.02, 0.02, 0.08,
                                     -0.07 + 0.02 * ox, -0.07 + 0.02 * oy, 0.86))
-    expected = rsd(uniform, grid).field
-    assert rel_linf(nursd1(drawn, grid, eps=EPS).field, expected) < CHAIN_TOL
+    expected = reconstruct(uniform, grid, "rsd").field
+    assert rel_linf(reconstruct(drawn, grid, "nursd1", eps=EPS).field, expected) < CHAIN_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -853,17 +861,17 @@ def lifted():
 
 @pytest.mark.parametrize("extent", [0.01, 0.05, 0.15])
 @pytest.mark.parametrize("eps", [1e-6, 1e-9])
-@pytest.mark.parametrize("run", [nursd3d, rsd3d])
-def test_3d_paths_match_the_literal_sum(lifted, run, extent, eps):
+@pytest.mark.parametrize("name", ["nursd3d", "rsd3d"])
+def test_3d_paths_match_the_literal_sum(lifted, name, extent, eps):
     slices, direct = lifted[extent]
-    assert rel_l2(run(slices, _LIFTED_GRID, eps=eps).field, direct) <= eps
+    assert rel_l2(reconstruct(slices, _LIFTED_GRID, name, eps=eps).field, direct) <= eps
 
 
 def _depth_error(monkeypatch, slices, grid, m, reference):
     """nursd3d's relative error with ``m`` depth nodes and a 1e-12 NUFFT."""
     recon = sys.modules["phasorfield.reconstruct"]
     monkeypatch.setattr(recon, "_depth_node_count", lambda eps, sweep: m)
-    return rel_l2(nursd3d(slices, grid, eps=1e-12).field, reference)
+    return rel_l2(reconstruct(slices, grid, "nursd3d", eps=1e-12).field, reference)
 
 
 @pytest.mark.parametrize("extent", [0.01, 0.05, 0.15])
@@ -890,7 +898,7 @@ def test_depth_node_rule_on_the_benchmark_geometry(monkeypatch):
     assert m <= 4
     recon = sys.modules["phasorfield.reconstruct"]
     monkeypatch.setattr(recon, "_depth_node_count", lambda eps, sweep: 12)
-    reference = nursd3d(slices, grid, eps=1e-12).field
+    reference = reconstruct(slices, grid, "nursd3d", eps=1e-12).field
     assert _depth_error(monkeypatch, slices, grid, m, reference) <= 1e-6
 
 
@@ -903,7 +911,7 @@ def test_flat_relay_takes_one_depth_node():
 @pytest.mark.parametrize("eps", [0.0, -1e-6, 1.0, float("nan")])
 def test_rsd3d_rejects_eps_outside_the_unit_interval(rippled, chain_grid, eps):
     with pytest.raises(ValidationError, match="eps"):
-        rsd3d(rippled, chain_grid, eps=eps)
+        reconstruct(rippled, chain_grid, "rsd3d", eps=eps)
 
 
 @settings(max_examples=30, deadline=None)
@@ -926,4 +934,5 @@ def test_nursd3d_on_a_flat_relay_is_nursd1(data):
         [xy, np.full(n, z)]))), PointList(np.array([[0.0, 0.0, z]])))
     planar = FrequencySlices(freqs, coeff, NonUniformPlanarRelay(PointList(xy), z=z),
                              PointList(np.array([[0.0, 0.0]])))
-    assert np.array_equal(nursd3d(flat, grid).field, nursd1(planar, grid).field)
+    assert np.array_equal(reconstruct(flat, grid, "nursd3d").field,
+                          reconstruct(planar, grid, "nursd1").field)
