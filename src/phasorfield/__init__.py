@@ -14,6 +14,9 @@ Typical flow::
     kernel = build_kernel(lambda_c=0.04, n_bins=m.n_bins, delta_t=m.delta_t)
     slices = to_frequency(m, kernel)
     volume = reconstruct(slices, grid, "rsd")
+
+``read_frequency_slices(path, lambda_c)`` gives the same slices straight
+from a dataset file, projecting its histograms block by block as it reads.
 """
 
 from .core import (
@@ -57,6 +60,7 @@ from .phasor import (
     cuboid_volume,
     frustum_volume,
     lateral_resolution,
+    read_frequency_slices,
     sampling_report,
     scale_bounds,
     to_frequency,
@@ -117,6 +121,7 @@ __all__ = [
     "cuboid_volume",
     "frustum_volume",
     "lateral_resolution",
+    "read_frequency_slices",
     "sampling_report",
     "scale_bounds",
     "to_frequency",

@@ -287,6 +287,28 @@ def illumination_coordinates(relay: RelaySampling, illuminations: PointList) -> 
 # ---------------------------------------------------------------------------
 
 
+def _require_capture(relay: RelaySampling, illuminations: PointList, shape: tuple[int, ...],
+                     delta_t: float, t0: float) -> None:
+    """Refuse histograms of ``shape`` that the relay, the illuminations or the time axis
+    do not fit."""
+    _require(len(shape) == 3, "histograms must be [n_illum, n_detect, n_bins]")
+    _require(delta_t > 0, "bin width must be > 0")
+    _require(math.isfinite(t0), "t0 must be finite")
+    _require(shape[2] >= 1, "need at least one time bin")
+    _require(shape[1] == relay.count, "detector axis must match relay point count")
+    _require(shape[0] == illuminations.count,
+             "illumination axis must match illumination point count")
+    _require_illumination_plane(relay, illuminations)
+
+
+def _require_photon_counts(h: np.ndarray) -> None:
+    """Refuse non-finite or negative histogram values."""
+    # Reductions, not full-size masks: NaN propagates through min and max.
+    lo, hi = float(h.min()), float(h.max())
+    _require(math.isfinite(lo) and math.isfinite(hi), "histograms must be finite")
+    _require(lo >= 0, "histogram values are photon counts and must be >= 0")
+
+
 @dataclass(frozen=True)
 class TransientMeasurement:
     """Time-resolved histograms over (illumination, detection, time-bin).
@@ -305,18 +327,8 @@ class TransientMeasurement:
 
     def __post_init__(self) -> None:
         h = np.asarray(self.histograms, dtype=np.float64)
-        _require(h.ndim == 3, "histograms must be [n_illum, n_detect, n_bins]")
-        _require(self.delta_t > 0, "bin width must be > 0")
-        _require(math.isfinite(self.t0), "t0 must be finite")
-        _require(h.shape[2] >= 1, "need at least one time bin")
-        _require(h.shape[1] == self.relay.count, "detector axis must match relay point count")
-        _require(h.shape[0] == self.illuminations.count,
-                 "illumination axis must match illumination point count")
-        _require_illumination_plane(self.relay, self.illuminations)
-        # Reductions, not full-size masks: NaN propagates through min and max.
-        lo, hi = float(h.min()), float(h.max())
-        _require(math.isfinite(lo) and math.isfinite(hi), "histograms must be finite")
-        _require(lo >= 0, "histogram values are photon counts and must be >= 0")
+        _require_capture(self.relay, self.illuminations, h.shape, self.delta_t, self.t0)
+        _require_photon_counts(h)
         object.__setattr__(self, "histograms", _freeze(h))
 
     @property
@@ -627,24 +639,45 @@ class _Reader:
     def unpack(self, fmt: str):
         return struct.unpack("<" + fmt, self.take(struct.calcsize("<" + fmt)))
 
-    def payload(self, dtype: str, shape: tuple[int, ...], what: str) -> np.ndarray:
-        """Read ``shape`` little-endian ``dtype`` values block by block into
-        one read-only array of that shape and 64-bit components, refusing
-        non-finite values."""
+    def claim(self, dtype: str, count: int) -> np.dtype:
+        """Claim ``count`` little-endian ``dtype`` values; return their dtype."""
         dt = np.dtype(dtype).newbyteorder("<")
-        self._claim(dt.itemsize * math.prod(shape))
-        out = np.empty(shape, np.result_type(dt, np.float64))
-        raw = np.empty(dt.itemsize * min(_READ_BLOCK, out.size), np.uint8)
-        flat = out.reshape(-1)
-        for i in range(0, out.size, _READ_BLOCK):
-            n = dt.itemsize * min(_READ_BLOCK, out.size - i)
+        self._claim(dt.itemsize * count)
+        return dt
+
+    def blocks(self, dt: np.dtype, count: int, out: np.ndarray, block: int,
+               what: str) -> Iterator[np.ndarray]:
+        """Read ``count`` claimed ``dt`` values ``block`` at a time, refusing
+        non-finite ones, and convert each block into the flat 64-bit array
+        ``out``; yield each converted block.
+
+        ``out`` holds all ``count`` values, or it is one block's buffer that
+        each block overwrites.
+        """
+        raw = np.empty(dt.itemsize * min(block, count), np.uint8)
+        for i in range(0, count, block):
+            n = dt.itemsize * min(block, count - i)
             self._short_read(self.f.readinto(raw[:n]), n)
-            block = raw[:n].view(dt)
-            if not np.isfinite(block).all():
+            values = raw[:n].view(dt)
+            if not np.isfinite(values).all():
                 raise NonFiniteDataError(f"{what} payload contains non-finite values")
-            flat[i:i + block.size] = block
+            converted = out[i % out.size:][:values.size]
+            converted[...] = values
+            yield converted
+
+    def array(self, dt: np.dtype, shape: tuple[int, ...], what: str) -> np.ndarray:
+        """Read ``shape`` claimed ``dt`` values block by block into one
+        read-only array of that shape and 64-bit components, refusing
+        non-finite values."""
+        out = np.empty(shape, np.result_type(dt, np.float64))
+        for _ in self.blocks(dt, out.size, out.reshape(-1), _READ_BLOCK, what):
+            pass
         out.setflags(write=False)
         return out
+
+    def payload(self, dtype: str, shape: tuple[int, ...], what: str) -> np.ndarray:
+        """Claim ``shape`` little-endian ``dtype`` values and read them as :meth:`array`."""
+        return self.array(self.claim(dtype, math.prod(shape)), shape, what)
 
     def end(self) -> None:
         """Fail unless the whole input has been consumed."""
@@ -760,25 +793,76 @@ def write_dataset(m: TransientMeasurement, path: str) -> None:
         f.write("\n")
 
 
+class DatasetFile:
+    """A transient dataset file read up to its histograms.
+
+    The file's size has been checked against the histograms it declares,
+    and the header, relay and illuminations have passed the checks a
+    :class:`TransientMeasurement` makes of them, so a truncated or padded
+    file, or one whose counts disagree with its relay, fails before any
+    histogram is read.  The histograms are then read once, whole by
+    :meth:`histograms` or in blocks of rows by :meth:`histogram_rows`.
+    """
+
+    def __init__(self, f):
+        with _format_errors():
+            r, shape, (delta_t, t0), kind = _open_container(f, _RELAY_KINDS,
+                                                            "a transient dataset")
+            relay = _relay_from_reader(r, kind)
+            dim, n_ill_pts = r.unpack("BI")
+            if dim not in (2, 3):
+                raise ContainerFormatError(f"illumination dimensionality {dim} invalid")
+            ill = PointList(r.payload("f8", (n_ill_pts, dim), "illumination point"))
+            self._dt = r.claim("f4", math.prod(shape))
+            r.end()
+            _require_capture(relay, ill, shape, delta_t, t0)
+        self._reader = r
+        self.relay, self.illuminations, self.delta_t, self.t0 = relay, ill, delta_t, t0
+        self.shape = tuple(shape)
+
+    def histograms(self) -> np.ndarray:
+        """All histograms as one read-only float64 array."""
+        return self._reader.array(self._dt, self.shape, "histogram")
+
+    def histogram_rows(self, rows: int) -> Iterator[np.ndarray]:
+        """The histograms as float64 ``[rows, n_bins]`` blocks (the last may be
+        shorter), one histogram per (illumination, detector) in file order,
+        each refused if it holds a non-finite or negative value.
+
+        The blocks share one buffer: each is overwritten by the next.
+        """
+        count, n_bins = math.prod(self.shape), self.shape[2]
+        with _format_errors():
+            out = np.empty(min(rows * n_bins, count))
+            for values in self._reader.blocks(self._dt, count, out, rows * n_bins, "histogram"):
+                h = values.reshape(-1, n_bins)
+                _require_photon_counts(h)
+                yield h
+
+
+@contextmanager
+def open_dataset(path: str) -> Iterator[DatasetFile]:
+    """Open a transient dataset container and read it up to its histograms.
+
+    A malformed file raises :class:`ContainerFormatError` here or while its
+    histograms are read, as in :func:`read_dataset`.
+    """
+    with open(path, "rb") as f:
+        yield DatasetFile(f)
+
+
 # The histograms are the one large part of a capture.  The reader converts
 # them block by block into one read-only float64 array of their final shape,
 # which TransientMeasurement adopts, so a capture is held once in memory: the
 # file's bytes are never all in memory, and no float32 or second float64
-# copy is made.
+# copy is made.  phasor.read_frequency_slices projects the same blocks as
+# they are read and never holds the float64 array at all.
 @_format_errors()
 def read_dataset(path: str) -> TransientMeasurement:
     """Read a transient measurement container written by :func:`write_dataset`."""
-    with open(path, "rb") as f:
-        r, (n_illum, n_detect, n_bins), (delta_t, t0), kind = _open_container(
-            f, _RELAY_KINDS, "a transient dataset")
-        relay = _relay_from_reader(r, kind)
-        dim, n_ill_pts = r.unpack("BI")
-        if dim not in (2, 3):
-            raise ContainerFormatError(f"illumination dimensionality {dim} invalid")
-        ill = r.payload("f8", (n_ill_pts, dim), "illumination point")
-        hist = r.payload("f4", (n_illum, n_detect, n_bins), "histogram")
-        r.end()
-    return TransientMeasurement(relay, PointList(ill), hist, delta_t, t0)
+    with open_dataset(path) as d:
+        hist = d.histograms()
+    return TransientMeasurement(d.relay, d.illuminations, hist, d.delta_t, d.t0)
 
 
 # ---------------------------------------------------------------------------

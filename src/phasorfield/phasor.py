@@ -2,7 +2,10 @@
 
 A transient measurement is turned into a small set of complex monochromatic
 wavefronts by projecting each time histogram onto a Gaussian frequency
-packet centered on a chosen virtual wavelength.  The remaining functions are
+packet centered on a chosen virtual wavelength: :func:`to_frequency` projects
+a measurement held in memory, and :func:`read_frequency_slices` projects a
+dataset file's histograms block by block as it reads them, without ever
+holding them whole.  The remaining functions are
 closed-form design rules for that virtual wave: resolution limits, frustum
 scale-factor bounds, swept-volume bookkeeping, relay sampling-rate
 certificates, and the storage compression won by detector downsampling.
@@ -12,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -22,12 +26,14 @@ from .core import (
     ValidationError,
     _freeze,
     _require,
+    open_dataset,
 )
 
 __all__ = [
     "PhasorKernel",
     "build_kernel",
     "to_frequency",
+    "read_frequency_slices",
     "lateral_resolution",
     "ScaleBounds",
     "scale_bounds",
@@ -75,6 +81,13 @@ def _require_finite(**values: float) -> None:
         _require(math.isfinite(v), f"{name} must be finite, not {v}")
 
 
+def _check_packet(lambda_c: float, threshold: float) -> None:
+    """Refuse a virtual wavelength or retention threshold that no time axis could use."""
+    _require_finite(lambda_c=lambda_c)
+    _require(lambda_c > 0, "virtual wavelength must be > 0")
+    _require(0.0 < threshold < 1.0, "retention threshold must lie in (0, 1)")
+
+
 def build_kernel(lambda_c: float, n_bins: int, delta_t: float,
                  threshold: float = 0.01) -> PhasorKernel:
     """Select and weight the DFT bins of a Gaussian packet at ``lambda_c``.
@@ -83,11 +96,10 @@ def build_kernel(lambda_c: float, n_bins: int, delta_t: float,
     width ``sigma = c/(5*lambda_c)``; a positive bin ``k`` (1..n_bins//2) is
     retained when ``exp(-(omega_k - omega_c)^2 / (2*sigma^2)) >= threshold``.
     """
-    _require_finite(lambda_c=lambda_c, delta_t=delta_t)
-    _require(lambda_c > 0, "virtual wavelength must be > 0")
+    _check_packet(lambda_c, threshold)
+    _require_finite(delta_t=delta_t)
     _require(n_bins >= 2, "need at least two time bins")
     _require(delta_t > 0, "bin width must be > 0")
-    _require(0.0 < threshold < 1.0, "retention threshold must lie in (0, 1)")
     omega_c = 2.0 * math.pi * SPEED_OF_LIGHT / lambda_c
     sigma = SPEED_OF_LIGHT / (5.0 * lambda_c)
     bins = np.arange(1, n_bins // 2 + 1)
@@ -111,9 +123,31 @@ def build_kernel(lambda_c: float, n_bins: int, delta_t: float,
     )
 
 
-# Histogram values transformed per rfft call in :func:`to_frequency`: the
-# block's half spectrum stays a few MB whatever the capture holds.
+# Histogram values transformed per rfft call: the block's half spectrum
+# stays a few MB whatever the capture holds.
 _PROJECTION_BLOCK = 1 << 18
+
+
+def _project(histogram_rows: Callable[[int], Iterable[np.ndarray]],
+             shape: tuple[int, int, int], kernel: PhasorKernel, t0: float) -> np.ndarray:
+    """Read-only ``[n_illum, n_detect, n_freq]`` coefficients of the histograms of
+    ``shape``, which ``histogram_rows(rows)`` gives as float64 ``[rows, n_bins]``
+    blocks in (illumination, detector) order.
+
+    The histograms are real and the kernel's bins lie in ``1..n_bins//2``, so
+    a real FFT of each block gives every retained bin without forming the
+    full spectrum.
+    """
+    coeff = np.empty((shape[0], shape[1], kernel.n_freq), dtype=np.complex128)
+    flat = coeff.reshape(-1, kernel.n_freq)
+    i = 0
+    for h in histogram_rows(max(1, _PROJECTION_BLOCK // shape[2])):
+        flat[i:i + len(h)] = np.fft.rfft(h, axis=1)[:, kernel.bin_indices]
+        i += len(h)
+    coeff *= kernel.weights
+    coeff *= np.exp(-1j * kernel.frequencies * t0)
+    coeff.setflags(write=False)
+    return coeff
 
 
 def to_frequency(measurement: TransientMeasurement, kernel: PhasorKernel) -> FrequencySlices:
@@ -122,29 +156,39 @@ def to_frequency(measurement: TransientMeasurement, kernel: PhasorKernel) -> Fre
     Coefficient for bin ``k``: ``FFT(histogram)[k] * weight_k *
     exp(-1j*omega_k*t0)`` — the forward DFT analyzes against
     ``exp(-1j*omega*t)`` and the ``t0`` phase refers bin 0 back to absolute
-    time zero.  The histograms are real and the kernel's bins lie in
-    ``1..n_bins//2``, so a real FFT over blocks of detectors gives every
-    retained bin without forming the full spectrum.
+    time zero.  The projection runs over blocks of histograms, as
+    :func:`read_frequency_slices` does while it reads them.
     """
     _require(measurement.n_bins == kernel.n_bins,
              "measurement and kernel disagree on the number of time bins")
     _require(math.isclose(measurement.delta_t, kernel.delta_t, rel_tol=1e-12),
              "measurement and kernel disagree on the bin width")
     h = measurement.histograms
-    n_illum, n_detect, n_bins = h.shape
-    coeff = np.empty((n_illum, n_detect, kernel.n_freq), dtype=np.complex128)
-    step = max(1, _PROJECTION_BLOCK // (n_illum * n_bins))
-    for i in range(0, n_detect, step):
-        coeff[:, i:i + step] = np.fft.rfft(h[:, i:i + step], axis=2)[:, :, kernel.bin_indices]
-    coeff *= kernel.weights
-    coeff *= np.exp(-1j * kernel.frequencies * measurement.t0)
-    coeff.setflags(write=False)
+    rows = h.reshape(-1, h.shape[2])
+    coeff = _project(lambda step: (rows[i:i + step] for i in range(0, len(rows), step)),
+                     h.shape, kernel, measurement.t0)
     return FrequencySlices(
         frequencies=kernel.frequencies,
         coefficients=coeff,
         relay=measurement.relay,
         illuminations=measurement.illuminations,
     )
+
+
+def read_frequency_slices(path: str, lambda_c: float, threshold: float = 0.01) -> FrequencySlices:
+    """Read a dataset container straight into its frequency slices.
+
+    The same slices as ``to_frequency(read_dataset(path), build_kernel(lambda_c,
+    n_bins, delta_t, threshold))``, bit for bit, with the kernel built from
+    the file's time axis.  The histograms are projected block by block as
+    they are read, so no float64 copy of them is ever held.  A malformed file
+    raises the :class:`ContainerFormatError` that :func:`read_dataset` raises;
+    a kernel the time axis cannot carry raises :class:`ValidationError`.
+    """
+    with open_dataset(path) as d:
+        kernel = build_kernel(lambda_c, d.shape[2], d.delta_t, threshold)
+        coeff = _project(d.histogram_rows, d.shape, kernel, d.t0)
+    return FrequencySlices(kernel.frequencies, coeff, d.relay, d.illuminations)
 
 
 def lateral_resolution(lambda_c: float, z: float, aperture: float) -> float:

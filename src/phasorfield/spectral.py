@@ -152,8 +152,16 @@ def cifft_n(u: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
 
 
 def cfft_2d(u: np.ndarray) -> np.ndarray:
-    """Centered-index forward DFT over the last two axes."""
-    return cfft_n(u, axes=(-2, -1))
+    """Centered-index forward DFT over the last two axes.
+
+    The transforms run in place on the shifted copy, along x and then along
+    y, as :func:`numpy.fft.fftn` orders them, so the result is bitwise
+    equal to :func:`cfft_n` over the same axes; it computes in complex128.
+    """
+    a = np.fft.ifftshift(np.asarray(u, dtype=np.complex128), axes=(-2, -1))
+    np.fft.fft(a, axis=-1, out=a)
+    np.fft.fft(a, axis=-2, out=a)
+    return np.fft.fftshift(a, axes=(-2, -1))
 
 
 def cifft_2d(u: np.ndarray, rows=None, cols=None) -> np.ndarray:

@@ -14,6 +14,7 @@ import pytest
 
 import phasorfield
 from phasorfield import (
+    ContainerFormatError,
     CuboidGrid,
     ExplicitVoxels,
     FrustumGrid,
@@ -34,6 +35,8 @@ from phasorfield import (
 from phasorfield.cli import main
 from phasorfield.phasor import build_kernel, to_frequency
 from phasorfield.reconstruct import _ALGORITHMS, ALGORITHM_NAMES, reconstruct
+
+from helpers import MALFORMED_DATASETS
 
 
 def _scene_doc(**overrides):
@@ -767,13 +770,17 @@ class TestMalformedInputs:
         ("srsd", CUBOID, [], "srsd reconstructs onto a frustum grid"),
         ("nursd2", CUBOID, [], "nursd2 reconstructs onto explicit voxels"),
         ("rsd", CUBOID, ["--threads", "0"], "threads must be >= 1"),
-    ], ids=["rsd-planes", "srsd-cuboid", "nursd2-cuboid", "threads-0"])
+        ("rsd", CUBOID, ["--lambda-c", "nan"], "lambda_c must be finite, not nan"),
+        ("rsd", CUBOID, ["--lambda-c", "0"], "virtual wavelength must be > 0"),
+        ("rsd", CUBOID, ["--threshold", "2"], "retention threshold must lie in (0, 1)"),
+    ], ids=["rsd-planes", "srsd-cuboid", "nursd2-cuboid", "threads-0", "lambda-c-nan",
+            "lambda-c-0", "threshold-2"])
     def test_refused_before_the_dataset_is_read(self, tmp_path, capsys, monkeypatch,
                                                 algo, grid, flags, named):
-        def unread(path):
+        def unread(path, *args):
             raise AssertionError(f"{path} was read")
 
-        monkeypatch.setattr("phasorfield.cli.read_dataset", unread)
+        monkeypatch.setattr("phasorfield.phasor.read_frequency_slices", unread)
         out = tmp_path / "x.vol"
         grid = grid or _planes_file(tmp_path, _PLANE_POINTS)
         code = main(["reconstruct", str(tmp_path / "absent.nls1"), "-o", str(out),
@@ -790,6 +797,35 @@ class TestMalformedInputs:
         assert code == 2
         assert "threads must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "x.vol").exists()
+
+    @pytest.mark.parametrize("malformed", MALFORMED_DATASETS)
+    def test_malformed_dataset_is_io_error_and_writes_nothing(self, pipeline, tmp_path, capsys,
+                                                              malformed):
+        edit, _, message = MALFORMED_DATASETS[malformed]
+        bad = tmp_path / "bad.nls1"
+        bad.write_bytes(edit(pipeline["dataset"].read_bytes()))
+        with pytest.raises(ContainerFormatError) as refused:
+            read_dataset(str(bad))
+        out = tmp_path / "x.vol"
+        code = main(["reconstruct", str(bad), "-o", str(out), "--algo", "rsd",
+                     "--lambda-c", "0.04", "--grid", CUBOID])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err == f"error: {refused.value}\n" and re.search(message, str(refused.value))
+        assert not out.exists()
+
+    def test_window_too_short_for_the_wavelength_is_usage_error(self, tmp_path, capsys):
+        # A sound file whose 8 bins of 16 ps carry no bin near lambda_c.
+        path = tmp_path / "short.nls1"
+        write_dataset(TransientMeasurement(UniformRelay(UniformGrid2D(2, 2, 0.1, 0.1, 0.0, 0.0)),
+                                           PointList(np.zeros((1, 2))), np.ones((1, 4, 8)),
+                                           delta_t=16e-12), str(path))
+        out = tmp_path / "x.vol"
+        code = main(["reconstruct", str(path), "-o", str(out), "--algo", "rsd",
+                     "--lambda-c", "0.5", "--grid", CUBOID])
+        assert code == 2
+        assert "no DFT bin reaches the retention threshold" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_volume_with_unknown_time_word_is_io_error(self, pipeline, tmp_path, capsys):
         vol = tmp_path / "v.vol"

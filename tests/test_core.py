@@ -39,17 +39,18 @@ from phasorfield import (
     write_pgm,
     write_volume,
 )
-from phasorfield import core
+from phasorfield import core, phasor
 from phasorfield.core import (
+    SPEED_OF_LIGHT,
     UniformGrid2D,
     UniformGrid3D,
     _freeze,
     grid_coordinates,
 )
 from phasorfield.cli import main
-from phasorfield.phasor import build_kernel, to_frequency
+from phasorfield.phasor import build_kernel, read_frequency_slices, to_frequency
 
-from helpers import centered_grid2d, centered_relay
+from helpers import MALFORMED_DATASETS, centered_grid2d, centered_relay
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +341,16 @@ def _small_measurement(relay=None):
     return TransientMeasurement(relay, ill, hist, delta_t=16e-12, t0=1e-10)
 
 
+def _streamed(path: str):
+    """The streamed reader, with a packet centred on bin 2 of _small_measurement's window."""
+    return read_frequency_slices(path, SPEED_OF_LIGHT * 8 * 16e-12 / 2)
+
+
+# Both readers of datasets: whole, and streamed into frequency slices.
+_DATASET_READERS = pytest.mark.parametrize("read", [read_dataset, _streamed],
+                                           ids=["read_dataset", "read_frequency_slices"])
+
+
 # One instance of every relay kind and of every grid kind.
 _RELAY_CASES = (
     centered_relay(2, 0.1, z=0.3),
@@ -433,13 +444,15 @@ class TestDatasetContainer:
         assert not any("time" in k.lower() and k != "t0" for k in doc
                        if k not in ("delta_t",))
 
-    def test_bad_magic(self, tmp_path):
+    @_DATASET_READERS
+    def test_bad_magic(self, tmp_path, read):
         path = tmp_path / "bad.nls1"
         path.write_bytes(b"JUNKxxxxxxxxxxxxxxxx")
         with pytest.raises(InvalidMagicError):
-            read_dataset(str(path))
+            read(str(path))
 
-    def test_unsupported_version(self, tmp_path):
+    @_DATASET_READERS
+    def test_unsupported_version(self, tmp_path, read):
         m = _small_measurement()
         path = tmp_path / "d.nls1"
         write_dataset(m, str(path))
@@ -447,18 +460,20 @@ class TestDatasetContainer:
         raw[4] = 99
         path.write_bytes(bytes(raw))
         with pytest.raises(UnsupportedVersionError):
-            read_dataset(str(path))
+            read(str(path))
 
-    def test_truncated_payload(self, tmp_path):
+    @_DATASET_READERS
+    def test_truncated_payload(self, tmp_path, read):
         m = _small_measurement()
         path = tmp_path / "d.nls1"
         write_dataset(m, str(path))
         raw = path.read_bytes()
         path.write_bytes(raw[:len(raw) - 5])
         with pytest.raises(TruncatedPayloadError):
-            read_dataset(str(path))
+            read(str(path))
 
-    def test_nonfinite_payload(self, tmp_path):
+    @_DATASET_READERS
+    def test_nonfinite_payload(self, tmp_path, read):
         m = _small_measurement()
         path = tmp_path / "d.nls1"
         write_dataset(m, str(path))
@@ -466,7 +481,7 @@ class TestDatasetContainer:
         raw[-4:] = np.float32(np.nan).tobytes()
         path.write_bytes(bytes(raw))
         with pytest.raises(NonFiniteDataError):
-            read_dataset(str(path))
+            read(str(path))
 
     # Header fields the constructors refuse: (byte offset, packed value,
     # message).  delta_t follows magic, version and the three counts; the
@@ -476,25 +491,64 @@ class TestDatasetContainer:
         (37, struct.pack("<I", 0), "grid counts must be >= 1"),
         (45, struct.pack("<d", 0.0), "grid pitches must be > 0"),
     ])
-    def test_refused_header_values_are_format_errors(self, tmp_path, offset, value, message):
+    @_DATASET_READERS
+    def test_refused_header_values_are_format_errors(self, tmp_path, read, offset, value,
+                                                     message):
         path = tmp_path / "d.nls1"
         write_dataset(_small_measurement(), str(path))
         raw = bytearray(path.read_bytes())
         raw[offset:offset + len(value)] = value
         path.write_bytes(bytes(raw))
         with pytest.raises(ContainerFormatError, match=message):
-            read_dataset(str(path))
+            read(str(path))
 
-    def test_volume_file_is_rejected(self, tmp_path):
+    @_DATASET_READERS
+    def test_volume_file_is_rejected(self, tmp_path, read):
         _, volumes = _write_each(tmp_path)
         for kind, path in volumes:
             with pytest.raises(ContainerFormatError,
                                match=f"expected a transient dataset, but the file holds "
                                      f"a volume on a {kind} grid"):
-                read_dataset(path)
+                read(path)
+
+    # One histogram per block as well as all in one, so that a bad value in
+    # the last block is found after the others were projected.
+    @pytest.mark.parametrize("block", [None, 8], ids=["default-block", "one-row-blocks"])
+    @pytest.mark.parametrize("malformed", MALFORMED_DATASETS)
+    def test_both_readers_refuse_a_malformed_file_alike(self, tmp_path, monkeypatch,
+                                                        malformed, block):
+        edit, error, message = MALFORMED_DATASETS[malformed]
+        path = tmp_path / "bad.nls1"
+        path.write_bytes(edit(_container_bytes(write_dataset, _small_measurement(), tmp_path)))
+        if block is not None:
+            monkeypatch.setattr(phasor, "_PROJECTION_BLOCK", block)
+        refusals = []
+        for read in (read_dataset, _streamed):
+            with pytest.raises(error, match=message) as refused:
+                read(str(path))
+            refusals.append((type(refused.value), str(refused.value)))
+        assert refusals[0] == refusals[1]
+
+    def test_counts_that_disagree_with_the_relay_are_refused_before_the_histograms(
+            self, tmp_path, monkeypatch):
+        path = tmp_path / "bad.nls1"
+        edit = MALFORMED_DATASETS["detector-count"][0]
+        path.write_bytes(edit(_container_bytes(write_dataset, _small_measurement(), tmp_path)))
+
+        blocks, read_blocks = core._Reader.blocks, []
+
+        def spy(reader, dt, count, out, block, what):
+            read_blocks.append(what)
+            return blocks(reader, dt, count, out, block, what)
+
+        monkeypatch.setattr(core._Reader, "blocks", spy)
+        for read in (read_dataset, _streamed):
+            with pytest.raises(ContainerFormatError, match="detector axis must match"):
+                read(str(path))
+        assert read_blocks == ["illumination point"] * 2
 
     @pytest.mark.parametrize("tag", [5, 15, 19, 255])
-    @pytest.mark.parametrize("reader", [read_dataset, read_volume, read_container])
+    @pytest.mark.parametrize("reader", [read_dataset, read_volume, read_container, _streamed])
     def test_unknown_kind_tag(self, tmp_path, reader, tag):
         datasets, volumes = _write_each(tmp_path)
         for _, path in (datasets[0], volumes[0]):
@@ -540,9 +594,23 @@ class TestStreamedRead:
         assert m.histograms.flags.owndata and sl.coefficients.flags.owndata
         assert peak <= 1.15 * m.histograms.nbytes + _STREAM_SLACK
 
+    def test_a_streamed_capture_is_never_held(self, tmp_path):
+        # frustum-video's shape, projected as it is read: beside the
+        # coefficients only blocks are held, a file block, its float64
+        # conversion and its half spectrum, never the histograms.
+        relay = UniformRelay(UniformGrid2D(48, 48, 0.01, 0.01, -0.24, -0.24))
+        h = np.random.default_rng(3).poisson(2.0, (2, 2304, 1024)).astype(np.float64)
+        path = str(tmp_path / "big.nls1")
+        write_dataset(TransientMeasurement(relay, PointList(np.zeros((2, 2))), h, 16e-12), path)
+        del h
+        sl, peak = _traced_peak(lambda: read_frequency_slices(path, 0.06))
+        assert sl.coefficients.flags.owndata
+        assert peak <= sl.coefficients.nbytes + 2 * _STREAM_SLACK
+
     def test_the_cli_drops_a_capture_once_projected(self, tmp_path, capsys):
-        # frustum-video's capture and flags.  The reconstruction reads only the
-        # frequency projection, so the histograms are not held underneath it.
+        # frustum-video's capture and flags.  The command line projects the
+        # histograms as it reads them, so neither their float64 copy nor even
+        # the file's float32 bytes are ever held whole.
         relay = UniformRelay(UniformGrid2D(48, 48, 0.02, 0.02, -0.47, -0.47))
         h = np.random.default_rng(3).poisson(2.0, (2, 2304, 1024)).astype(np.float64)
         path = str(tmp_path / "big.nls1")
@@ -556,7 +624,7 @@ class TestStreamedRead:
         assert main(argv) == 0  # warm-up: the scaled transforms' plan caches
         code, peak = _traced_peak(lambda: main(argv))
         assert code == 0
-        assert peak <= 1.15 * histogram_bytes + _STREAM_SLACK
+        assert peak <= histogram_bytes / 2 + _STREAM_SLACK
 
     def test_a_measurement_checks_its_histograms_without_masks(self):
         # frustum-video's shape, owned and read-only: adopted, and checked
@@ -835,12 +903,12 @@ class TestContainerProperties:
                 else np.array_equal(back.times, v.times))
 
     @settings(max_examples=10, deadline=None)
-    @given(m=_measurements())
-    def test_every_strict_dataset_prefix_is_truncated(self, blob_dir, m):
+    @given(m=_measurements(), reader=st.sampled_from([read_dataset, _streamed]))
+    def test_every_strict_dataset_prefix_is_truncated(self, blob_dir, m, reader):
         raw = _container_bytes(write_dataset, m, blob_dir)
         for n in range(len(raw)):
             with pytest.raises(TruncatedPayloadError):
-                _read_bytes(read_dataset, raw[:n], blob_dir)
+                _read_bytes(reader, raw[:n], blob_dir)
 
     @settings(max_examples=10, deadline=None)
     @given(v=_volumes())
@@ -851,11 +919,12 @@ class TestContainerProperties:
                 _read_bytes(read_volume, raw[:n], blob_dir)
 
     @settings(max_examples=30, deadline=None)
-    @given(m=_measurements(), suffix=st.binary(min_size=1, max_size=16))
-    def test_any_dataset_suffix_is_rejected(self, blob_dir, m, suffix):
+    @given(m=_measurements(), suffix=st.binary(min_size=1, max_size=16),
+           reader=st.sampled_from([read_dataset, _streamed]))
+    def test_any_dataset_suffix_is_rejected(self, blob_dir, m, suffix, reader):
         raw = _container_bytes(write_dataset, m, blob_dir)
         with pytest.raises(ContainerFormatError, match="follow the payload"):
-            _read_bytes(read_dataset, raw + suffix, blob_dir)
+            _read_bytes(reader, raw + suffix, blob_dir)
 
     @settings(max_examples=30, deadline=None)
     @given(v=_volumes(), suffix=st.binary(min_size=1, max_size=16))

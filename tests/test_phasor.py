@@ -1,19 +1,33 @@
 """Illumination kernel, frequency projection, and closed-form calculators."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from phasorfield import NonUniformPlanarRelay, PointList, TransientMeasurement, ValidationError
+from phasorfield import (
+    NonPlanarRelay,
+    NonUniformPlanarRelay,
+    PointList,
+    TransientMeasurement,
+    UniformRelay,
+    ValidationError,
+    read_dataset,
+    write_dataset,
+)
 from phasorfield import phasor
-from phasorfield.core import SPEED_OF_LIGHT
+from phasorfield.core import SPEED_OF_LIGHT, UniformGrid2D
 from phasorfield.phasor import (
     build_kernel,
     compression_factor,
     cuboid_volume,
     frustum_volume,
     lateral_resolution,
+    read_frequency_slices,
     sampling_report,
     scale_bounds,
     to_frequency,
@@ -147,8 +161,8 @@ class TestToFrequency:
     def test_blocked_real_fft_matches_the_full_spectrum(self, rng, n_bins):
         m = self._counts(rng, n_bins)
         k = build_kernel(0.06, n_bins, m.delta_t)
-        # 300 detections at these bin counts span three projection blocks.
-        assert m.n_detect > phasor._PROJECTION_BLOCK // (m.n_illum * n_bins) * 2
+        # 2 x 300 histograms at these bin counts span three projection blocks.
+        assert m.n_illum * m.n_detect > phasor._PROJECTION_BLOCK // n_bins * 2
         full = np.fft.fft(m.histograms, axis=2)[:, :, k.bin_indices]
         reference = full * k.weights * np.exp(-1j * k.frequencies * m.t0)
         assert rel_l2(to_frequency(m, k).coefficients, reference) <= 1e-15
@@ -167,6 +181,67 @@ class TestToFrequency:
             to_frequency(m, build_kernel(0.06, 128, 16e-12))
         with pytest.raises(ValidationError):
             to_frequency(m, build_kernel(0.06, 256, 8e-12))
+
+
+_COORD = st.floats(-1.0, 1.0)
+
+
+def _points(n: int, dim: int):
+    return hnp.arrays(np.float64, (n, dim), elements=_COORD)
+
+
+@st.composite
+def _captures(draw):
+    """A small capture on a relay of any kind, and the rows per projection block."""
+    kind = draw(st.sampled_from(["uniform", "planar", "3d"]))
+    if kind == "uniform":
+        relay = UniformRelay(UniformGrid2D(draw(st.integers(1, 4)), draw(st.integers(1, 4)),
+                                           0.02, 0.03, -0.05, 0.01, draw(_COORD)))
+    elif kind == "planar":
+        relay = NonUniformPlanarRelay(PointList(draw(_points(draw(st.integers(1, 9)), 2))),
+                                      draw(_COORD))
+    else:
+        relay = NonPlanarRelay(PointList(draw(_points(draw(st.integers(1, 9)), 3))))
+    dim = 3 if kind == "3d" else draw(st.sampled_from([2, 3]))
+    ill = PointList(draw(_points(draw(st.integers(1, 3)), dim)))
+    n_bins = draw(st.integers(8, 64))
+    h = draw(hnp.arrays(np.float64, (ill.count, relay.count, n_bins),
+                        elements=st.floats(0.0, 1e4, width=32)))
+    t0 = draw(st.floats(1e-11, 1e-8) | st.floats(-1e-8, -1e-11))
+    rows = draw(st.integers(2, 5))
+    assume(ill.count * relay.count % rows != 0)
+    return TransientMeasurement(relay, ill, h, 16e-12, t0=t0), rows
+
+
+class TestReadFrequencySlices:
+    @settings(max_examples=60, deadline=None)
+    @given(capture=_captures(), bin_index=st.integers(1, 4))
+    def test_streamed_slices_equal_the_in_memory_ones(self, tmp_path_factory, capture,
+                                                      bin_index):
+        m, rows = capture
+        path = str(tmp_path_factory.mktemp("stream") / "capture.nls1")
+        write_dataset(m, path)
+        # The packet centred on one DFT bin of the window keeps at least that bin.
+        lambda_c = SPEED_OF_LIGHT * m.n_bins * m.delta_t / bin_index
+        kernel = build_kernel(lambda_c, m.n_bins, m.delta_t)
+        # Blocks of `rows` histograms, which do not divide the capture's.
+        with mock.patch.object(phasor, "_PROJECTION_BLOCK", rows * m.n_bins):
+            streamed = read_frequency_slices(path, lambda_c)
+        held = to_frequency(read_dataset(path), kernel)
+        assert streamed.frequencies.tobytes() == held.frequencies.tobytes()
+        assert streamed.coefficients.shape == held.coefficients.shape
+        assert streamed.coefficients.tobytes() == held.coefficients.tobytes()
+        assert streamed.coefficients.flags.owndata
+        assert streamed.relay.kind == held.relay.kind
+        assert np.array_equal(streamed.relay.coordinates(), held.relay.coordinates())
+        assert np.array_equal(streamed.illuminations.points, held.illuminations.points)
+
+    def test_a_window_too_short_for_the_wavelength_is_invalid_input(self, tmp_path):
+        # The file is sound; its 8 bins of 16 ps carry no bin near 0.5 m.
+        path = str(tmp_path / "capture.nls1")
+        write_dataset(_measurement(np.ones((1, 4, 8))), path)
+        with pytest.raises(ValidationError, match="no DFT bin reaches the retention threshold"):
+            read_frequency_slices(path, 0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,16 @@ class TestCenteredFfts:
         ref = np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(u)))
         assert rel_linf(cfft_2d(u), ref) < 1e-12
 
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 9), (8, 6), (3, 16, 15), (2, 3, 11, 12)])
+    @pytest.mark.parametrize("real", [True, False])
+    def test_in_place_passes_equal_fftn_bitwise(self, rng, shape, real):
+        u = rng.standard_normal(shape) if real else _complex(rng, shape)
+        axes = (-2, -1)
+        ref = np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(u, axes=axes), axes=axes), axes=axes)
+        got = cfft_2d(u)
+        assert got.dtype == np.complex128 and got.shape == shape
+        assert got.tobytes() == ref.tobytes()
+
     def test_convolution_identity(self, rng):
         # cifft(cfft(a) * cfft(b)) is the circular convolution of a and b
         # evaluated in the centered-index convention.
