@@ -46,6 +46,9 @@ srsd-nursd2  uniform grid              explicit list, one scale    scaled FFT + 
 All lattice work uses the centered-index convention of :mod:`.spectral`;
 padded sizes are chosen so that every lag actually used lies inside the
 centered index set, making the circular convolutions exact linear ones.
+Kernel spectra alone are built in FFT order (:func:`_kernel_spectrum`) and
+read through the shift in the product (:func:`_shifted_product`), so no
+plane's kernel is rolled; every product is bitwise the centered one.
 Accumulation order (frequencies ascending, illuminations ascending) is fixed
 and identical for the static and time-resolved paths, and a frequency's
 arithmetic does not depend on the block it falls in, so results are
@@ -175,22 +178,66 @@ def _embed_relay(coefficients: np.ndarray, g, py: int, px: int) -> np.ndarray:
     return out
 
 
-def _kernel_2d(khat, shape, pitch, dz: float) -> np.ndarray:
-    """Kernel on the ``shape = (py, px)`` lag lattice of ``pitch = (dx, dy)``;
-    a vector ``khat`` gives a ``[n, py, px]`` stack.
+def _fft_order_lags(n: int) -> np.ndarray:
+    """Lag magnitudes of an axis of length ``n`` in FFT order: lag ``j`` at
+    index ``j % n``, an even ``n``'s unmatched ``-n/2`` at ``n/2``."""
+    return np.abs((np.arange(n) + n // 2) % n - n // 2)
+
+
+def _kernel_spectrum(khat, shape, pitch, dz: float) -> np.ndarray:
+    """DFT of the kernel on the ``shape = (py, px)`` lag lattice of
+    ``pitch = (dx, dy)``, in FFT order; a vector ``khat`` gives a
+    ``[n, py, px]`` stack.
 
     The lags are ``(arange(P) - P//2) * pitch`` and ``r`` is even in them, so
     the kernel is evaluated on one quadrant, the lag magnitudes ``0..P//2`` of
-    each axis, and mirrored out (an even ``P``'s unmatched ``-P/2`` lag has
-    magnitude ``P//2`` too).  ``(-j)*pitch`` is exactly ``-(j*pitch)`` and
-    ``r`` squares it, so every value is bitwise the one the full lattice gives.
+    each axis (an even ``P``'s unmatched ``-P/2`` lag has magnitude ``P//2``
+    too).  ``(-j)*pitch`` is exactly ``-(j*pitch)`` and ``r`` squares it, so
+    every value is bitwise the one the full lattice gives.  The quadrant is
+    spread along x in FFT order and transformed in place on its ``py//2 + 1``
+    distinct rows, then spread along y and transformed in place.  Identical
+    rows transform identically, so the result is bitwise
+    ``ifftshift(cfft_2d(kernel))`` with no roll made;
+    :func:`_shifted_product` reads it through the shift.
     """
     (py, px), (dx, dy) = shape, pitch
     r = np.sqrt((np.arange(px // 2 + 1) * dx)[None, :] ** 2
                 + (np.arange(py // 2 + 1) * dy)[:, None] ** 2 + dz * dz)
     quadrant = np.exp(PROPAGATION_SIGN * 1j * np.asarray(khat)[..., None, None] * r) / r
-    return (quadrant.take(np.abs(np.arange(py) - py // 2), axis=-2)
-            .take(np.abs(np.arange(px) - px // 2), axis=-1))
+    g = quadrant.take(_fft_order_lags(px), axis=-1)
+    np.fft.fft(g, axis=-1, out=g)
+    g = g.take(_fft_order_lags(py), axis=-2)
+    np.fft.fft(g, axis=-2, out=g)
+    return g
+
+
+def _shift_halves(n: int) -> tuple[tuple[slice, slice], ...]:
+    """``(centered, fft_order)`` slice pairs of an axis of length ``n``: the
+    centered indices ``[0, n//2)`` hold FFT indices ``[n - n//2, n)`` and the
+    rest hold ``[0, n - n//2)``, as :func:`numpy.fft.fftshift` moves them."""
+    h = n // 2
+    return (slice(0, h), slice(n - h, n)), (slice(h, n), slice(0, n - h))
+
+
+def _shifted_product(u: np.ndarray, ghat: np.ndarray,
+                     spec: np.ndarray | None = None) -> np.ndarray:
+    """``u * fftshift(ghat)`` over the last two axes, or, given ``spec``, that
+    product added into ``spec``: four quadrant blocks read ``ghat`` through the
+    shift, so no shifted copy is made.  Each element pairs the same operands
+    as the full product, and ``u`` stays the left one (NumPy's SIMD complex
+    product is not bitwise commutative), so every value is bitwise the same.
+    """
+    first = spec is None
+    if first:
+        spec = np.empty(u.shape, np.result_type(u, ghat))
+    for cy, fy in _shift_halves(u.shape[-2]):
+        for cx, fx in _shift_halves(u.shape[-1]):
+            ub, gb, sb = u[..., cy, cx], ghat[..., fy, fx], spec[..., cy, cx]
+            if first:
+                np.multiply(ub, gb, out=sb)
+            else:
+                np.add(sb, ub * gb, out=sb)
+    return spec
 
 
 def _illum_phase(khat, x: np.ndarray, y: np.ndarray, z: float,
@@ -296,8 +343,8 @@ def _frame_times(times, frequencies: np.ndarray) -> np.ndarray | None:
 def _check_planes(planes: list[_Plane], shape: tuple[int, int], k_max: float,
                   ill: np.ndarray | None) -> None:
     """Refuse a plane whose kernel phase ``k*r`` at its largest lag, computed
-    as :func:`_kernel_2d` computes ``r``, or whose illumination phase at its
-    farthest voxel from ``ill`` (if given) is not finite."""
+    as :func:`_kernel_spectrum` computes ``r``, or whose illumination phase at
+    its farthest voxel from ``ill`` (if given) is not finite."""
     py, px = shape
     for pl in planes:
         lx, ly = (px // 2) * float(pl.pitch[0]), (py // 2) * float(pl.pitch[1])
@@ -352,13 +399,13 @@ def _propagate(plan: _Plan, coefficients: np.ndarray, times: np.ndarray | None,
     def run(block: slice) -> None:
         kh = khats[block]
         for pl, stop in zip(planes, ends):
-            ghats = [cfft_2d(_kernel_2d(kh, shape, pl.pitch, dz)) for dz in pl.dz]
+            ghats = [_kernel_spectrum(kh, shape, pl.pitch, dz) for dz in pl.dz]
             for p, uhat in enumerate(uhats):
                 spec = None
                 for u, ghat in zip(uhat, ghats):
                     u = (u[block] if pl.scale is None
                          else sfft_2d_centered(u[block], *pl.scale, shape=shape))
-                    spec = u * ghat if spec is None else np.add(spec, u * ghat, out=spec)
+                    spec = _shifted_product(u, ghat, spec)
                 vals = plan.read(pl, spec)
                 del spec  # before the phase product: a worker holds one spectrum at a time
                 if include_illumination:

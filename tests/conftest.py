@@ -3,6 +3,8 @@ import importlib
 import numpy as np
 import pytest
 
+from helpers import TRANSFORMS
+
 
 @pytest.fixture
 def rng() -> np.random.Generator:
@@ -18,5 +20,5 @@ def no_transforms(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a transform ran before the input was refused")
 
-    for name in ("cfft_2d", "cifft_2d", "sfft_2d_centered", "nufft1", "nufft2"):
+    for name in TRANSFORMS:
         monkeypatch.setattr(rec, name, refuse)

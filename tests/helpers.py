@@ -29,6 +29,13 @@ from phasorfield import (
 from phasorfield.core import UniformGrid2D
 
 
+# Every transform a reconstruction runs, by its name in
+# `phasorfield.reconstruct`: the encoders' and decoders' spectral calls and
+# the per-plane kernel spectra.  The `no_transforms` fixture refuses them all.
+TRANSFORMS = ("cfft_2d", "cifft_2d", "sfft_2d_centered", "nufft1", "nufft2",
+              "_kernel_spectrum")
+
+
 def rel_l2(a: np.ndarray, b: np.ndarray) -> float:
     denom = np.linalg.norm(b)
     if denom == 0.0:

@@ -1,5 +1,6 @@
 """Fast volumetric propagators against literal sums and each other."""
 
+import importlib
 import inspect
 import os
 import re
@@ -36,14 +37,16 @@ from phasorfield.reconstruct import (
     _ALGORITHMS,
     _depth_node_count,
     _depth_sweep,
-    _kernel_2d,
+    _kernel_spectrum,
     _pad_size,
     _plan,
+    _shifted_product,
 )
 from phasorfield.spectral import next_fast_len
 from phasorfield.reconstruct import ALGORITHM_NAMES, project_max_depth, reconstruct
 
 from helpers import (
+    TRANSFORMS,
     centered_grid2d,
     centered_relay,
     make_slices,
@@ -473,6 +476,39 @@ class TestKindMismatches:
             _run(name, slices, grid)
 
 
+@pytest.mark.parametrize("name", ALGORITHM_NAMES)
+def test_every_fft_of_a_run_is_inside_a_refused_transform(chain, kind_grids, monkeypatch,
+                                                          name):
+    """So ``no_transforms`` misses none: with its names passed through, a run
+    reaches NumPy's FFTs only from inside one of them."""
+    rec = importlib.import_module("phasorfield.reconstruct")
+    depth, stray = [0], []
+
+    def inside(transform):
+        def passed(*args, **kwargs):
+            depth[0] += 1
+            try:
+                return transform(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return passed
+
+    def watched(fft, fft_name):
+        def call(*args, **kwargs):
+            if depth[0] == 0:
+                stray.append(fft_name)
+            return fft(*args, **kwargs)
+        return call
+
+    for transform in TRANSFORMS:
+        monkeypatch.setattr(rec, transform, inside(getattr(rec, transform)))
+    for fft_name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn"):
+        monkeypatch.setattr(np.fft, fft_name, watched(getattr(np.fft, fft_name), fft_name))
+    grid_kind, relay_kind = _KINDS[name]
+    assert np.isfinite(_run(name, chain[relay_kind], kind_grids[grid_kind]).field).all()
+    assert stray == []
+
+
 # The options each algorithm takes: 11 of the 48 (algorithm, option) pairs.
 _TAKES = {"rsd": {"padding"}, "srsd": set(), "nursd1": {"eps"}, "nursd2": {"eps"},
           "nursd3": {"eps", "lattice_pitch"}, "rsd3d": {"eps", "scatter"}, "nursd3d": {"eps"},
@@ -801,13 +837,29 @@ _KHAT = st.floats(1.0, 400.0)
 @example(px=2, py=1, dx=0.02, dy=0.03, dz=0.9, khat=np.array([50.0, 120.0]))
 @example(px=2, py=2, dx=0.013, dy=0.02, dz=0.5, khat=80.0)
 @example(px=105, py=108, dx=0.02, dy=0.02, dz=0.8, khat=np.array([60.0, 90.0, 130.0]))
-def test_mirrored_kernel_equals_full_lattice_formula(px, py, dx, dy, dz, khat):
+def test_kernel_spectrum_is_the_full_lattice_formulas_spectrum_unshifted(px, py, dx, dy, dz,
+                                                                          khat):
     lag_x = (np.arange(px) - px // 2) * dx
     lag_y = (np.arange(py) - py // 2) * dy
     r = np.sqrt(lag_x[None, :] ** 2 + lag_y[:, None] ** 2 + dz * dz)
     direct = np.exp(PROPAGATION_SIGN * 1j * np.asarray(khat)[..., None, None] * r) / r
-    out = _kernel_2d(khat, (py, px), (dx, dy), dz)
-    assert out.shape == direct.shape and out.tobytes() == direct.tobytes()
+    want = np.fft.ifftshift(spectral.cfft_2d(direct), axes=(-2, -1))
+    out = _kernel_spectrum(khat, (py, px), (dx, dy), dz)
+    assert out.shape == want.shape and out.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("py, px", [(1, 1), (1, 2), (2, 1), (2, 2), (5, 7), (8, 6), (9, 10)])
+def test_shifted_product_is_the_product_with_the_shifted_spectrum(rng, py, px):
+    def draw(n):
+        return rng.standard_normal((n, py, px)) + 1j * rng.standard_normal((n, py, px))
+
+    u, v, ghat = draw(5)[1:4], draw(3), draw(3)  # u a block of frequencies, as in a run
+    shifted = np.fft.fftshift(ghat, axes=(-2, -1))
+    first = _shifted_product(u, ghat)
+    assert first.shape == u.shape and first.tobytes() == (u * shifted).tobytes()
+    want = first.copy()
+    np.add(want, v * shifted, out=want)
+    assert _shifted_product(v, ghat, first) is first and first.tobytes() == want.tobytes()
 
 
 @settings(max_examples=25, deadline=None)
