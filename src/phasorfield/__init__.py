@@ -73,7 +73,6 @@ from .spectral import (
     nufft1,
     nufft2,
     sfft_1d,
-    sfft_2d,
     sfft_2d_centered,
 )
 
@@ -138,7 +137,6 @@ __all__ = [
     "nufft1",
     "nufft2",
     "sfft_1d",
-    "sfft_2d",
     "sfft_2d_centered",
     "__version__",
 ]

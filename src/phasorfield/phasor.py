@@ -85,6 +85,9 @@ def _check_packet(lambda_c: float, threshold: float) -> None:
     """Refuse a virtual wavelength or retention threshold that no time axis could use."""
     _require_finite(lambda_c=lambda_c)
     _require(lambda_c > 0, "virtual wavelength must be > 0")
+    sigma = SPEED_OF_LIGHT / (5.0 * lambda_c)
+    _require(0.0 < 2.0 * sigma * sigma < math.inf,
+             f"virtual wavelength {lambda_c:g} m gives a packet width beyond floating point")
     _require(0.0 < threshold < 1.0, "retention threshold must lie in (0, 1)")
 
 
@@ -103,8 +106,10 @@ def build_kernel(lambda_c: float, n_bins: int, delta_t: float,
     omega_c = 2.0 * math.pi * SPEED_OF_LIGHT / lambda_c
     sigma = SPEED_OF_LIGHT / (5.0 * lambda_c)
     bins = np.arange(1, n_bins // 2 + 1)
-    omegas = 2.0 * math.pi * bins / (n_bins * delta_t)
-    weights = np.exp(-((omegas - omega_c) ** 2) / (2.0 * sigma * sigma))
+    # A bin whose exponent overflows lies far outside the packet: its weight is 0.
+    with np.errstate(over="ignore", divide="ignore", under="ignore"):
+        omegas = 2.0 * math.pi * bins / (n_bins * delta_t)
+        weights = np.exp(-((omegas - omega_c) ** 2) / (2.0 * sigma * sigma))
     keep = weights >= threshold
     if not keep.any():
         raise ValidationError(

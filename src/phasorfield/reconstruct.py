@@ -292,7 +292,7 @@ def _read_points(eps: float, px: int, py: int) -> Callable:
     """Decoder of explicit planes: a batched type-2 NUFFT at the voxels."""
     _check_eps(eps)
     scale = 1.0 / (px * py)
-    return lambda pl, spec: nufft2(spec, pl.torus, eps, batch=True) * scale
+    return lambda pl, spec: nufft2(spec, pl.torus, eps) * scale
 
 
 def _torus(nu_x: np.ndarray, nu_y: np.ndarray, px: int, py: int) -> np.ndarray:
@@ -308,7 +308,7 @@ def _lateral_nufft(nu_x, nu_y, columns: np.ndarray, shape: tuple[int, int],
 
 
 def _lateral_gridding(nu_x, nu_y, columns: np.ndarray, shape: tuple[int, int],
-                      _eps: float, scatter: str) -> np.ndarray:
+                      scatter: str) -> np.ndarray:
     """As :func:`_lateral_nufft`, but deposited at the nearest node or bilinearly
     for ``scatter="trilinear"`` (duplicate targets sum) and Fourier transformed."""
     py, px = shape
@@ -607,11 +607,12 @@ def _plan_depth_nodes(relay, frequencies, grid: CuboidGrid, eps=1e-6, scatter="t
         PROPAGATION_SIGN * 1j * khats * (nodes[None, :, None] - z[:, None, None]))
     planes = [_Plane(zk, tuple(zk - s for s in nodes.tolist()), (vg.dx, vg.dy), x, y)
               for zk, x, y in depth]
-    lateral = partial(_lateral_gridding, scatter=scatter) if gridded else _lateral_nufft
+    lateral = (partial(_lateral_gridding, scatter=scatter) if gridded
+               else partial(_lateral_nufft, eps=eps))
 
     def encode(coefficients):
         return [lateral(nu_x, nu_y, (c[:, None, :] * weights).reshape(z.size, -1),
-                        (py, px), eps).reshape(m, frequencies.size, py, px)
+                        (py, px)).reshape(m, frequencies.size, py, px)
                 for c in coefficients]
 
     return (py, px), planes, encode, _read_window(vg.ny, vg.nx)

@@ -42,29 +42,25 @@ to the modes of a larger lattice without embedding it in zeros first.
 Non-uniform FFT
 ---------------
 ``nufft1`` (points -> modes, exponent ``-1j``) and ``nufft2`` (modes ->
-points, exponent ``+1j``) use Gaussian gridding on a 2x-oversampled fine
-grid over the lateral (x and y) axes.  The deconvolution divides by the
-exact discrete window transform (the DFT of the truncated spread stencil),
-so points lying exactly on fine grid nodes are reproduced to roundoff.
+points, exponent ``+1j``) are two-dimensional: ``(my, mx)`` centered modes
+and ``[L, 2]`` points ``(x, y)`` on the torus ``[-pi, pi)``.  They use
+Gaussian gridding on a 2x-oversampled fine grid.  The deconvolution divides
+by the exact discrete window transform (the DFT of the truncated spread
+stencil), so points lying exactly on fine grid nodes are reproduced to
+roundoff.
 
 Each call builds the stencils of its points once (``_Spread``, from each
 axis's cached ``_nufft_axis`` and the window ``_windows``) as a sparse
-operator ``S`` (CSR, ``(2w+1)^k`` taps per row over the ``k <= 2`` lateral
-axes): type-1 spreading is ``S^T v`` and type-2 interpolation is ``S f``.
-A 3-D transform grids no depth: type 1 multiplies each value column by
-``exp(-1j*kz*z_l)`` for every centered depth mode ``kz`` and runs the 2-D
-transform over those phased columns, and type 2 runs the 2-D transform of
-every depth mode's lateral array and sums them with ``exp(+1j*kz*z_l)``, so
-depth is exact.  ``nufft2`` uses the same stencils, deconvolution and
-phases as ``nufft1`` and is its exact structural adjoint, so
-``<nufft1(c), V> = <c, nufft2(V)>`` holds to machine precision.
+operator ``S`` (CSR, ``(2w+1)^2`` taps per row): type-1 spreading is
+``S^T v`` and type-2 interpolation is ``S f``.  ``nufft2`` uses the same
+stencils and deconvolution as ``nufft1`` and is its exact structural
+adjoint, so ``<nufft1(c), V> = <c, nufft2(V)>`` holds to machine precision.
 
-Both transforms take a batch of vectors that share one point set
-(``[L, B]`` values for ``nufft1``, ``batch=True`` with ``[B, *modes]``
-coefficients for ``nufft2``) and reuse one operator for every column.
-Batch columns go through the fine grid in chunks whose buffers stay within
-``_FINE_CHUNK_BYTES`` (a 3-D column's depth modes go together), so memory
-does not grow with ``B``.
+Both transforms take a batch of vectors that share one point set (``[L, B]``
+values for ``nufft1``, ``[B, my, mx]`` coefficients for ``nufft2``) and
+reuse one operator for every column.  Batch columns go through the fine grid
+in chunks whose buffers stay within ``_FINE_CHUNK_BYTES``, so memory does
+not grow with ``B``.
 
 SciPy
 -----
@@ -83,7 +79,7 @@ from __future__ import annotations
 
 import math
 import operator
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
@@ -95,7 +91,6 @@ __all__ = [
     "cfft_n",
     "cifft_n",
     "sfft_1d",
-    "sfft_2d",
     "sfft_2d_centered",
     "nufft1",
     "nufft2",
@@ -252,19 +247,6 @@ def sfft_1d(u: np.ndarray, alpha: float, offset: int = 0, axis: int = -1,
     return np.moveaxis(buf[..., :m_out] * chirp_out, -1, axis)
 
 
-def sfft_2d(u: np.ndarray, alpha: float, beta: float | None = None,
-            offsets: tuple[int, int] = (0, 0)) -> np.ndarray:
-    """Separable scaled DFT of the last two axes.
-
-    ``alpha`` scales the last (x) axis and ``beta`` the second-to-last (y)
-    axis; ``offsets = (offset_y, offset_x)`` in array-shape order.
-    """
-    if beta is None:
-        beta = alpha
-    out = sfft_1d(u, alpha, offset=offsets[1], axis=-1)
-    return sfft_1d(out, beta, offset=offsets[0], axis=-2)
-
-
 def sfft_2d_centered(u: np.ndarray, alpha: float, beta: float | None = None,
                      shape: tuple[int, int] | None = None) -> np.ndarray:
     """Scaled DFT of the last two axes in the centered-index convention.
@@ -272,11 +254,11 @@ def sfft_2d_centered(u: np.ndarray, alpha: float, beta: float | None = None,
     Maps ``[..., ny, nx]`` samples to ``[..., my, mx]`` modes,
     ``shape = (my, mx)`` defaulting to ``(ny, nx)``:
     ``U[ky, kx] = sum u[jy, jx] * exp(-2j*pi*(alpha*jx*kx/mx + beta*jy*ky/my))``
-    with all indices centered, as :func:`sfft_2d` gives it on the samples
-    embedded centered in a ``[my, mx]`` zero array.  The x pass runs over the
-    ``ny`` input rows only, then the y pass over the ``mx`` columns.  At
-    ``alpha = beta = 1`` and the default shape this matches :func:`cfft_2d`
-    up to roundoff.
+    with all indices centered, as the square transform gives it on the
+    samples embedded centered in a ``[my, mx]`` zero array.  The x pass runs
+    over the ``ny`` input rows only, then the y pass over the ``mx``
+    columns.  At ``alpha = beta = 1`` and the default shape this matches
+    :func:`cfft_2d` up to roundoff.
     """
     if beta is None:
         beta = alpha
@@ -338,12 +320,9 @@ def _windows(x: np.ndarray, w: int, mr: int, tau: float) -> tuple[np.ndarray, np
     return grid % mr, np.exp(-delta * delta / (4.0 * tau))
 
 
-def _check_points(pts: np.ndarray, d: int) -> np.ndarray:
+def _check_points(pts: np.ndarray) -> np.ndarray:
     pts = np.asarray(pts, dtype=np.float64)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    _require(pts.ndim == 2 and pts.shape[1] == d,
-             f"points must be [L, {d}] for {d}-dimensional modes")
+    _require(pts.ndim == 2 and pts.shape[1] == 2, "points must be [L, 2] for (my, mx) modes")
     _require(pts.shape[0] >= 1, "need at least one point")
     _require(bool(np.isfinite(pts).all()), "point coordinates must be finite")
     _require(bool((pts >= -math.pi - _COORD_TOL).all()
@@ -358,50 +337,42 @@ _FINE_CHUNK_BYTES = 1 << 20
 
 
 class _Spread:
-    """One call's Gaussian spread of its points over the lateral axes.
+    """One call's Gaussian spread of its ``[L, 2]`` points onto the fine grid
+    of the ``(my, mx)`` modes.
 
-    ``modes`` are the lateral modes (x alone in 1-D, y and x otherwise) and
     ``matrix`` is the CSR spread operator ``S`` of shape ``[L, mry*mrx]``
-    (``[L, mr]`` in 1-D) with ``(2w+1)^k`` taps per row over those ``k``
-    axes, so type-1 spreading is ``S^T v`` and type-2 interpolation ``S f``.
-    A 3-D call adds the ``[L, mz]`` depth phases ``exp(-1j*kz*z_l)`` of the
-    centered depth modes as ``phase`` (``None`` below 3-D); ``step`` is the
+    with ``(2w+1)^2`` taps per row, y then x in row-major order, so type-1
+    spreading is ``S^T v`` and type-2 interpolation ``S f``; ``step`` is the
     batch columns per fine-grid chunk.
     """
 
-    def __init__(self, modes: tuple[int, ...], eps: float, points: np.ndarray):
-        _require(1 <= len(modes) <= 3, "supported dimensionalities are 1, 2, 3")
+    def __init__(self, modes: tuple[int, int], eps: float, points: np.ndarray):
+        _require(len(modes) == 2, "modes must be (my, mx)")
         _require(all(m >= 1 for m in modes), "mode counts must be >= 1")
         eps = _check_eps(eps)
-        pts = _check_points(points, len(modes))
-        self.modes = tuple(modes[-2:])
-        ws, self.mrs, taus, kers = zip(*(_nufft_axis(m, eps) for m in self.modes))
-        self.w = ws[0]
-        self.slots = [(np.arange(m) - m // 2) % mr for m, mr in zip(self.modes, self.mrs)]
-        self.ker = reduce(np.multiply.outer, kers)
-        # Axis a of the mode array pairs with point column d-1-a (x is last).
-        n, d = pts.shape[0], len(self.modes)
-        cols, wts = _windows(pts[:, d - 1], ws[0], self.mrs[0], taus[0])
-        for a in range(1, d):
-            i, w = _windows(pts[:, d - 1 - a], ws[a], self.mrs[a], taus[a])
-            cols = (cols[:, :, None] * self.mrs[a] + i[:, None, :]).reshape(n, -1)
-            wts = (wts[:, :, None] * w[:, None, :]).reshape(n, -1)
+        pts = _check_points(points)
+        # The half-width w depends on eps alone, so both axes share it.
+        (w, mry, tau_y, ker_y), (_, mrx, tau_x, ker_x) = (_nufft_axis(m, eps) for m in modes)
+        self.mrs = (mry, mrx)
+        self.slots = [(np.arange(m) - m // 2) % mr for m, mr in zip(modes, self.mrs)]
+        self.ker = np.multiply.outer(ker_y, ker_x)
+        # Mode axis 0 is y (point column 1), axis 1 is x (point column 0).
+        n = pts.shape[0]
+        iy, wy = _windows(pts[:, 1], w, mry, tau_y)
+        ix, wx = _windows(pts[:, 0], w, mrx, tau_x)
+        cols = (iy[:, :, None] * mrx + ix[:, None, :]).reshape(n, -1)
+        wts = (wy[:, :, None] * wx[:, None, :]).reshape(n, -1)
         taps = cols.shape[1]
         from scipy.sparse import csr_array  # only the NUFFT needs SciPy
         index = np.int32 if n * taps <= np.iinfo(np.int32).max else np.int64
         self.matrix = csr_array(
             (wts.ravel(), cols.ravel().astype(index),
              np.arange(0, n * taps + 1, taps, dtype=index)),
-            shape=(n, math.prod(self.mrs)))
-        self.step = max(1, _FINE_CHUNK_BYTES // (16 * math.prod(self.mrs)))
-        self.phase = None
-        if len(modes) == 3:
-            kz = np.arange(modes[0]) - modes[0] // 2
-            self.phase = np.exp(-1j * np.outer(pts[:, 2], kz))
-            self.step = max(1, self.step // modes[0])
+            shape=(n, mry * mrx))
+        self.step = max(1, _FINE_CHUNK_BYTES // (16 * mry * mrx))
 
     def type1(self, vals: np.ndarray) -> np.ndarray:
-        """``[L, c]`` values to ``[c, *modes]`` deconvolved modes."""
+        """``[L, c]`` values to ``[c, my, mx]`` deconvolved modes."""
         from scipy.fft import fft
         # S is real: applied to the float64 view of complex columns it acts
         # on real and imaginary parts at once, with no complex copy of S.
@@ -410,11 +381,10 @@ class _Spread:
         fine = fine.reshape(self.mrs + (-1,))
         for ax, sl in enumerate(self.slots):
             fine = np.take(fft(fine, axis=ax, overwrite_x=True), sl, axis=ax)
-        fine = fine.reshape(self.modes + (-1,)) / self.ker[..., None]
-        return np.moveaxis(fine, -1, 0)
+        return np.moveaxis(fine / self.ker[..., None], -1, 0)
 
     def type2(self, coeff: np.ndarray) -> np.ndarray:
-        """``[c, *modes]`` coefficients to ``[c, L]`` point values."""
+        """``[c, my, mx]`` coefficients to ``[c, L]`` point values."""
         from scipy.fft import ifft
         fine = np.moveaxis(coeff / self.ker, 0, -1)
         for ax, (sl, mr) in enumerate(zip(self.slots, self.mrs)):
@@ -425,21 +395,20 @@ class _Spread:
         return np.ascontiguousarray(self.matrix @ flat).view(np.complex128).T
 
 
-def nufft1(points: np.ndarray, values: np.ndarray, modes: tuple[int, ...],
+def nufft1(points: np.ndarray, values: np.ndarray, modes: tuple[int, int],
            eps: float) -> np.ndarray:
     """Non-uniform points to uniform modes, exponent ``-1j``.
 
-    ``U[k] = sum_l values[l] * exp(-1j * (kx*x_l + ky*y_l + kz*z_l))`` for
-    centered integer modes ``k``; output shape is ``modes`` in array-shape
-    order (x is the last axis), and relative error is bounded by ``eps``
-    (the depth factor of a 3-D call is exact).
-    Point coordinates must lie on the torus ``[-pi, pi)``.  ``values`` of
-    shape ``[L, B]`` is a batch of ``B`` vectors sharing the points; the
-    output is then ``[B, *modes]``, one mode array per column.
+    ``U[ky, kx] = sum_l values[l] * exp(-1j * (kx*x_l + ky*y_l))`` for
+    centered integer modes; ``points`` are ``[L, 2]`` coordinates ``(x, y)``
+    on the torus ``[-pi, pi)``, the output has shape ``modes = (my, mx)``
+    and its relative error is bounded by ``eps``.  ``values`` of shape
+    ``[L, B]`` is a batch of ``B`` vectors sharing the points; the output is
+    then ``[B, my, mx]``, one mode array per column.
     """
     modes = tuple(int(m) for m in modes)
     spread = _Spread(modes, eps, points)
-    phase, step, n = spread.phase, spread.step, spread.matrix.shape[0]
+    step, n = spread.step, spread.matrix.shape[0]
     vals = np.asarray(values, dtype=np.complex128)
     _require(vals.ndim in (1, 2) and vals.shape[0] == n,
              "values must be [L] or [L, B] matching the points")
@@ -447,33 +416,27 @@ def nufft1(points: np.ndarray, values: np.ndarray, modes: tuple[int, ...],
     batch = vals.reshape(n, -1)
     out = np.empty((batch.shape[1],) + modes, dtype=np.complex128)
     for lo in range(0, batch.shape[1], step):
-        cols = batch[:, lo:lo + step]
-        if phase is not None:
-            cols = (cols[:, :, None] * phase[:, None, :]).reshape(n, -1)
-        out[lo:lo + step] = spread.type1(cols).reshape((-1,) + modes)
+        out[lo:lo + step] = spread.type1(batch[:, lo:lo + step])
     return out if vals.ndim == 2 else out[0]
 
 
-def nufft2(coefficients: np.ndarray, points: np.ndarray, eps: float, *,
-           batch: bool = False) -> np.ndarray:
+def nufft2(coefficients: np.ndarray, points: np.ndarray, eps: float) -> np.ndarray:
     """Uniform modes to non-uniform points, exponent ``+1j``.
 
-    ``out[l] = sum_k coefficients[k] * exp(+1j * (kx*x_l + ky*y_l + kz*z_l))``
-    over centered integer modes ``k``; exact structural adjoint of
-    :func:`nufft1` built from the same stencils, deconvolution and depth
-    phases.  With ``batch=True`` the leading axis of ``coefficients`` indexes
-    ``B`` mode arrays read at the same points, and the output is ``[B, L]``.
+    ``out[l] = sum_k coefficients[ky, kx] * exp(+1j * (kx*x_l + ky*y_l))``
+    over centered integer modes at the ``[L, 2]`` points ``(x, y)``; exact
+    structural adjoint of :func:`nufft1` built from the same stencils and
+    deconvolution.  ``[my, mx]`` coefficients give ``[L]`` values, and a
+    batch of ``B`` mode arrays ``[B, my, mx]`` read at the same points gives
+    ``[B, L]``.
     """
     coeff = np.asarray(coefficients, dtype=np.complex128)
-    stack = coeff if batch else coeff[None]
-    _require(2 <= stack.ndim <= 4, "mode array must be 1D, 2D, or 3D")
-    _require(bool(np.isfinite(stack).all()), "coefficients must be finite")
+    _require(coeff.ndim in (2, 3), "coefficients must be [my, mx] or [B, my, mx]")
+    _require(bool(np.isfinite(coeff).all()), "coefficients must be finite")
+    stack = coeff if coeff.ndim == 3 else coeff[None]
     spread = _Spread(stack.shape[1:], eps, points)
-    phase, step, n = spread.phase, spread.step, spread.matrix.shape[0]
+    step, n = spread.step, spread.matrix.shape[0]
     out = np.empty((stack.shape[0], n), dtype=np.complex128)
     for lo in range(0, stack.shape[0], step):
-        vals = spread.type2(stack[lo:lo + step].reshape((-1,) + spread.modes))
-        if phase is not None:
-            vals = np.einsum("bkl,lk->bl", vals.reshape(-1, phase.shape[1], n), phase.conj())
-        out[lo:lo + step] = vals
-    return out if batch else out[0]
+        out[lo:lo + step] = spread.type2(stack[lo:lo + step])
+    return out if coeff.ndim == 3 else out[0]

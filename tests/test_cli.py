@@ -435,6 +435,16 @@ class TestReconstruct:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_a_packet_width_beyond_floating_point_is_one_error_line(self, pipeline, tmp_path,
+                                                                      capsys):
+        out = tmp_path / "x.vol"
+        code = main(["reconstruct", str(pipeline["dataset"]), "-o", str(out), "--algo", "rsd",
+                     "--lambda-c", "1e-300", "--grid", CUBOID])
+        assert code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
     def test_arguments_are_parsed_before_the_dataset_is_read(self, tmp_path, capsys):
         code = main(["reconstruct", str(tmp_path / "absent.nls1"),
                      "-o", str(tmp_path / "x.vol"), "--algo", "rsd",

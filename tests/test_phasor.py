@@ -96,6 +96,15 @@ class TestBuildKernel:
         with pytest.raises(ValidationError, match=f"{name} must be finite"):
             build_kernel(**kwargs)
 
+    # A packet width or bin frequency beyond floating point: each is refused
+    # with no RuntimeWarning on the way, which the test settings make an error.
+    @pytest.mark.parametrize("lambda_c, delta_t", [
+        (1e-300, 1e-12), (1e-146, 1e-12), (1e300, 1e-12), (0.04, 1e-320), (0.04, 1e-300),
+    ])
+    def test_refuses_packets_beyond_floating_point(self, lambda_c, delta_t):
+        with pytest.raises(ValidationError):
+            build_kernel(lambda_c, 1024, delta_t)
+
 
 # ---------------------------------------------------------------------------
 # Frequency projection

@@ -22,7 +22,6 @@ from phasorfield.spectral import (
     nufft1,
     nufft2,
     sfft_1d,
-    sfft_2d,
     sfft_2d_centered,
 )
 
@@ -188,16 +187,6 @@ class TestScaledFft:
         assert rel_linf(sfft_1d(u, 0.6, 2, axis=-1), row_by_row) < 1e-12
         assert rel_linf(sfft_1d(u.T, 0.6, 2, axis=0).T, row_by_row) < 1e-12
 
-    def test_2d_separates_into_1d_passes(self, rng):
-        u = _complex(rng, (6, 9))
-        fast = sfft_2d(u, 0.45, 0.8, offsets=(3, 4))
-        slow = sfft_1d(sfft_1d(u, 0.45, 4, axis=-1), 0.8, 3, axis=-2)
-        assert rel_linf(fast, slow) < 1e-11
-
-    def test_2d_default_beta_equals_alpha(self, rng):
-        u = _complex(rng, (5, 5))
-        assert rel_linf(sfft_2d(u, 0.7), sfft_2d(u, 0.7, 0.7)) < 1e-13
-
     def test_centered_variant_degenerates_to_cfft(self, rng):
         u = _complex(rng, (8, 8))
         assert rel_linf(sfft_2d_centered(u, 1.0, 1.0), cfft_2d(u)) < 1e-10
@@ -338,27 +327,23 @@ def test_default_square_path_is_bit_identical():
 # ---------------------------------------------------------------------------
 
 
-MODES_BY_DIM = {1: (24,), 2: (12, 10), 3: (6, 5, 4)}
+MODES = (12, 10)
 
 
 class TestNufft:
-    @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("eps", [1e-4, 1e-8, 1e-12])
-    def test_type1_matches_direct_sum(self, rng, dim, eps):
-        modes = MODES_BY_DIM[dim]
-        pts = _random_points(rng, 50, dim)
+    def test_type1_matches_direct_sum(self, rng, eps):
+        pts = _random_points(rng, 50, 2)
         vals = _complex(rng, (50,))
-        fast = nufft1(pts, vals, modes, eps)
-        slow = oracle.nudft1(pts, vals, modes)
-        assert fast.shape == modes
+        fast = nufft1(pts, vals, MODES, eps)
+        slow = oracle.nudft1(pts, vals, MODES)
+        assert fast.shape == MODES
         assert rel_linf(fast, slow) < eps
 
-    @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("eps", [1e-4, 1e-8, 1e-12])
-    def test_type2_matches_direct_sum(self, rng, dim, eps):
-        modes = MODES_BY_DIM[dim]
-        pts = _random_points(rng, 50, dim)
-        coeff = _complex(rng, modes)
+    def test_type2_matches_direct_sum(self, rng, eps):
+        pts = _random_points(rng, 50, 2)
+        coeff = _complex(rng, MODES)
         fast = nufft2(coeff, pts, eps)
         slow = oracle.nudft2(coeff, pts)
         assert fast.shape == (50,)
@@ -366,8 +351,8 @@ class TestNufft:
 
     def test_small_mode_counts(self, rng):
         # tiny grids exercise the oversampling floor
-        for modes in [(1,), (2,), (3,), (2, 2), (1, 3)]:
-            pts = _random_points(rng, 11, len(modes))
+        for modes in [(1, 1), (2, 1), (1, 3), (2, 2), (3, 2)]:
+            pts = _random_points(rng, 11, 2)
             vals = _complex(rng, (11,))
             err = rel_linf(nufft1(pts, vals, modes, 1e-10),
                            oracle.nudft1(pts, vals, modes))
@@ -376,12 +361,12 @@ class TestNufft:
     def test_on_grid_points_are_exact(self, rng):
         # points on the sample lattice reduce to a plain DFT; even a loose
         # accuracy target must then be exact to roundoff
-        m = 8
-        j = rng.integers(0, m, size=20)
-        pts = (-np.pi + 2 * np.pi * j / m).reshape(-1, 1)
+        my, mx = 10, 8
+        pts = np.column_stack([-np.pi + 2 * np.pi * rng.integers(0, mx, size=20) / mx,
+                               -np.pi + 2 * np.pi * rng.integers(0, my, size=20) / my])
         vals = _complex(rng, (20,))
-        err = rel_linf(nufft1(pts, vals, (m,), 1e-4),
-                       oracle.nudft1(pts, vals, (m,)))
+        err = rel_linf(nufft1(pts, vals, (my, mx), 1e-4),
+                       oracle.nudft1(pts, vals, (my, mx)))
         assert err < 1e-13
 
     def test_type2_is_adjoint_of_type1(self, rng):
@@ -394,67 +379,76 @@ class TestNufft:
         assert abs(lhs - rhs) / abs(lhs) < 1e-10
 
     def test_accuracy_improves_with_target(self, rng):
-        pts = _random_points(rng, 200, 1)
+        pts = _random_points(rng, 200, 2)
         vals = _complex(rng, (200,))
-        slow = oracle.nudft1(pts, vals, (32,))
-        errs = [rel_linf(nufft1(pts, vals, (32,), e), slow)
+        slow = oracle.nudft1(pts, vals, (16, 12))
+        errs = [rel_linf(nufft1(pts, vals, (16, 12), e), slow)
                 for e in (1e-3, 1e-12)]
         assert errs[1] < errs[0]
 
     def test_rejects_empty_point_list(self):
         with pytest.raises(ValidationError):
-            nufft1(np.zeros((0, 1)), np.zeros(0, complex), (8,), 1e-6)
+            nufft1(np.zeros((0, 2)), np.zeros(0, complex), (8, 8), 1e-6)
         with pytest.raises(ValidationError):
-            nufft2(np.ones(8, complex), np.zeros((0, 1)), 1e-6)
+            nufft2(np.ones((8, 8), complex), np.zeros((0, 2)), 1e-6)
 
     @pytest.mark.parametrize("eps", [0.0, 0.2, 1e-15, -1e-6])
     def test_rejects_bad_accuracy_target(self, rng, eps):
-        pts = _random_points(rng, 4, 1)
+        pts = _random_points(rng, 4, 2)
         with pytest.raises(ValidationError):
-            nufft1(pts, np.ones(4, complex), (8,), eps)
+            nufft1(pts, np.ones(4, complex), (8, 8), eps)
         with pytest.raises(ValidationError):
-            nufft2(np.ones(8, complex), pts, eps)
+            nufft2(np.ones((8, 8), complex), pts, eps)
 
     def test_rejects_out_of_range_points(self):
         with pytest.raises(ValidationError):
-            nufft1(np.array([[3.15]]), np.ones(1, complex), (8,), 1e-6)
+            nufft1(np.array([[3.15, 0.0]]), np.ones(1, complex), (8, 8), 1e-6)
         with pytest.raises(ValidationError):
-            nufft2(np.ones(8, complex), np.array([[-4.0]]), 1e-6)
+            nufft2(np.ones((8, 8), complex), np.array([[0.0, -4.0]]), 1e-6)
 
     def test_rejects_shape_mismatches(self):
         with pytest.raises(ValidationError):
-            nufft1(np.zeros((3, 2)), np.ones(3, complex), (8,), 1e-6)
+            nufft1(np.zeros((2, 3)), np.ones(2, complex), (8, 8), 1e-6)
         with pytest.raises(ValidationError):
-            nufft1(np.zeros((3, 1)), np.ones(4, complex), (8,), 1e-6)
+            nufft1(np.zeros((3, 2)), np.ones(4, complex), (8, 8), 1e-6)
         with pytest.raises(ValidationError):
-            nufft2(np.ones((8, 8), complex), np.zeros((3, 1)), 1e-6)
+            nufft2(np.ones((8, 8), complex), np.zeros((2, 3)), 1e-6)
 
-
-def _depth_modes(modes):
-    return np.arange(modes[0]) - modes[0] // 2
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_rejects_other_dimensionalities(self, rng, dim):
+        # The transforms are two-dimensional: 1-D and 3-D points, modes and
+        # mode arrays are refused, whether or not they agree with each other.
+        pts, pts2 = _random_points(rng, 5, dim), _random_points(rng, 5, 2)
+        vals = np.ones(5, complex)
+        with pytest.raises(ValidationError):
+            nufft1(pts, vals, (8, 8), 1e-6)
+        with pytest.raises(ValidationError):
+            nufft1(pts2, vals, (8,) * dim, 1e-6)
+        with pytest.raises(ValidationError):
+            nufft1(pts, vals, (8,) * dim, 1e-6)
+        with pytest.raises(ValidationError):
+            nufft2(np.ones((8, 8), complex), pts, 1e-6)
+        with pytest.raises(ValidationError):
+            nufft2(np.ones((2, 8, 8), complex), pts, 1e-6)
+        rank = {1: (8,), 3: (2, 3, 8, 8)}[dim]
+        with pytest.raises(ValidationError):
+            nufft2(np.ones(rank, complex), pts2, 1e-6)
 
 
 def _loop_axes(modes, eps, pts):
     """Per-axis ``(mr, slots, ker, idx, win)`` straight from the cached axis
-    and the window, independent of the CSR assembly."""
-    d = len(modes)
+    and the window, independent of the CSR assembly: mode axis ``a`` reads
+    point column ``1 - a`` (x is last)."""
     out = []
     for a, m in enumerate(modes):
         w, mr, tau, ker = spectral._nufft_axis(m, eps)
-        idx, win = spectral._windows(pts[:, d - 1 - a], w, mr, tau)
+        idx, win = spectral._windows(pts[:, 1 - a], w, mr, tau)
         out.append((mr, (np.arange(m) - m // 2) % mr, ker, idx, win))
     return zip(*out)
 
 
 def _loop_nufft1(pts, vals, modes, eps):
-    """Per-point gridding loops: the reference for the sparse spread operator.
-
-    A 3-D call grids x and y only, one depth mode ``kz`` at a time, from the
-    values phased by ``exp(-1j*kz*z)``.
-    """
-    if len(modes) == 3:
-        return np.stack([_loop_nufft1(pts[:, :2], vals * np.exp(-1j * kz * pts[:, 2]),
-                                      modes[1:], eps) for kz in _depth_modes(modes)])
+    """Per-point gridding loops: the reference for the sparse spread operator."""
     mrs, slots, kers, idx, win = _loop_axes(modes, eps, pts)
     fine = np.zeros(mrs, dtype=complex)
     for l in range(pts.shape[0]):
@@ -465,9 +459,6 @@ def _loop_nufft1(pts, vals, modes, eps):
 
 
 def _loop_nufft2(coeff, pts, eps):
-    if coeff.ndim == 3:
-        return sum(np.exp(1j * kz * pts[:, 2]) * _loop_nufft2(c, pts[:, :2], eps)
-                   for kz, c in zip(_depth_modes(coeff.shape), coeff))
     mrs, slots, kers, idx, win = _loop_axes(coeff.shape, eps, pts)
     arr = np.zeros(mrs, dtype=complex)
     arr[np.ix_(*slots)] = coeff / reduce(np.multiply.outer, kers)
@@ -478,14 +469,12 @@ def _loop_nufft2(coeff, pts, eps):
 
 
 class TestBatchedNufft:
-    @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_matches_per_point_gridding_loop(self, rng, dim):
-        modes = MODES_BY_DIM[dim]
-        pts = _random_points(rng, 40, dim)
+    def test_matches_per_point_gridding_loop(self, rng):
+        pts = _random_points(rng, 40, 2)
         vals = _complex(rng, (40,))
-        coeff = _complex(rng, modes)
-        loop1 = _loop_nufft1(pts, vals, modes, 1e-8)
-        assert rel_linf(nufft1(pts, vals, modes, 1e-8), loop1) < 1e-13
+        coeff = _complex(rng, MODES)
+        loop1 = _loop_nufft1(pts, vals, MODES, 1e-8)
+        assert rel_linf(nufft1(pts, vals, MODES, 1e-8), loop1) < 1e-13
         assert rel_linf(nufft2(coeff, pts, 1e-8), _loop_nufft2(coeff, pts, 1e-8)) < 1e-13
 
     @pytest.fixture
@@ -493,103 +482,51 @@ class TestBatchedNufft:
         # Fine grids of a few columns per chunk, so batches span several chunks.
         monkeypatch.setattr(spectral, "_FINE_CHUNK_BYTES", 3 * 16 * 24 * 24)
 
-    @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_type1_batch_equals_columns(self, rng, small_chunks, dim):
-        modes = MODES_BY_DIM[dim]
-        pts = _random_points(rng, 40, dim)
+    def test_type1_batch_equals_columns(self, rng, small_chunks):
+        pts = _random_points(rng, 40, 2)
         vals = _complex(rng, (40, 7))
-        batched = nufft1(pts, vals, modes, 1e-8)
-        assert batched.shape == (7,) + modes
+        batched = nufft1(pts, vals, MODES, 1e-8)
+        assert batched.shape == (7,) + MODES
         for b in range(7):
-            assert rel_linf(batched[b], nufft1(pts, vals[:, b], modes, 1e-8)) < 1e-13
+            assert rel_linf(batched[b], nufft1(pts, vals[:, b], MODES, 1e-8)) < 1e-13
 
-    @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_type2_batch_equals_columns(self, rng, small_chunks, dim):
-        modes = MODES_BY_DIM[dim]
-        pts = _random_points(rng, 40, dim)
-        coeff = _complex(rng, (7,) + modes)
-        batched = nufft2(coeff, pts, 1e-8, batch=True)
+    def test_type2_batch_equals_columns(self, rng, small_chunks):
+        pts = _random_points(rng, 40, 2)
+        coeff = _complex(rng, (7,) + MODES)
+        batched = nufft2(coeff, pts, 1e-8)
         assert batched.shape == (7, 40)
         for b in range(7):
             assert rel_linf(batched[b], nufft2(coeff[b], pts, 1e-8)) < 1e-13
 
-    def test_3d_batch_matches_direct_sum_across_depth_wrap(self, rng):
-        modes = (7, 6, 5)
-        pts = _random_points(rng, 30, 3)
-        # Depths near 0 and just below pi, where a gridded depth stencil
-        # would wrap round its fine axis: the exact phases hold there too.
-        pts[:10, 2] = rng.uniform(-0.05, 0.05, 10)
-        pts[10:20, 2] = np.pi - rng.uniform(0.0, 0.05, 10)
-        vals = _complex(rng, (30, 4))
-        coeff = _complex(rng, (4,) + modes)
-        fast1 = nufft1(pts, vals, modes, 1e-10)
-        fast2 = nufft2(coeff, pts, 1e-10, batch=True)
-        for b in range(4):
-            assert rel_linf(fast1[b], oracle.nudft1(pts, vals[:, b], modes)) < 1e-10
-            assert rel_linf(fast2[b], oracle.nudft2(coeff[b], pts)) < 1e-10
-
-    def test_3d_depth_is_exact(self, rng):
-        # Lateral points on lattice nodes are gridded exactly, so at a loose
-        # eps only the depth factor could err, and it is an exact phase.
-        modes = (5, 6, 8)
-        pts = np.column_stack([2 * np.pi * rng.integers(-(m // 2), m - m // 2, 40) / m
-                               for m in (8, 6)] + [_random_points(rng, 40, 1)])
-        vals = _complex(rng, (40,))
-        coeff = _complex(rng, modes)
-        assert rel_linf(nufft1(pts, vals, modes, 1e-2), oracle.nudft1(pts, vals, modes)) < 1e-12
-        assert rel_linf(nufft2(coeff, pts, 1e-2), oracle.nudft2(coeff, pts)) < 1e-12
-
-    @settings(max_examples=40, deadline=None)
-    @given(modes=st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)),
-           n=st.integers(1, 12), batch=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
-    def test_3d_matches_direct_sum_and_is_adjoint(self, modes, n, batch, seed):
-        rng = np.random.default_rng(seed)
-        pts = _random_points(rng, n, 3)
-        vals = _complex(rng, (n, batch))
-        coeff = _complex(rng, (batch,) + modes)
-        fast1 = nufft1(pts, vals, modes, 1e-10)
-        fast2 = nufft2(coeff, pts, 1e-10, batch=True)
-        for b in range(batch):
-            assert rel_linf(fast1[b], oracle.nudft1(pts, vals[:, b], modes)) < 1e-10
-            assert rel_linf(fast2[b], oracle.nudft2(coeff[b], pts)) < 1e-10
-        lhs = np.vdot(fast1, coeff)
-        assert abs(lhs - np.vdot(vals.T, fast2)) <= 1e-12 * max(abs(lhs), 1e-300)
-
-    @pytest.mark.parametrize("modes", [(9, 7), (5, 6, 4)])
-    def test_batched_adjointness(self, rng, small_chunks, modes):
-        pts = _random_points(rng, 31, len(modes))
+    def test_batched_adjointness(self, rng, small_chunks):
+        modes = (9, 7)
+        pts = _random_points(rng, 31, 2)
         vals = _complex(rng, (31, 5))
         coeff = _complex(rng, (5,) + modes)
         lhs = np.vdot(nufft1(pts, vals, modes, 1e-12), coeff)
-        rhs = np.vdot(vals.T, nufft2(coeff, pts, 1e-12, batch=True))
+        rhs = np.vdot(vals.T, nufft2(coeff, pts, 1e-12))
         assert abs(lhs - rhs) / abs(lhs) < 1e-12
 
-    @pytest.mark.parametrize("modes", [(16,), (12, 10), (6, 5, 4)])
-    def test_spread_operator_structure(self, rng, modes):
-        # CSR over the lateral axes only: a 3-D call spreads x and y and
-        # phases depth exactly, so no row holds depth taps.
-        lateral = modes[-2:]
-        spread = spectral._Spread(modes, 1e-6, _random_points(rng, 13, len(modes)))
-        axes = [spectral._nufft_axis(m, 1e-6) for m in lateral]
+    def test_spread_operator_structure(self, rng):
+        # One CSR row of (2w+1)^2 taps per point over the (y, x) fine grid.
+        spread = spectral._Spread(MODES, 1e-6, _random_points(rng, 13, 2))
+        axes = [spectral._nufft_axis(m, 1e-6) for m in MODES]
         s = spread.matrix
         assert s.format == "csr" and s.indices.dtype == np.int32
-        assert spread.modes == lateral
         assert s.shape == (13, int(np.prod([mr for _, mr, _, _ in axes])))
-        assert (np.diff(s.indptr) == (2 * axes[0][0] + 1) ** len(lateral)).all()
-        assert not hasattr(spread, "depth")
-        phase = spread.phase
-        assert phase is None if len(modes) < 3 else phase.shape == (13, modes[0])
+        assert (np.diff(s.indptr) == (2 * axes[0][0] + 1) ** 2).all()
+        assert not hasattr(spread, "depth") and not hasattr(spread, "phase")
 
     def test_rejects_batch_shape_mismatches(self):
-        pts = np.zeros((3, 1))
+        pts = np.zeros((3, 2))
         with pytest.raises(ValidationError):
-            nufft1(pts, np.ones((4, 2), complex), (8,), 1e-6)
+            nufft1(pts, np.ones((4, 2), complex), (8, 8), 1e-6)
         with pytest.raises(ValidationError):
-            nufft1(pts, np.ones((3, 2, 2), complex), (8,), 1e-6)
+            nufft1(pts, np.ones((3, 2, 2), complex), (8, 8), 1e-6)
         with pytest.raises(ValidationError):
-            nufft2(np.ones(8, complex), pts, 1e-6, batch=True)
+            nufft2(np.ones((2, 8, 0), complex), pts, 1e-6)
         with pytest.raises(ValidationError):
-            nufft2(np.ones((2, 8, 8), complex), pts, 1e-6, batch=True)
+            nufft2(np.ones((2, 8, 8), complex), pts[:, :, None], 1e-6)
 
 
 class TestPlanCaches:
@@ -606,10 +543,10 @@ class TestPlanCaches:
         assert spectral._sfft_plan.cache_info().hits == hits + 1
 
     def test_nufft_plans_stay_within_bound(self, rng):
-        pts = _random_points(rng, 4, 1)
+        pts = _random_points(rng, 4, 2)
         for eps in np.geomspace(1e-12, 1e-2, 2 * spectral._NUFFT_CACHE_SIZE):
-            nufft1(pts, np.ones(4, complex), (8,), float(eps))
+            nufft1(pts, np.ones(4, complex), (8, 6), float(eps))
         assert spectral._nufft_axis.cache_info().currsize <= spectral._NUFFT_CACHE_SIZE
         hits = spectral._nufft_axis.cache_info().hits
-        nufft2(np.ones(8, complex), pts, 1e-2)
-        assert spectral._nufft_axis.cache_info().hits == hits + 1
+        nufft2(np.ones((8, 6), complex), pts, 1e-2)
+        assert spectral._nufft_axis.cache_info().hits == hits + 2
