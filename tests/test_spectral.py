@@ -327,23 +327,28 @@ def test_default_square_path_is_bit_identical():
 # ---------------------------------------------------------------------------
 
 
-MODES = (12, 10)
+# Even and odd mode counts, and a one-row spectrum whose single y mode
+# leaves only the x coordinate to resolve.
+MODE_SHAPES = [(12, 10), (7, 5), (1, 24)]
+over_modes = pytest.mark.parametrize("modes", MODE_SHAPES, ids=lambda m: f"{m[0]}x{m[1]}")
 
 
 class TestNufft:
+    @over_modes
     @pytest.mark.parametrize("eps", [1e-4, 1e-8, 1e-12])
-    def test_type1_matches_direct_sum(self, rng, eps):
+    def test_type1_matches_direct_sum(self, rng, modes, eps):
         pts = _random_points(rng, 50, 2)
         vals = _complex(rng, (50,))
-        fast = nufft1(pts, vals, MODES, eps)
-        slow = oracle.nudft1(pts, vals, MODES)
-        assert fast.shape == MODES
+        fast = nufft1(pts, vals, modes, eps)
+        slow = oracle.nudft1(pts, vals, modes)
+        assert fast.shape == modes
         assert rel_linf(fast, slow) < eps
 
+    @over_modes
     @pytest.mark.parametrize("eps", [1e-4, 1e-8, 1e-12])
-    def test_type2_matches_direct_sum(self, rng, eps):
+    def test_type2_matches_direct_sum(self, rng, modes, eps):
         pts = _random_points(rng, 50, 2)
-        coeff = _complex(rng, MODES)
+        coeff = _complex(rng, modes)
         fast = nufft2(coeff, pts, eps)
         slow = oracle.nudft2(coeff, pts)
         assert fast.shape == (50,)
@@ -469,12 +474,13 @@ def _loop_nufft2(coeff, pts, eps):
 
 
 class TestBatchedNufft:
-    def test_matches_per_point_gridding_loop(self, rng):
+    @over_modes
+    def test_matches_per_point_gridding_loop(self, rng, modes):
         pts = _random_points(rng, 40, 2)
         vals = _complex(rng, (40,))
-        coeff = _complex(rng, MODES)
-        loop1 = _loop_nufft1(pts, vals, MODES, 1e-8)
-        assert rel_linf(nufft1(pts, vals, MODES, 1e-8), loop1) < 1e-13
+        coeff = _complex(rng, modes)
+        loop1 = _loop_nufft1(pts, vals, modes, 1e-8)
+        assert rel_linf(nufft1(pts, vals, modes, 1e-8), loop1) < 1e-13
         assert rel_linf(nufft2(coeff, pts, 1e-8), _loop_nufft2(coeff, pts, 1e-8)) < 1e-13
 
     @pytest.fixture
@@ -482,24 +488,57 @@ class TestBatchedNufft:
         # Fine grids of a few columns per chunk, so batches span several chunks.
         monkeypatch.setattr(spectral, "_FINE_CHUNK_BYTES", 3 * 16 * 24 * 24)
 
-    def test_type1_batch_equals_columns(self, rng, small_chunks):
+    @over_modes
+    def test_type1_batch_equals_columns(self, rng, small_chunks, modes):
         pts = _random_points(rng, 40, 2)
         vals = _complex(rng, (40, 7))
-        batched = nufft1(pts, vals, MODES, 1e-8)
-        assert batched.shape == (7,) + MODES
+        batched = nufft1(pts, vals, modes, 1e-8)
+        assert batched.shape == (7,) + modes
         for b in range(7):
-            assert rel_linf(batched[b], nufft1(pts, vals[:, b], MODES, 1e-8)) < 1e-13
+            assert rel_linf(batched[b], nufft1(pts, vals[:, b], modes, 1e-8)) < 1e-13
 
-    def test_type2_batch_equals_columns(self, rng, small_chunks):
+    @over_modes
+    def test_type2_batch_equals_columns(self, rng, small_chunks, modes):
         pts = _random_points(rng, 40, 2)
-        coeff = _complex(rng, (7,) + MODES)
+        coeff = _complex(rng, (7,) + modes)
         batched = nufft2(coeff, pts, 1e-8)
         assert batched.shape == (7, 40)
         for b in range(7):
             assert rel_linf(batched[b], nufft2(coeff[b], pts, 1e-8)) < 1e-13
 
-    def test_batched_adjointness(self, rng, small_chunks):
-        modes = (9, 7)
+    def test_batch_matches_direct_sum_across_the_wrap(self, rng):
+        # Coordinates just either side of -pi/pi on both axes, where every
+        # spread stencil wraps round its fine axis.
+        modes = (7, 6)
+        pts = _random_points(rng, 30, 2)
+        pts[:10] = -np.pi + rng.uniform(0.0, 0.05, (10, 2))
+        pts[10:20] = np.pi - rng.uniform(1e-9, 0.05, (10, 2))
+        vals = _complex(rng, (30, 4))
+        coeff = _complex(rng, (4,) + modes)
+        fast1 = nufft1(pts, vals, modes, 1e-10)
+        fast2 = nufft2(coeff, pts, 1e-10)
+        for b in range(4):
+            assert rel_linf(fast1[b], oracle.nudft1(pts, vals[:, b], modes)) < 1e-10
+            assert rel_linf(fast2[b], oracle.nudft2(coeff[b], pts)) < 1e-10
+
+    @settings(max_examples=40, deadline=None)
+    @given(modes=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+           n=st.integers(1, 12), batch=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_matches_direct_sum_and_is_adjoint(self, modes, n, batch, seed):
+        rng = np.random.default_rng(seed)
+        pts = _random_points(rng, n, 2)
+        vals = _complex(rng, (n, batch))
+        coeff = _complex(rng, (batch,) + modes)
+        fast1 = nufft1(pts, vals, modes, 1e-10)
+        fast2 = nufft2(coeff, pts, 1e-10)
+        for b in range(batch):
+            assert rel_linf(fast1[b], oracle.nudft1(pts, vals[:, b], modes)) < 1e-10
+            assert rel_linf(fast2[b], oracle.nudft2(coeff[b], pts)) < 1e-10
+        lhs = np.vdot(fast1, coeff)
+        assert abs(lhs - np.vdot(vals.T, fast2)) <= 1e-12 * max(abs(lhs), 1e-300)
+
+    @pytest.mark.parametrize("modes", [(9, 7), (1, 16)])
+    def test_batched_adjointness(self, rng, small_chunks, modes):
         pts = _random_points(rng, 31, 2)
         vals = _complex(rng, (31, 5))
         coeff = _complex(rng, (5,) + modes)
@@ -507,10 +546,11 @@ class TestBatchedNufft:
         rhs = np.vdot(vals.T, nufft2(coeff, pts, 1e-12))
         assert abs(lhs - rhs) / abs(lhs) < 1e-12
 
-    def test_spread_operator_structure(self, rng):
+    @over_modes
+    def test_spread_operator_structure(self, rng, modes):
         # One CSR row of (2w+1)^2 taps per point over the (y, x) fine grid.
-        spread = spectral._Spread(MODES, 1e-6, _random_points(rng, 13, 2))
-        axes = [spectral._nufft_axis(m, 1e-6) for m in MODES]
+        spread = spectral._Spread(modes, 1e-6, _random_points(rng, 13, 2))
+        axes = [spectral._nufft_axis(m, 1e-6) for m in modes]
         s = spread.matrix
         assert s.format == "csr" and s.indices.dtype == np.int32
         assert s.shape == (13, int(np.prod([mr for _, mr, _, _ in axes])))
