@@ -15,8 +15,8 @@ Typical flow::
     slices = to_frequency(m, kernel)
     volume = reconstruct(slices, grid, "rsd")
 
-``read_frequency_slices(path, lambda_c)`` gives the same slices straight
-from a dataset file, projecting its histograms block by block as it reads.
+``read_frequency_slices(path, lambda_c)`` is ``to_frequency`` of the opened
+dataset file: the same slices, projected block by block as it is read.
 """
 
 from .core import (

@@ -46,7 +46,8 @@ from .core import (
     write_pgm,
     write_volume,
 )
-from .reconstruct import ALGORITHM_NAMES, _algorithm, project_max_depth, reconstruct
+from .reconstruct import (_ALGORITHMS, ALGORITHM_NAMES, _algorithm, project_max_depth,
+                          reconstruct)
 
 __all__ = ["main", "entry", "build_parser"]
 
@@ -226,8 +227,8 @@ def _cmd_reconstruct(args) -> int:
         raise ValidationError("--pgm needs a cuboid or frustum grid: explicit voxel lists "
                               "have no 3D array layout")
     times = _parse_video(args.video) if args.video else None
-    options = {k: v for k, v in vars(args).items() if v is not None
-               and k in ("eps", "padding", "alpha", "beta", "lattice_pitch", "scatter")}
+    takes = {k for row in _ALGORITHMS.values() for k in row[2]}
+    options = {k: v for k, v in vars(args).items() if k in takes and v is not None}
     _algorithm(args.algo, options, grid)
     if args.threads < 1:
         raise ValidationError("threads must be >= 1")

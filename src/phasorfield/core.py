@@ -301,6 +301,11 @@ def _require_capture(relay: RelaySampling, illuminations: PointList, shape: tupl
     _require_illumination_plane(relay, illuminations)
 
 
+# Values read, converted or projected per block: a file block and its
+# finiteness mask, or histograms and their half spectrum, stay a few MB.
+_READ_BLOCK = 1 << 18
+
+
 def _require_photon_counts(h: np.ndarray) -> None:
     """Refuse non-finite or negative histogram values."""
     # Reductions, not full-size masks: NaN propagates through min and max.
@@ -342,6 +347,17 @@ class TransientMeasurement:
     @property
     def n_bins(self) -> int:
         return int(self.histograms.shape[2])
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        return self.histograms.shape
+
+    def histogram_rows(self) -> Iterator[np.ndarray]:
+        """The histograms as read-only ``[rows, n_bins]`` views, blocked as
+        :meth:`DatasetFile.histogram_rows` reads them."""
+        rows = self.histograms.reshape(-1, self.n_bins)
+        step = max(1, _READ_BLOCK // self.n_bins)
+        return (rows[i:i + step] for i in range(0, len(rows), step))
 
 
 @dataclass(frozen=True)
@@ -602,11 +618,6 @@ _HOLDS = {**{tag: f"a transient dataset on a {k} relay" for k, tag in _RELAY_KIN
           **{tag: f"a volume on a {k} grid" for k, tag in _VOLUME_KINDS.items()}}
 
 
-# Payload values read and converted per block: the float32 or complex64
-# file block and its finiteness mask stay a few MB whatever the file holds.
-_READ_BLOCK = 1 << 18
-
-
 class _Reader:
     """Reads a container from an open file, front to back.
 
@@ -800,8 +811,11 @@ class DatasetFile:
     and the header, relay and illuminations have passed the checks a
     :class:`TransientMeasurement` makes of them, so a truncated or padded
     file, or one whose counts disagree with its relay, fails before any
-    histogram is read.  The histograms are then read once, whole by
-    :meth:`histograms` or in blocks of rows by :meth:`histogram_rows`.
+    histogram is read.  It offers what :func:`phasor.to_frequency` takes of
+    a :class:`TransientMeasurement`.  The histograms are read once, whole by
+    :meth:`histograms` or in blocks by :meth:`histogram_rows`, inside the
+    ``with`` block of :func:`open_dataset`; another read raises
+    :class:`ValidationError`.
     """
 
     def __init__(self, f):
@@ -816,25 +830,36 @@ class DatasetFile:
             self._dt = r.claim("f4", math.prod(shape))
             r.end()
             _require_capture(relay, ill, shape, delta_t, t0)
-        self._reader = r
+        self._reader, self._read = r, False
         self.relay, self.illuminations, self.delta_t, self.t0 = relay, ill, delta_t, t0
         self.shape = tuple(shape)
 
+    def _start_read(self) -> None:
+        _require(not self._reader.f.closed,
+                 "the dataset file is closed: read its histograms inside the with block")
+        _require(not self._read, "the dataset's histograms were already read: "
+                                 "an open dataset file reads them once")
+        self._read = True
+
     def histograms(self) -> np.ndarray:
         """All histograms as one read-only float64 array."""
+        self._start_read()
         return self._reader.array(self._dt, self.shape, "histogram")
 
-    def histogram_rows(self, rows: int) -> Iterator[np.ndarray]:
-        """The histograms as float64 ``[rows, n_bins]`` blocks (the last may be
-        shorter), one histogram per (illumination, detector) in file order,
-        each refused if it holds a non-finite or negative value.
+    def histogram_rows(self) -> Iterator[np.ndarray]:
+        """The histograms as float64 ``[rows, n_bins]`` blocks of about
+        ``_READ_BLOCK`` values (the last may be shorter), one histogram per
+        (illumination, detector) in file order, each refused if it holds a
+        non-finite or negative value.
 
         The blocks share one buffer: each is overwritten by the next.
         """
+        self._start_read()
         count, n_bins = math.prod(self.shape), self.shape[2]
+        block = max(1, _READ_BLOCK // n_bins) * n_bins
         with _format_errors():
-            out = np.empty(min(rows * n_bins, count))
-            for values in self._reader.blocks(self._dt, count, out, rows * n_bins, "histogram"):
+            out = np.empty(min(block, count))
+            for values in self._reader.blocks(self._dt, count, out, block, "histogram"):
                 h = values.reshape(-1, n_bins)
                 _require_photon_counts(h)
                 yield h
@@ -855,8 +880,8 @@ def open_dataset(path: str) -> Iterator[DatasetFile]:
 # them block by block into one read-only float64 array of their final shape,
 # which TransientMeasurement adopts, so a capture is held once in memory: the
 # file's bytes are never all in memory, and no float32 or second float64
-# copy is made.  phasor.read_frequency_slices projects the same blocks as
-# they are read and never holds the float64 array at all.
+# copy is made.  phasor.to_frequency of the open DatasetFile projects the
+# same blocks as they are read and never holds the float64 array at all.
 @_format_errors()
 def read_dataset(path: str) -> TransientMeasurement:
     """Read a transient measurement container written by :func:`write_dataset`."""

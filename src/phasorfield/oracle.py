@@ -47,8 +47,6 @@ def nudft1(points: np.ndarray, values: np.ndarray, modes: tuple[int, ...]) -> np
     transform; ``k`` runs over the centered index set per axis.
     """
     pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim == 1:
-        pts = pts[:, None]
     vals = np.asarray(values, dtype=np.complex128)
     d = len(modes)
     _require(pts.shape == (vals.size, d), "points must be [L, d] with d = len(modes)")
@@ -61,8 +59,6 @@ def nudft2(coefficients: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Direct type-2 sum: ``out[l] = sum_k coefficients[k] * exp(+1j * k . x_l)``."""
     coeff = np.asarray(coefficients, dtype=np.complex128)
     pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim == 1:
-        pts = pts[:, None]
     _require(pts.ndim == 2 and pts.shape[1] == coeff.ndim,
              "points must be [L, d] with d = coefficient rank")
     phase = _mode_phase(pts, coeff.shape)

@@ -97,6 +97,13 @@ def _add_detector(raw: bytes) -> bytes:
             + bytes(4 * n_illum * n_bins))
 
 
+def _set_illumination_dim(raw: bytes) -> bytes:
+    """Illumination dimensionality 4, in the byte that follows a uniform relay."""
+    at = 37 + struct.calcsize("<2I5d")  # the framing, then the relay's grid
+    assert raw[36] == 0, "the edit reads the layout of a uniform relay"
+    return raw[:at] + b"\x04" + raw[at + 1:]
+
+
 def _add_illumination(raw: bytes) -> bytes:
     """One more illumination in the header, and its histograms at the payload's end."""
     n_illum = struct.unpack("<I", raw[8:12])[0]
@@ -130,4 +137,6 @@ MALFORMED_DATASETS = {
                        r"^detector axis must match relay point count$"),
     "illumination-count": (_add_illumination, ContainerFormatError,
                            r"^illumination axis must match illumination point count$"),
+    "illumination-dim": (_set_illumination_dim, ContainerFormatError,
+                         r"^illumination dimensionality 4 invalid$"),
 }

@@ -207,6 +207,13 @@ class TestSimulate:
         assert main(["simulate", str(scene), "-o", str(tmp_path / "x.nls1")]) == 2
         assert repr(key) in capsys.readouterr().err
 
+    def test_scene_that_is_not_an_object_is_usage_error(self, tmp_path, capsys):
+        scene = tmp_path / "bad.json"
+        scene.write_text(json.dumps([_scene_doc()]))
+        assert main(["simulate", str(scene), "-o", str(tmp_path / "x.nls1")]) == 2
+        assert "error: scene file must be a JSON object" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [scene]
+
     def test_scatterer_without_position_is_usage_error(self, tmp_path, capsys):
         scene = tmp_path / "bad.json"
         scene.write_text(json.dumps(_scene_doc(scatterers=[{"albedo": 1.0}])))
@@ -752,6 +759,9 @@ class TestMalformedInputs:
                                    "points": [[0.0, 0.0]]}), "relay 'z' must be a number"),
         (lambda d: d.update(relay={"kind": "points_3d", "points": [[0.0, 0.0, False]]}),
          "relay 'points' must be a number"),
+        (lambda d: d.update(relay={"kind": "sphere"}),
+         "relay kind must be 'uniform', 'points_planar', or 'points_3d'"),
+        (lambda d: d.pop("illuminations"), "non-confocal scene needs 'illuminations'"),
         *((lambda d, k=flag, v=value: d.update({k: v}),
            f"'{flag}' must be true or false, not {json.dumps(value)}")
           for flag in ("confocal", "falloff") for value in ("false", 0, None)),
@@ -783,8 +793,13 @@ class TestMalformedInputs:
         ("rsd", CUBOID, ["--lambda-c", "nan"], "lambda_c must be finite, not nan"),
         ("rsd", CUBOID, ["--lambda-c", "0"], "virtual wavelength must be > 0"),
         ("rsd", CUBOID, ["--threshold", "2"], "retention threshold must lie in (0, 1)"),
+        ("rsd", "cuboid:8,8,2,0.02,0.02,0.08,-0.07,-0.07", [],
+         "cuboid grid needs nx,ny,nz,dx,dy,dz,x0,y0,z0"),
+        ("srsd", "frustum:8,8,2,0.02,0.02,0.08,-0.07,-0.07,0.86", [],
+         "frustum grid needs nx,ny,nz,dx,dy,dz,x0,y0,z0,alpha0[,beta0]"),
+        ("rsd", CUBOID, ["--video", "0:1e-9:0"], "video needs at least one frame"),
     ], ids=["rsd-planes", "srsd-cuboid", "nursd2-cuboid", "threads-0", "lambda-c-nan",
-            "lambda-c-0", "threshold-2"])
+            "lambda-c-0", "threshold-2", "cuboid-8-fields", "frustum-9-fields", "video-0-frames"])
     def test_refused_before_the_dataset_is_read(self, tmp_path, capsys, monkeypatch,
                                                 algo, grid, flags, named):
         def unread(path, *args):
@@ -907,6 +922,7 @@ class TestMalformedInputs:
     @pytest.mark.parametrize("offset, value, message", [
         (37, struct.pack("<I", 0), "grid counts must be >= 1"),
         (65, struct.pack("<d", 0.0), "grid pitches must be > 0"),
+        (12, struct.pack("<I", 7), "declared voxel count does not match grid geometry"),
     ])
     def test_volume_with_refused_grid_is_io_error(self, pipeline, tmp_path, capsys,
                                                   offset, value, message):

@@ -39,13 +39,14 @@ from phasorfield import (
     write_pgm,
     write_volume,
 )
-from phasorfield import core, phasor
+from phasorfield import core
 from phasorfield.core import (
     SPEED_OF_LIGHT,
     UniformGrid2D,
     UniformGrid3D,
     _freeze,
     grid_coordinates,
+    open_dataset,
 )
 from phasorfield.cli import main
 from phasorfield.phasor import build_kernel, read_frequency_slices, to_frequency
@@ -173,6 +174,17 @@ class TestTransientMeasurement:
         m = TransientMeasurement(self._relay(), PointList(np.zeros((1, 2))),
                                  np.zeros((1, 4, 8)), delta_t=1e-12)
         assert (m.n_illum, m.n_detect, m.n_bins) == (1, 4, 8)
+
+    def test_histogram_rows_are_views_in_read_blocks(self, monkeypatch):
+        h = np.arange(2 * 4 * 8.0).reshape(2, 4, 8)
+        m = TransientMeasurement(self._relay(), PointList(np.zeros((2, 2))), h, 1e-12)
+        assert m.shape == (2, 4, 8)
+        # Three histograms of 8 bins per block of 24 values: 3 + 3 + 2 rows.
+        monkeypatch.setattr(core, "_READ_BLOCK", 24)
+        blocks = list(m.histogram_rows())
+        assert [len(b) for b in blocks] == [3, 3, 2]
+        assert all(np.shares_memory(b, m.histograms) for b in blocks)
+        assert np.array_equal(np.concatenate(blocks), h.reshape(8, 8))
 
     @pytest.mark.parametrize("shape", [(2, 4, 8), (1, 3, 8)])
     def test_rejects_axis_mismatch(self, shape):
@@ -521,7 +533,7 @@ class TestDatasetContainer:
         path = tmp_path / "bad.nls1"
         path.write_bytes(edit(_container_bytes(write_dataset, _small_measurement(), tmp_path)))
         if block is not None:
-            monkeypatch.setattr(phasor, "_PROJECTION_BLOCK", block)
+            monkeypatch.setattr(core, "_READ_BLOCK", block)
         refusals = []
         for read in (read_dataset, _streamed):
             with pytest.raises(error, match=message) as refused:
@@ -546,6 +558,27 @@ class TestDatasetContainer:
             with pytest.raises(ContainerFormatError, match="detector axis must match"):
                 read(str(path))
         assert read_blocks == ["illumination point"] * 2
+
+    @pytest.mark.parametrize("read", [lambda d: d.histograms(),
+                                      lambda d: next(d.histogram_rows())],
+                             ids=["histograms", "histogram_rows"])
+    def test_an_open_dataset_reads_its_histograms_once(self, tmp_path, read):
+        path = str(tmp_path / "d.nls1")
+        write_dataset(_small_measurement(), path)
+        kernel = build_kernel(SPEED_OF_LIGHT * 8 * 16e-12 / 2, 8, 16e-12)
+        with open_dataset(path) as d:
+            assert np.array_equal(read(d).reshape(-1), read_dataset(path).histograms.reshape(-1))
+            for again in (read, lambda d: to_frequency(d, kernel)):
+                with pytest.raises(ValidationError, match="^the dataset's histograms were "
+                                                          "already read: an open dataset "
+                                                          "file reads them once$"):
+                    again(d)
+        with open_dataset(path) as unread:
+            pass
+        for closed in (d, unread):
+            with pytest.raises(ValidationError, match="^the dataset file is closed: read its "
+                                                      "histograms inside the with block$"):
+                read(closed)
 
     @pytest.mark.parametrize("tag", [5, 15, 19, 255])
     @pytest.mark.parametrize("reader", [read_dataset, read_volume, read_container, _streamed])

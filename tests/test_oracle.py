@@ -100,6 +100,11 @@ class TestNudft:
             oracle.nudft1(np.zeros((3, 2)), np.zeros(3, complex), (4,))
         with pytest.raises(ValidationError):
             oracle.nudft2(np.zeros((4, 4), complex), np.zeros((3, 1)))
+        # A bare vector of points is not read as one coordinate per point.
+        with pytest.raises(ValidationError):
+            oracle.nudft1(np.zeros(3), np.zeros(3, complex), (4,))
+        with pytest.raises(ValidationError):
+            oracle.nudft2(np.zeros(4, complex), np.zeros(3))
 
 
 class TestLiteralField:

@@ -19,7 +19,7 @@ from phasorfield import (
     read_dataset,
     write_dataset,
 )
-from phasorfield import phasor
+from phasorfield import core
 from phasorfield.core import SPEED_OF_LIGHT, UniformGrid2D
 from phasorfield.phasor import (
     build_kernel,
@@ -64,6 +64,9 @@ class TestBuildKernel:
         d_omega = 2 * np.pi / (n_bins * dt)
         assert np.allclose(k.frequencies, k.bin_indices * d_omega, rtol=1e-12)
         assert np.all(np.diff(k.bin_indices) > 0)
+        # The shortest retained wavelength is the one its slices report.
+        m = _measurement(np.zeros((1, 4, n_bins)), dt)
+        assert k.lambda_star == to_frequency(m, k).shortest_wavelength
 
     def test_center_on_a_bin_gives_unit_weight(self):
         n_bins, dt, m = 1024, 16e-12, 100
@@ -171,7 +174,7 @@ class TestToFrequency:
         m = self._counts(rng, n_bins)
         k = build_kernel(0.06, n_bins, m.delta_t)
         # 2 x 300 histograms at these bin counts span three projection blocks.
-        assert m.n_illum * m.n_detect > phasor._PROJECTION_BLOCK // n_bins * 2
+        assert m.n_illum * m.n_detect > core._READ_BLOCK // n_bins * 2
         full = np.fft.fft(m.histograms, axis=2)[:, :, k.bin_indices]
         reference = full * k.weights * np.exp(-1j * k.frequencies * m.t0)
         assert rel_l2(to_frequency(m, k).coefficients, reference) <= 1e-15
@@ -179,9 +182,9 @@ class TestToFrequency:
     def test_block_size_does_not_change_a_bit(self, rng, monkeypatch):
         m = self._counts(rng, 1023, n_detect=40)
         k = build_kernel(0.06, 1023, m.delta_t)
-        monkeypatch.setattr(phasor, "_PROJECTION_BLOCK", 1 << 40)
+        monkeypatch.setattr(core, "_READ_BLOCK", 1 << 40)
         whole = to_frequency(m, k).coefficients
-        monkeypatch.setattr(phasor, "_PROJECTION_BLOCK", 1)
+        monkeypatch.setattr(core, "_READ_BLOCK", 1)
         assert np.array_equal(to_frequency(m, k).coefficients, whole)
 
     def test_rejects_kernel_built_for_other_time_axis(self):
@@ -234,7 +237,7 @@ class TestReadFrequencySlices:
         lambda_c = SPEED_OF_LIGHT * m.n_bins * m.delta_t / bin_index
         kernel = build_kernel(lambda_c, m.n_bins, m.delta_t)
         # Blocks of `rows` histograms, which do not divide the capture's.
-        with mock.patch.object(phasor, "_PROJECTION_BLOCK", rows * m.n_bins):
+        with mock.patch.object(core, "_READ_BLOCK", rows * m.n_bins):
             streamed = read_frequency_slices(path, lambda_c)
         held = to_frequency(read_dataset(path), kernel)
         assert streamed.frequencies.tobytes() == held.frequencies.tobytes()
