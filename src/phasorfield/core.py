@@ -301,9 +301,10 @@ def _require_capture(relay: RelaySampling, illuminations: PointList, shape: tupl
     _require_illumination_plane(relay, illuminations)
 
 
-# Values read, converted or projected per block: a file block and its
-# finiteness mask, or histograms and their half spectrum, stay a few MB.
+# Values converted or projected per block: histograms and their half
+# spectrum stay a few MB.  The file's bytes pass through a smaller buffer.
 _READ_BLOCK = 1 << 18
+_RAW_PIECE = _READ_BLOCK // 8
 
 
 def _require_photon_counts(h: np.ndarray) -> None:
@@ -663,17 +664,21 @@ class _Reader:
         ``out``; yield each converted block.
 
         ``out`` holds all ``count`` values, or it is one block's buffer that
-        each block overwrites.
+        each block overwrites.  The file's bytes pass through a buffer of at
+        most ``_RAW_PIECE`` values, converted piece by piece, so a converted
+        block is never held beside all of its raw bytes.
         """
-        raw = np.empty(dt.itemsize * min(block, count), np.uint8)
+        piece = min(block, count, _RAW_PIECE)
+        raw = np.empty(dt.itemsize * piece, np.uint8)
         for i in range(0, count, block):
-            n = dt.itemsize * min(block, count - i)
-            self._short_read(self.f.readinto(raw[:n]), n)
-            values = raw[:n].view(dt)
-            if not np.isfinite(values).all():
-                raise NonFiniteDataError(f"{what} payload contains non-finite values")
-            converted = out[i % out.size:][:values.size]
-            converted[...] = values
+            converted = out[i % out.size:][:min(block, count - i)]
+            for j in range(0, converted.size, piece):
+                n = dt.itemsize * min(piece, converted.size - j)
+                self._short_read(self.f.readinto(raw[:n]), n)
+                values = raw[:n].view(dt)
+                if not np.isfinite(values).all():
+                    raise NonFiniteDataError(f"{what} payload contains non-finite values")
+                converted[j:j + values.size] = values
             yield converted
 
     def array(self, dt: np.dtype, shape: tuple[int, ...], what: str) -> np.ndarray:

@@ -49,10 +49,15 @@ centered index set, making the circular convolutions exact linear ones.
 Kernel spectra alone are built in FFT order (:func:`_kernel_spectrum`) and
 read through the shift in the product (:func:`_shifted_product`), so no
 plane's kernel is rolled; every product is bitwise the centered one.
-Accumulation order (frequencies ascending, illuminations ascending) is fixed
-and identical for the static and time-resolved paths, and a frequency's
-arithmetic does not depend on the block it falls in, so results are
-bit-reproducible across runs and across ``threads`` settings.
+The per-frequency phase tables, the kernel's and the illumination's, take a
+direct ``exp`` only at anchors, every ``_ANCHOR_EVERY``-th frequency index,
+and step from each anchor by ``exp(s*1j*dk*r)`` (:func:`_phases`); they
+agree with the direct ``exp`` to about 1e-13.  The anchors sit at fixed
+global indices, and accumulation order (frequencies ascending,
+illuminations ascending) is fixed and identical for the static and
+time-resolved paths, so a frequency's arithmetic does not depend on the
+block it falls in, and results are bit-reproducible across runs and across
+``threads`` settings.
 """
 
 from __future__ import annotations
@@ -184,26 +189,107 @@ def _fft_order_lags(n: int) -> np.ndarray:
     return np.abs((np.arange(n) + n // 2) % n - n // 2)
 
 
-def _kernel_spectrum(khat, shape, pitch, dz: float) -> np.ndarray:
+# Phase tables take a direct exp only at every _ANCHOR_EVERY-th frequency bin
+# (see _phases).  Against a long-double reference the recurrence's own
+# rounding grew by at most 0.55 eps per step, so it stays below the direct
+# exp's argument rounding, eps*k*r/2, while the steps from an anchor number
+# at most k*r: at 8, from r = 1.4 wavelengths on.  A longer stride saves at
+# most a sixteenth of an exp per value.
+_ANCHOR_EVERY = 8
+_UNIFORM_TOL = 2.0 ** -50  # 4 eps: see _wavenumbers
+
+
+class _Wavenumbers(NamedTuple):
+    """A plan's wavenumbers ``k = w/c``, their mean spacing ``dk`` and the
+    spacing ``every`` of the phase tables' anchors: ``_ANCHOR_EVERY`` on
+    uniform bins, else 1."""
+
+    k: np.ndarray
+    dk: float
+    every: int
+
+
+def _wavenumbers(frequencies: np.ndarray) -> _Wavenumbers:
+    """The wavenumbers of ``frequencies``, checked once for uniform spacing.
+
+    Positive bins count as uniform when none lies further than ``_UNIFORM_TOL
+    * k_max`` from the line ``k_0 + f*dk``; the recurrence of :func:`_phases`
+    then errs by at most ``2 * _UNIFORM_TOL * k_max * r`` beyond the direct
+    exp's own rounding.  ``to_frequency``'s bins lay within ``2.4 eps *
+    k_max`` over 2,847 random packets; bins further off, as hand-built ones
+    may be, get ``every = 1``: a direct exp at each bin.
+    """
+    k = frequencies / SPEED_OF_LIGHT
+    dk = (float(k[-1]) - float(k[0])) / max(k.size - 1, 1)
+    uniform = k[0] > 0 and math.isfinite(dk) and (
+        float(np.abs(k[0] + np.arange(k.size) * dk - k).max()) <= _UNIFORM_TOL * float(k[-1]))
+    return _Wavenumbers(k, dk, _ANCHOR_EVERY if uniform else 1)
+
+
+def _phases(kn: _Wavenumbers, block: slice, r: np.ndarray) -> np.ndarray:
+    """``exp(s*1j*k*r)`` for the wavenumbers ``k = kn.k[block]``, as
+    ``[n, *r.shape]`` (``s = PROPAGATION_SIGN``).
+
+    Anchors sit at the global indices that are multiples of ``kn.every``,
+    wherever the block starts: an anchor's row is the direct exp, and each
+    later row the previous one times ``exp(s*1j*dk*r)``, starting from the
+    anchor at or before the block.  A row's arithmetic is therefore the same
+    whatever block it falls in.  Against ``exp(s*1j*k_f*r)`` evaluated
+    exactly, a row errs by at most ``eps*(k_f*r/2 + 2*every) + 2*dev*r``,
+    ``dev`` being the bins' distance from their line (see
+    :func:`_wavenumbers`); ``every = 1`` makes every row the direct exp.
+    """
+    lo, hi, every = int(block.start), int(block.stop), kn.every
+    first = lo - lo % every
+    lead = min(lo - first, 2)
+    # One buffer holds up to two rows before the block, the block's rows and
+    # the step, so no smaller temporary is made: a worker's malloc arena
+    # would keep it.  The rows before the block alternate, so no product is
+    # made in place: NumPy 2.4 rounds a one-value product in place differently.
+    buf = np.empty((lead + hi - lo + 1,) + r.shape, np.complex128)
+    out, step = buf[lead:-1], buf[-1]
+    if hi - first > 1 and every > 1:
+        _exp_phase(kn.dk, r, step)
+    prev = None
+    for f in range(first, hi):
+        row = out[f - lo] if f >= lo else buf[(f - first) % 2]
+        if f % every == 0:
+            _exp_phase(kn.k[f], r, row)
+        else:
+            np.multiply(prev, step, out=row)
+        prev = row
+    return out
+
+
+def _exp_phase(k: float, r: np.ndarray, out: np.ndarray) -> None:
+    """``exp(s*1j*k*r)`` into ``out``, bitwise ``np.exp(s*1j*k*r)``: the
+    argument is built in ``out``, its real part zero and its imaginary part
+    ``(s*k)*r``, as the complex product makes them."""
+    out.real = 0.0
+    np.multiply(r, PROPAGATION_SIGN * k, out=out.imag)
+    np.exp(out, out=out)
+
+
+def _kernel_spectrum(kn: _Wavenumbers, block: slice, shape, pitch, dz: float) -> np.ndarray:
     """DFT of the kernel on the ``shape = (py, px)`` lag lattice of
-    ``pitch = (dx, dy)``, in FFT order; a vector ``khat`` gives a
-    ``[n, py, px]`` stack.
+    ``pitch = (dx, dy)``, in FFT order, for the wavenumbers ``kn.k[block]``:
+    an ``[n, py, px]`` stack.
 
     The lags are ``(arange(P) - P//2) * pitch`` and ``r`` is even in them, so
     the kernel is evaluated on one quadrant, the lag magnitudes ``0..P//2`` of
     each axis (an even ``P``'s unmatched ``-P/2`` lag has magnitude ``P//2``
-    too).  ``(-j)*pitch`` is exactly ``-(j*pitch)`` and ``r`` squares it, so
-    every value is bitwise the one the full lattice gives.  The quadrant is
-    spread along x in FFT order and transformed in place on its ``py//2 + 1``
-    distinct rows, then spread along y and transformed in place.  Identical
-    rows transform identically, so the result is bitwise
-    ``ifftshift(cfft_2d(kernel))`` with no roll made;
-    :func:`_shifted_product` reads it through the shift.
+    too).  ``(-j)*pitch`` is exactly ``-(j*pitch)`` and ``r`` squares it, and
+    :func:`_phases` works value by value, so every value is bitwise the one
+    the full lattice gives.  The quadrant is spread along x in FFT order and
+    transformed in place on its ``py//2 + 1`` distinct rows, then spread
+    along y and transformed in place.  Identical rows transform identically,
+    so the result is bitwise ``ifftshift(cfft_2d(kernel))`` with no roll
+    made; :func:`_shifted_product` reads it through the shift.
     """
     (py, px), (dx, dy) = shape, pitch
     r = np.sqrt((np.arange(px // 2 + 1) * dx)[None, :] ** 2
                 + (np.arange(py // 2 + 1) * dy)[:, None] ** 2 + dz * dz)
-    quadrant = np.exp(PROPAGATION_SIGN * 1j * np.asarray(khat)[..., None, None] * r) / r
+    quadrant = _phases(kn, block, r) / r
     g = quadrant.take(_fft_order_lags(px), axis=-1)
     np.fft.fft(g, axis=-1, out=g)
     g = g.take(_fft_order_lags(py), axis=-2)
@@ -240,11 +326,12 @@ def _shifted_product(u: np.ndarray, ghat: np.ndarray,
     return spec
 
 
-def _illum_phase(khat, x: np.ndarray, y: np.ndarray, z: float,
+def _illum_phase(kn: _Wavenumbers, block: slice, x: np.ndarray, y: np.ndarray, z: float,
                  source: np.ndarray) -> np.ndarray:
-    """Illumination phase at voxels ``(x, y, z)``; ``x`` and ``y`` broadcast."""
+    """Illumination phase at voxels ``(x, y, z)`` for the wavenumbers
+    ``kn.k[block]``, as ``[n, voxels]``; ``x`` and ``y`` broadcast."""
     r = np.sqrt((x - source[0]) ** 2 + (y - source[1]) ** 2 + (z - source[2]) ** 2)
-    return np.exp(PROPAGATION_SIGN * 1j * khat * r)
+    return _phases(kn, block, r)
 
 
 class _Plane(NamedTuple):
@@ -342,9 +429,11 @@ def _frame_times(times, frequencies: np.ndarray) -> np.ndarray | None:
 
 def _check_planes(planes: list[_Plane], shape: tuple[int, int], k_max: float,
                   ill: np.ndarray | None) -> None:
-    """Refuse a plane whose kernel phase ``k*r`` at its largest lag, computed
-    as :func:`_kernel_spectrum` computes ``r``, or whose illumination phase at
-    its farthest voxel from ``ill`` (if given) is not finite."""
+    """Refuse a plane whose kernel phase ``k*r`` at its largest lag, or whose
+    illumination phase at its farthest voxel from ``ill`` (if given), is not
+    finite.  ``r`` is computed as :func:`_kernel_spectrum` and
+    :func:`_illum_phase` compute it; every phase :func:`_phases` takes, at an
+    anchor or in its step ``dk*r`` (``dk`` below ``k_max``), is then finite."""
     py, px = shape
     for pl in planes:
         lx, ly = (px // 2) * float(pl.pitch[0]), (py // 2) * float(pl.pitch[1])
@@ -388,18 +477,17 @@ def _propagate(plan: _Plan, coefficients: np.ndarray, times: np.ndarray | None,
     _require(int(threads) >= 1, "threads must be >= 1")
     times = _frame_times(times, plan.frequencies)
     n_freq = int(plan.frequencies.size)
-    khats = plan.frequencies / SPEED_OF_LIGHT
+    kn = _wavenumbers(plan.frequencies)
     shape, planes, ill = plan.shape, plan.planes, plan.illuminations
-    _check_planes(planes, shape, float(np.abs(khats).max()),
+    _check_planes(planes, shape, float(np.abs(kn.k).max()),
                   ill if include_illumination else None)
     uhats = plan.encode(coefficients)
     ends = np.cumsum([pl.x.size for pl in planes])
     terms = np.zeros((n_freq, plan.grid.count), dtype=np.complex128)
 
     def run(block: slice) -> None:
-        kh = khats[block]
         for pl, stop in zip(planes, ends):
-            ghats = [_kernel_spectrum(kh, shape, pl.pitch, dz) for dz in pl.dz]
+            ghats = [_kernel_spectrum(kn, block, shape, pl.pitch, dz) for dz in pl.dz]
             for p, uhat in enumerate(uhats):
                 spec = None
                 for u, ghat in zip(uhat, ghats):
@@ -411,7 +499,7 @@ def _propagate(plan: _Plan, coefficients: np.ndarray, times: np.ndarray | None,
                 if include_illumination:
                     # In place: NumPy's SIMD complex product is not bitwise
                     # commutative, and `vals * tmp` may reuse `tmp` as `tmp * vals`.
-                    vals *= _illum_phase(kh[:, None], pl.x, pl.y, pl.z, ill[p])
+                    vals *= _illum_phase(kn, block, pl.x, pl.y, pl.z, ill[p])
                 terms[block, stop - pl.x.size:stop] += vals
 
     workers = min(int(threads), n_freq)

@@ -35,12 +35,15 @@ from phasorfield.core import PROPAGATION_SIGN, SPEED_OF_LIGHT, UniformGrid3D
 from phasorfield.metrics import ncc
 from phasorfield.reconstruct import (
     _ALGORITHMS,
+    _ANCHOR_EVERY,
     _depth_node_count,
     _depth_sweep,
     _kernel_spectrum,
     _pad_size,
+    _phases,
     _plan,
     _shifted_product,
+    _wavenumbers,
 )
 from phasorfield.spectral import next_fast_len
 from phasorfield.reconstruct import ALGORITHM_NAMES, project_max_depth, reconstruct
@@ -748,34 +751,42 @@ class TestMisc:
         assert img.shape == (3, 4)
         assert np.array_equal(img, np.abs(vol.as_array3d()).max(axis=0))
 
-    @pytest.mark.parametrize("algo", ["nursd1", "srsd", "rsd3d", "nursd3d", "rsd", "nursd2",
-                                      "nursd3", "srsd-nursd2"])
-    def test_nufft_paths_are_thread_stable(self, chain, chain_grid, rippled, algo):
+    # F = 16: two, three and four workers start blocks at 8; at 6 and 11; and
+    # at 4, 8 and 12, each relative to the phase anchors in its own way.
+    @pytest.mark.parametrize("algo, threads, illumination", [
+        pytest.param(algo, t, ill, id=algo if (t, ill) == (3, True)
+                     else f"{algo}-threads{t}" + ("" if ill else "-no-illumination"))
+        for algo in ("nursd1", "srsd", "rsd3d", "nursd3d", "rsd", "nursd2", "nursd3",
+                     "srsd-nursd2")
+        for t in (2, 3, 4) for ill in (True, False)])
+    def test_nufft_paths_are_thread_stable(self, chain, chain_grid, rippled, algo, threads,
+                                           illumination):
         frustum = FrustumGrid.linear(centered_grid2d(8, 0.02), [0.86, 0.94], alpha0=0.8)
         rng = np.random.default_rng(3)
         voxels = ExplicitVoxels(tuple(
             VoxelPlane(z, PointList(rng.uniform(-0.08, 0.08, (9, 2)))) for z in (0.86, 0.94)))
-        run = {
-            "nursd1": lambda t: reconstruct(chain["planar"], chain_grid, "nursd1", eps=EPS,
-                                            threads=t),
-            "srsd": lambda t: reconstruct(chain["uniform"], frustum, "srsd",
-                                          times=np.array([0.0, 1e-9]), threads=t),
-            "rsd3d": lambda t: reconstruct(rippled, chain_grid, "rsd3d", threads=t),
-            "nursd3d": lambda t: reconstruct(rippled, chain_grid, "nursd3d", eps=EPS, threads=t),
-            "rsd": lambda t: reconstruct(chain["uniform"], chain_grid, "rsd", threads=t),
-            "nursd2": lambda t: reconstruct(chain["uniform"], voxels, "nursd2", eps=EPS,
-                                            threads=t),
-            "nursd3": lambda t: reconstruct(chain["planar"], voxels, "nursd3", eps=EPS,
-                                            times=np.array([0.0, 1e-9]), threads=t),
-            "srsd-nursd2": lambda t: reconstruct(chain["uniform"], voxels, "srsd-nursd2",
-                                                 alpha=0.8, eps=EPS, threads=t),
+        slices, grid, options = {
+            "nursd1": (chain["planar"], chain_grid, {"eps": EPS}),
+            "srsd": (chain["uniform"], frustum, {"times": np.array([0.0, 1e-9])}),
+            "rsd3d": (rippled, chain_grid, {}),
+            "nursd3d": (rippled, chain_grid, {"eps": EPS}),
+            "rsd": (chain["uniform"], chain_grid, {}),
+            "nursd2": (chain["uniform"], voxels, {"eps": EPS}),
+            "nursd3": (chain["planar"], voxels, {"eps": EPS, "times": np.array([0.0, 1e-9])}),
+            "srsd-nursd2": (chain["uniform"], voxels, {"alpha": 0.8, "eps": EPS}),
         }[algo]
+
+        def run(t):
+            return reconstruct(slices, grid, algo, threads=t, include_illumination=illumination,
+                               **options)
+
+        assert slices.n_freq == 16
         a = run(1)
         # More workers than cores, switching as often as the interpreter allows.
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            b = run(3)
+            b = run(threads)
         finally:
             sys.setswitchinterval(interval)
         assert np.array_equal(a.field, b.field)
@@ -829,23 +840,98 @@ def test_pad_size_refuses_a_span_it_cannot_index(dst):
 _KHAT = st.floats(1.0, 400.0)
 
 
+def _bins(first: int, n: int, n_bins: int = 1024, delta_t: float = 16e-12) -> np.ndarray:
+    """Angular frequencies of ``n`` consecutive DFT bins, as ``build_kernel`` computes them."""
+    return 2.0 * np.pi * np.arange(first, first + n) / (n_bins * delta_t)
+
+
+# Uniform bins, whose phase tables run the recurrence, or hand-built
+# wavenumbers, mostly not uniform, which take a direct exp at every bin.
+_KHATS = st.one_of(
+    st.builds(lambda k0, dk, n: k0 + dk * np.arange(n), _KHAT, st.floats(0.1, 5.0),
+              st.integers(1, 20)),
+    hnp.arrays(np.float64, st.integers(1, 4), elements=_KHAT))
+
+
 @settings(max_examples=150, deadline=None)
 @given(px=st.integers(1, 120), py=st.integers(1, 120), dx=st.floats(1e-3, 0.1),
-       dy=st.floats(1e-3, 0.1), dz=st.floats(1e-3, 3.0),
-       khat=st.one_of(_KHAT, hnp.arrays(np.float64, st.integers(1, 4), elements=_KHAT)))
-@example(px=1, py=1, dx=0.02, dy=0.02, dz=0.9, khat=100.0)
-@example(px=2, py=1, dx=0.02, dy=0.03, dz=0.9, khat=np.array([50.0, 120.0]))
-@example(px=2, py=2, dx=0.013, dy=0.02, dz=0.5, khat=80.0)
-@example(px=105, py=108, dx=0.02, dy=0.02, dz=0.8, khat=np.array([60.0, 90.0, 130.0]))
+       dy=st.floats(1e-3, 0.1), dz=st.floats(1e-3, 3.0), khat=_KHATS,
+       lo=st.integers(0, 19), size=st.integers(1, 20))
+@example(px=1, py=1, dx=0.02, dy=0.02, dz=0.9, khat=np.array([100.0]), lo=0, size=1)
+@example(px=2, py=1, dx=0.02, dy=0.03, dz=0.9, khat=np.array([50.0, 120.0]), lo=1, size=1)
+@example(px=2, py=2, dx=0.013, dy=0.02, dz=0.5, khat=np.array([80.0]), lo=0, size=1)
+@example(px=105, py=108, dx=0.02, dy=0.02, dz=0.8, khat=np.array([60.0, 90.0, 130.0]),
+         lo=0, size=3)
+@example(px=105, py=108, dx=0.02, dy=0.02, dz=0.8, khat=_bins(60, 16) / SPEED_OF_LIGHT,
+         lo=6, size=5)
 def test_kernel_spectrum_is_the_full_lattice_formulas_spectrum_unshifted(px, py, dx, dy, dz,
-                                                                          khat):
+                                                                          khat, lo, size):
+    kn = _wavenumbers(khat * SPEED_OF_LIGHT)
+    lo %= khat.size
+    block = slice(lo, min(khat.size, lo + size))
     lag_x = (np.arange(px) - px // 2) * dx
     lag_y = (np.arange(py) - py // 2) * dy
     r = np.sqrt(lag_x[None, :] ** 2 + lag_y[:, None] ** 2 + dz * dz)
-    direct = np.exp(PROPAGATION_SIGN * 1j * np.asarray(khat)[..., None, None] * r) / r
+    # The same phase table over the full lattice: the layout claim stays
+    # bitwise, and test_phases_match_the_exact_exponential bounds the table.
+    direct = _phases(kn, block, r) / r
     want = np.fft.ifftshift(spectral.cfft_2d(direct), axes=(-2, -1))
-    out = _kernel_spectrum(khat, (py, px), (dx, dy), dz)
+    out = _kernel_spectrum(kn, block, (py, px), (dx, dy), dz)
     assert out.shape == want.shape and out.tobytes() == want.tobytes()
+
+
+def _exact_phases(k: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cosine and sine of ``PROPAGATION_SIGN * k * r`` in long double, from the
+    float64 ``k`` and ``r`` as given."""
+    theta = (PROPAGATION_SIGN * k.astype(np.longdouble)[:, None]
+             * r.astype(np.longdouble)[None, :])
+    return np.cos(theta), np.sin(theta)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 60,
+                    reason="the reference needs a long double wider than float64")
+@pytest.mark.parametrize("n", [1, 2, 16, 512])
+@pytest.mark.parametrize("n_bins, delta_t, first", [(1024, 16e-12, 60), (1 << 16, 2e-12, 2000)])
+def test_phases_match_the_exact_exponential(rng, n, n_bins, delta_t, first):
+    # Uniform bins: anchors every _ANCHOR_EVERY bins, and the recurrence
+    # between them, within eps*(k*r/2 + 2*every) + 2*dev*r of exp(s*1j*k*r).
+    kn = _wavenumbers(_bins(first, n, n_bins, delta_t))
+    assert kn.every == _ANCHOR_EVERY
+    r = np.concatenate([rng.uniform(0.5, 3.0, 3000), rng.uniform(1e-3, 0.05, 200)])
+    got = _phases(kn, slice(0, n), r)
+    cos, sin = _exact_phases(kn.k, r)
+    err = np.hypot((got.real - cos).astype(np.float64), (got.imag - sin).astype(np.float64))
+    eps = np.finfo(np.float64).eps
+    dev = np.abs(kn.k[0] + np.arange(n) * kn.dk - kn.k).max()
+    bound = eps * (kn.k[:, None] * r / 2 + 2 * kn.every) + 2 * dev * r
+    assert (err <= bound).all()
+    assert err.max() < 1e-12
+
+
+@pytest.mark.parametrize("shape", [(1,), (300,), (7, 9)])
+def test_phases_of_bins_that_are_not_uniform_are_the_direct_exponential(rng, shape):
+    r = rng.uniform(0.5, 3.0, shape)
+    uneven = _bins(60, 16)
+    uneven[5] *= 1 + 1e-12  # one bin 1e-12 off the line: far beyond _UNIFORM_TOL
+    for w in (uneven, np.array([3e11, 5e11, 5.5e11, 9e11])):
+        kn = _wavenumbers(w)
+        assert kn.every == 1
+        # One batched exp over every bin: the reference, bit for bit.
+        k = (w / SPEED_OF_LIGHT).reshape((-1,) + (1,) * r.ndim)
+        want = np.exp(PROPAGATION_SIGN * 1j * k * r)
+        assert _phases(kn, slice(0, w.size), r).tobytes() == want.tobytes()
+        assert _phases(kn, slice(2, 3), r).tobytes() == want[2:3].tobytes()
+
+
+@pytest.mark.parametrize("shape", [(300,), (53, 53), (1,)])
+def test_phase_rows_do_not_depend_on_the_block(rng, shape):
+    # Every block of F = 16 bins, so every start relative to the anchors.
+    kn = _wavenumbers(_bins(60, 16))
+    r = rng.uniform(0.5, 3.0, shape)
+    whole = _phases(kn, slice(0, 16), r)
+    for lo in range(16):
+        for hi in range(lo + 1, 17):
+            assert _phases(kn, slice(lo, hi), r).tobytes() == whole[lo:hi].tobytes()
 
 
 @pytest.mark.parametrize("py, px", [(1, 1), (1, 2), (2, 1), (2, 2), (5, 7), (8, 6), (9, 10)])
