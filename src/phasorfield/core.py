@@ -295,6 +295,11 @@ def _require_capture(relay: RelaySampling, illuminations: PointList, shape: tupl
     _require(delta_t > 0, "bin width must be > 0")
     _require(math.isfinite(t0), "t0 must be finite")
     _require(shape[2] >= 1, "need at least one time bin")
+    _require_capture_axes(relay, illuminations, shape)
+
+
+def _require_capture_axes(relay: RelaySampling, illuminations: PointList, shape) -> None:
+    """Refuse an ``[n_illum, n_detect, ...]`` shape the relay or illuminations do not fit."""
     _require(shape[1] == relay.count, "detector axis must match relay point count")
     _require(shape[0] == illuminations.count,
              "illumination axis must match illumination point count")
@@ -381,10 +386,7 @@ class FrequencySlices:
         _require(bool(np.all(np.diff(w) > 0)), "frequencies must be strictly increasing")
         _require(c.ndim == 3 and c.shape[2] == w.size,
                  "coefficients must be [n_illum, n_detect, n_freq]")
-        _require(c.shape[1] == self.relay.count, "detection axis must match relay point count")
-        _require(c.shape[0] == self.illuminations.count,
-                 "illumination axis must match illumination point count")
-        _require_illumination_plane(self.relay, self.illuminations)
+        _require_capture_axes(self.relay, self.illuminations, c.shape)
         _require(bool(np.isfinite(c).all()), "coefficients must be finite")
         object.__setattr__(self, "frequencies", _freeze(w))
         object.__setattr__(self, "coefficients", _freeze(c))

@@ -53,16 +53,19 @@ The per-frequency phase tables, the kernel's and the illumination's, take a
 direct ``exp`` only at anchors, every ``_ANCHOR_EVERY``-th frequency index,
 and step from each anchor by ``exp(s*1j*dk*r)`` (:func:`_phases`); they
 agree with the direct ``exp`` to about 1e-13.  The anchors sit at fixed
-global indices, and accumulation order (frequencies ascending,
-illuminations ascending) is fixed and identical for the static and
-time-resolved paths, so a frequency's arithmetic does not depend on the
-block it falls in, and results are bit-reproducible across runs and across
-``threads`` settings.
+global indices, each row has its own slot in its block's table, and a lone
+value (one frequency, one voxel) takes its illumination phase out of place,
+as NumPy rounds it within a longer product.  Accumulation order
+(frequencies ascending, illuminations ascending) is fixed and identical for
+the static and time-resolved paths, so a frequency's arithmetic does not
+depend on the block it falls in: results are bit-reproducible across runs
+and across ``threads`` settings.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from typing import Callable, NamedTuple
@@ -173,14 +176,14 @@ def _relay_lattice(coefficients: np.ndarray, g) -> np.ndarray:
     return coeff.reshape(coeff.shape[:2] + (g.ny, g.nx))
 
 
-def _embed_relay(coefficients: np.ndarray, g, py: int, px: int) -> np.ndarray:
-    """Each illumination's uniform relay centred in a ``[F, py, px]`` zero array."""
+def _embed_relay(coefficients: np.ndarray, g, py: int, px: int) -> list[np.ndarray]:
+    """``[1, F, py, px]`` spectra of the illuminations' uniform relays centred in zeros."""
     relay = _relay_lattice(coefficients, g)
     out = np.zeros(relay.shape[:2] + (py, px), dtype=np.complex128)
     oy = py // 2 - g.ny // 2
     ox = px // 2 - g.nx // 2
     out[..., oy:oy + g.ny, ox:ox + g.nx] = relay
-    return out
+    return [cfft_2d(u)[None] for u in out]
 
 
 def _fft_order_lags(n: int) -> np.ndarray:
@@ -232,8 +235,9 @@ def _phases(kn: _Wavenumbers, block: slice, r: np.ndarray) -> np.ndarray:
 
     Anchors sit at the global indices that are multiples of ``kn.every``,
     wherever the block starts: an anchor's row is the direct exp, and each
-    later row the previous one times ``exp(s*1j*dk*r)``, starting from the
-    anchor at or before the block.  A row's arithmetic is therefore the same
+    later row the previous one times ``exp(s*1j*dk*r)``.  One table holds
+    every row from the anchor at or before the block, each in its own slot,
+    so no product is made in place and a row's arithmetic is the same
     whatever block it falls in.  Against ``exp(s*1j*k_f*r)`` evaluated
     exactly, a row errs by at most ``eps*(k_f*r/2 + 2*every) + 2*dev*r``,
     ``dev`` being the bins' distance from their line (see
@@ -241,24 +245,17 @@ def _phases(kn: _Wavenumbers, block: slice, r: np.ndarray) -> np.ndarray:
     """
     lo, hi, every = int(block.start), int(block.stop), kn.every
     first = lo - lo % every
-    lead = min(lo - first, 2)
-    # One buffer holds up to two rows before the block, the block's rows and
-    # the step, so no smaller temporary is made: a worker's malloc arena
-    # would keep it.  The rows before the block alternate, so no product is
-    # made in place: NumPy 2.4 rounds a one-value product in place differently.
-    buf = np.empty((lead + hi - lo + 1,) + r.shape, np.complex128)
-    out, step = buf[lead:-1], buf[-1]
+    # One buffer, rows then step: a worker's malloc arena would keep a smaller temporary.
+    rows = np.empty((hi - first + 1,) + r.shape, np.complex128)
+    step = rows[-1]
     if hi - first > 1 and every > 1:
         _exp_phase(kn.dk, r, step)
-    prev = None
-    for f in range(first, hi):
-        row = out[f - lo] if f >= lo else buf[(f - first) % 2]
+    for i, f in enumerate(range(first, hi)):
         if f % every == 0:
-            _exp_phase(kn.k[f], r, row)
+            _exp_phase(kn.k[f], r, rows[i])
         else:
-            np.multiply(prev, step, out=row)
-        prev = row
-    return out
+            np.multiply(rows[i - 1], step, out=rows[i])
+    return rows[lo - first:-1]
 
 
 def _exp_phase(k: float, r: np.ndarray, out: np.ndarray) -> None:
@@ -324,14 +321,6 @@ def _shifted_product(u: np.ndarray, ghat: np.ndarray,
             else:
                 np.add(sb, ub * gb, out=sb)
     return spec
-
-
-def _illum_phase(kn: _Wavenumbers, block: slice, x: np.ndarray, y: np.ndarray, z: float,
-                 source: np.ndarray) -> np.ndarray:
-    """Illumination phase at voxels ``(x, y, z)`` for the wavenumbers
-    ``kn.k[block]``, as ``[n, voxels]``; ``x`` and ``y`` broadcast."""
-    r = np.sqrt((x - source[0]) ** 2 + (y - source[1]) ** 2 + (z - source[2]) ** 2)
-    return _phases(kn, block, r)
 
 
 class _Plane(NamedTuple):
@@ -432,7 +421,7 @@ def _check_planes(planes: list[_Plane], shape: tuple[int, int], k_max: float,
     """Refuse a plane whose kernel phase ``k*r`` at its largest lag, or whose
     illumination phase at its farthest voxel from ``ill`` (if given), is not
     finite.  ``r`` is computed as :func:`_kernel_spectrum` and
-    :func:`_illum_phase` compute it; every phase :func:`_phases` takes, at an
+    :func:`_propagate` compute it; every phase :func:`_phases` takes, at an
     anchor or in its step ``dk*r`` (``dk`` below ``k_max``), is then finite."""
     py, px = shape
     for pl in planes:
@@ -474,7 +463,11 @@ def _propagate(plan: _Plan, coefficients: np.ndarray, times: np.ndarray | None,
     takes its block of frequencies through every plane into its own rows of
     the terms, which this thread then reduces.
     """
-    _require(int(threads) >= 1, "threads must be >= 1")
+    try:
+        threads = operator.index(threads)
+    except TypeError:
+        threads = 0  # refused just below
+    _require(threads >= 1, "threads must be an integer >= 1")
     times = _frame_times(times, plan.frequencies)
     n_freq = int(plan.frequencies.size)
     kn = _wavenumbers(plan.frequencies)
@@ -497,12 +490,16 @@ def _propagate(plan: _Plan, coefficients: np.ndarray, times: np.ndarray | None,
                 vals = plan.read(pl, spec)
                 del spec  # before the phase product: a worker holds one spectrum at a time
                 if include_illumination:
-                    # In place: NumPy's SIMD complex product is not bitwise
-                    # commutative, and `vals * tmp` may reuse `tmp` as `tmp * vals`.
-                    vals *= _illum_phase(kn, block, pl.x, pl.y, pl.z, ill[p])
+                    src = ill[p]
+                    r = np.sqrt((pl.x - src[0]) ** 2 + (pl.y - src[1]) ** 2 + (pl.z - src[2]) ** 2)
+                    # `vals` stays the left operand (NumPy's SIMD complex product is
+                    # not bitwise commutative) and takes the product in place, but
+                    # for a lone value: NumPy rounds that in place unlike in a longer one.
+                    vals = np.multiply(vals, _phases(kn, block, r),
+                                       out=None if vals.size == 1 else vals)
                 terms[block, stop - pl.x.size:stop] += vals
 
-    workers = min(int(threads), n_freq)
+    workers = min(threads, n_freq)
     blocks = [slice(b[0], b[-1] + 1) for b in np.array_split(np.arange(n_freq), workers)]
     if workers == 1:
         # In this thread: a worker's own malloc arena would keep its temporaries.
@@ -557,7 +554,7 @@ def _plan_rsd(relay: UniformRelay, frequencies, grid: CuboidGrid, padding="exact
         px = _pad_size(jx, nu0x + np.arange(vg.nx), g.nx)
         py = _pad_size(jy, nu0y + np.arange(vg.ny), g.ny)
     planes = [_Plane(z, (z - g.z,), (g.dx, g.dy), x, y) for z, x, y in depth]
-    return ((py, px), planes, lambda cs: [cfft_2d(u)[None] for u in _embed_relay(cs, g, py, px)],
+    return ((py, px), planes, lambda cs: _embed_relay(cs, g, py, px),
             _read_window(vg.ny, vg.nx, (nu0y, nu0x)))
 
 
@@ -595,7 +592,7 @@ def _plan_uniform_explicit(relay: UniformRelay, frequencies, grid: ExplicitVoxel
         if scaled:
             return [sfft_2d_centered(u, al, be, shape=(py, px))[None]
                     for u in _relay_lattice(coefficients, g)]
-        return [cfft_2d(u)[None] for u in _embed_relay(coefficients, g, py, px)]
+        return _embed_relay(coefficients, g, py, px)
 
     return (py, px), planes, encode, _read_points(eps, px, py)
 
@@ -791,8 +788,8 @@ def reconstruct(slices: FrequencySlices, grid: VoxelGrid, algorithm: str, *,
     static volume sums, so its ``t = 0`` frame equals the static volume bit
     for bit.  ``include_illumination=False`` keeps only the detection-side
     propagation: a scatterer's voxel then lights up when ``t`` is the
-    illumination's time of flight to it.  ``threads`` (>= 1) workers split
-    the frequencies without changing a bit of the result.
+    illumination's time of flight to it.  ``threads`` workers (an integer
+    >= 1) split the frequencies without changing a bit of the result.
     """
     plan = _plan(algorithm, slices.relay, slices.illuminations, slices.frequencies, grid,
                  **options)
