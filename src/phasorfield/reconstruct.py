@@ -13,7 +13,10 @@ algorithm's name and its options, refuses any other option, checks the kinds
 and plans (:func:`_plan`) from the geometry alone, never the coefficients,
 then runs the plan
 (:func:`_propagate`): each of ``threads`` workers takes one contiguous block
-of frequencies through every plane.  A plan has three parts:
+of frequencies through every plane.  A static run adds each plane into the
+field as the blocks finish it, in block order, so it never holds a volume
+per frequency; a video keeps them and reduces them into its frames at the
+end (:func:`_reduce`).  A plan has three parts:
 
 * an **encoder** ``encode(coefficients)`` gives each illumination's relay
   spectrum on a padded ``[py, px]`` lattice per depth node and frequency,
@@ -56,16 +59,18 @@ agree with the direct ``exp`` to about 1e-13.  The anchors sit at fixed
 global indices, each row has its own slot in its block's table, and a lone
 value (one frequency, one voxel) takes its illumination phase out of place,
 as NumPy rounds it within a longer product.  Accumulation order
-(frequencies ascending, illuminations ascending) is fixed and identical for
-the static and time-resolved paths, so a frequency's arithmetic does not
-depend on the block it falls in: results are bit-reproducible across runs
-and across ``threads`` settings.
+(frequencies ascending, illuminations ascending, each sum from zero) is fixed
+and identical for the static and time-resolved paths, so a frequency's
+arithmetic does not depend on the block it falls in: results are
+bit-reproducible across runs and across ``threads`` settings, and a video's
+``t = 0`` frame is the static field.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from typing import Callable, NamedTuple
@@ -439,19 +444,15 @@ def _check_planes(planes: list[_Plane], shape: tuple[int, int], k_max: float,
                      "illumination points for a finite phase")
 
 
-def _reduce(plan: _Plan, terms: np.ndarray, t: np.ndarray | None) -> ReconstructionVolume:
-    if t is None:
-        field = np.zeros(plan.grid.count, dtype=np.complex128)
-        for term in terms:
-            field += term
-    else:
-        field = np.zeros((t.size, plan.grid.count), dtype=np.complex128)
-        for fi, term in enumerate(terms):
-            w = float(plan.frequencies[fi])
-            for ti in range(t.size):
-                field[ti] += np.exp(1j * w * t[ti]) * term
-    field.setflags(write=False)  # so that the volume adopts it instead of copying it
-    return ReconstructionVolume(plan.grid, field, t)
+def _reduce(plan: _Plan, terms: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The video's ``[T, voxels]`` frames from the ``[F, voxels]`` terms: frame
+    ``t`` sums ``exp(1j*w*t) * terms[w]`` from zeros, frequencies ascending."""
+    field = np.zeros((t.size, plan.grid.count), dtype=np.complex128)
+    for fi, term in enumerate(terms):
+        w = float(plan.frequencies[fi])
+        for ti in range(t.size):
+            field[ti] += np.exp(1j * w * t[ti]) * term
+    return field
 
 
 def _propagate(plan: _Plan, coefficients: np.ndarray, times: np.ndarray | None,
@@ -460,8 +461,13 @@ def _propagate(plan: _Plan, coefficients: np.ndarray, times: np.ndarray | None,
 
     The encoder runs only after the frame times and every plane's phases
     have been checked, so a refused input runs no transform.  Each worker
-    takes its block of frequencies through every plane into its own rows of
-    the terms, which this thread then reduces.
+    takes its block of frequencies through every plane, summing a plane's
+    illuminations in ascending order.  A static run adds the block's rows of
+    a plane into the field, one frequency at a time, once the block before
+    it has added its own, so every voxel sums its frequencies in ascending
+    order from zero and no ``[F, voxels]`` array is held.  A video keeps the
+    ``[F, voxels]`` terms, which :func:`_reduce` turns into frames; holding
+    ``[T, voxels]`` frames through the loop would cost more when ``T > F``.
     """
     try:
         threads = operator.index(threads)
@@ -476,38 +482,77 @@ def _propagate(plan: _Plan, coefficients: np.ndarray, times: np.ndarray | None,
                   ill if include_illumination else None)
     uhats = plan.encode(coefficients)
     ends = np.cumsum([pl.x.size for pl in planes])
-    terms = np.zeros((n_freq, plan.grid.count), dtype=np.complex128)
+    if times is None:
+        field = np.zeros(plan.grid.count, dtype=np.complex128)
+    else:
+        terms = np.zeros((n_freq, plan.grid.count), dtype=np.complex128)
+    # turn[j] is the block whose rows plane j takes next; a block that raises
+    # sets `failed`, which releases every block waiting for its turn.
+    turn, baton, failed = [0] * len(planes), threading.Condition(), threading.Event()
 
-    def run(block: slice) -> None:
-        for pl, stop in zip(planes, ends):
-            ghats = [_kernel_spectrum(kn, block, shape, pl.pitch, dz) for dz in pl.dz]
-            for p, uhat in enumerate(uhats):
-                spec = None
-                for u, ghat in zip(uhat, ghats):
-                    u = (u[block] if pl.scale is None
-                         else sfft_2d_centered(u[block], *pl.scale, shape=shape))
-                    spec = _shifted_product(u, ghat, spec)
-                vals = plan.read(pl, spec)
-                del spec  # before the phase product: a worker holds one spectrum at a time
-                if include_illumination:
-                    src = ill[p]
-                    r = np.sqrt((pl.x - src[0]) ** 2 + (pl.y - src[1]) ** 2 + (pl.z - src[2]) ** 2)
-                    # `vals` stays the left operand (NumPy's SIMD complex product is
-                    # not bitwise commutative) and takes the product in place, but
-                    # for a lone value: NumPy rounds that in place unlike in a longer one.
-                    vals = np.multiply(vals, _phases(kn, block, r),
-                                       out=None if vals.size == 1 else vals)
-                terms[block, stop - pl.x.size:stop] += vals
+    def add(w: int, j: int, seg: np.ndarray, acc: np.ndarray) -> bool:
+        """Add block ``w``'s rows of plane ``j`` into ``seg`` after block
+        ``w - 1``'s; False, adding nothing, once a block has failed."""
+        with baton:
+            baton.wait_for(lambda: turn[j] == w or failed.is_set())
+            if failed.is_set():
+                return False
+        for row in acc:
+            seg += row
+        with baton:
+            turn[j] += 1
+            baton.notify_all()
+        return True
+
+    def run(w: int, block: slice) -> None:
+        try:
+            for j, (pl, stop) in enumerate(zip(planes, ends)):
+                voxels = slice(stop - pl.x.size, stop)
+                acc = None if times is None else terms[block, voxels]
+                ghats = [_kernel_spectrum(kn, block, shape, pl.pitch, dz) for dz in pl.dz]
+                for p, uhat in enumerate(uhats):
+                    spec = None
+                    for u, ghat in zip(uhat, ghats):
+                        u = (u[block] if pl.scale is None
+                             else sfft_2d_centered(u[block], *pl.scale, shape=shape))
+                        spec = _shifted_product(u, ghat, spec)
+                    vals = plan.read(pl, spec)
+                    del spec  # before the phase product: a worker holds one spectrum at a time
+                    if include_illumination:
+                        src = ill[p]
+                        r = np.sqrt((pl.x - src[0]) ** 2 + (pl.y - src[1]) ** 2
+                                    + (pl.z - src[2]) ** 2)
+                        # `vals` stays the left operand (NumPy's SIMD complex product is
+                        # not bitwise commutative) and takes the product in place, but
+                        # for a lone value: NumPy rounds that in place unlike in a longer one.
+                        vals = np.multiply(vals, _phases(kn, block, r),
+                                           out=None if vals.size == 1 else vals)
+                    if acc is None:
+                        # Not 0 + vals, which differs only in the sign of a zero: the
+                        # field starts from +0, so it never holds -0 and adds either alike.
+                        acc = vals
+                    else:
+                        acc += vals
+                if times is None and not add(w, j, field[voxels], acc):
+                    return  # another block failed and raises
+        except BaseException:
+            with baton:
+                failed.set()
+                baton.notify_all()
+            raise
 
     workers = min(threads, n_freq)
     blocks = [slice(b[0], b[-1] + 1) for b in np.array_split(np.arange(n_freq), workers)]
     if workers == 1:
         # In this thread: a worker's own malloc arena would keep its temporaries.
-        run(blocks[0])
+        run(0, blocks[0])
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, blocks))
-    return _reduce(plan, terms, times)
+            list(pool.map(run, range(workers), blocks))
+    if times is not None:
+        field = _reduce(plan, terms, times)
+    field.setflags(write=False)  # so that the volume adopts it instead of copying it
+    return ReconstructionVolume(plan.grid, field, times)
 
 
 def _explicit_planes(grid: ExplicitVoxels, z_src: float, center, pitch, src,

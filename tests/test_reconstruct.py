@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -756,7 +757,9 @@ class TestMisc:
     # sixteen every block holds one frequency, so on a one-voxel plane each
     # illumination product holds one value, which NumPy rounds differently
     # in place.  The video keeps each frequency's term apart, where the
-    # static sum can hide a moved bit.
+    # static sum can hide a moved bit.  The static run adds each plane into
+    # the field as the blocks finish it and the video reduces its terms after
+    # the last plane, yet the video's t = 0 frame is the static field.
     @pytest.mark.parametrize("algo, threads, illumination, one_voxel", [
         pytest.param(algo, t, ill, one, id=(algo if (t, ill) == (3, True)
                      else f"{algo}-threads{t}" + ("" if ill else "-no-illumination"))
@@ -792,16 +795,65 @@ class TestMisc:
                                include_illumination=illumination, **options).field
 
         assert slices.n_freq == 16
-        for times in (None, np.array([0.0, 1e-9, 2e-9])):
-            a = run(1, times)
+        static, video = [], []
+        for times, fields in ((None, static), (np.array([0.0, 1e-9, 2e-9]), video)):
+            fields.append(run(1, times))
             # More workers than cores, switching as often as the interpreter allows.
             interval = sys.getswitchinterval()
             sys.setswitchinterval(1e-6)
             try:
-                b = run(threads, times)
+                fields.append(run(threads, times))
             finally:
                 sys.setswitchinterval(interval)
-            assert np.array_equal(a, b)
+            assert np.array_equal(*fields)
+        assert all(np.array_equal(v[0], s) for v, s in zip(video, static))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_a_static_run_holds_no_per_frequency_volume(self, threads):
+        # 16 frequencies onto 65,536 voxels: [F, voxels] terms would take
+        # 16.8 MB.  A static run holds the field and a few [F, py, px]
+        # lattice spectra (7.3 MB traced; the terms made it 23 MB).
+        slices = two_scatterer_slices(relay=centered_relay(32, 0.02),
+                                      illuminations=PointList(np.zeros((1, 2))))
+        grid = CuboidGrid(UniformGrid3D(32, 32, 64, 0.02, 0.02, 0.01, -0.31, -0.31, 0.6))
+        py, px = _plan("rsd", *_geometry(slices), grid).shape
+        spectrum_bytes = slices.n_freq * py * px * 16
+        reconstruct(slices, grid, "rsd", threads=threads)  # warm-up: FFT caches
+        tracemalloc.start()
+        try:
+            vol = reconstruct(slices, grid, "rsd", threads=threads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert slices.n_freq == 16 and vol.field.nbytes == grid.count * 16
+        assert peak <= vol.field.nbytes + 6 * spectrum_bytes < slices.n_freq * vol.field.nbytes
+
+    # Scaled by 1e306, the first two frequencies overflow in the first block's
+    # kernel product and nufft2 refuses them; the later blocks wait for the
+    # first to add each plane before them, and must be released.
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("threads", [2, 4])
+    def test_a_failing_thread_releases_the_others(self, chain, threads):
+        sl = chain["uniform"]
+        coefficients = sl.coefficients.copy()
+        coefficients[..., :2] *= 1e306
+        bad = FrequencySlices(sl.frequencies, coefficients, sl.relay, sl.illuminations)
+        rng = np.random.default_rng(3)
+        voxels = ExplicitVoxels(tuple(VoxelPlane(z, PointList(rng.uniform(-0.08, 0.08, (9, 2))))
+                                      for z in (0.86, 0.94)))
+        raised = []
+
+        def run():
+            try:
+                reconstruct(bad, voxels, "nursd2", threads=threads)
+            except ValidationError as e:
+                raised.append(e)
+
+        caller = threading.Thread(target=run, daemon=True)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive()
+        assert [str(e) for e in raised] == ["coefficients must be finite"]
 
     @pytest.mark.parametrize("algo", ["nursd2", "srsd-nursd2"])
     def test_first_scipy_import_inside_the_pool(self, algo):
