@@ -829,9 +829,11 @@ class TestMisc:
         assert peak <= vol.field.nbytes + 6 * spectrum_bytes < slices.n_freq * vol.field.nbytes
 
     # Scaled by 1e306, the first two frequencies overflow in the first block's
-    # kernel product and nufft2 refuses them; the later blocks wait for the
-    # first to add each plane before them, and must be released.
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    # kernel product (to inf, or to nan on NumPy's baseline loops) and nufft2
+    # refuses them; the later blocks wait for the first to add each plane
+    # before them, and must be released.
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("threads", [2, 4])
     def test_a_failing_thread_releases_the_others(self, chain, threads):
         sl = chain["uniform"]
