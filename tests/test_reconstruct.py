@@ -745,6 +745,35 @@ print(np.array_equal(pooled.field, reconstruct(slices, voxels, algo, threads=1, 
 """
 
 
+# Prints the digests of srsd's static field and 3-frame video and of
+# srsd-nursd2's static field on a 48x48 relay.  Its 96x96 lattice makes each
+# frequency's y product of the scaled DFT (96 x 48 x 96 complex) large enough
+# for OpenBLAS to split it across its threads.
+_SCALED_DFT_DIGESTS = """
+import hashlib
+import numpy as np
+from phasorfield import (ExplicitVoxels, FrustumGrid, PointList, Scatterer, Scene,
+                         UniformRelay, VoxelPlane, reconstruct)
+from phasorfield.core import UniformGrid2D
+from phasorfield.phasor import build_kernel, to_frequency
+from phasorfield.sim import simulate
+
+base = UniformGrid2D(48, 48, 0.01, 0.01, -0.235, -0.235)
+m = simulate(Scene((Scatterer((0.02, -0.01, 0.9)), Scatterer((-0.05, 0.04, 0.95), 0.7))),
+             UniformRelay(base), PointList(np.array([[0.0, 0.0]])), delta_t=16e-12, n_bins=512)
+slices = to_frequency(m, build_kernel(0.04, 512, 16e-12))
+frustum = FrustumGrid.linear(base, [0.88, 0.92, 0.96], alpha0=0.7, beta0=0.6)
+rng = np.random.default_rng(5)
+voxels = ExplicitVoxels(tuple(
+    VoxelPlane(z, PointList(rng.uniform(-0.3, 0.3, (40, 2)))) for z in (0.88, 0.94)))
+for grid, algo, options in [(frustum, "srsd", {}),
+                            (frustum, "srsd", {"times": np.array([0.0, 1e-9, 2e-9])}),
+                            (voxels, "srsd-nursd2", {"alpha": 0.7, "eps": 1e-8})]:
+    field = reconstruct(slices, grid, algo, **options).field
+    print(hashlib.sha256(np.ascontiguousarray(field).tobytes()).hexdigest())
+"""
+
+
 class TestMisc:
     def test_project_max_depth(self, slices16, grid16_small):
         vol = reconstruct(slices16, grid16_small, "rsd")
@@ -866,6 +895,22 @@ class TestMisc:
                               env=env, capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == ["False", "True", "True"]
+
+    def test_scaled_dft_bytes_do_not_depend_on_blas_threads(self):
+        # The scaled DFT is one matrix product per frequency and axis; BLAS
+        # may split a product across its own threads, but no element's sum.
+        blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        env = {k: v for k, v in os.environ.items() if k not in blas}
+        env["PYTHONPATH"] = str(Path(phasorfield.__file__).parents[1])
+        digests = []
+        for extra in ({}, dict.fromkeys(blas, "1")):
+            done = subprocess.run([sys.executable, "-c", _SCALED_DFT_DIGESTS],
+                                  env={**env, **extra}, capture_output=True, text=True,
+                                  timeout=300)
+            assert done.returncode == 0, done.stderr
+            digests.append(done.stdout.split())
+        assert len(digests[0]) == 3
+        assert digests[0] == digests[1]
 
     @pytest.mark.parametrize("threads", [0, -1, 2.7, "3", None, float("nan")])
     def test_threads_below_one_are_rejected(self, chain, chain_grid, threads):
