@@ -336,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cuboid:..., frustum:..., or @planes.json")
     p.add_argument("--eps", type=float, default=None,
                    help="accuracy target of the NUFFTs and of the 3-D paths' depth nodes "
-                        "(all but rsd and srsd; default 1e-6)")
+                        "(all but rsd and srsd; the NUFFTs take 1e-13 to 0.1; default 1e-6)")
     p.add_argument("--alpha", type=float, default=None,
                    help="scale factor (srsd-nursd2)")
     p.add_argument("--beta", type=float, default=None,

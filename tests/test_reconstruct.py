@@ -628,7 +628,7 @@ class TestPlan:
         grid_kind, relay_kind = _KINDS[name]
         slices = rippled if relay_kind == "scattered" else chain[relay_kind]
         with pytest.raises(ValidationError,
-                           match=f"^{re.escape('accuracy target must lie in [1e-14, 0.1]')}$"):
+                           match=f"^{re.escape('accuracy target must lie in [1e-13, 0.1]')}$"):
             reconstruct(slices, kind_grids[grid_kind], name, eps=eps, **_OPTIONS.get(name, {}))
 
     def test_nursd3d_takes_one_depth_node_only_on_a_flat_relay(self, chain, chain_grid,

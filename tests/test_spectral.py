@@ -1,5 +1,6 @@
 """Centered FFTs, the scaled FFT, and both gridding NUFFT types."""
 
+import copy
 import hashlib
 import time
 import tracemalloc
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.fft import next_fast_len as scipy_next_fast_len
+from scipy.sparse import csr_array
 
 import phasorfield
 from phasorfield import ValidationError, oracle, spectral
@@ -394,7 +396,7 @@ over_modes = pytest.mark.parametrize("modes", MODE_SHAPES, ids=lambda m: f"{m[0]
 
 class TestNufft:
     @over_modes
-    @pytest.mark.parametrize("eps", [1e-4, 1e-8, 1e-12])
+    @pytest.mark.parametrize("eps", [1e-4, 1e-8, 1e-12, 1e-13])
     def test_type1_matches_direct_sum(self, rng, modes, eps):
         pts = _random_points(rng, 50, 2)
         vals = _complex(rng, (50,))
@@ -404,7 +406,7 @@ class TestNufft:
         assert rel_linf(fast, slow) < eps
 
     @over_modes
-    @pytest.mark.parametrize("eps", [1e-4, 1e-8, 1e-12])
+    @pytest.mark.parametrize("eps", [1e-4, 1e-8, 1e-12, 1e-13])
     def test_type2_matches_direct_sum(self, rng, modes, eps):
         pts = _random_points(rng, 50, 2)
         coeff = _complex(rng, modes)
@@ -456,7 +458,8 @@ class TestNufft:
         with pytest.raises(ValidationError):
             nufft2(np.ones((8, 8), complex), np.zeros((0, 2)), 1e-6)
 
-    @pytest.mark.parametrize("eps", [0.0, 0.2, 1e-15, -1e-6])
+    # 1e-14 is refused: roundoff alone reads up to 2.7e-14 there.
+    @pytest.mark.parametrize("eps", [0.0, 0.2, 1e-14, 1e-15, -1e-6])
     def test_rejects_bad_accuracy_target(self, rng, eps):
         pts = _random_points(rng, 4, 2)
         with pytest.raises(ValidationError):
@@ -536,6 +539,12 @@ def _loop_nufft2(coeff, pts, eps):
                      for l in range(pts.shape[0])])
 
 
+@pytest.fixture
+def small_chunks(monkeypatch):
+    # Fine grids of a few columns per chunk, so batches span several chunks.
+    monkeypatch.setattr(spectral, "_FINE_CHUNK_BYTES", 3 * 16 * 24 * 24)
+
+
 class TestBatchedNufft:
     @over_modes
     def test_matches_per_point_gridding_loop(self, rng, modes):
@@ -545,11 +554,6 @@ class TestBatchedNufft:
         loop1 = _loop_nufft1(pts, vals, modes, 1e-8)
         assert rel_linf(nufft1(pts, vals, modes, 1e-8), loop1) < 1e-13
         assert rel_linf(nufft2(coeff, pts, 1e-8), _loop_nufft2(coeff, pts, 1e-8)) < 1e-13
-
-    @pytest.fixture
-    def small_chunks(self, monkeypatch):
-        # Fine grids of a few columns per chunk, so batches span several chunks.
-        monkeypatch.setattr(spectral, "_FINE_CHUNK_BYTES", 3 * 16 * 24 * 24)
 
     @over_modes
     def test_type1_batch_equals_columns(self, rng, small_chunks, modes):
@@ -611,12 +615,13 @@ class TestBatchedNufft:
 
     @over_modes
     def test_spread_operator_structure(self, rng, modes):
-        # One CSR row of (2w+1)^2 taps per point over the (y, x) fine grid.
+        # One CSR row of (2w+1)^2 taps per point over the touched fine rows
+        # (y) by every fine column (x).
         spread = spectral._Spread(modes, 1e-6, _random_points(rng, 13, 2))
         axes = [spectral._nufft_axis(m, 1e-6) for m in modes]
         s = spread.matrix
         assert s.format == "csr" and s.indices.dtype == np.int32
-        assert s.shape == (13, int(np.prod([mr for _, mr, _, _ in axes])))
+        assert s.shape == (13, len(spread.rows) * axes[1][1])
         assert (np.diff(s.indptr) == (2 * axes[0][0] + 1) ** 2).all()
         assert not hasattr(spread, "depth") and not hasattr(spread, "phase")
 
@@ -630,6 +635,129 @@ class TestBatchedNufft:
             nufft2(np.ones((2, 8, 0), complex), pts, 1e-6)
         with pytest.raises(ValidationError):
             nufft2(np.ones((2, 8, 8), complex), pts[:, :, None], 1e-6)
+
+
+# Points confined to part of the torus, where the spread touches only some
+# fine rows and the pruned passes skip the rest: x or y within
+# [-pi/2, pi/2), both, and both within a window straddling -pi/pi.
+WINDOWS = ("x", "y", "xy", "wrap")
+# Mode shapes whose fine rows a confined point set leaves partly untouched,
+# and ones whose stencils reach every row whatever the window.
+PRUNE_SHAPES = [(12, 10), (7, 5), (1, 24), (17, 30), (54, 54)]
+over_windows = pytest.mark.parametrize("window", WINDOWS)
+over_prune_shapes = pytest.mark.parametrize("modes", PRUNE_SHAPES,
+                                            ids=lambda m: f"{m[0]}x{m[1]}")
+
+
+def _confined_points(rng, n, window):
+    pts = _random_points(rng, n, 2)
+    if window == "wrap":
+        return np.mod(rng.uniform(-np.pi / 4, np.pi / 4, (n, 2)), 2 * np.pi) - np.pi
+    for axis in {"x": [0], "y": [1], "xy": [0, 1]}[window]:
+        pts[:, axis] = rng.uniform(-np.pi / 2, np.pi / 2, n)
+    return pts
+
+
+def _full_grid(spread):
+    """``spread`` over every fine row: its operator re-indexed onto the whole
+    fine grid, taps in the same order."""
+    full = copy.copy(spread)
+    s, (mry, mrx) = spread.matrix, spread.mrs
+    cols = spread.rows[s.indices // mrx] * mrx + s.indices % mrx
+    full.rows = np.arange(mry)
+    full.matrix = csr_array((s.data, cols.astype(s.indices.dtype), s.indptr),
+                            shape=(s.shape[0], mry * mrx))
+    return full
+
+
+class TestPrunedNufft:
+    @over_windows
+    @over_prune_shapes
+    def test_matches_per_point_gridding_loop(self, rng, window, modes):
+        pts = _confined_points(rng, 40, window)
+        vals = _complex(rng, (40,))
+        coeff = _complex(rng, modes)
+        loop1 = _loop_nufft1(pts, vals, modes, 1e-8)
+        assert rel_linf(nufft1(pts, vals, modes, 1e-8), loop1) < 1e-13
+        assert rel_linf(nufft2(coeff, pts, 1e-8), _loop_nufft2(coeff, pts, 1e-8)) < 1e-13
+
+    @over_windows
+    @over_prune_shapes
+    @pytest.mark.parametrize("eps", [1e-4, 1e-8, 1e-12])
+    def test_matches_direct_sums(self, rng, window, modes, eps):
+        pts = _confined_points(rng, 50, window)
+        vals = _complex(rng, (50,))
+        coeff = _complex(rng, modes)
+        assert rel_linf(nufft1(pts, vals, modes, eps), oracle.nudft1(pts, vals, modes)) < eps
+        assert rel_linf(nufft2(coeff, pts, eps), oracle.nudft2(coeff, pts)) < eps
+
+    @over_windows
+    @over_prune_shapes
+    def test_batches_are_adjoint_and_equal_their_columns(self, rng, small_chunks, window, modes):
+        pts = _confined_points(rng, 31, window)
+        vals = _complex(rng, (31, 5))
+        coeff = _complex(rng, (5,) + modes)
+        fast1, fast2 = nufft1(pts, vals, modes, 1e-12), nufft2(coeff, pts, 1e-12)
+        lhs = np.vdot(fast1, coeff)
+        assert abs(lhs - np.vdot(vals.T, fast2)) / abs(lhs) < 1e-12
+        for b in range(5):
+            assert rel_linf(fast1[b], nufft1(pts, vals[:, b], modes, 1e-12)) < 1e-13
+            assert rel_linf(fast2[b], nufft2(coeff[b], pts, 1e-12)) < 1e-13
+
+    def test_pruned_passes_equal_the_full_grid_bitwise(self, rng):
+        # Same kernel and stencils; the full grid transforms every row.
+        pruned, full, touched = [], [], []
+        for window in ("y", "xy", "wrap"):
+            for modes in PRUNE_SHAPES:
+                spread = spectral._Spread(modes, 1e-6, _confined_points(rng, 40, window))
+                wide = _full_grid(spread)
+                coeff = _complex(rng, (3,) + modes)
+                vals = _complex(rng, (40, 3))
+                out = [np.empty((3,) + modes, dtype=complex) for _ in range(2)]
+                spread.type1(vals, out[0])
+                wide.type1(vals, out[1])
+                pruned += [spread.type2(coeff), out[0]]
+                full += [wide.type2(coeff), out[1]]
+                touched.append(len(spread.rows) / spread.mrs[0])
+        assert _digest(pruned) == _digest(full)
+        assert min(touched) < 0.6
+
+    def test_spread_touches_only_the_stencils_rows(self, rng):
+        pts = _confined_points(rng, 40, "y")
+        spread = spectral._Spread((54, 54), 1e-6, pts)
+        w, mry, beta, _ = spectral._nufft_axis(54, 1e-6)
+        idx, _ = spectral._windows(pts[:, 1], w, mry, beta)
+        assert np.array_equal(spread.rows, np.unique(idx))
+        assert len(spread.rows) <= mry * 0.6
+        assert spread.matrix.shape == (40, len(spread.rows) * spread.mrs[1])
+
+    def test_axis_cost_and_integer_oversampling(self):
+        # At most 9 taps per axis at 1e-6, and a fine grid of exactly 2m
+        # samples for the 11-smooth mode counts the planners pad to, which
+        # puts every mode-lattice point on a fine node.
+        for m in (m for m in range(5, 400) if next_fast_len(m) == m):
+            w, mr, _, _ = spectral._nufft_axis(m, 1e-6)
+            assert 2 * w + 1 <= 9 and mr == 2 * m
+
+    @settings(max_examples=60, deadline=None)
+    @given(modes=st.tuples(st.integers(1, 30), st.integers(1, 30)),
+           kind=st.sampled_from(("torus", "lattice") + WINDOWS),
+           log_eps=st.floats(-12.0, -2.0), n=st.integers(20, 60),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_direct_sums_at_any_target(self, modes, kind, log_eps, n, seed):
+        rng = np.random.default_rng(seed)
+        eps = 10.0 ** log_eps
+        if kind == "torus":
+            pts = _random_points(rng, n, 2)
+        elif kind == "lattice":
+            pts = np.column_stack([-np.pi + 2 * np.pi * rng.integers(0, m, n) / m
+                                   for m in modes[::-1]])
+        else:
+            pts = _confined_points(rng, n, kind)
+        vals = _complex(rng, (n,))
+        coeff = _complex(rng, modes)
+        assert rel_linf(nufft1(pts, vals, modes, eps), oracle.nudft1(pts, vals, modes)) < eps
+        assert rel_linf(nufft2(coeff, pts, eps), oracle.nudft2(coeff, pts)) < eps
 
 
 class TestPlanCaches:
