@@ -19,8 +19,8 @@ per frequency; a video keeps them and reduces them into its frames at the
 end (:func:`_reduce`).  A plan has three parts:
 
 * an **encoder** ``encode(coefficients)`` gives each illumination's relay
-  spectrum on a padded ``[py, px]`` lattice per depth node and frequency,
-  ``[M, F, py, px]``: embedding and FFT, scaled FFT or type-1 NUFFT of a
+  spectrum, in FFT order, on a padded ``[py, px]`` lattice per depth node and
+  frequency, ``[M, F, py, px]``: embedding and FFT, scaled FFT or type-1 NUFFT of a
   planar relay (one node) or of a 3D relay's samples weighted onto depth
   nodes.  ``srsd``'s encoder alone yields the bare ``[1, F, ny, nx]`` relay,
   because its scale changes with depth: each plane's scaled transform takes
@@ -30,8 +30,8 @@ end (:func:`_reduce`).  A plan has three parts:
   lattice pitch the algorithm reads it with, and its voxel positions for
   the illumination phase;
 * a **decoder** ``read(plane, spectrum)`` reads each product at the plane's
-  voxels: an inverse FFT computed on the voxels' lattice window only, or a
-  batched type-2 NUFFT.
+  voxels: an inverse FFT computed on the voxels' lattice window only, in
+  place on the product, or a batched type-2 NUFFT.
 
 ========  ===========================  ==========================  =========================
 name      relay sampling               voxels                      transforms
@@ -46,12 +46,17 @@ nursd3d   scattered points in 3D       cuboid                      depth-node NU
 srsd-nursd2  uniform grid              explicit list, one scale    scaled FFT + type-2 NUFFT
 ========  ===========================  ==========================  =========================
 
-All lattice work uses the centered-index convention of :mod:`.spectral`;
+Lattices are indexed in the centered convention of :mod:`.spectral`;
 padded sizes are chosen so that every lag actually used lies inside the
 centered index set, making the circular convolutions exact linear ones.
-Kernel spectra alone are built in FFT order (:func:`_kernel_spectrum`) and
-read through the shift in the product (:func:`_shifted_product`), so no
-plane's kernel is rolled; every product is bitwise the centered one.
+Every spectrum is held in FFT order, centered index ``k`` at slot ``k mod P``:
+the encoders emit it so (``fft_order=True`` on each transform), the kernel
+spectra are built so (:func:`_kernel_spectrum`), and the decoders read it
+so.  The product is then the plain ``u * ghat`` and no spectrum is rolled;
+each transform's FFT-order output is bitwise its centered one rolled, so
+every value is the centered convention's, but for the scaled FFT's modes,
+which BLAS may round differently by a few ulps at sizes its tiles do not
+divide (see :func:`.spectral.sfft_2d_centered`).
 The per-frequency phase tables, the kernel's and the illumination's, take a
 direct ``exp`` only at anchors, every ``_ANCHOR_EVERY``-th frequency index,
 and step from each anchor by ``exp(s*1j*dk*r)`` (:func:`_phases`); they
@@ -98,6 +103,7 @@ from .core import (
 # cfft_n and cifft_n stay imported unused: the benchmark's layer spans wrap them by name here.
 from .spectral import (
     _check_eps,
+    _halves,
     cfft_2d,
     cfft_n,
     cifft_2d,
@@ -182,13 +188,15 @@ def _relay_lattice(coefficients: np.ndarray, g) -> np.ndarray:
 
 
 def _embed_relay(coefficients: np.ndarray, g, py: int, px: int) -> list[np.ndarray]:
-    """``[1, F, py, px]`` spectra of the illuminations' uniform relays centred in zeros."""
+    """``[1, F, py, px]`` spectra, in FFT order, of the illuminations' uniform
+    relays embedded in zeros at the wrap-around slots of their centered
+    indices."""
     relay = _relay_lattice(coefficients, g)
     out = np.zeros(relay.shape[:2] + (py, px), dtype=np.complex128)
-    oy = py // 2 - g.ny // 2
-    ox = px // 2 - g.nx // 2
-    out[..., oy:oy + g.ny, ox:ox + g.nx] = relay
-    return [cfft_2d(u)[None] for u in out]
+    for ry, sy in _halves(g.ny, py):
+        for rx, sx in _halves(g.nx, px):
+            out[..., sy, sx] = relay[..., ry, rx]
+    return [cfft_2d(u, fft_order=True)[None] for u in out]
 
 
 def _fft_order_lags(n: int) -> np.ndarray:
@@ -286,7 +294,7 @@ def _kernel_spectrum(kn: _Wavenumbers, block: slice, shape, pitch, dz: float) ->
     transformed in place on its ``py//2 + 1`` distinct rows, then spread
     along y and transformed in place.  Identical rows transform identically,
     so the result is bitwise ``ifftshift(cfft_2d(kernel))`` with no roll
-    made; :func:`_shifted_product` reads it through the shift.
+    made, in the FFT order of the encoders' spectra.
     """
     (py, px), (dx, dy) = shape, pitch
     r = np.sqrt((np.arange(px // 2 + 1) * dx)[None, :] ** 2
@@ -297,35 +305,6 @@ def _kernel_spectrum(kn: _Wavenumbers, block: slice, shape, pitch, dz: float) ->
     g = g.take(_fft_order_lags(py), axis=-2)
     np.fft.fft(g, axis=-2, out=g)
     return g
-
-
-def _shift_halves(n: int) -> tuple[tuple[slice, slice], ...]:
-    """``(centered, fft_order)`` slice pairs of an axis of length ``n``: the
-    centered indices ``[0, n//2)`` hold FFT indices ``[n - n//2, n)`` and the
-    rest hold ``[0, n - n//2)``, as :func:`numpy.fft.fftshift` moves them."""
-    h = n // 2
-    return (slice(0, h), slice(n - h, n)), (slice(h, n), slice(0, n - h))
-
-
-def _shifted_product(u: np.ndarray, ghat: np.ndarray,
-                     spec: np.ndarray | None = None) -> np.ndarray:
-    """``u * fftshift(ghat)`` over the last two axes, or, given ``spec``, that
-    product added into ``spec``: four quadrant blocks read ``ghat`` through the
-    shift, so no shifted copy is made.  Each element pairs the same operands
-    as the full product, and ``u`` stays the left one (NumPy's SIMD complex
-    product is not bitwise commutative), so every value is bitwise the same.
-    """
-    first = spec is None
-    if first:
-        spec = np.empty(u.shape, np.result_type(u, ghat))
-    for cy, fy in _shift_halves(u.shape[-2]):
-        for cx, fx in _shift_halves(u.shape[-1]):
-            ub, gb, sb = u[..., cy, cx], ghat[..., fy, fx], spec[..., cy, cx]
-            if first:
-                np.multiply(ub, gb, out=sb)
-            else:
-                np.add(sb, ub * gb, out=sb)
-    return spec
 
 
 class _Plane(NamedTuple):
@@ -362,18 +341,20 @@ class _Plan(NamedTuple):
 
 
 def _read_window(ny: int, nx: int, origin=None) -> Callable:
-    """Lattice decoder: the inverse FFT on the ``[ny, nx]`` window of centered
-    indices from ``origin`` only."""
+    """Lattice decoder: the inverse FFT of an FFT-order spectrum, which it
+    overwrites, on the ``[ny, nx]`` window of centered indices from
+    ``origin`` only."""
     oy, ox = origin or (-(ny // 2), -(nx // 2))
     rows, cols = np.arange(oy, oy + ny), np.arange(ox, ox + nx)
-    return lambda pl, spec: cifft_2d(spec, rows, cols).reshape(len(spec), -1)
+    return lambda pl, spec: cifft_2d(spec, rows, cols, fft_order=True).reshape(len(spec), -1)
 
 
 def _read_points(eps: float, px: int, py: int) -> Callable:
-    """Decoder of explicit planes: a batched type-2 NUFFT at the voxels."""
+    """Decoder of explicit planes: a batched type-2 NUFFT of an FFT-order
+    spectrum at the voxels."""
     _check_eps(eps)
     scale = 1.0 / (px * py)
-    return lambda pl, spec: nufft2(spec, pl.torus, eps) * scale
+    return lambda pl, spec: nufft2(spec, pl.torus, eps, fft_order=True) * scale
 
 
 def _torus(nu_x: np.ndarray, nu_y: np.ndarray, px: int, py: int) -> np.ndarray:
@@ -384,14 +365,17 @@ def _torus(nu_x: np.ndarray, nu_y: np.ndarray, px: int, py: int) -> np.ndarray:
 def _lateral_nufft(nu_x, nu_y, columns: np.ndarray, shape: tuple[int, int],
                    eps: float) -> np.ndarray:
     """Scattered samples' ``[L, B]`` columns at fractional indices ``(nu_x, nu_y)``
-    to their ``[B, py, px]`` lattice spectrum: one batched type-1 NUFFT."""
-    return nufft1(_torus(nu_x, nu_y, shape[1], shape[0]), columns, shape, eps)
+    to their ``[B, py, px]`` lattice spectrum in FFT order: one batched type-1
+    NUFFT."""
+    return nufft1(_torus(nu_x, nu_y, shape[1], shape[0]), columns, shape, eps,
+                  fft_order=True)
 
 
 def _lateral_gridding(nu_x, nu_y, columns: np.ndarray, shape: tuple[int, int],
                       scatter: str) -> np.ndarray:
     """As :func:`_lateral_nufft`, but deposited at the nearest node or bilinearly
-    for ``scatter="trilinear"`` (duplicate targets sum) and Fourier transformed."""
+    for ``scatter="trilinear"`` (duplicate targets sum), at the wrap-around
+    slots of the nodes' centered indices, and Fourier transformed."""
     py, px = shape
     fx, fy = nu_x + px // 2, nu_y + py // 2
     if scatter == "nearest":  # all weight on the first corner
@@ -401,9 +385,10 @@ def _lateral_gridding(nu_x, nu_y, columns: np.ndarray, shape: tuple[int, int],
     ix, iy = x0[:, None] + [0, 1, 0, 1], y0[:, None] + [0, 0, 1, 1]
     wts = np.column_stack([(1 - tx) * (1 - ty), tx * (1 - ty), (1 - tx) * ty, tx * ty])
     fine = np.zeros((py * px, columns.shape[1]), dtype=np.complex128)
-    np.add.at(fine, (iy * px + ix).astype(np.int64).ravel(),
+    slots = ((iy - py // 2) % py * px + (ix - px // 2) % px).astype(np.int64)
+    np.add.at(fine, slots.ravel(),
               (wts[:, :, None] * columns[:, None, :]).reshape(-1, columns.shape[1]))
-    return cfft_2d(fine.T.reshape(-1, py, px))
+    return cfft_2d(np.ascontiguousarray(fine.T).reshape(-1, py, px), fft_order=True)
 
 
 def _frame_times(times, frequencies: np.ndarray) -> np.ndarray | None:
@@ -514,8 +499,14 @@ def _propagate(plan: _Plan, coefficients: np.ndarray, times: np.ndarray | None,
                     spec = None
                     for u, ghat in zip(uhat, ghats):
                         u = (u[block] if pl.scale is None
-                             else sfft_2d_centered(u[block], *pl.scale, shape=shape))
-                        spec = _shifted_product(u, ghat, spec)
+                             else sfft_2d_centered(u[block], *pl.scale, shape=shape,
+                                                   fft_order=True))
+                        # `u` stays the left operand: NumPy's SIMD complex product is
+                        # not bitwise commutative.
+                        if spec is None:
+                            spec = u * ghat
+                        else:
+                            spec += u * ghat
                     vals = plan.read(pl, spec)
                     del spec  # before the phase product: a worker holds one spectrum at a time
                     if include_illumination:
@@ -635,7 +626,7 @@ def _plan_uniform_explicit(relay: UniformRelay, frequencies, grid: ExplicitVoxel
 
     def encode(coefficients):
         if scaled:
-            return [sfft_2d_centered(u, al, be, shape=(py, px))[None]
+            return [sfft_2d_centered(u, al, be, shape=(py, px), fft_order=True)[None]
                     for u in _relay_lattice(coefficients, g)]
         return _embed_relay(coefficients, g, py, px)
 

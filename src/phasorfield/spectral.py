@@ -18,10 +18,29 @@ exact linear convolution, which is how all propagation convolutions in this
 package are arranged.
 
 A propagation keeps only the output window that holds its voxels, so
-``cifft_2d`` takes that window (centered row and column indices) and prunes
-the inverse: the transforms along x run for every row, those along y only
-for the window's columns.  The kept values are bitwise those of the full
-inverse.
+``cifft_2d`` takes that window (centered row and column indices, 1-D
+integer arrays) and prunes the inverse: the transforms along x run for
+every row, those along y only for the window's columns.  The kept values are
+bitwise those of the full inverse.
+
+FFT order
+---------
+A spectrum can also be held in FFT order, centered index ``k`` at slot
+``k mod P`` (``ifftshift`` of the centered layout), in which a convolution's
+product needs no roll.  ``cfft_2d``, ``cifft_2d``, ``sfft_2d_centered``,
+``nufft1`` and ``nufft2`` take one keyword-only flag, ``fft_order=False``.
+By default every spectrum they take or give is centered and no input is
+written.  Under ``fft_order=True`` the spectrum side is in FFT order (the
+sample side stays centered): ``cfft_2d`` is the plain 2-D FFT, run in
+place on its input and returning it; ``cifft_2d`` runs its x pass in place
+on its input and returns the same centered window; both refuse all but a
+writeable complex128 array, which the caller gives up.  ``nufft1`` writes,
+and ``nufft2`` reads, the modes in FFT order, and ``sfft_2d_centered``
+gives them so from matrices whose columns are in that order.  Each value is
+bitwise the centered one, rolled; the scaled FFT's alone may differ by
+BLAS's rounding at sizes its tiles do not divide (equal at 48 -> 96 per
+axis, within 2.3e-13 of unit-normal input at 48 -> 105, 32 -> 70 and
+47 -> 99).  ``reconstruct`` keeps every spectrum in FFT order.
 
 Scaled FFT
 ----------
@@ -167,37 +186,77 @@ def cifft_n(u: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
     return np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(u, axes=axes), axes=axes), axes=axes)
 
 
-def cfft_2d(u: np.ndarray) -> np.ndarray:
+def _operand(u, fft_order: bool) -> np.ndarray:
+    """The ``[..., py, px]`` array :func:`cfft_2d` and :func:`cifft_2d` run in
+    place on: under ``fft_order`` the caller's own array, which must be a
+    writeable complex128 one, else a complex128 copy of ``u`` rolled into FFT
+    order."""
+    if fft_order:
+        _require(isinstance(u, np.ndarray) and u.dtype == np.complex128
+                 and u.flags.writeable,
+                 "under fft_order the input must be a writeable complex128 array")
+        a = u
+    else:
+        a = np.asarray(u, dtype=np.complex128)
+    _require(a.ndim >= 2, "input must have at least two axes [..., ny, nx]")
+    return a if fft_order else np.fft.ifftshift(a, axes=(-2, -1))
+
+
+def _window(value, n: int, name: str) -> np.ndarray:
+    """Centered output indices ``value`` of a length-``n`` axis as the FFT-order
+    slots that hold them; ``None`` is the whole axis, in centered order."""
+    if value is None:
+        return np.arange(-(n // 2), n - n // 2) % n
+    try:
+        idx = np.asarray(value)
+    except (TypeError, ValueError):
+        idx = None
+    _require(idx is not None and idx.ndim == 1 and idx.dtype.kind in "iu",
+             f"{name} must be a 1-D array of integers")
+    return idx % n
+
+
+def cfft_2d(u: np.ndarray, *, fft_order: bool = False) -> np.ndarray:
     """Centered-index forward DFT over the last two axes.
 
     The transforms run in place on the shifted copy, along x and then along
     y, as :func:`numpy.fft.fftn` orders them, so the result is bitwise
-    equal to :func:`cfft_n` over the same axes; it computes in complex128.
+    equal to :func:`cfft_n` over the same axes; it computes in complex128
+    and leaves ``u`` as it was.
+
+    Under ``fft_order`` the input and the result are in FFT order (centered
+    index ``k`` at slot ``k mod P``): the plain 2-D FFT, run in place on
+    ``u``, which must be a writeable complex128 array and is returned.  The
+    result is bitwise ``ifftshift`` of the centered one.
     """
-    a = np.fft.ifftshift(np.asarray(u, dtype=np.complex128), axes=(-2, -1))
+    a = _operand(u, fft_order)
     np.fft.fft(a, axis=-1, out=a)
     np.fft.fft(a, axis=-2, out=a)
-    return np.fft.fftshift(a, axes=(-2, -1))
+    return a if fft_order else np.fft.fftshift(a, axes=(-2, -1))
 
 
-def cifft_2d(u: np.ndarray, rows=None, cols=None) -> np.ndarray:
+def cifft_2d(u: np.ndarray, rows=None, cols=None, *, fft_order: bool = False) -> np.ndarray:
     """Centered-index inverse DFT over the last two axes, optionally windowed.
 
-    ``rows`` and ``cols`` are the centered output indices to keep along y and
-    x (taken mod the axis length; ``None`` keeps the whole axis).  The
-    inverse runs along x in place, keeps the window's columns, runs along y
-    over those columns only and keeps the window's rows: the same 1-D
-    transforms as the full inverse, so every kept value is bitwise equal to
-    the full one, and it computes in complex128.
+    ``rows`` and ``cols`` are 1-D integer arrays of the centered output
+    indices to keep along y and x (taken mod the axis length; ``None`` keeps
+    the whole axis).  The inverse runs along x in place, keeps the window's
+    columns, runs along y over those columns only and keeps the window's
+    rows: the same 1-D transforms as the full inverse, so every kept value is
+    bitwise equal to the full one, and it computes in complex128.  ``u`` is
+    left as it was.
+
+    Under ``fft_order`` the input spectrum is in FFT order, and the x pass
+    runs in place on ``u`` itself, which must be a writeable complex128 array
+    that the caller gives up; the output is the same centered window, bitwise.
     """
-    py, px = u.shape[-2:]
-    rows = np.arange(-(py // 2), py - py // 2) if rows is None else np.asarray(rows)
-    cols = np.arange(-(px // 2), px - px // 2) if cols is None else np.asarray(cols)
-    a = np.fft.ifftshift(np.asarray(u, dtype=np.complex128), axes=(-2, -1))
+    a = _operand(u, fft_order)
+    py, px = a.shape[-2:]
+    rows, cols = _window(rows, py, "rows"), _window(cols, px, "cols")
     np.fft.ifft(a, axis=-1, out=a)
-    a = a.take(cols % px, axis=-1)
+    a = a.take(cols, axis=-1)
     np.fft.ifft(a, axis=-2, out=a)
-    return a.take(rows % py, axis=-2)
+    return a.take(rows, axis=-2)
 
 
 # ---------------------------------------------------------------------------
@@ -236,17 +295,23 @@ def _pair(value, name: str) -> tuple[int, int]:
 
 @lru_cache(maxsize=_SFFT_CACHE_SIZE)
 def _sfft_plan(n_in: int, m_out: int, alpha: float, offset_in: int,
-               offset_out: int) -> np.ndarray:
+               offset_out: int, fft_order: bool) -> np.ndarray:
     """The read-only ``[n_in, m_out]`` matrix of one scaled DFT from ``n_in``
-    samples to ``m_out`` modes, ``exp(-2j*pi*alpha*(n-o_in)*(k-o_out)/m_out)``."""
+    samples to ``m_out`` modes, ``exp(-2j*pi*alpha*(n-o_in)*(k-o_out)/m_out)``,
+    its columns rolled as ``ifftshift`` rolls them under ``fft_order`` (into
+    FFT order for the centered ``o_out = m_out // 2``).  Each entry is
+    computed alone, so a rolled matrix is bitwise the roll of the other."""
     n = np.arange(n_in, dtype=np.float64) - offset_in
     k = np.arange(m_out, dtype=np.float64) - offset_out
+    if fft_order:
+        k = np.fft.ifftshift(k)
     w = np.exp(-2j * np.pi * (alpha * np.outer(n, k) / m_out))
     w.setflags(write=False)
     return w
 
 
-def _sfft_matrix(n_in: int, alpha, offset, m_out, offset_out) -> np.ndarray:
+def _sfft_matrix(n_in: int, alpha, offset, m_out, offset_out,
+                 fft_order: bool = False) -> np.ndarray:
     """Check one axis's scaled-DFT arguments and return its cached matrix."""
     alpha, offset = float(alpha), _index(offset, "index offset")
     m_out = n_in if m_out is None else _index(m_out, "output length")
@@ -257,7 +322,7 @@ def _sfft_matrix(n_in: int, alpha, offset, m_out, offset_out) -> np.ndarray:
              "scale factor must be finite and nonzero")
     _require(0 <= offset < n_in, "index offset must lie in [0, length)")
     _require(0 <= offset_out < m_out, "output index offset must lie in [0, output length)")
-    return _sfft_plan(n_in, m_out, alpha, offset, offset_out)
+    return _sfft_plan(n_in, m_out, alpha, offset, offset_out, bool(fft_order))
 
 
 def sfft_1d(u: np.ndarray, alpha: float, offset: int = 0, axis: int = -1,
@@ -275,7 +340,8 @@ def sfft_1d(u: np.ndarray, alpha: float, offset: int = 0, axis: int = -1,
 
 
 def sfft_2d_centered(u: np.ndarray, alpha: float, beta: float | None = None,
-                     shape: tuple[int, int] | None = None) -> np.ndarray:
+                     shape: tuple[int, int] | None = None, *,
+                     fft_order: bool = False) -> np.ndarray:
     """Scaled DFT of the last two axes in the centered-index convention.
 
     Maps ``[..., ny, nx]`` samples to a contiguous ``[..., my, mx]`` of modes,
@@ -287,6 +353,12 @@ def sfft_2d_centered(u: np.ndarray, alpha: float, beta: float | None = None,
     the ``ny`` input rows only, and each ``[ny, nx]`` slice is its own pair
     of products.  At ``alpha = beta = 1`` and the default shape this matches
     :func:`cfft_2d` up to roundoff.
+
+    Under ``fft_order`` the modes come out in FFT order (centered index ``k``
+    at slot ``k mod m``), from matrices whose columns are in that order, so
+    no mode is moved after the products.  They equal the centered modes
+    rolled, bitwise where BLAS tiles both products alike (at 48 -> 96 per
+    axis, for one) and to roundoff elsewhere.
     """
     if beta is None:
         beta = alpha
@@ -294,8 +366,8 @@ def sfft_2d_centered(u: np.ndarray, alpha: float, beta: float | None = None,
     _require(u.ndim >= 2, "input must have at least two axes [..., ny, nx]")
     ny, nx = u.shape[-2:]
     my, mx = (ny, nx) if shape is None else _pair(shape, "output shape")
-    wx = _sfft_matrix(nx, alpha, nx // 2, mx, mx // 2)
-    wy = _sfft_matrix(ny, beta, ny // 2, my, my // 2)
+    wx = _sfft_matrix(nx, alpha, nx // 2, mx, mx // 2, fft_order)
+    wy = _sfft_matrix(ny, beta, ny // 2, my, my // 2, fft_order)
     return wy.T @ (u @ wx)
 
 
@@ -383,11 +455,14 @@ def _check_points(pts: np.ndarray) -> np.ndarray:
 _FINE_CHUNK_BYTES = 1 << 20
 
 
-def _halves(m: int, mr: int) -> tuple[tuple[slice, slice], tuple[slice, slice]]:
-    """``(centered, fine)`` slice pairs that place ``m`` centered modes on a
-    fine axis of ``mr`` samples: the non-negative modes at its start, the
-    negative ones at its end."""
+def _halves(m: int, mr: int, fft_order: bool = False) -> tuple[tuple[slice, slice],
+                                                                tuple[slice, slice]]:
+    """``(modes, fine)`` slice pairs that place ``m`` modes, centered or in FFT
+    order, on an axis of ``mr >= m`` samples in FFT order: the non-negative
+    modes at its start, the negative ones at its end."""
     h = m // 2
+    if fft_order:
+        return (slice(0, m - h), slice(0, m - h)), (slice(m - h, m), slice(mr - h, mr))
     return (slice(h, m), slice(0, m - h)), (slice(0, h), slice(mr - h, mr))
 
 
@@ -395,14 +470,17 @@ class _Spread:
     """One call's spread of its ``[L, 2]`` points onto the fine grid of the
     ``(my, mx)`` modes, pruned to the fine rows its stencils touch.
 
-    ``rows`` are those fine rows (y indices), ascending.  ``matrix`` is the
+    ``halves`` are each axis's :func:`_halves`, for modes in FFT order under
+    ``fft_order``, and ``inv`` the deconvolution in the same layout.
+    ``rows`` are the touched fine rows (y indices), ascending.  ``matrix`` is the
     CSR spread operator ``S`` of shape ``[L, len(rows)*mrx]`` over the
     touched rows alone, with ``(2w+1)^2`` taps per row, y then x in
     row-major order, so type-1 spreading is ``S^T v`` and type-2
     interpolation ``S f``; ``step`` is the batch columns per fine-grid chunk.
     """
 
-    def __init__(self, modes: tuple[int, int], eps: float, points: np.ndarray):
+    def __init__(self, modes: tuple[int, int], eps: float, points: np.ndarray,
+                 fft_order: bool = False):
         _require(all(m >= 1 for m in modes), "mode counts must be >= 1")
         eps = _check_eps(eps)
         pts = _check_points(points)
@@ -410,6 +488,9 @@ class _Spread:
         # axes share them.
         (w, mry, beta, ker_y), (_, mrx, _, ker_x) = (_nufft_axis(m, eps) for m in modes)
         self.modes, self.mrs = modes, (mry, mrx)
+        self.halves = tuple(_halves(m, mr, fft_order) for m, mr in zip(modes, self.mrs))
+        if fft_order:
+            ker_y, ker_x = np.fft.ifftshift(ker_y), np.fft.ifftshift(ker_x)
         # NumPy divides a complex by a real as a product with its reciprocal,
         # so a product gives the quotient's bits at a fraction of its cost.
         self.inv = 1.0 / np.multiply.outer(ker_y, ker_x)[..., None]
@@ -444,11 +525,11 @@ class _Spread:
         rows = np.ascontiguousarray(self.matrix.T @ flat).view(np.complex128)
         rows = fft(rows.reshape(len(self.rows), mrx, -1), axis=1, overwrite_x=True)
         fine = np.zeros((mry, mx, rows.shape[-1]), dtype=np.complex128)
-        for kept, place in _halves(mx, mrx):
+        for kept, place in self.halves[1]:
             fine[self.rows, kept] = rows[:, place]
         fine = fft(fine, axis=0, overwrite_x=True)
         modes = out.transpose(1, 2, 0)
-        for kept, place in _halves(my, mry):
+        for kept, place in self.halves[0]:
             np.multiply(fine[place], self.inv[kept], out=modes[kept])
 
     def type2(self, coeff: np.ndarray) -> np.ndarray:
@@ -458,11 +539,11 @@ class _Spread:
         (my, mx), (mry, mrx) = self.modes, self.mrs
         modes = coeff.transpose(1, 2, 0)
         fine = np.zeros((mry, mx, len(coeff)), dtype=np.complex128)
-        for kept, place in _halves(my, mry):
+        for kept, place in self.halves[0]:
             np.multiply(modes[kept], self.inv[kept], out=fine[place])
         fine = ifft(fine, axis=0, norm="forward", overwrite_x=True)
         rows = np.zeros((len(self.rows), mrx, len(coeff)), dtype=np.complex128)
-        for kept, place in _halves(mx, mrx):
+        for kept, place in self.halves[1]:
             rows[:, place] = fine[self.rows, kept]
         rows = ifft(rows, axis=1, norm="forward", overwrite_x=True)
         flat = rows.reshape(self.matrix.shape[1], -1).view(np.float64)
@@ -470,7 +551,7 @@ class _Spread:
 
 
 def nufft1(points: np.ndarray, values: np.ndarray, modes: tuple[int, int],
-           eps: float) -> np.ndarray:
+           eps: float, *, fft_order: bool = False) -> np.ndarray:
     """Non-uniform points to uniform modes, exponent ``-1j``.
 
     ``U[ky, kx] = sum_l values[l] * exp(-1j * (kx*x_l + ky*y_l))`` for
@@ -478,10 +559,12 @@ def nufft1(points: np.ndarray, values: np.ndarray, modes: tuple[int, int],
     on the torus ``[-pi, pi)``, the output has shape ``modes = (my, mx)``
     and its relative error is bounded by ``eps``.  ``values`` of shape
     ``[L, B]`` is a batch of ``B`` vectors sharing the points; the output is
-    then ``[B, my, mx]``, one mode array per column.
+    then ``[B, my, mx]``, one mode array per column.  Under ``fft_order``
+    the modes are in FFT order (centered index ``k`` at slot ``k mod m``),
+    bitwise the centered ones rolled.
     """
     modes = _pair(modes, "modes")
-    spread = _Spread(modes, eps, points)
+    spread = _Spread(modes, eps, points, fft_order)
     step, n = spread.step, spread.matrix.shape[0]
     vals = np.asarray(values, dtype=np.complex128)
     _require(vals.ndim in (1, 2) and vals.shape[0] == n,
@@ -494,7 +577,8 @@ def nufft1(points: np.ndarray, values: np.ndarray, modes: tuple[int, int],
     return out if vals.ndim == 2 else out[0]
 
 
-def nufft2(coefficients: np.ndarray, points: np.ndarray, eps: float) -> np.ndarray:
+def nufft2(coefficients: np.ndarray, points: np.ndarray, eps: float, *,
+           fft_order: bool = False) -> np.ndarray:
     """Uniform modes to non-uniform points, exponent ``+1j``.
 
     ``out[l] = sum_k coefficients[ky, kx] * exp(+1j * (kx*x_l + ky*y_l))``
@@ -502,13 +586,14 @@ def nufft2(coefficients: np.ndarray, points: np.ndarray, eps: float) -> np.ndarr
     structural adjoint of :func:`nufft1` built from the same stencils and
     deconvolution.  ``[my, mx]`` coefficients give ``[L]`` values, and a
     batch of ``B`` mode arrays ``[B, my, mx]`` read at the same points gives
-    ``[B, L]``.
+    ``[B, L]``.  Under ``fft_order`` the coefficients are read in FFT order,
+    and the values are bitwise those of the centered coefficients they roll.
     """
     coeff = np.asarray(coefficients, dtype=np.complex128)
     _require(coeff.ndim in (2, 3), "coefficients must be [my, mx] or [B, my, mx]")
     _require(bool(np.isfinite(coeff).all()), "coefficients must be finite")
     stack = coeff if coeff.ndim == 3 else coeff[None]
-    spread = _Spread(stack.shape[1:], eps, points)
+    spread = _Spread(stack.shape[1:], eps, points, fft_order)
     step, n = spread.step, spread.matrix.shape[0]
     out = np.empty((stack.shape[0], n), dtype=np.complex128)
     for lo in range(0, stack.shape[0], step):

@@ -43,7 +43,6 @@ from phasorfield.reconstruct import (
     _pad_size,
     _phases,
     _plan,
-    _shifted_product,
     _wavenumbers,
 )
 from phasorfield.spectral import next_fast_len
@@ -1045,18 +1044,71 @@ def test_phase_rows_do_not_depend_on_the_block(rng, shape):
             assert _phases(kn, slice(lo, hi), r).tobytes() == whole[lo:hi].tobytes()
 
 
-@pytest.mark.parametrize("py, px", [(1, 1), (1, 2), (2, 1), (2, 2), (5, 7), (8, 6), (9, 10)])
-def test_shifted_product_is_the_product_with_the_shifted_spectrum(rng, py, px):
-    def draw(n):
-        return rng.standard_normal((n, py, px)) + 1j * rng.standard_normal((n, py, px))
+def _centred_field(plan, spectra, rows, cols):
+    """Each plane's static field, illumination off, from the public centred
+    transforms: the illuminations' ``[M, F, py, px]`` centred relay spectra
+    times each node's ``fftshift``-ed kernel spectrum, summed over nodes,
+    read by ``cifft_2d`` on the ``rows`` x ``cols`` window, summed over
+    illuminations and then over frequencies from zero."""
+    kn = _wavenumbers(plan.frequencies)
+    block = slice(0, plan.frequencies.size)
+    planes = []
+    for pl in plan.planes:
+        ghats = [np.fft.fftshift(_kernel_spectrum(kn, block, plan.shape, pl.pitch, dz),
+                                 axes=(-2, -1)) for dz in pl.dz]
+        acc = None
+        for uhat in spectra:
+            spec = None
+            for u, ghat in zip(uhat, ghats):
+                spec = u * ghat if spec is None else spec + u * ghat
+            vals = spectral.cifft_2d(spec, rows, cols).reshape(len(spec), -1)
+            acc = vals if acc is None else acc + vals
+        field = np.zeros(acc.shape[1], dtype=np.complex128)
+        for row in acc:
+            field += row
+        planes.append(field)
+    return np.concatenate(planes)
 
-    u, v, ghat = draw(5)[1:4], draw(3), draw(3)  # u a block of frequencies, as in a run
-    shifted = np.fft.fftshift(ghat, axes=(-2, -1))
-    first = _shifted_product(u, ghat)
-    assert first.shape == u.shape and first.tobytes() == (u * shifted).tobytes()
-    want = first.copy()
-    np.add(want, v * shifted, out=want)
-    assert _shifted_product(v, ghat, first) is first and first.tobytes() == want.tobytes()
+
+def test_rsd_field_is_the_centred_transforms_field(slices16, grid16_small):
+    # Spectra in FFT order end to end change no bit of the centred pipeline.
+    plan = _plan("rsd", slices16.relay, slices16.illuminations, slices16.frequencies,
+                 grid16_small)
+    g, vg, (py, px) = slices16.relay.grid, grid16_small.grid, plan.shape
+    relay = np.swapaxes(slices16.coefficients, 1, 2).reshape(-1, slices16.n_freq, g.ny, g.nx)
+    embedded = np.zeros(relay.shape[:2] + (py, px), dtype=np.complex128)
+    oy, ox = py // 2 - g.ny // 2, px // 2 - g.nx // 2
+    embedded[..., oy:oy + g.ny, ox:ox + g.nx] = relay
+    cx, cy = g.center()
+    y0, x0 = round((vg.y0 - cy) / g.dy), round((vg.x0 - cx) / g.dx)
+    want = _centred_field(plan, [spectral.cfft_2d(u)[None] for u in embedded],
+                          np.arange(y0, y0 + vg.ny), np.arange(x0, x0 + vg.nx))
+    got = reconstruct(slices16, grid16_small, "rsd", include_illumination=False).field
+    assert got.tobytes() == want.tobytes()
+
+
+def test_nursd3d_field_is_the_centred_transforms_field(rippled, chain_grid, monkeypatch):
+    # The NUFFT-1's points and columns as the run gives them, transformed
+    # again to centred modes: only the layout differs between the two.
+    recon = sys.modules["phasorfield.reconstruct"]
+    calls = []
+
+    def recorded(points, values, modes, eps, **kwargs):
+        calls.append((points, values, modes, eps))
+        return spectral.nufft1(points, values, modes, eps, **kwargs)
+
+    monkeypatch.setattr(recon, "nufft1", recorded)
+    got = reconstruct(rippled, chain_grid, "nursd3d", include_illumination=False).field
+    plan = _plan("nursd3d", rippled.relay, rippled.illuminations, rippled.frequencies,
+                 chain_grid)
+    m = len(plan.planes[0].dz)
+    assert m > 1 and len(calls) == rippled.n_illum
+    spectra = [spectral.nufft1(*call).reshape((m, rippled.n_freq) + plan.shape)
+               for call in calls]
+    vg = chain_grid.grid
+    want = _centred_field(plan, spectra, np.arange(vg.ny) - vg.ny // 2,
+                          np.arange(vg.nx) - vg.nx // 2)
+    assert got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=25, deadline=None)

@@ -165,6 +165,136 @@ def test_windowed_inverse_at_the_edges_of_the_index_set(rng, p):
         assert cifft_2d(u, rows, cols).tobytes() == want.tobytes()
 
 
+class TestCenteredFftArguments:
+    @pytest.mark.parametrize("ndim", [0, 1])
+    def test_an_input_of_fewer_than_two_axes_is_refused(self, ndim):
+        u = np.ones((4,) * ndim, complex)
+        for call in (cfft_2d, cifft_2d, lambda a: cfft_2d(a, fft_order=True),
+                     lambda a: cifft_2d(a, fft_order=True)):
+            with pytest.raises(ValidationError, match="at least two axes"):
+                call(u)
+
+    @pytest.mark.parametrize("window", [[0.5], np.array([1.0, 2.0]), [[0, 1]],
+                                        np.zeros((2, 2), int), np.int64(1), [True, False],
+                                        ["1"], [[0], [1, 2]], []])
+    def test_a_window_that_is_not_a_vector_of_integers_is_refused(self, window):
+        u = np.ones((4, 4))
+        with pytest.raises(ValidationError, match="^rows must be a 1-D array of integers$"):
+            cifft_2d(u, window)
+        with pytest.raises(ValidationError, match="^cols must be a 1-D array of integers$"):
+            cifft_2d(u, None, window)
+
+    def test_a_refused_window_leaves_the_spectrum_untransformed(self, rng):
+        u = _complex(rng, (3, 4))
+        before = u.copy()
+        with pytest.raises(ValidationError):
+            cifft_2d(u, np.arange(2), [0.5], fft_order=True)
+        assert u.tobytes() == before.tobytes()
+
+    def test_integer_windows_of_any_integer_type_are_read(self, rng):
+        u = _complex(rng, (2, 5, 6))
+        want = cifft_2d(u, np.array([-2, 0]), np.array([1, 2, -3]))
+        for kind in (np.int8, np.uint16, np.int32):
+            got = cifft_2d(u, np.array([-2 % 5, 0], kind), np.array([1, 2, 3], kind))
+            assert got.tobytes() == want.tobytes()
+        assert cifft_2d(u, [-2, 0], (1, 2, -3)).tobytes() == want.tobytes()
+
+
+def _fft_ordered(a):
+    return np.fft.ifftshift(a, axes=(-2, -1))
+
+
+# Odd and even axes, and the 1 x 1 and 1 x 2 lattices where a half is empty.
+LAYOUT_SHAPES = [(1, 1), (1, 2), (2, 1), (7, 9), (8, 6), (3, 5, 4)]
+over_layouts = pytest.mark.parametrize("shape", LAYOUT_SHAPES,
+                                       ids=lambda s: "x".join(map(str, s)))
+
+
+class TestFftOrder:
+    """Each transform's ``fft_order=True`` is its centered layout rolled, bit
+    for bit, but for the scaled FFT's BLAS rounding away from 48 -> 96."""
+
+    @over_layouts
+    def test_forward_is_the_centered_forward_rolled_in_place(self, rng, shape):
+        u = _complex(rng, shape)
+        ordered = _fft_ordered(u).copy()
+        out = cfft_2d(ordered, fft_order=True)
+        assert out is ordered
+        assert out.tobytes() == _fft_ordered(cfft_2d(u)).tobytes()
+
+    @over_layouts
+    def test_inverse_reads_fft_order_to_the_same_window(self, rng, shape):
+        u = _complex(rng, shape)
+        py, px = shape[-2:]
+        windows = [(None, None), (np.arange(-(py // 2), 1), None),
+                   (None, np.array([px - px // 2 - 1])), (np.array([0]), np.arange(-(px // 2), 1))]
+        for rows, cols in windows:
+            want = cifft_2d(u, rows, cols)
+            assert cifft_2d(_fft_ordered(u).copy(), rows, cols, fft_order=True).tobytes() \
+                == want.tobytes()
+
+    @over_layouts
+    def test_nufft_type1_writes_its_modes_in_fft_order(self, rng, shape):
+        modes = shape[-2:]
+        pts = _random_points(rng, 30, 2)
+        vals = _complex(rng, (30, 3))
+        want = _fft_ordered(nufft1(pts, vals, modes, 1e-8))
+        assert nufft1(pts, vals, modes, 1e-8, fft_order=True).tobytes() == want.tobytes()
+        assert nufft1(pts, vals[:, 0], modes, 1e-8, fft_order=True).tobytes() \
+            == want[0].tobytes()
+
+    @over_layouts
+    def test_nufft_type2_reads_its_coefficients_in_fft_order(self, rng, shape):
+        pts = _random_points(rng, 30, 2)
+        coeff = _complex(rng, shape)
+        want = nufft2(coeff, pts, 1e-8)
+        assert nufft2(_fft_ordered(coeff), pts, 1e-8, fft_order=True).tobytes() == want.tobytes()
+
+    def test_batched_nufft_chunks_keep_the_layout(self, rng, small_chunks):
+        pts = _random_points(rng, 40, 2)
+        vals, coeff = _complex(rng, (40, 9)), _complex(rng, (9, 24, 24))
+        assert nufft1(pts, vals, (24, 24), 1e-6, fft_order=True).tobytes() \
+            == _fft_ordered(nufft1(pts, vals, (24, 24), 1e-6)).tobytes()
+        assert nufft2(_fft_ordered(coeff), pts, 1e-6, fft_order=True).tobytes() \
+            == nufft2(coeff, pts, 1e-6).tobytes()
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.6, 0.8, 0.93, 1.0, -0.7321])
+    def test_scaled_fft_at_48_to_96_is_the_centered_one_rolled(self, rng, alpha):
+        u = _complex(rng, (4, 48, 48))
+        got = sfft_2d_centered(u, alpha, shape=(96, 96), fft_order=True)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == _fft_ordered(sfft_2d_centered(u, alpha, shape=(96, 96))).tobytes()
+
+    def test_scaled_fft_caches_one_matrix_per_layout(self, rng):
+        u = _complex(rng, (6, 5))
+        spectral._sfft_plan.cache_clear()
+        sfft_2d_centered(u, 0.7, shape=(9, 8))
+        sfft_2d_centered(u, 0.7, shape=(9, 8), fft_order=True)
+        sfft_2d_centered(u, 0.7, shape=(9, 8), fft_order=True)
+        info = spectral._sfft_plan.cache_info()
+        assert (info.currsize, info.hits) == (4, 2)
+
+    def test_the_default_layout_leaves_its_input_unchanged(self, rng):
+        u = _complex(rng, (2, 7, 8))
+        before = u.copy()
+        cfft_2d(u)
+        cifft_2d(u)
+        cifft_2d(u, np.arange(2), np.arange(-3, 0))
+        assert u.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("make", [
+        lambda u: u.real.copy(),
+        lambda u: u.astype(np.complex64),
+        lambda u: u.tolist(),
+        lambda u: np.lib.stride_tricks.as_strided(u, writeable=False),
+    ], ids=["float64", "complex64", "list", "read-only"])
+    def test_fft_order_refuses_all_but_a_writeable_complex128_array(self, rng, make):
+        u = make(_complex(rng, (4, 6)))
+        for call in (cfft_2d, cifft_2d):
+            with pytest.raises(ValidationError, match="writeable complex128"):
+                call(u, fft_order=True)
+
+
 # ---------------------------------------------------------------------------
 # Scaled FFT
 # ---------------------------------------------------------------------------
@@ -279,15 +409,19 @@ class TestScaledFftAccuracy:
         assert _rel_linf_ld(fast, want) < _LD_ERR_PER_SAMPLE * n_in
 
     @pytest.mark.parametrize("n, m", [((48, 40), (96, 80)), ((96, 64), (192, 128)),
-                                      ((33, 48), (33, 48))])
+                                      ((33, 48), (33, 48)), ((47, 32), (99, 70)),
+                                      ((48, 48), (105, 105))])
     @pytest.mark.parametrize("alpha, beta", [(0.5, -0.7321), (-1.0, 1.0)])
-    def test_2d_matches_a_long_double_direct_sum(self, n, m, alpha, beta):
+    @pytest.mark.parametrize("fft_order", [False, True])
+    def test_2d_matches_a_long_double_direct_sum(self, n, m, alpha, beta, fft_order):
         (ny, nx), (my, mx) = n, m
         u = _complex(np.random.default_rng(ny * nx), (2, ny, nx))
         wx = _long_double_matrix(nx, mx, alpha, nx // 2, mx // 2)
         wy = _long_double_matrix(ny, my, beta, ny // 2, my // 2)
         want = wy.T @ (u.astype(np.clongdouble) @ wx)
-        fast = sfft_2d_centered(u, alpha, beta, shape=m)
+        if fft_order:
+            want = _fft_ordered(want)
+        fast = sfft_2d_centered(u, alpha, beta, shape=m, fft_order=fft_order)
         assert fast.flags.c_contiguous
         assert _rel_linf_ld(fast, want) < _LD_ERR_PER_SAMPLE * max(n)
 
