@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 import struct
 from contextlib import contextmanager
@@ -85,6 +86,15 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise ValidationError(msg)
+
+
+def _index(value, name: str) -> int:
+    """``value`` as :func:`operator.index` reads it; anything it refuses is a
+    ``ValidationError`` naming ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer") from None
 
 
 # ---------------------------------------------------------------------------
@@ -306,10 +316,15 @@ def _require_capture_axes(relay: RelaySampling, illuminations: PointList, shape)
     _require_illumination_plane(relay, illuminations)
 
 
-# Values converted or projected per block: histograms and their half
-# spectrum stay a few MB.  The file's bytes pass through a smaller buffer.
+# Values converted or projected per block: a block of histograms stays a
+# few MB.  The file's bytes pass through a smaller buffer.
 _READ_BLOCK = 1 << 18
 _RAW_PIECE = _READ_BLOCK // 8
+
+
+def _block_rows(n_bins: int, group: int) -> int:
+    """Histograms per block: about ``_READ_BLOCK`` values, in whole groups of ``group``."""
+    return max(1, _READ_BLOCK // n_bins // group) * group
 
 
 def _require_photon_counts(h: np.ndarray) -> None:
@@ -358,11 +373,12 @@ class TransientMeasurement:
     def shape(self) -> tuple[int, int, int]:
         return self.histograms.shape
 
-    def histogram_rows(self) -> Iterator[np.ndarray]:
+    def histogram_rows(self, group: int = 1) -> Iterator[np.ndarray]:
         """The histograms as read-only ``[rows, n_bins]`` views, blocked as
-        :meth:`DatasetFile.histogram_rows` reads them."""
+        :meth:`DatasetFile.histogram_rows` reads them: each block but the
+        last holds a whole number of ``group`` histograms."""
         rows = self.histograms.reshape(-1, self.n_bins)
-        step = max(1, _READ_BLOCK // self.n_bins)
+        step = _block_rows(self.n_bins, group)
         return (rows[i:i + step] for i in range(0, len(rows), step))
 
 
@@ -853,17 +869,18 @@ class DatasetFile:
         self._start_read()
         return self._reader.array(self._dt, self.shape, "histogram")
 
-    def histogram_rows(self) -> Iterator[np.ndarray]:
+    def histogram_rows(self, group: int = 1) -> Iterator[np.ndarray]:
         """The histograms as float64 ``[rows, n_bins]`` blocks of about
-        ``_READ_BLOCK`` values (the last may be shorter), one histogram per
-        (illumination, detector) in file order, each refused if it holds a
-        non-finite or negative value.
+        ``_READ_BLOCK`` values in whole groups of ``group`` histograms (the
+        last block may be shorter), one histogram per (illumination,
+        detector) in file order, each refused if it holds a non-finite or
+        negative value.
 
         The blocks share one buffer: each is overwritten by the next.
         """
         self._start_read()
         count, n_bins = math.prod(self.shape), self.shape[2]
-        block = max(1, _READ_BLOCK // n_bins) * n_bins
+        block = _block_rows(n_bins, group) * n_bins
         with _format_errors():
             out = np.empty(min(block, count))
             for values in self._reader.blocks(self._dt, count, out, block, "histogram"):

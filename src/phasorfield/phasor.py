@@ -5,7 +5,9 @@ wavefronts by projecting each time histogram onto a Gaussian frequency
 packet centered on a chosen virtual wavelength.  :func:`to_frequency` is the
 one projection, over the blocks of histograms that a measurement in memory or
 an open dataset file gives, so :func:`read_frequency_slices` never holds a
-file's histograms whole.  The remaining functions are
+file's histograms whole.  It computes the retained DFT bins only, as real
+matrix products of fixed groups of histograms small enough to stay on the
+calling thread.  The remaining functions are
 closed-form design rules for that virtual wave: resolution limits, frustum
 scale-factor bounds, swept-volume bookkeeping, relay sampling-rate
 certificates, and the storage compression won by detector downsampling.
@@ -25,6 +27,7 @@ from .core import (
     TransientMeasurement,
     ValidationError,
     _freeze,
+    _index,
     _require,
     open_dataset,
 )
@@ -101,6 +104,7 @@ def build_kernel(lambda_c: float, n_bins: int, delta_t: float,
     """
     _check_packet(lambda_c, threshold)
     _require_finite(delta_t=delta_t)
+    n_bins = _index(n_bins, "n_bins")
     _require(n_bins >= 2, "need at least two time bins")
     _require(delta_t > 0, "bin width must be > 0")
     omega_c = 2.0 * math.pi * SPEED_OF_LIGHT / lambda_c
@@ -118,7 +122,7 @@ def build_kernel(lambda_c: float, n_bins: int, delta_t: float,
     return PhasorKernel(
         lambda_c=float(lambda_c),
         delta_t=float(delta_t),
-        n_bins=int(n_bins),
+        n_bins=n_bins,
         threshold=float(threshold),
         omega_c=omega_c,
         sigma=sigma,
@@ -128,31 +132,75 @@ def build_kernel(lambda_c: float, n_bins: int, delta_t: float,
     )
 
 
+# Multiply-adds per matrix product of the projection.  The OpenBLAS that
+# NumPy's wheels bundle (0.3.31) runs a [rows, 1024] x [1024, 32] product on
+# the calling thread up to 28 rows and splits it across its own threads from
+# 32; a one-row product, which it runs as a matrix-vector product, stays on
+# one thread up to about 4e5 and at 4096 x 190 is split, which moves its
+# bits.  Split products would contend with reconstruct's worker pool, and
+# after one the idle workers keep a second CPU busy through the rest of the
+# capture.  2**19 is 16 rows at 1024 x 32.
+_PRODUCT_VALUES = 1 << 19
+
+
+def _projection_matrix(kernel: PhasorKernel, t0: float) -> np.ndarray:
+    """The real ``[n_bins, 2F]`` matrix that takes a histogram row to its
+    coefficients as interleaved real and imaginary parts.
+
+    Column pair ``f`` holds ``weight_f * exp(-1j*omega_f*t0) *
+    exp(-2j*pi*((b*k_f) mod n_bins)/n_bins)`` at sample ``b``: each DFT
+    angle is reduced in integers before it is scaled, so it is a root of
+    unity from one table of ``n_bins``.
+    """
+    n = kernel.n_bins
+    roots = np.exp(-2j * np.pi * np.arange(n) / n)
+    w = roots[np.outer(np.arange(n), kernel.bin_indices) % n]
+    w *= kernel.weights * np.exp(-1j * kernel.frequencies * t0)
+    return w.view(np.float64)
+
+
 def to_frequency(measurement: TransientMeasurement | DatasetFile,
                  kernel: PhasorKernel) -> FrequencySlices:
     """Project time histograms onto the kernel's weighted frequency bins.
 
-    Coefficient for bin ``k``: ``FFT(histogram)[k] * weight_k *
+    Coefficient for bin ``k``: ``DFT(histogram)[k] * weight_k *
     exp(-1j*omega_k*t0)`` — the forward DFT analyzes against
     ``exp(-1j*omega*t)`` and the ``t0`` phase refers bin 0 back to absolute
     time zero.  ``measurement`` is a :class:`TransientMeasurement` or the
     :class:`DatasetFile` that :func:`open_dataset` yields, and gives its real
-    histograms in blocks of rows; the kernel's bins lie in ``1..n_bins//2``,
-    so a real FFT of each block gives every retained bin.
+    histograms in blocks of rows.  Only the retained bins are computed: each
+    group of histograms is one real matrix product with
+    :func:`_projection_matrix`, small enough to stay on the calling thread,
+    written straight into the coefficients.  The groups are fixed by
+    histogram index and every block holds whole groups, so a coefficient's
+    bits do not depend on the blocks the histograms are read in.
     """
-    shape = measurement.shape
+    shape, t0 = measurement.shape, measurement.t0
     _require(shape[2] == kernel.n_bins,
              "measurement and kernel disagree on the number of time bins")
     _require(math.isclose(measurement.delta_t, kernel.delta_t, rel_tol=1e-12),
              "measurement and kernel disagree on the bin width")
+    _require(math.isfinite(float(kernel.frequencies[-1]) * t0),
+             f"t0 = {t0:g} s puts the phase omega*t0 of the retained frequencies "
+             "beyond floating point")
+    w = _projection_matrix(kernel, t0)
+    n_bins, n_cols = w.shape
+    # Columns and histograms per product: within _PRODUCT_VALUES, and two
+    # histograms or more unless a single one fills it, so that the one-row
+    # product of a capture's last group stays within half of it.
+    cols = min(n_cols, max(1, _PRODUCT_VALUES // (2 * n_bins)))
+    group = max(1, _PRODUCT_VALUES // (n_bins * cols))
     coeff = np.empty((shape[0], shape[1], kernel.n_freq), dtype=np.complex128)
-    flat = coeff.reshape(-1, kernel.n_freq)
+    out = coeff.reshape(-1, kernel.n_freq).view(np.float64)
     i = 0
-    for h in measurement.histogram_rows():
-        flat[i:i + len(h)] = np.fft.rfft(h, axis=1)[:, kernel.bin_indices]
+    for h in measurement.histogram_rows(group):
+        n = len(h) - len(h) % group
+        for j in range(0, n_cols, cols):
+            wj, oj = w[:, j:j + cols], out[i:i + len(h), j:j + cols]
+            np.matmul(h[:n].reshape(-1, group, n_bins), wj,
+                      out=oj[:n].reshape(-1, group, wj.shape[1]))
+            np.matmul(h[n:], wj, out=oj[n:])
         i += len(h)
-    coeff *= kernel.weights
-    coeff *= np.exp(-1j * kernel.frequencies * measurement.t0)
     coeff.setflags(write=False)
     return FrequencySlices(kernel.frequencies, coeff, measurement.relay,
                            measurement.illuminations)

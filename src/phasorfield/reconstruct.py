@@ -676,9 +676,13 @@ def _depth_node_count(eps: float, sweep: float) -> int:
 
     Fitted on 108 geometries (depth extents 0.005-0.15 m, lambda_c
     0.04-0.1 m, planes 0.25-1.5 m beyond the relay, relay and voxels 0.2-0.6
-    m wide): the depth-only relative error at M = 2-10 nodes reads
-    ``(rate * sweep)**M`` with rates of 0.047-0.124 (median 0.07; the top
-    is ``_DEPTH_RATE``) for sweeps of 0.006-7.6.  The worst-lag bound
+    m wide, about a common centre): the depth-only relative error at M =
+    2-10 nodes reads ``(rate * sweep)**M`` with rates of 0.047-0.124 (median
+    0.07; ``_DEPTH_RATE`` = 0.125 is just above them) for sweeps of
+    0.006-7.6.  It is not a bound for every geometry: with every detection in
+    one 2 cm patch at the aperture's corner, which the fit leaves out, the
+    rate reads 0.26 at M = 2 and 0.14 at M = 3, so at a loose ``eps`` the
+    rule can pick one node too few.  The worst-lag bound
     ``2*(sweep/2)**M/M!`` overstates it: most lags turn slower than the widest.
     """
     _require(0.0 < eps < 1.0, "eps must lie in (0, 1)")

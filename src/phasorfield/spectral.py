@@ -123,7 +123,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import ValidationError, _require
+from .core import _index, _require
 
 __all__ = [
     "cfft_2d",
@@ -272,15 +272,6 @@ def cifft_2d(u: np.ndarray, rows=None, cols=None, *, fft_order: bool = False) ->
 # so its cache holds at most 19 MB at 96 -> 192 modes per axis.
 _SFFT_CACHE_SIZE = 64
 _NUFFT_CACHE_SIZE = 32
-
-
-def _index(value, name: str) -> int:
-    """``value`` as :func:`operator.index` reads it; anything it refuses is a
-    ``ValidationError`` naming ``name``."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValidationError(f"{name} must be an integer") from None
 
 
 def _pair(value, name: str) -> tuple[int, int]:

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, exit codes, and output determinism."""
 
+import dataclasses
 import json
 import os
 import re
@@ -7,6 +8,7 @@ import shlex
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -451,6 +453,19 @@ class TestReconstruct:
         assert not out.exists()
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+
+    def test_a_t0_whose_phase_overflows_is_one_error_line(self, pipeline, tmp_path, capsys):
+        m = read_dataset(str(pipeline["dataset"]))
+        dataset, out = tmp_path / "late.nls1", tmp_path / "x.vol"
+        write_dataset(dataclasses.replace(m, t0=1e300), str(dataset))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["reconstruct", str(dataset), "-o", str(out), "--algo", "rsd",
+                         "--lambda-c", "0.04", "--grid", CUBOID])
+        assert code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: t0 = 1e+300 s")
 
     def test_arguments_are_parsed_before_the_dataset_is_read(self, tmp_path, capsys):
         code = main(["reconstruct", str(tmp_path / "absent.nls1"),

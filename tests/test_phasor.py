@@ -1,6 +1,8 @@
 """Illumination kernel, frequency projection, and closed-form calculators."""
 
 import math
+import re
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -19,7 +21,7 @@ from phasorfield import (
     read_dataset,
     write_dataset,
 )
-from phasorfield import core
+from phasorfield import core, phasor
 from phasorfield.core import SPEED_OF_LIGHT, UniformGrid2D
 from phasorfield.phasor import (
     build_kernel,
@@ -33,7 +35,7 @@ from phasorfield.phasor import (
     to_frequency,
 )
 
-from helpers import centered_relay, rel_l2, rel_linf
+from helpers import centered_relay, rel_linf
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +84,7 @@ class TestBuildKernel:
     @pytest.mark.parametrize("kwargs", [
         dict(lambda_c=0.0, n_bins=64, delta_t=1e-12),
         dict(lambda_c=0.04, n_bins=0, delta_t=1e-12),
+        dict(lambda_c=0.06, n_bins=1024.5, delta_t=16e-12),
         dict(lambda_c=0.04, n_bins=64, delta_t=0.0),
         dict(lambda_c=0.04, n_bins=64, delta_t=1e-12, threshold=0.0),
         dict(lambda_c=0.04, n_bins=64, delta_t=1e-12, threshold=1.0),
@@ -112,6 +115,18 @@ class TestBuildKernel:
 # ---------------------------------------------------------------------------
 # Frequency projection
 # ---------------------------------------------------------------------------
+
+
+def _long_double_projection(m, k):
+    """The coefficients by a direct DFT in long double, each angle reduced in
+    integers as ``2*pi*((b*k) mod n_bins)/n_bins``."""
+    n = m.n_bins
+    pi = 4 * np.arctan(np.longdouble(1))
+    angle = 2 * pi * (np.outer(np.arange(n), k.bin_indices) % n) / n
+    h = m.histograms.astype(np.longdouble)
+    phase = k.frequencies.astype(np.longdouble) * m.t0
+    return ((h @ np.cos(angle) - 1j * (h @ np.sin(angle)))
+            * (k.weights * (np.cos(phase) - 1j * np.sin(phase))))
 
 
 def _measurement(h, dt=16e-12, t0=0.0):
@@ -169,23 +184,52 @@ class TestToFrequency:
         h = rng.poisson(3.0, (2, n_detect, n_bins)).astype(np.float64)
         return TransientMeasurement(relay, PointList(np.zeros((2, 2))), h, 16e-12, t0=1e-10)
 
-    @pytest.mark.parametrize("n_bins", [1024, 1023])
-    def test_blocked_real_fft_matches_the_full_spectrum(self, rng, n_bins):
-        m = self._counts(rng, n_bins)
+    # The worst of 40 seeds per bin count read 2.5e-15 at 1024 and 1023
+    # bins, 4.6e-15 at 4096 and 1.1e-15 at 300; the bound is about twice
+    # that.  The sums of a direct DFT round more than an FFT's (a real FFT
+    # reads 2.6e-16 to 5.8e-16 here).
+    @pytest.mark.parametrize("n_bins, n_detect", [(1024, 300), (1023, 300), (4096, 100),
+                                                  (300, 900)])
+    def test_projection_matches_a_long_double_dft(self, rng, n_bins, n_detect):
+        m = self._counts(rng, n_bins, n_detect)
         k = build_kernel(0.06, n_bins, m.delta_t)
-        # 2 x 300 histograms at these bin counts span three projection blocks.
+        # The histograms span three read blocks or more.
         assert m.n_illum * m.n_detect > core._READ_BLOCK // n_bins * 2
-        full = np.fft.fft(m.histograms, axis=2)[:, :, k.bin_indices]
-        reference = full * k.weights * np.exp(-1j * k.frequencies * m.t0)
-        assert rel_l2(to_frequency(m, k).coefficients, reference) <= 1e-15
+        reference = _long_double_projection(m, k)
+        error = to_frequency(m, k).coefficients.astype(np.clongdouble) - reference
+        assert np.linalg.norm(error) <= 1e-14 * np.linalg.norm(reference)
 
-    def test_block_size_does_not_change_a_bit(self, rng, monkeypatch):
+    # Groups of 3 histograms split the 80 into 26 groups and a pair; blocks
+    # of 1, 2 and all groups then split them differently.
+    @pytest.mark.parametrize("group", [None, 3], ids=["product-groups", "groups-of-3"])
+    def test_block_size_does_not_change_a_bit(self, rng, monkeypatch, group):
         m = self._counts(rng, 1023, n_detect=40)
         k = build_kernel(0.06, 1023, m.delta_t)
+        if group is not None:
+            monkeypatch.setattr(phasor, "_PRODUCT_VALUES", group * 1023 * 2 * k.n_freq)
         monkeypatch.setattr(core, "_READ_BLOCK", 1 << 40)
         whole = to_frequency(m, k).coefficients
-        monkeypatch.setattr(core, "_READ_BLOCK", 1)
-        assert np.array_equal(to_frequency(m, k).coefficients, whole)
+        for block in (1, 7 * 1023):
+            monkeypatch.setattr(core, "_READ_BLOCK", block)
+            assert np.array_equal(to_frequency(m, k).coefficients, whole)
+
+    # The phase omega*t0 overflows to inf; it is refused, with no
+    # RuntimeWarning, before any histogram is read.
+    @pytest.mark.parametrize("t0", [1e300, -1e300])
+    def test_refuses_a_t0_whose_phase_overflows(self, tmp_path, monkeypatch, t0):
+        m = _measurement(np.ones((1, 4, 256)), t0=t0)
+        k = build_kernel(0.06, 256, 16e-12)
+        path = str(tmp_path / "capture.nls1")
+        write_dataset(m, path)
+        monkeypatch.setattr(core.DatasetFile, "histogram_rows",
+                            lambda d, group=1: pytest.fail("a histogram was read"))
+        monkeypatch.setattr(core.TransientMeasurement, "histogram_rows",
+                            lambda m, group=1: pytest.fail("a histogram was read"))
+        for project in (lambda: to_frequency(m, k), lambda: read_frequency_slices(path, 0.06)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValidationError, match=re.escape(f"t0 = {t0:g} s puts the phase")):
+                    project()
 
     def test_rejects_kernel_built_for_other_time_axis(self):
         m = _measurement(np.zeros((1, 4, 256)))
@@ -226,20 +270,19 @@ def _captures(draw):
 
 
 class TestReadFrequencySlices:
-    @settings(max_examples=60, deadline=None)
-    @given(capture=_captures(), bin_index=st.integers(1, 4))
-    def test_streamed_slices_equal_the_in_memory_ones(self, tmp_path_factory, capture,
-                                                      bin_index):
-        m, rows = capture
-        path = str(tmp_path_factory.mktemp("stream") / "capture.nls1")
+    @staticmethod
+    def _streamed_equals_held(path, m, rows, bin_index, group=None):
         write_dataset(m, path)
         # The packet centred on one DFT bin of the window keeps at least that bin.
         lambda_c = SPEED_OF_LIGHT * m.n_bins * m.delta_t / bin_index
         kernel = build_kernel(lambda_c, m.n_bins, m.delta_t)
-        # Blocks of `rows` histograms, which do not divide the capture's.
-        with mock.patch.object(core, "_READ_BLOCK", rows * m.n_bins):
-            streamed = read_frequency_slices(path, lambda_c)
-        held = to_frequency(read_dataset(path), kernel)
+        products = (phasor._PRODUCT_VALUES if group is None
+                    else group * m.n_bins * 2 * kernel.n_freq)
+        with mock.patch.object(phasor, "_PRODUCT_VALUES", products):
+            # Blocks of `rows` histograms.
+            with mock.patch.object(core, "_READ_BLOCK", rows * m.n_bins):
+                streamed = read_frequency_slices(path, lambda_c)
+            held = to_frequency(read_dataset(path), kernel)
         assert streamed.frequencies.tobytes() == held.frequencies.tobytes()
         assert streamed.coefficients.shape == held.coefficients.shape
         assert streamed.coefficients.tobytes() == held.coefficients.tobytes()
@@ -247,6 +290,29 @@ class TestReadFrequencySlices:
         assert streamed.relay.kind == held.relay.kind
         assert np.array_equal(streamed.relay.coordinates(), held.relay.coordinates())
         assert np.array_equal(streamed.illuminations.points, held.illuminations.points)
+
+    @settings(max_examples=60, deadline=None)
+    @given(capture=_captures(), bin_index=st.integers(1, 4))
+    def test_streamed_slices_equal_the_in_memory_ones(self, tmp_path_factory, capture,
+                                                      bin_index):
+        m, rows = capture
+        path = str(tmp_path_factory.mktemp("stream") / "capture.nls1")
+        self._streamed_equals_held(path, m, rows, bin_index)
+
+    # Products of 2 or 3 histograms, and a read block of fewer histograms than
+    # the capture holds, which the reader rounds to whole groups: both the
+    # groups and the blocks split the capture.
+    @settings(max_examples=60, deadline=None)
+    @given(capture=_captures(), bin_index=st.integers(1, 4), data=st.data())
+    def test_streamed_slices_equal_the_in_memory_ones_in_small_groups(
+            self, tmp_path_factory, capture, bin_index, data):
+        m, _ = capture
+        count = m.n_illum * m.n_detect
+        assume(count >= 3)
+        group = data.draw(st.integers(2, min(3, count - 1)), label="group")
+        rows = data.draw(st.integers(1, count - 1), label="rows")
+        path = str(tmp_path_factory.mktemp("stream") / "capture.nls1")
+        self._streamed_equals_held(path, m, rows, bin_index, group)
 
     def test_a_window_too_short_for_the_wavelength_is_invalid_input(self, tmp_path):
         # The file is sound; its 8 bins of 16 ps carry no bin near 0.5 m.

@@ -27,10 +27,12 @@ from phasorfield import (
     PointList,
     Scatterer,
     Scene,
+    TransientMeasurement,
     ValidationError,
     VoxelPlane,
     oracle,
     spectral,
+    write_dataset,
 )
 from phasorfield.core import PROPAGATION_SIGN, SPEED_OF_LIGHT, UniformGrid3D
 from phasorfield.metrics import ncc
@@ -773,6 +775,17 @@ for grid, algo, options in [(frustum, "srsd", {}),
 """
 
 
+# Prints the digest of the coefficients of each dataset and virtual wavelength.
+_PROJECTION_DIGESTS = """
+import hashlib, sys
+from phasorfield.phasor import read_frequency_slices
+
+for path, lambda_c in zip(sys.argv[1::2], sys.argv[2::2]):
+    slices = read_frequency_slices(path, float(lambda_c))
+    print(hashlib.sha256(slices.coefficients.tobytes()).hexdigest())
+"""
+
+
 class TestMisc:
     def test_project_max_depth(self, slices16, grid16_small):
         vol = reconstruct(slices16, grid16_small, "rsd")
@@ -895,20 +908,47 @@ class TestMisc:
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == ["False", "True", "True"]
 
-    def test_scaled_dft_bytes_do_not_depend_on_blas_threads(self):
-        # The scaled DFT is one matrix product per frequency and axis; BLAS
-        # may split a product across its own threads, but no element's sum.
+    @staticmethod
+    def _digests_with_and_without_blas_threads(script, *args):
+        """The digests ``script`` prints with BLAS's default threads and with one."""
         blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
         env = {k: v for k, v in os.environ.items() if k not in blas}
         env["PYTHONPATH"] = str(Path(phasorfield.__file__).parents[1])
         digests = []
         for extra in ({}, dict.fromkeys(blas, "1")):
-            done = subprocess.run([sys.executable, "-c", _SCALED_DFT_DIGESTS],
+            done = subprocess.run([sys.executable, "-c", script, *args],
                                   env={**env, **extra}, capture_output=True, text=True,
                                   timeout=300)
             assert done.returncode == 0, done.stderr
             digests.append(done.stdout.split())
+        return digests
+
+    def test_scaled_dft_bytes_do_not_depend_on_blas_threads(self):
+        # The scaled DFT is one matrix product per frequency and axis; BLAS
+        # may split a product across its own threads, but no element's sum.
+        digests = self._digests_with_and_without_blas_threads(_SCALED_DFT_DIGESTS)
         assert len(digests[0]) == 3
+        assert digests[0] == digests[1]
+
+    def test_projection_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # read_frequency_slices projects groups of histograms by matrix
+        # products.  1024 bins at 0.06 m keep 16 frequencies in products of
+        # 16 histograms, and 600 histograms leave a group of 8.  4096 bins at
+        # 0.04 m keep 95, in products of 2 histograms and 64 of their 190
+        # columns, and 81 histograms leave one: as one product per histogram
+        # OpenBLAS would split them across its threads and move their bits.
+        rng = np.random.default_rng(11)
+        args = []
+        for n_bins, (n_illum, n_detect), lambda_c in [(1024, (2, 300), "0.06"),
+                                                      (4096, (3, 27), "0.04")]:
+            relay = NonUniformPlanarRelay(PointList(rng.uniform(-0.3, 0.3, (n_detect, 2))), 0.0)
+            h = rng.poisson(3.0, (n_illum, n_detect, n_bins)).astype(np.float64)
+            path = str(tmp_path / f"capture-{n_bins}.nls1")
+            write_dataset(TransientMeasurement(relay, PointList(np.zeros((n_illum, 2))), h,
+                                               16e-12, t0=1e-10), path)
+            args += [path, lambda_c]
+        digests = self._digests_with_and_without_blas_threads(_PROJECTION_DIGESTS, *args)
+        assert len(digests[0]) == 2
         assert digests[0] == digests[1]
 
     @pytest.mark.parametrize("threads", [0, -1, 2.7, "3", None, float("nan")])
