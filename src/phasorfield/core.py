@@ -327,12 +327,15 @@ def _block_rows(n_bins: int, group: int) -> int:
     return max(1, _READ_BLOCK // n_bins // group) * group
 
 
+_NEGATIVE_COUNTS = "histogram values are photon counts and must be >= 0"
+
+
 def _require_photon_counts(h: np.ndarray) -> None:
     """Refuse non-finite or negative histogram values."""
     # Reductions, not full-size masks: NaN propagates through min and max.
     lo, hi = float(h.min()), float(h.max())
     _require(math.isfinite(lo) and math.isfinite(hi), "histograms must be finite")
-    _require(lo >= 0, "histogram values are photon counts and must be >= 0")
+    _require(lo >= 0, _NEGATIVE_COUNTS)
 
 
 @dataclass(frozen=True)
@@ -885,7 +888,8 @@ class DatasetFile:
             out = np.empty(min(block, count))
             for values in self._reader.blocks(self._dt, count, out, block, "histogram"):
                 h = values.reshape(-1, n_bins)
-                _require_photon_counts(h)
+                # `blocks` has refused every non-finite value already.
+                _require(float(h.min()) >= 0, _NEGATIVE_COUNTS)
                 yield h
 
 

@@ -49,14 +49,11 @@ srsd-nursd2  uniform grid              explicit list, one scale    scaled FFT + 
 Lattices are indexed in the centered convention of :mod:`.spectral`;
 padded sizes are chosen so that every lag actually used lies inside the
 centered index set, making the circular convolutions exact linear ones.
-Every spectrum is held in FFT order, centered index ``k`` at slot ``k mod P``:
-the encoders emit it so (``fft_order=True`` on each transform), the kernel
-spectra are built so (:func:`_kernel_spectrum`), and the decoders read it
-so.  The product is then the plain ``u * ghat`` and no spectrum is rolled;
-each transform's FFT-order output is bitwise its centered one rolled, so
-every value is the centered convention's, but for the scaled FFT's modes,
-which BLAS may round differently by a few ulps at sizes its tiles do not
-divide (see :func:`.spectral.sfft_2d_centered`).
+Every spectrum is held in FFT order, centered index ``k`` at slot ``k mod P``,
+the one layout of :mod:`.spectral`'s transforms: the encoders emit it, the
+kernel spectra are built in it (:func:`_kernel_spectrum`), and the decoders
+read it.  The product is then the plain ``u * ghat`` and no spectrum is
+rolled.
 The per-frequency phase tables, the kernel's and the illumination's, take a
 direct ``exp`` only at anchors, every ``_ANCHOR_EVERY``-th frequency index,
 and step from each anchor by ``exp(s*1j*dk*r)`` (:func:`_phases`); they
@@ -196,7 +193,7 @@ def _embed_relay(coefficients: np.ndarray, g, py: int, px: int) -> list[np.ndarr
     for ry, sy in _halves(g.ny, py):
         for rx, sx in _halves(g.nx, px):
             out[..., sy, sx] = relay[..., ry, rx]
-    return [cfft_2d(u, fft_order=True)[None] for u in out]
+    return [cfft_2d(u)[None] for u in out]
 
 
 def _fft_order_lags(n: int) -> np.ndarray:
@@ -346,7 +343,7 @@ def _read_window(ny: int, nx: int, origin=None) -> Callable:
     ``origin`` only."""
     oy, ox = origin or (-(ny // 2), -(nx // 2))
     rows, cols = np.arange(oy, oy + ny), np.arange(ox, ox + nx)
-    return lambda pl, spec: cifft_2d(spec, rows, cols, fft_order=True).reshape(len(spec), -1)
+    return lambda pl, spec: cifft_2d(spec, rows, cols).reshape(len(spec), -1)
 
 
 def _read_points(eps: float, px: int, py: int) -> Callable:
@@ -354,7 +351,7 @@ def _read_points(eps: float, px: int, py: int) -> Callable:
     spectrum at the voxels."""
     _check_eps(eps)
     scale = 1.0 / (px * py)
-    return lambda pl, spec: nufft2(spec, pl.torus, eps, fft_order=True) * scale
+    return lambda pl, spec: nufft2(spec, pl.torus, eps) * scale
 
 
 def _torus(nu_x: np.ndarray, nu_y: np.ndarray, px: int, py: int) -> np.ndarray:
@@ -367,8 +364,7 @@ def _lateral_nufft(nu_x, nu_y, columns: np.ndarray, shape: tuple[int, int],
     """Scattered samples' ``[L, B]`` columns at fractional indices ``(nu_x, nu_y)``
     to their ``[B, py, px]`` lattice spectrum in FFT order: one batched type-1
     NUFFT."""
-    return nufft1(_torus(nu_x, nu_y, shape[1], shape[0]), columns, shape, eps,
-                  fft_order=True)
+    return nufft1(_torus(nu_x, nu_y, shape[1], shape[0]), columns, shape, eps)
 
 
 def _lateral_gridding(nu_x, nu_y, columns: np.ndarray, shape: tuple[int, int],
@@ -388,7 +384,7 @@ def _lateral_gridding(nu_x, nu_y, columns: np.ndarray, shape: tuple[int, int],
     slots = ((iy - py // 2) % py * px + (ix - px // 2) % px).astype(np.int64)
     np.add.at(fine, slots.ravel(),
               (wts[:, :, None] * columns[:, None, :]).reshape(-1, columns.shape[1]))
-    return cfft_2d(np.ascontiguousarray(fine.T).reshape(-1, py, px), fft_order=True)
+    return cfft_2d(np.ascontiguousarray(fine.T).reshape(-1, py, px))
 
 
 def _frame_times(times, frequencies: np.ndarray) -> np.ndarray | None:
@@ -499,8 +495,7 @@ def _propagate(plan: _Plan, coefficients: np.ndarray, times: np.ndarray | None,
                     spec = None
                     for u, ghat in zip(uhat, ghats):
                         u = (u[block] if pl.scale is None
-                             else sfft_2d_centered(u[block], *pl.scale, shape=shape,
-                                                   fft_order=True))
+                             else sfft_2d_centered(u[block], *pl.scale, shape=shape))
                         # `u` stays the left operand: NumPy's SIMD complex product is
                         # not bitwise commutative.
                         if spec is None:
@@ -626,7 +621,7 @@ def _plan_uniform_explicit(relay: UniformRelay, frequencies, grid: ExplicitVoxel
 
     def encode(coefficients):
         if scaled:
-            return [sfft_2d_centered(u, al, be, shape=(py, px), fft_order=True)[None]
+            return [sfft_2d_centered(u, al, be, shape=(py, px))[None]
                     for u in _relay_lattice(coefficients, g)]
         return _embed_relay(coefficients, g, py, px)
 

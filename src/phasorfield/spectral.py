@@ -4,7 +4,7 @@ Centered convention
 -------------------
 Most of this package indexes length-P axes by the centered index set
 ``I_P = {k : -P//2 <= k < P - P//2}`` (array slot ``p`` holds centered index
-``p - P//2``).  ``cfft*``/``cifft*`` are DFTs in that convention::
+``p - P//2``).  ``cfft_n``/``cifft_n`` are DFTs in that convention::
 
     cfft(a)[k] = sum_j a[j] * exp(-2j*pi*j*k/P)    (j, k centered)
 
@@ -17,30 +17,20 @@ already lies in ``I_P`` the wrap is inactive and the product computes an
 exact linear convolution, which is how all propagation convolutions in this
 package are arranged.
 
-A propagation keeps only the output window that holds its voxels, so
-``cifft_2d`` takes that window (centered row and column indices, 1-D
-integer arrays) and prunes the inverse: the transforms along x run for
-every row, those along y only for the window's columns.  The kept values are
-bitwise those of the full inverse.
-
-FFT order
----------
-A spectrum can also be held in FFT order, centered index ``k`` at slot
-``k mod P`` (``ifftshift`` of the centered layout), in which a convolution's
-product needs no roll.  ``cfft_2d``, ``cifft_2d``, ``sfft_2d_centered``,
-``nufft1`` and ``nufft2`` take one keyword-only flag, ``fft_order=False``.
-By default every spectrum they take or give is centered and no input is
-written.  Under ``fft_order=True`` the spectrum side is in FFT order (the
-sample side stays centered): ``cfft_2d`` is the plain 2-D FFT, run in
-place on its input and returning it; ``cifft_2d`` runs its x pass in place
-on its input and returns the same centered window; both refuse all but a
-writeable complex128 array, which the caller gives up.  ``nufft1`` writes,
-and ``nufft2`` reads, the modes in FFT order, and ``sfft_2d_centered``
-gives them so from matrices whose columns are in that order.  Each value is
-bitwise the centered one, rolled; the scaled FFT's alone may differ by
-BLAS's rounding at sizes its tiles do not divide (equal at 48 -> 96 per
-axis, within 2.3e-13 of unit-normal input at 48 -> 105, 32 -> 70 and
-47 -> 99).  ``reconstruct`` keeps every spectrum in FFT order.
+Every other transform holds its spectra in FFT order, centered index ``k``
+at slot ``k mod P`` (``np.fft.ifftshift`` of the centered layout, which
+``np.fft.fftshift`` gives back), so a convolution's product needs no roll;
+samples and output windows keep their centered indices.  ``cfft_2d`` is the
+plain 2-D FFT of samples held at the wrap-around slots of their centered
+indices, run in place on its input and returning it.  ``cifft_2d`` takes an
+FFT-order spectrum to the samples of a window (centered row and column
+indices, 1-D integer arrays), as a propagation keeps only the window that
+holds its voxels: the transforms along x run in place for every row, those
+along y only for the window's columns, and the kept values are bitwise
+those of ``cifft_n`` of the centered spectrum.  Both consume their input,
+which must be a writeable complex128 array.  ``sfft_2d_centered`` gives its
+modes in FFT order from matrices whose columns are in that order, and
+``nufft1`` writes, and ``nufft2`` reads, the modes so.
 
 Scaled FFT
 ----------
@@ -186,20 +176,14 @@ def cifft_n(u: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
     return np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(u, axes=axes), axes=axes), axes=axes)
 
 
-def _operand(u, fft_order: bool) -> np.ndarray:
-    """The ``[..., py, px]`` array :func:`cfft_2d` and :func:`cifft_2d` run in
-    place on: under ``fft_order`` the caller's own array, which must be a
-    writeable complex128 one, else a complex128 copy of ``u`` rolled into FFT
-    order."""
-    if fft_order:
-        _require(isinstance(u, np.ndarray) and u.dtype == np.complex128
-                 and u.flags.writeable,
-                 "under fft_order the input must be a writeable complex128 array")
-        a = u
-    else:
-        a = np.asarray(u, dtype=np.complex128)
-    _require(a.ndim >= 2, "input must have at least two axes [..., ny, nx]")
-    return a if fft_order else np.fft.ifftshift(a, axes=(-2, -1))
+def _check_operand(u) -> None:
+    """Refuse all but a writeable complex128 ``[..., py, px]`` array with both
+    transform axes nonempty, which :func:`cfft_2d` and :func:`cifft_2d` run
+    in place on."""
+    _require(isinstance(u, np.ndarray) and u.dtype == np.complex128 and u.flags.writeable,
+             "input must be a writeable complex128 array")
+    _require(u.ndim >= 2, "input must have at least two axes [..., ny, nx]")
+    _require(min(u.shape[-2:]) >= 1, "transform lengths must be >= 1")
 
 
 def _window(value, n: int, name: str) -> np.ndarray:
@@ -216,45 +200,38 @@ def _window(value, n: int, name: str) -> np.ndarray:
     return idx % n
 
 
-def cfft_2d(u: np.ndarray, *, fft_order: bool = False) -> np.ndarray:
-    """Centered-index forward DFT over the last two axes.
+def cfft_2d(u: np.ndarray) -> np.ndarray:
+    """Forward DFT over the last two axes, from samples at the wrap-around
+    slots of their centered indices to modes in FFT order.
 
-    The transforms run in place on the shifted copy, along x and then along
-    y, as :func:`numpy.fft.fftn` orders them, so the result is bitwise
-    equal to :func:`cfft_n` over the same axes; it computes in complex128
-    and leaves ``u`` as it was.
-
-    Under ``fft_order`` the input and the result are in FFT order (centered
-    index ``k`` at slot ``k mod P``): the plain 2-D FFT, run in place on
-    ``u``, which must be a writeable complex128 array and is returned.  The
-    result is bitwise ``ifftshift`` of the centered one.
+    The plain 2-D FFT, run in place on ``u`` along x and then along y, as
+    :func:`numpy.fft.fftn` orders them, so the result is ``u`` itself,
+    bitwise equal to ``np.fft.fftn`` over the same axes.  ``u`` must be a
+    writeable complex128 array, which the caller gives up.
     """
-    a = _operand(u, fft_order)
-    np.fft.fft(a, axis=-1, out=a)
-    np.fft.fft(a, axis=-2, out=a)
-    return a if fft_order else np.fft.fftshift(a, axes=(-2, -1))
+    _check_operand(u)
+    np.fft.fft(u, axis=-1, out=u)
+    np.fft.fft(u, axis=-2, out=u)
+    return u
 
 
-def cifft_2d(u: np.ndarray, rows=None, cols=None, *, fft_order: bool = False) -> np.ndarray:
-    """Centered-index inverse DFT over the last two axes, optionally windowed.
+def cifft_2d(u: np.ndarray, rows=None, cols=None) -> np.ndarray:
+    """Inverse DFT over the last two axes of a spectrum in FFT order, to
+    samples at centered indices, optionally windowed.
 
     ``rows`` and ``cols`` are 1-D integer arrays of the centered output
     indices to keep along y and x (taken mod the axis length; ``None`` keeps
-    the whole axis).  The inverse runs along x in place, keeps the window's
-    columns, runs along y over those columns only and keeps the window's
-    rows: the same 1-D transforms as the full inverse, so every kept value is
-    bitwise equal to the full one, and it computes in complex128.  ``u`` is
-    left as it was.
-
-    Under ``fft_order`` the input spectrum is in FFT order, and the x pass
-    runs in place on ``u`` itself, which must be a writeable complex128 array
-    that the caller gives up; the output is the same centered window, bitwise.
+    the whole axis).  The inverse runs along x in place on ``u``, keeps the
+    window's columns, runs along y over those columns only and keeps the
+    window's rows: the same 1-D transforms as the full inverse, so every kept
+    value is bitwise that of :func:`cifft_n` of the centered spectrum.  ``u``
+    must be a writeable complex128 array, which the caller gives up.
     """
-    a = _operand(u, fft_order)
-    py, px = a.shape[-2:]
+    _check_operand(u)
+    py, px = u.shape[-2:]
     rows, cols = _window(rows, py, "rows"), _window(cols, px, "cols")
-    np.fft.ifft(a, axis=-1, out=a)
-    a = a.take(cols, axis=-1)
+    np.fft.ifft(u, axis=-1, out=u)
+    a = u.take(cols, axis=-1)
     np.fft.ifft(a, axis=-2, out=a)
     return a.take(rows, axis=-2)
 
@@ -290,8 +267,8 @@ def _sfft_plan(n_in: int, m_out: int, alpha: float, offset_in: int,
     """The read-only ``[n_in, m_out]`` matrix of one scaled DFT from ``n_in``
     samples to ``m_out`` modes, ``exp(-2j*pi*alpha*(n-o_in)*(k-o_out)/m_out)``,
     its columns rolled as ``ifftshift`` rolls them under ``fft_order`` (into
-    FFT order for the centered ``o_out = m_out // 2``).  Each entry is
-    computed alone, so a rolled matrix is bitwise the roll of the other."""
+    FFT order for the centered ``o_out = m_out // 2``): ascending modes for
+    :func:`sfft_1d`, FFT order for :func:`sfft_2d_centered`."""
     n = np.arange(n_in, dtype=np.float64) - offset_in
     k = np.arange(m_out, dtype=np.float64) - offset_out
     if fft_order:
@@ -301,8 +278,7 @@ def _sfft_plan(n_in: int, m_out: int, alpha: float, offset_in: int,
     return w
 
 
-def _sfft_matrix(n_in: int, alpha, offset, m_out, offset_out,
-                 fft_order: bool = False) -> np.ndarray:
+def _sfft_matrix(n_in: int, alpha, offset, m_out, offset_out, fft_order: bool) -> np.ndarray:
     """Check one axis's scaled-DFT arguments and return its cached matrix."""
     alpha, offset = float(alpha), _index(offset, "index offset")
     m_out = n_in if m_out is None else _index(m_out, "output length")
@@ -313,7 +289,7 @@ def _sfft_matrix(n_in: int, alpha, offset, m_out, offset_out,
              "scale factor must be finite and nonzero")
     _require(0 <= offset < n_in, "index offset must lie in [0, length)")
     _require(0 <= offset_out < m_out, "output index offset must lie in [0, output length)")
-    return _sfft_plan(n_in, m_out, alpha, offset, offset_out, bool(fft_order))
+    return _sfft_plan(n_in, m_out, alpha, offset, offset_out, fft_order)
 
 
 def sfft_1d(u: np.ndarray, alpha: float, offset: int = 0, axis: int = -1,
@@ -326,30 +302,26 @@ def sfft_1d(u: np.ndarray, alpha: float, offset: int = 0, axis: int = -1,
     ``alpha = 1, offset = 0`` agrees with the ordinary forward DFT.
     """
     u = np.moveaxis(np.asarray(u, dtype=np.complex128), axis, -1)
-    w = _sfft_matrix(u.shape[-1], alpha, offset, m_out, offset_out)
+    w = _sfft_matrix(u.shape[-1], alpha, offset, m_out, offset_out, False)
     return np.moveaxis(u @ w, -1, axis)
 
 
 def sfft_2d_centered(u: np.ndarray, alpha: float, beta: float | None = None,
-                     shape: tuple[int, int] | None = None, *,
-                     fft_order: bool = False) -> np.ndarray:
-    """Scaled DFT of the last two axes in the centered-index convention.
+                     shape: tuple[int, int] | None = None) -> np.ndarray:
+    """Scaled DFT of the last two axes in the centered-index convention, to
+    modes in FFT order.
 
     Maps ``[..., ny, nx]`` samples to a contiguous ``[..., my, mx]`` of modes,
     ``shape = (my, mx)`` defaulting to ``(ny, nx)``:
     ``U[ky, kx] = sum u[jy, jx] * exp(-2j*pi*(alpha*jx*kx/mx + beta*jy*ky/my))``
     with all indices centered, as the square transform gives it on the
-    samples embedded centered in a ``[my, mx]`` zero array.  It is
-    ``Wy.T @ (u @ Wx)`` with the two axes' matrices: the x product runs over
-    the ``ny`` input rows only, and each ``[ny, nx]`` slice is its own pair
-    of products.  At ``alpha = beta = 1`` and the default shape this matches
-    :func:`cfft_2d` up to roundoff.
-
-    Under ``fft_order`` the modes come out in FFT order (centered index ``k``
-    at slot ``k mod m``), from matrices whose columns are in that order, so
-    no mode is moved after the products.  They equal the centered modes
-    rolled, bitwise where BLAS tiles both products alike (at 48 -> 96 per
-    axis, for one) and to roundoff elsewhere.
+    samples embedded centered in a ``[my, mx]`` zero array, and centered
+    mode ``k`` at slot ``k mod m``.  It is ``Wy.T @ (u @ Wx)`` with the two
+    axes' matrices, whose columns are in FFT order, so no mode is moved
+    after the products: the x product runs over the ``ny`` input rows only,
+    and each ``[ny, nx]`` slice is its own pair of products.  At ``alpha =
+    beta = 1`` and the default shape this is ``np.fft.ifftshift`` of
+    :func:`cfft_n` over the last two axes, up to roundoff.
     """
     if beta is None:
         beta = alpha
@@ -357,8 +329,8 @@ def sfft_2d_centered(u: np.ndarray, alpha: float, beta: float | None = None,
     _require(u.ndim >= 2, "input must have at least two axes [..., ny, nx]")
     ny, nx = u.shape[-2:]
     my, mx = (ny, nx) if shape is None else _pair(shape, "output shape")
-    wx = _sfft_matrix(nx, alpha, nx // 2, mx, mx // 2, fft_order)
-    wy = _sfft_matrix(ny, beta, ny // 2, my, my // 2, fft_order)
+    wx = _sfft_matrix(nx, alpha, nx // 2, mx, mx // 2, True)
+    wy = _sfft_matrix(ny, beta, ny // 2, my, my // 2, True)
     return wy.T @ (u @ wx)
 
 
@@ -402,7 +374,7 @@ def _nufft_axis(m: int, eps: float) -> tuple[int, int, float, np.ndarray]:
     ``2*m`` for 11-smooth ``m > w``; ``beta`` is the kernel's shape for
     that oversampling, as Barnett et al. set it; ``ker`` is the read-only
     exact deconvolution, the real DFT of the node-centred stencil at the
-    modes.
+    modes, in FFT order.
     """
     w = max(2, math.ceil(math.log10(1.0 / eps) / 2.0) + 1)
     mr = next_fast_len(max(_SIGMA * m, 2 * w + 2))
@@ -413,6 +385,7 @@ def _nufft_axis(m: int, eps: float) -> tuple[int, int, float, np.ndarray]:
                        @ _es_kernel(j / (w + 0.5), beta))
     if not (ker > 0).all():
         raise RuntimeError("window transform must stay positive")
+    ker = np.fft.ifftshift(ker)
     ker.setflags(write=False)
     return w, mr, beta, ker
 
@@ -448,9 +421,10 @@ _FINE_CHUNK_BYTES = 1 << 20
 
 def _halves(m: int, mr: int, fft_order: bool = False) -> tuple[tuple[slice, slice],
                                                                 tuple[slice, slice]]:
-    """``(modes, fine)`` slice pairs that place ``m`` modes, centered or in FFT
-    order, on an axis of ``mr >= m`` samples in FFT order: the non-negative
-    modes at its start, the negative ones at its end."""
+    """``(modes, fine)`` slice pairs that place ``m`` values, centered (the
+    relay samples ``reconstruct`` embeds) or in FFT order (the NUFFT's
+    modes), on an axis of ``mr >= m`` samples in FFT order: the non-negative
+    indices at its start, the negative ones at its end."""
     h = m // 2
     if fft_order:
         return (slice(0, m - h), slice(0, m - h)), (slice(m - h, m), slice(mr - h, mr))
@@ -461,8 +435,8 @@ class _Spread:
     """One call's spread of its ``[L, 2]`` points onto the fine grid of the
     ``(my, mx)`` modes, pruned to the fine rows its stencils touch.
 
-    ``halves`` are each axis's :func:`_halves`, for modes in FFT order under
-    ``fft_order``, and ``inv`` the deconvolution in the same layout.
+    ``halves`` are each axis's :func:`_halves` for modes in FFT order, and
+    ``inv`` the deconvolution in that layout.
     ``rows`` are the touched fine rows (y indices), ascending.  ``matrix`` is the
     CSR spread operator ``S`` of shape ``[L, len(rows)*mrx]`` over the
     touched rows alone, with ``(2w+1)^2`` taps per row, y then x in
@@ -470,8 +444,7 @@ class _Spread:
     interpolation ``S f``; ``step`` is the batch columns per fine-grid chunk.
     """
 
-    def __init__(self, modes: tuple[int, int], eps: float, points: np.ndarray,
-                 fft_order: bool = False):
+    def __init__(self, modes: tuple[int, int], eps: float, points: np.ndarray):
         _require(all(m >= 1 for m in modes), "mode counts must be >= 1")
         eps = _check_eps(eps)
         pts = _check_points(points)
@@ -479,9 +452,7 @@ class _Spread:
         # axes share them.
         (w, mry, beta, ker_y), (_, mrx, _, ker_x) = (_nufft_axis(m, eps) for m in modes)
         self.modes, self.mrs = modes, (mry, mrx)
-        self.halves = tuple(_halves(m, mr, fft_order) for m, mr in zip(modes, self.mrs))
-        if fft_order:
-            ker_y, ker_x = np.fft.ifftshift(ker_y), np.fft.ifftshift(ker_x)
+        self.halves = tuple(_halves(m, mr, True) for m, mr in zip(modes, self.mrs))
         # NumPy divides a complex by a real as a product with its reciprocal,
         # so a product gives the quotient's bits at a fraction of its cost.
         self.inv = 1.0 / np.multiply.outer(ker_y, ker_x)[..., None]
@@ -542,20 +513,19 @@ class _Spread:
 
 
 def nufft1(points: np.ndarray, values: np.ndarray, modes: tuple[int, int],
-           eps: float, *, fft_order: bool = False) -> np.ndarray:
+           eps: float) -> np.ndarray:
     """Non-uniform points to uniform modes, exponent ``-1j``.
 
     ``U[ky, kx] = sum_l values[l] * exp(-1j * (kx*x_l + ky*y_l))`` for
-    centered integer modes; ``points`` are ``[L, 2]`` coordinates ``(x, y)``
-    on the torus ``[-pi, pi)``, the output has shape ``modes = (my, mx)``
-    and its relative error is bounded by ``eps``.  ``values`` of shape
-    ``[L, B]`` is a batch of ``B`` vectors sharing the points; the output is
-    then ``[B, my, mx]``, one mode array per column.  Under ``fft_order``
-    the modes are in FFT order (centered index ``k`` at slot ``k mod m``),
-    bitwise the centered ones rolled.
+    centered integer modes, written in FFT order (``k`` at slot ``k mod
+    m``); ``points`` are ``[L, 2]`` coordinates ``(x, y)`` on the torus
+    ``[-pi, pi)``, the output has shape ``modes = (my, mx)`` and its
+    relative error is bounded by ``eps``.  ``values`` of shape ``[L, B]`` is
+    a batch of ``B`` vectors sharing the points; the output is then
+    ``[B, my, mx]``, one mode array per column.
     """
     modes = _pair(modes, "modes")
-    spread = _Spread(modes, eps, points, fft_order)
+    spread = _Spread(modes, eps, points)
     step, n = spread.step, spread.matrix.shape[0]
     vals = np.asarray(values, dtype=np.complex128)
     _require(vals.ndim in (1, 2) and vals.shape[0] == n,
@@ -568,23 +538,21 @@ def nufft1(points: np.ndarray, values: np.ndarray, modes: tuple[int, int],
     return out if vals.ndim == 2 else out[0]
 
 
-def nufft2(coefficients: np.ndarray, points: np.ndarray, eps: float, *,
-           fft_order: bool = False) -> np.ndarray:
+def nufft2(coefficients: np.ndarray, points: np.ndarray, eps: float) -> np.ndarray:
     """Uniform modes to non-uniform points, exponent ``+1j``.
 
     ``out[l] = sum_k coefficients[ky, kx] * exp(+1j * (kx*x_l + ky*y_l))``
-    over centered integer modes at the ``[L, 2]`` points ``(x, y)``; exact
-    structural adjoint of :func:`nufft1` built from the same stencils and
-    deconvolution.  ``[my, mx]`` coefficients give ``[L]`` values, and a
-    batch of ``B`` mode arrays ``[B, my, mx]`` read at the same points gives
-    ``[B, L]``.  Under ``fft_order`` the coefficients are read in FFT order,
-    and the values are bitwise those of the centered coefficients they roll.
+    over centered integer modes, read in FFT order, at the ``[L, 2]`` points
+    ``(x, y)``; exact structural adjoint of :func:`nufft1` built from the
+    same stencils and deconvolution.  ``[my, mx]`` coefficients give ``[L]``
+    values, and a batch of ``B`` mode arrays ``[B, my, mx]`` read at the
+    same points gives ``[B, L]``.
     """
     coeff = np.asarray(coefficients, dtype=np.complex128)
     _require(coeff.ndim in (2, 3), "coefficients must be [my, mx] or [B, my, mx]")
     _require(bool(np.isfinite(coeff).all()), "coefficients must be finite")
     stack = coeff if coeff.ndim == 3 else coeff[None]
-    spread = _Spread(stack.shape[1:], eps, points, fft_order)
+    spread = _Spread(stack.shape[1:], eps, points)
     step, n = spread.step, spread.matrix.shape[0]
     out = np.empty((stack.shape[0], n), dtype=np.complex128)
     for lo in range(0, stack.shape[0], step):

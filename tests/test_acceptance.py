@@ -112,10 +112,11 @@ def test_nufft_accuracy_and_adjointness():
         vals = rng.normal(size=n_pts) + 1j * rng.normal(size=n_pts)
         coeff = rng.normal(size=modes) + 1j * rng.normal(size=modes)
 
+        # The transforms hold their modes in FFT order, the oracle centred.
         fast1 = nufft1(pts, vals, modes, eps)
-        assert rel_linf(fast1, oracle.nudft1(pts, vals, modes)) <= eps
+        assert rel_linf(np.fft.fftshift(fast1), oracle.nudft1(pts, vals, modes)) <= eps
         fast2 = nufft2(coeff, pts, eps)
-        assert rel_linf(fast2, oracle.nudft2(coeff, pts)) <= eps
+        assert rel_linf(fast2, oracle.nudft2(np.fft.fftshift(coeff), pts)) <= eps
 
         lhs = np.vdot(fast1, coeff)
         rhs = np.vdot(vals, fast2)

@@ -1025,7 +1025,7 @@ def test_kernel_spectrum_is_the_full_lattice_formulas_spectrum_unshifted(px, py,
     # The same phase table over the full lattice: the layout claim stays
     # bitwise, and test_phases_match_the_exact_exponential bounds the table.
     direct = _phases(kn, block, r) / r
-    want = np.fft.ifftshift(spectral.cfft_2d(direct), axes=(-2, -1))
+    want = np.fft.ifftshift(spectral.cfft_n(direct, (-2, -1)), axes=(-2, -1))
     out = _kernel_spectrum(kn, block, (py, px), (dx, dy), dz)
     assert out.shape == want.shape and out.tobytes() == want.tobytes()
 
@@ -1085,14 +1085,14 @@ def test_phase_rows_do_not_depend_on_the_block(rng, shape):
 
 
 def _centred_field(plan, spectra, rows, cols):
-    """Each plane's static field, illumination off, from the public centred
-    transforms: the illuminations' ``[M, F, py, px]`` centred relay spectra
-    times each node's ``fftshift``-ed kernel spectrum, summed over nodes,
-    read by ``cifft_2d`` on the ``rows`` x ``cols`` window, summed over
+    """Each plane's static field, illumination off, from the centred
+    reference transforms: the illuminations' ``[M, F, py, px]`` centred relay
+    spectra times each node's ``fftshift``-ed kernel spectrum, summed over
+    nodes, read by ``cifft_n`` on the ``rows`` x ``cols`` window, summed over
     illuminations and then over frequencies from zero."""
     kn = _wavenumbers(plan.frequencies)
     block = slice(0, plan.frequencies.size)
-    planes = []
+    (py, px), planes = plan.shape, []
     for pl in plan.planes:
         ghats = [np.fft.fftshift(_kernel_spectrum(kn, block, plan.shape, pl.pitch, dz),
                                  axes=(-2, -1)) for dz in pl.dz]
@@ -1101,7 +1101,8 @@ def _centred_field(plan, spectra, rows, cols):
             spec = None
             for u, ghat in zip(uhat, ghats):
                 spec = u * ghat if spec is None else spec + u * ghat
-            vals = spectral.cifft_2d(spec, rows, cols).reshape(len(spec), -1)
+            full = spectral.cifft_n(spec, (-2, -1))[..., rows + py // 2, :]
+            vals = full[..., cols + px // 2].reshape(len(spec), -1)
             acc = vals if acc is None else acc + vals
         field = np.zeros(acc.shape[1], dtype=np.complex128)
         for row in acc:
@@ -1111,7 +1112,7 @@ def _centred_field(plan, spectra, rows, cols):
 
 
 def test_rsd_field_is_the_centred_transforms_field(slices16, grid16_small):
-    # Spectra in FFT order end to end change no bit of the centred pipeline.
+    # Spectra in FFT order end to end give the centred pipeline's bits.
     plan = _plan("rsd", slices16.relay, slices16.illuminations, slices16.frequencies,
                  grid16_small)
     g, vg, (py, px) = slices16.relay.grid, grid16_small.grid, plan.shape
@@ -1121,21 +1122,21 @@ def test_rsd_field_is_the_centred_transforms_field(slices16, grid16_small):
     embedded[..., oy:oy + g.ny, ox:ox + g.nx] = relay
     cx, cy = g.center()
     y0, x0 = round((vg.y0 - cy) / g.dy), round((vg.x0 - cx) / g.dx)
-    want = _centred_field(plan, [spectral.cfft_2d(u)[None] for u in embedded],
+    want = _centred_field(plan, [spectral.cfft_n(u, (-2, -1))[None] for u in embedded],
                           np.arange(y0, y0 + vg.ny), np.arange(x0, x0 + vg.nx))
     got = reconstruct(slices16, grid16_small, "rsd", include_illumination=False).field
     assert got.tobytes() == want.tobytes()
 
 
 def test_nursd3d_field_is_the_centred_transforms_field(rippled, chain_grid, monkeypatch):
-    # The NUFFT-1's points and columns as the run gives them, transformed
-    # again to centred modes: only the layout differs between the two.
+    # The NUFFT-1's modes as the run gives them, rolled to the centred layout
+    # and carried through the centred pipeline.
     recon = sys.modules["phasorfield.reconstruct"]
     calls = []
 
-    def recorded(points, values, modes, eps, **kwargs):
-        calls.append((points, values, modes, eps))
-        return spectral.nufft1(points, values, modes, eps, **kwargs)
+    def recorded(*call):
+        calls.append(call)
+        return spectral.nufft1(*call)
 
     monkeypatch.setattr(recon, "nufft1", recorded)
     got = reconstruct(rippled, chain_grid, "nursd3d", include_illumination=False).field
@@ -1143,7 +1144,8 @@ def test_nursd3d_field_is_the_centred_transforms_field(rippled, chain_grid, monk
                  chain_grid)
     m = len(plan.planes[0].dz)
     assert m > 1 and len(calls) == rippled.n_illum
-    spectra = [spectral.nufft1(*call).reshape((m, rippled.n_freq) + plan.shape)
+    spectra = [np.fft.fftshift(spectral.nufft1(*call), axes=(-2, -1))
+               .reshape((m, rippled.n_freq) + plan.shape)
                for call in calls]
     vg = chain_grid.grid
     want = _centred_field(plan, spectra, np.arange(vg.ny) - vg.ny // 2,
