@@ -317,6 +317,22 @@ class TestFftOrder:
             with pytest.raises(ValidationError, match="writeable complex128"):
                 call(u)
 
+    @pytest.mark.parametrize("call", [
+        lambda u, pts: cfft_n(u, (-2, -1)),
+        lambda u, pts: cifft_n(u, (-2, -1)),
+        lambda u, pts: sfft_1d(u, 0.7, 3, m_out=11, offset_out=5),
+        lambda u, pts: sfft_2d_centered(u, 0.7, shape=(9, 10)),
+        lambda u, pts: nufft1(pts, u.reshape(48, 2), (6, 8), 1e-8),
+        lambda u, pts: nufft2(u, pts, 1e-8),
+    ], ids=["cfft_n", "cifft_n", "sfft_1d", "sfft_2d_centered", "nufft1", "nufft2"])
+    def test_the_other_transforms_leave_their_input_unchanged(self, rng, call):
+        # Only cfft_2d and cifft_2d consume their input; the rest read a
+        # writeable complex128 array, which they could have run in place on.
+        u, pts = _complex(rng, (2, 6, 8)), _random_points(rng, 48, 2)
+        before = u.copy(), pts.copy()
+        call(u, pts)
+        assert (u.tobytes(), pts.tobytes()) == tuple(a.tobytes() for a in before)
+
 
 # ---------------------------------------------------------------------------
 # Scaled FFT
@@ -435,9 +451,10 @@ class TestScaledFftAccuracy:
                                       ((33, 48), (33, 48)), ((47, 32), (99, 70)),
                                       ((48, 48), (105, 105))])
     @pytest.mark.parametrize("alpha, beta", [(0.5, -0.7321), (-1.0, 1.0)])
-    def test_2d_matches_a_long_double_direct_sum(self, n, m, alpha, beta):
+    @pytest.mark.parametrize("lead", [(2,), ()], ids=["batch", "single"])
+    def test_2d_matches_a_long_double_direct_sum(self, n, m, alpha, beta, lead):
         (ny, nx), (my, mx) = n, m
-        u = _complex(np.random.default_rng(ny * nx), (2, ny, nx))
+        u = _complex(np.random.default_rng(ny * nx), (*lead, ny, nx))
         wx = _long_double_matrix(nx, mx, alpha, nx // 2, mx // 2)
         wy = _long_double_matrix(ny, my, beta, ny // 2, my // 2)
         want = _fft_ordered(wy.T @ (u.astype(np.clongdouble) @ wx))
