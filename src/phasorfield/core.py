@@ -115,6 +115,8 @@ class UniformGrid2D:
     z: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("nx", "ny"):
+            object.__setattr__(self, name, _index(getattr(self, name), f"grid count {name}"))
         _require(self.nx >= 1 and self.ny >= 1, "grid counts must be >= 1")
         _require(self.dx > 0 and self.dy > 0, "grid pitches must be > 0")
         for v in (self.dx, self.dy, self.x0, self.y0, self.z):
@@ -150,6 +152,8 @@ class UniformGrid3D:
     z0: float
 
     def __post_init__(self) -> None:
+        for name in ("nx", "ny", "nz"):
+            object.__setattr__(self, name, _index(getattr(self, name), f"grid count {name}"))
         _require(min(self.nx, self.ny, self.nz) >= 1, "grid counts must be >= 1")
         _require(self.dx > 0 and self.dy > 0 and self.dz > 0, "grid pitches must be > 0")
         for v in (self.dx, self.dy, self.dz, self.x0, self.y0, self.z0):
@@ -316,26 +320,14 @@ def _require_capture_axes(relay: RelaySampling, illuminations: PointList, shape)
     _require_illumination_plane(relay, illuminations)
 
 
-# Values converted or projected per block: a block of histograms stays a
-# few MB.  The file's bytes pass through a smaller buffer.
-_READ_BLOCK = 1 << 18
-_RAW_PIECE = _READ_BLOCK // 8
-
-
-def _block_rows(n_bins: int, group: int) -> int:
-    """Histograms per block: about ``_READ_BLOCK`` values, in whole groups of ``group``."""
-    return max(1, _READ_BLOCK // n_bins // group) * group
+# Values per block of a whole-array read (histograms, volumes, point lists).
+# phasor.to_frequency streams one product group per block instead: at most
+# _PRODUCT_VALUES / cols values beside their raw bytes, so at most 2**18 up
+# to 2**17 time bins, and 2**14 at 1024 bins and 16 frequencies.
+_READ_BLOCK = 1 << 15
 
 
 _NEGATIVE_COUNTS = "histogram values are photon counts and must be >= 0"
-
-
-def _require_photon_counts(h: np.ndarray) -> None:
-    """Refuse non-finite or negative histogram values."""
-    # Reductions, not full-size masks: NaN propagates through min and max.
-    lo, hi = float(h.min()), float(h.max())
-    _require(math.isfinite(lo) and math.isfinite(hi), "histograms must be finite")
-    _require(lo >= 0, _NEGATIVE_COUNTS)
 
 
 @dataclass(frozen=True)
@@ -357,7 +349,10 @@ class TransientMeasurement:
     def __post_init__(self) -> None:
         h = np.asarray(self.histograms, dtype=np.float64)
         _require_capture(self.relay, self.illuminations, h.shape, self.delta_t, self.t0)
-        _require_photon_counts(h)
+        # Reductions, not full-size masks: NaN propagates through min and max.
+        lo, hi = float(h.min()), float(h.max())
+        _require(math.isfinite(lo) and math.isfinite(hi), "histograms must be finite")
+        _require(lo >= 0, _NEGATIVE_COUNTS)
         object.__setattr__(self, "histograms", _freeze(h))
 
     @property
@@ -376,13 +371,12 @@ class TransientMeasurement:
     def shape(self) -> tuple[int, int, int]:
         return self.histograms.shape
 
-    def histogram_rows(self, group: int = 1) -> Iterator[np.ndarray]:
+    def histogram_rows(self, rows: int) -> Iterator[np.ndarray]:
         """The histograms as read-only ``[rows, n_bins]`` views, blocked as
-        :meth:`DatasetFile.histogram_rows` reads them: each block but the
-        last holds a whole number of ``group`` histograms."""
-        rows = self.histograms.reshape(-1, self.n_bins)
-        step = _block_rows(self.n_bins, group)
-        return (rows[i:i + step] for i in range(0, len(rows), step))
+        :meth:`DatasetFile.histogram_rows` reads them: ``rows`` histograms per
+        block, the last block perhaps fewer."""
+        h = self.histograms.reshape(-1, self.n_bins)
+        return (h[i:i + rows] for i in range(0, len(h), rows))
 
 
 @dataclass(frozen=True)
@@ -616,6 +610,7 @@ class ReconstructionVolume:
         return 1 if self.times is None else int(self.times.size)
 
     def frame(self, i: int = 0) -> np.ndarray:
+        i = _index(i, "frame index")
         _require(0 <= i < self.n_frames,
                  f"frame index {i} is out of range for a volume of {self.n_frames} frame(s)")
         return self.field if self.times is None else self.field[i]
@@ -685,21 +680,19 @@ class _Reader:
         ``out``; yield each converted block.
 
         ``out`` holds all ``count`` values, or it is one block's buffer that
-        each block overwrites.  The file's bytes pass through a buffer of at
-        most ``_RAW_PIECE`` values, converted piece by piece, so a converted
-        block is never held beside all of its raw bytes.
+        each block overwrites.  Each block's bytes are read with one
+        ``readinto`` into a raw buffer of one block: ``_READ_BLOCK`` values of
+        a whole array, or one product group of streamed histograms.
         """
-        piece = min(block, count, _RAW_PIECE)
-        raw = np.empty(dt.itemsize * piece, np.uint8)
+        raw = np.empty(dt.itemsize * min(block, count), np.uint8)
         for i in range(0, count, block):
             converted = out[i % out.size:][:min(block, count - i)]
-            for j in range(0, converted.size, piece):
-                n = dt.itemsize * min(piece, converted.size - j)
-                self._short_read(self.f.readinto(raw[:n]), n)
-                values = raw[:n].view(dt)
-                if not np.isfinite(values).all():
-                    raise NonFiniteDataError(f"{what} payload contains non-finite values")
-                converted[j:j + values.size] = values
+            n = dt.itemsize * converted.size
+            self._short_read(self.f.readinto(raw[:n]), n)
+            values = raw[:n].view(dt)
+            if not np.isfinite(values).all():
+                raise NonFiniteDataError(f"{what} payload contains non-finite values")
+            converted[:] = values
             yield converted
 
     def array(self, dt: np.dtype, shape: tuple[int, ...], what: str) -> np.ndarray:
@@ -872,18 +865,18 @@ class DatasetFile:
         self._start_read()
         return self._reader.array(self._dt, self.shape, "histogram")
 
-    def histogram_rows(self, group: int = 1) -> Iterator[np.ndarray]:
-        """The histograms as float64 ``[rows, n_bins]`` blocks of about
-        ``_READ_BLOCK`` values in whole groups of ``group`` histograms (the
-        last block may be shorter), one histogram per (illumination,
-        detector) in file order, each refused if it holds a non-finite or
-        negative value.
+    def histogram_rows(self, rows: int) -> Iterator[np.ndarray]:
+        """The histograms as float64 ``[rows, n_bins]`` blocks (the last block
+        may be shorter), one histogram per (illumination, detector) in file
+        order, each refused if it holds a non-finite or negative value.
 
-        The blocks share one buffer: each is overwritten by the next.
+        The blocks share one buffer: each is overwritten by the next, and
+        only that block's file bytes are held beside it.  Blocks of one
+        product group hold at most 2**18 values (see ``_READ_BLOCK``).
         """
         self._start_read()
         count, n_bins = math.prod(self.shape), self.shape[2]
-        block = _block_rows(n_bins, group) * n_bins
+        block = rows * n_bins
         with _format_errors():
             out = np.empty(min(block, count))
             for values in self._reader.blocks(self._dt, count, out, block, "histogram"):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import ValidationError, _require
+from .core import ValidationError, _index, _require
 
 __all__ = ["ssim", "align_by_correlation", "apply_shift", "ncc"]
 
@@ -80,6 +80,7 @@ def align_by_correlation(a: np.ndarray, b: np.ndarray) -> tuple[int, int]:
 def apply_shift(a: np.ndarray, dx: int, dy: int) -> np.ndarray:
     """Translate ``a`` by integer ``(dx, dy)``: ``out[y, x] = a[y-dy, x-dx]``."""
     a = np.asarray(a)
+    dx, dy = _index(dx, "dx"), _index(dy, "dy")
     _require(a.ndim == 2, "shift takes a 2D image")
     h, w = a.shape
     out = np.zeros_like(a)

@@ -3,14 +3,14 @@
 A transient measurement is turned into a small set of complex monochromatic
 wavefronts by projecting each time histogram onto a Gaussian frequency
 packet centered on a chosen virtual wavelength.  :func:`to_frequency` is the
-one projection, over the blocks of histograms that a measurement in memory or
-an open dataset file gives, so :func:`read_frequency_slices` never holds a
-file's histograms whole.  It computes the retained DFT bins only, as real
-matrix products of fixed groups of histograms small enough to stay on the
-calling thread.  The remaining functions are
-closed-form design rules for that virtual wave: resolution limits, frustum
-scale-factor bounds, swept-volume bookkeeping, relay sampling-rate
-certificates, and the storage compression won by detector downsampling.
+one projection.  It computes the retained DFT bins only, as real matrix
+products of fixed groups of histograms small enough to stay on the calling
+thread, taken one group at a time, so :func:`read_frequency_slices` holds
+one group of a file's histograms (at most 2**18 values up to 2**17 time
+bins), never the whole capture.  The remaining functions are closed-form
+design rules for that virtual wave: resolution limits, frustum scale-factor
+bounds, swept-volume bookkeeping, relay sampling-rate certificates, and the
+storage compression won by detector downsampling.
 """
 
 from __future__ import annotations
@@ -168,12 +168,12 @@ def to_frequency(measurement: TransientMeasurement | DatasetFile,
     ``exp(-1j*omega*t)`` and the ``t0`` phase refers bin 0 back to absolute
     time zero.  ``measurement`` is a :class:`TransientMeasurement` or the
     :class:`DatasetFile` that :func:`open_dataset` yields, and gives its real
-    histograms in blocks of rows.  Only the retained bins are computed: each
-    group of histograms is one real matrix product with
-    :func:`_projection_matrix`, small enough to stay on the calling thread,
-    written straight into the coefficients.  The groups are fixed by
-    histogram index and every block holds whole groups, so a coefficient's
-    bits do not depend on the blocks the histograms are read in.
+    histograms one group of rows per block.  Only the retained bins are
+    computed: each block is one real matrix product per chunk of ``cols``
+    columns of :func:`_projection_matrix`, small enough to stay on the
+    calling thread, written straight into the coefficients.  A group holds
+    at most ``_PRODUCT_VALUES / cols`` values unless one histogram is longer,
+    and is fixed by histogram index, so no reader moves a coefficient's bits.
     """
     shape, t0 = measurement.shape, measurement.t0
     _require(shape[2] == kernel.n_bins,
@@ -194,12 +194,8 @@ def to_frequency(measurement: TransientMeasurement | DatasetFile,
     out = coeff.reshape(-1, kernel.n_freq).view(np.float64)
     i = 0
     for h in measurement.histogram_rows(group):
-        n = len(h) - len(h) % group
         for j in range(0, n_cols, cols):
-            wj, oj = w[:, j:j + cols], out[i:i + len(h), j:j + cols]
-            np.matmul(h[:n].reshape(-1, group, n_bins), wj,
-                      out=oj[:n].reshape(-1, group, wj.shape[1]))
-            np.matmul(h[n:], wj, out=oj[n:])
+            np.matmul(h, w[:, j:j + cols], out=out[i:i + len(h), j:j + cols])
         i += len(h)
     coeff.setflags(write=False)
     return FrequencySlices(kernel.frequencies, coeff, measurement.relay,
@@ -338,6 +334,7 @@ def compression_factor(n: int, d: int, t: int, f: int) -> float:
     ``d``-th detector per axis and ``f`` complex frequency coefficients
     stores ``(n//d)^2 * 2f``, so the ratio is ``n^2*t / ((n//d)^2 * 2f)``.
     """
+    n, d, t, f = (_index(v, name) for v, name in zip((n, d, t, f), "ndtf"))
     _require(n >= 1 and t >= 1 and f >= 1, "counts must be >= 1")
     _require(1 <= d <= n, "downsampling factor must lie in [1, n]")
     kept = n // d

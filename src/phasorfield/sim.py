@@ -21,6 +21,7 @@ from .core import (
     TransientMeasurement,
     UniformRelay,
     ValidationError,
+    _index,
     _require,
     illumination_coordinates,
 )
@@ -78,6 +79,7 @@ def simulate(scene: Scene, relay: RelaySampling, illuminations: PointList | None
     on the diagonal only) and ignores ``illuminations``.
     """
     _require(delta_t > 0, "bin width must be > 0")
+    n_bins = _index(n_bins, "n_bins")
     _require(n_bins >= 2, "need at least two time bins")
     det = relay.coordinates()
     if confocal:
@@ -124,6 +126,8 @@ def add_poisson_noise(m: TransientMeasurement, scale: float,
     making the draw reproducible.
     """
     _require(scale > 0 and math.isfinite(scale), "photon scale must be > 0")
+    seed = _index(seed, "seed")
+    _require(seed >= 0, "seed must be >= 0")
     rng = np.random.default_rng(seed)
     noisy = rng.poisson(scale * m.histograms).astype(np.float64)
     return TransientMeasurement(m.relay, m.illuminations, noisy, m.delta_t, m.t0)
@@ -171,6 +175,7 @@ def subsample_interpolate(m: TransientMeasurement, n: int, scheme: str = "linear
              "detector downsampling needs a uniform relay grid")
     _require(scheme in ("nearest", "linear"), "scheme must be 'nearest' or 'linear'")
     g = m.relay.grid
+    n = _index(n, "downsampling factor n")
     _require(n >= 2, "downsampling factor must be >= 2")
     _require(n < min(g.nx, g.ny), "downsampling factor must be smaller than the grid")
     kept_x = _kept_indices(g.nx, n)

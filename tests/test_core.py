@@ -39,7 +39,7 @@ from phasorfield import (
     write_pgm,
     write_volume,
 )
-from phasorfield import core
+from phasorfield import core, phasor
 from phasorfield.core import (
     SPEED_OF_LIGHT,
     UniformGrid2D,
@@ -77,10 +77,28 @@ class TestUniformGrids:
         dict(nx=0, ny=2, dx=0.1, dy=0.1, x0=0.0, y0=0.0),
         dict(nx=2, ny=2, dx=0.0, dy=0.1, x0=0.0, y0=0.0),
         dict(nx=2, ny=2, dx=0.1, dy=-0.1, x0=0.0, y0=0.0),
+        dict(nx=2.5, ny=3, dx=0.1, dy=0.1, x0=0.0, y0=0.0),
+        dict(nx=2, ny=3.0, dx=0.1, dy=0.1, x0=0.0, y0=0.0),
     ])
     def test_grid2d_rejects_degenerate(self, bad):
         with pytest.raises(ValidationError):
             UniformGrid2D(**bad)
+
+    # A fractional count would give a fractional voxel count and a lattice
+    # of another size: UniformGrid2D(2.5, 3, ...) counted 7.5 and listed 9.
+    @pytest.mark.parametrize("name", ["nx", "ny", "nz"])
+    @pytest.mark.parametrize("count", [2.5, 2.0, "2"])
+    def test_grid3d_refuses_a_count_that_is_not_an_integer(self, name, count):
+        counts = {"nx": 2, "ny": 2, "nz": 2, name: count}
+        with pytest.raises(ValidationError, match=f"^grid count {name} must be an integer$"):
+            UniformGrid3D(**counts, dx=0.1, dy=0.1, dz=0.1, x0=0.0, y0=0.0, z0=1.0)
+
+    # NumPy integer counts are held as Python integers, so the voxel count
+    # cannot wrap: three uint8 counts would multiply to 512 mod 256.
+    def test_grid_counts_are_held_as_python_integers(self):
+        g = UniformGrid3D(np.uint8(16), np.uint8(16), np.uint8(2), 0.1, 0.1, 0.1, 0.0, 0.0, 1.0)
+        assert (g.nx, g.ny, g.nz, g.count) == (16, 16, 2, 512)
+        assert all(type(n) is int for n in (g.nx, g.ny, g.nz))
 
     def test_grid_coordinates_is_row_major_in_y(self):
         g = UniformGrid2D(2, 2, 0.5, 0.5, 0.0, 0.0)
@@ -175,13 +193,12 @@ class TestTransientMeasurement:
                                  np.zeros((1, 4, 8)), delta_t=1e-12)
         assert (m.n_illum, m.n_detect, m.n_bins) == (1, 4, 8)
 
-    def test_histogram_rows_are_views_in_read_blocks(self, monkeypatch):
+    def test_histogram_rows_are_views_in_read_blocks(self):
         h = np.arange(2 * 4 * 8.0).reshape(2, 4, 8)
         m = TransientMeasurement(self._relay(), PointList(np.zeros((2, 2))), h, 1e-12)
         assert m.shape == (2, 4, 8)
-        # Three histograms of 8 bins per block of 24 values: 3 + 3 + 2 rows.
-        monkeypatch.setattr(core, "_READ_BLOCK", 24)
-        blocks = list(m.histogram_rows())
+        # Three histograms per block: 3 + 3 + 2 rows.
+        blocks = list(m.histogram_rows(3))
         assert [len(b) for b in blocks] == [3, 3, 2]
         assert all(np.shares_memory(b, m.histograms) for b in blocks)
         assert np.array_equal(np.concatenate(blocks), h.reshape(8, 8))
@@ -339,6 +356,20 @@ class TestVoxelGrids:
         with pytest.raises(ValidationError, match=f"of {v.n_frames} frame"):
             v.as_array3d(index)
         assert v.frame(v.n_frames - 1).shape == (8,)
+
+    # frame(0.5) returned a static volume's field and raised a bare
+    # IndexError on a video.
+    @pytest.mark.parametrize("n_frames, index", [(None, 0.5), (3, 0.5), (3, 1.0), (3, "1")])
+    def test_frame_index_must_be_an_integer(self, n_frames, index):
+        cub = CuboidGrid(UniformGrid3D(2, 2, 2, 0.1, 0.1, 0.1, 0.0, 0.0, 1.0))
+        if n_frames is None:
+            v = ReconstructionVolume(cub, np.zeros(8, complex))
+        else:
+            v = ReconstructionVolume(cub, np.zeros((n_frames, 8), complex),
+                                     times=np.arange(n_frames) * 1e-9)
+        with pytest.raises(ValidationError, match="^frame index must be an integer$"):
+            v.frame(index)
+        assert np.array_equal(v.frame(np.int64(0)), v.frame(0))
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +555,9 @@ class TestDatasetContainer:
                 read(path)
 
     # One histogram per block as well as all in one, so that a bad value in
-    # the last block is found after the others were projected.
+    # the last block is found after the others were projected.  A read block
+    # of 8 values and products of 8 multiply-adds each take one 8-bin
+    # histogram at a time, in read_dataset and in the streamed projection.
     @pytest.mark.parametrize("block", [None, 8], ids=["default-block", "one-row-blocks"])
     @pytest.mark.parametrize("malformed", MALFORMED_DATASETS)
     def test_both_readers_refuse_a_malformed_file_alike(self, tmp_path, monkeypatch,
@@ -534,6 +567,7 @@ class TestDatasetContainer:
         path.write_bytes(edit(_container_bytes(write_dataset, _small_measurement(), tmp_path)))
         if block is not None:
             monkeypatch.setattr(core, "_READ_BLOCK", block)
+            monkeypatch.setattr(phasor, "_PRODUCT_VALUES", block)
         refusals = []
         for read in (read_dataset, _streamed):
             with pytest.raises(error, match=message) as refused:
@@ -559,8 +593,10 @@ class TestDatasetContainer:
                 read(str(path))
         assert read_blocks == ["illumination point"] * 2
 
+    # The blocks share one buffer, so each is copied before the next is read.
     @pytest.mark.parametrize("read", [lambda d: d.histograms(),
-                                      lambda d: next(d.histogram_rows())],
+                                      lambda d: np.concatenate([h.copy() for h
+                                                                in d.histogram_rows(3)])],
                              ids=["histograms", "histogram_rows"])
     def test_an_open_dataset_reads_its_histograms_once(self, tmp_path, read):
         path = str(tmp_path / "d.nls1")
@@ -602,8 +638,9 @@ def _traced_peak(fn):
         tracemalloc.stop()
 
 
-# What a streamed read may hold beyond its result: one file block of 2^18
-# values and its finiteness mask, or one projection block's half spectrum.
+# What a read may hold beyond its result, with room to spare: one block
+# (a whole-array read's or one product group), its file bytes and their
+# finiteness mask, and the projection's matrix.
 _STREAM_SLACK = 4e6
 
 
@@ -628,26 +665,29 @@ class TestStreamedRead:
         assert peak <= 1.15 * m.histograms.nbytes + _STREAM_SLACK
 
     def test_a_block_is_projected_without_the_files_bytes(self, tmp_path):
-        # One block of 256 x 1024 values: while it is projected, the float64
-        # block is held beside a read buffer of an eighth of a block's values
-        # and the projection's products (2.6 MB traced in all), not beside
-        # the block's 1 MB of float32 file bytes, which would take the peak
-        # past one block and a half.
+        # 256 histograms of 1024 bins, 16 product groups of 16 histograms
+        # (2**19 multiply-adds over the matrix's 32 columns).  Beside the
+        # coefficients and the [1024, 32] projection matrix, one group is
+        # held at a time, as float64 and as its float32 file bytes (0.55 MB
+        # traced in all); the capture's 1 MB of float32 file bytes would take
+        # the peak past three groups.
         relay = UniformRelay(UniformGrid2D(16, 16, 0.02, 0.02, -0.15, -0.15))
         h = np.random.default_rng(3).poisson(2.0, (1, 256, 1024)).astype(np.float64)
-        assert h.size == core._READ_BLOCK
         path = str(tmp_path / "one-block.nls1")
         write_dataset(TransientMeasurement(relay, PointList(np.zeros((1, 2))), h, 16e-12), path)
-        block_bytes = h.nbytes
         del h
         sl, peak = _traced_peak(lambda: read_frequency_slices(path, 0.06))
         assert sl.coefficients.shape == (1, 256, 16)
-        assert peak <= 1.5 * block_bytes
+        columns = 2 * sl.n_freq
+        group_bytes = 8 * phasor._PRODUCT_VALUES // columns
+        assert group_bytes == 8 * 16 * 1024
+        matrix_bytes = 8 * 1024 * columns
+        assert peak <= sl.coefficients.nbytes + matrix_bytes + 3 * group_bytes
 
     def test_a_streamed_capture_is_never_held(self, tmp_path):
         # frustum-video's shape, projected as it is read: beside the
-        # coefficients only blocks are held, a file block, its float64
-        # conversion and its half spectrum, never the histograms.
+        # coefficients and the projection matrix only one product group is
+        # held, as float64 and as its file bytes, never the histograms.
         relay = UniformRelay(UniformGrid2D(48, 48, 0.01, 0.01, -0.24, -0.24))
         h = np.random.default_rng(3).poisson(2.0, (2, 2304, 1024)).astype(np.float64)
         path = str(tmp_path / "big.nls1")

@@ -101,6 +101,11 @@ class TestApplyShift:
         a = np.ones((3, 3))
         assert np.all(apply_shift(a, 5, 0) == 0)
 
+    @pytest.mark.parametrize("dx, dy, name", [(1.5, 0, "dx"), (0, 1.0, "dy"), (0, "1", "dy")])
+    def test_rejects_a_shift_that_is_not_an_integer(self, dx, dy, name):
+        with pytest.raises(ValidationError, match=f"^{name} must be an integer$"):
+            apply_shift(np.ones((3, 3)), dx, dy)
+
 
 class TestNcc:
     def test_perfect_correlation_under_scaling_and_phase(self, rng):

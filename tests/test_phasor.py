@@ -22,7 +22,7 @@ from phasorfield import (
     write_dataset,
 )
 from phasorfield import core, phasor
-from phasorfield.core import SPEED_OF_LIGHT, UniformGrid2D
+from phasorfield.core import SPEED_OF_LIGHT, UniformGrid2D, open_dataset
 from phasorfield.phasor import (
     build_kernel,
     compression_factor,
@@ -190,28 +190,36 @@ class TestToFrequency:
     # reads 2.6e-16 to 5.8e-16 here).
     @pytest.mark.parametrize("n_bins, n_detect", [(1024, 300), (1023, 300), (4096, 100),
                                                   (300, 900)])
-    def test_projection_matches_a_long_double_dft(self, rng, n_bins, n_detect):
+    def test_projection_matches_a_long_double_dft(self, rng, monkeypatch, n_bins, n_detect):
         m = self._counts(rng, n_bins, n_detect)
         k = build_kernel(0.06, n_bins, m.delta_t)
-        # The histograms span three read blocks or more.
-        assert m.n_illum * m.n_detect > core._READ_BLOCK // n_bins * 2
+        blocks = []
+        histogram_rows = TransientMeasurement.histogram_rows
+        monkeypatch.setattr(TransientMeasurement, "histogram_rows",
+                            lambda self, rows: blocks.append(rows) or histogram_rows(self, rows))
         reference = _long_double_projection(m, k)
         error = to_frequency(m, k).coefficients.astype(np.clongdouble) - reference
+        # The histograms span three product groups or more.
+        assert m.n_illum * m.n_detect > blocks[0] * 2
         assert np.linalg.norm(error) <= 1e-14 * np.linalg.norm(reference)
 
-    # Groups of 3 histograms split the 80 into 26 groups and a pair; blocks
-    # of 1, 2 and all groups then split them differently.
+    # Groups of 3 histograms split the 80 into 26 groups and a pair.  The
+    # streamed read takes one group per block; read_dataset reads blocks of
+    # 1 value, 7 histograms and all, which split them differently.
     @pytest.mark.parametrize("group", [None, 3], ids=["product-groups", "groups-of-3"])
-    def test_block_size_does_not_change_a_bit(self, rng, monkeypatch, group):
+    def test_block_size_does_not_change_a_bit(self, rng, monkeypatch, tmp_path, group):
         m = self._counts(rng, 1023, n_detect=40)
         k = build_kernel(0.06, 1023, m.delta_t)
         if group is not None:
             monkeypatch.setattr(phasor, "_PRODUCT_VALUES", group * 1023 * 2 * k.n_freq)
-        monkeypatch.setattr(core, "_READ_BLOCK", 1 << 40)
+        path = str(tmp_path / "capture.nls1")
+        write_dataset(m, path)
         whole = to_frequency(m, k).coefficients
-        for block in (1, 7 * 1023):
+        with open_dataset(path) as d:
+            assert np.array_equal(to_frequency(d, k).coefficients, whole)
+        for block in (1, 7 * 1023, 1 << 40):
             monkeypatch.setattr(core, "_READ_BLOCK", block)
-            assert np.array_equal(to_frequency(m, k).coefficients, whole)
+            assert np.array_equal(to_frequency(read_dataset(path), k).coefficients, whole)
 
     # The phase omega*t0 overflows to inf; it is refused, with no
     # RuntimeWarning, before any histogram is read.
@@ -222,9 +230,9 @@ class TestToFrequency:
         path = str(tmp_path / "capture.nls1")
         write_dataset(m, path)
         monkeypatch.setattr(core.DatasetFile, "histogram_rows",
-                            lambda d, group=1: pytest.fail("a histogram was read"))
+                            lambda d, rows: pytest.fail("a histogram was read"))
         monkeypatch.setattr(core.TransientMeasurement, "histogram_rows",
-                            lambda m, group=1: pytest.fail("a histogram was read"))
+                            lambda m, rows: pytest.fail("a histogram was read"))
         for project in (lambda: to_frequency(m, k), lambda: read_frequency_slices(path, 0.06)):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -248,7 +256,7 @@ def _points(n: int, dim: int):
 
 @st.composite
 def _captures(draw):
-    """A small capture on a relay of any kind, and the rows per projection block."""
+    """A small capture on a relay of any kind, and the rows per read block."""
     kind = draw(st.sampled_from(["uniform", "planar", "3d"]))
     if kind == "uniform":
         relay = UniformRelay(UniformGrid2D(draw(st.integers(1, 4)), draw(st.integers(1, 4)),
@@ -279,10 +287,11 @@ class TestReadFrequencySlices:
         products = (phasor._PRODUCT_VALUES if group is None
                     else group * m.n_bins * 2 * kernel.n_freq)
         with mock.patch.object(phasor, "_PRODUCT_VALUES", products):
-            # Blocks of `rows` histograms.
+            # Streamed blocks of one product group each.
+            streamed = read_frequency_slices(path, lambda_c)
+            # read_dataset's blocks of `rows` histograms.
             with mock.patch.object(core, "_READ_BLOCK", rows * m.n_bins):
-                streamed = read_frequency_slices(path, lambda_c)
-            held = to_frequency(read_dataset(path), kernel)
+                held = to_frequency(read_dataset(path), kernel)
         assert streamed.frequencies.tobytes() == held.frequencies.tobytes()
         assert streamed.coefficients.shape == held.coefficients.shape
         assert streamed.coefficients.tobytes() == held.coefficients.tobytes()
@@ -299,8 +308,8 @@ class TestReadFrequencySlices:
         path = str(tmp_path_factory.mktemp("stream") / "capture.nls1")
         self._streamed_equals_held(path, m, rows, bin_index)
 
-    # Products of 2 or 3 histograms, and a read block of fewer histograms than
-    # the capture holds, which the reader rounds to whole groups: both the
+    # Products of 2 or 3 histograms, each group one streamed block, and a
+    # read_dataset block of fewer histograms than the capture holds: both the
     # groups and the blocks split the capture.
     @settings(max_examples=60, deadline=None)
     @given(capture=_captures(), bin_index=st.integers(1, 4), data=st.data())
@@ -495,6 +504,14 @@ class TestCompressionFactor:
 
     def test_arithmetic_case(self):
         assert compression_factor(64, 2, 2048, 200) == pytest.approx(20.48)
+
+    # compression_factor(4.5, 2, 10, 1) returned 25.3125.
+    @pytest.mark.parametrize("name", ["n", "d", "t", "f"])
+    @pytest.mark.parametrize("value", [4.5, 4.0])
+    def test_rejects_a_count_that_is_not_an_integer(self, name, value):
+        counts = {"n": 8, "d": 2, "t": 10, "f": 1, name: value}
+        with pytest.raises(ValidationError, match=f"^{name} must be an integer$"):
+            compression_factor(**counts)
 
     def test_detector_count_floors(self):
         # 32/5 floors to 6 retained detectors per side

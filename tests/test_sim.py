@@ -86,6 +86,12 @@ class TestSimulate:
         m = simulate(scene, centered_relay(2, 0.05), _origin_ill(), dt, 128)
         assert np.all(m.histograms == 0.5)
 
+    @pytest.mark.parametrize("n_bins", [256.5, 256.0, "256"])
+    def test_rejects_a_bin_count_that_is_not_an_integer(self, n_bins):
+        with pytest.raises(ValidationError, match="^n_bins must be an integer$"):
+            simulate(Scene((Scatterer((0.0, 0.0, 1.0)),)),
+                     _point_relay(), _origin_ill(), 16e-12, n_bins)
+
     def test_out_of_window_names_the_scatterer(self):
         with pytest.raises(ValidationError, match="scatterer"):
             simulate(Scene((Scatterer((0.0, 0.0, 5.0)),)),
@@ -151,6 +157,13 @@ class TestPoissonNoise:
         with pytest.raises(ValidationError):
             add_poisson_noise(self._measurement(), 0.0, seed=1)
 
+    @pytest.mark.parametrize("seed, message", [(1.5, "^seed must be an integer$"),
+                                               (None, "^seed must be an integer$"),
+                                               (-1, "^seed must be >= 0$")])
+    def test_rejects_a_seed_that_is_not_a_nonnegative_integer(self, seed, message):
+        with pytest.raises(ValidationError, match=message):
+            add_poisson_noise(self._measurement(), 1.0, seed)
+
 
 class TestSubsampleInterpolate:
     def _measurement(self, rng, side=5, pitch=0.02, n_bins=32):
@@ -191,6 +204,12 @@ class TestSubsampleInterpolate:
     def test_rejects_identity_factor(self, rng):
         with pytest.raises(ValidationError):
             subsample_interpolate(self._measurement(rng), 1)
+
+    @pytest.mark.parametrize("factor", [2.5, 2.0])
+    def test_rejects_a_factor_that_is_not_an_integer(self, rng, factor):
+        with pytest.raises(ValidationError,
+                           match="^downsampling factor n must be an integer$"):
+            subsample_interpolate(self._measurement(rng), factor)
 
     def test_rejects_factor_at_grid_side(self, rng):
         with pytest.raises(ValidationError):
